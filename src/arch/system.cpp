@@ -141,6 +141,28 @@ void System::validate_engine_config(const char* engine_name) const {
   }
 }
 
+bool System::observe_cycle(Cycle now) {
+  if (census_ != nullptr) {
+    census_->observe(now);
+    lap(profiler_, HostPhase::kTelemetry);
+  }
+  if (sampler_ == nullptr && snapshot_ == nullptr) return false;
+  if (sampler_ != nullptr) sampler_->advance_to(now);
+  if (snapshot_ != nullptr) snapshot_->advance_to(now);
+  lap(profiler_, HostPhase::kSampler);
+  // A fired watchdog abandons the run (summary.completed stays false) —
+  // the only exit a stalled system has short of max_cycles.
+  return snapshot_ != nullptr && snapshot_->watchdog_fired();
+}
+
+bool System::drained(const Interconnect* fabric) const {
+  if (fabric != nullptr && !fabric->idle()) return false;
+  for (const auto& node : nodes_) {
+    if (!node->drained()) return false;
+  }
+  return true;
+}
+
 SystemRunSummary System::run(Cycle max_cycles) {
   validate_engine_config("run");
   Interconnect* fabric = nodes_.size() > 1 ? fabric_.get() : nullptr;
@@ -148,39 +170,13 @@ SystemRunSummary System::run(Cycle max_cycles) {
 
   bool completed = false;
   Cycle now = 0;
+  start_laps(profiler_);
   try {
     for (; now < max_cycles; ++now) {
-      {
-        HostProfiler::Scope scope(profiler_, HostPhase::kTick);
-        for (auto& node : nodes_) node->tick(now, fabric);
-      }
-      if (census_ != nullptr) {
-        HostProfiler::Scope scope(profiler_, HostPhase::kTelemetry);
-        census_->observe(now);
-      }
-      if (sampler_ != nullptr) {
-        HostProfiler::Scope scope(profiler_, HostPhase::kSampler);
-        sampler_->advance_to(now);
-      }
-      if (snapshot_ != nullptr) {
-        HostProfiler::Scope scope(profiler_, HostPhase::kSampler);
-        snapshot_->advance_to(now);
-        // A fired watchdog abandons the run (summary.completed stays
-        // false) — the only exit a stalled system has short of
-        // max_cycles.
-        if (snapshot_->watchdog_fired()) break;
-      }
-
-      bool drained = fabric == nullptr || fabric->idle();
-      if (drained) {
-        for (const auto& node : nodes_) {
-          if (!node->drained()) {
-            drained = false;
-            break;
-          }
-        }
-      }
-      if (drained) {
+      for (auto& node : nodes_) node->tick(now, fabric);
+      lap(profiler_, HostPhase::kTick);
+      if (observe_cycle(now)) break;
+      if (drained(fabric)) {
         completed = true;
         ++now;
         break;
@@ -220,14 +216,15 @@ Cycle System::next_wake(Cycle now, const Interconnect* fabric,
 }
 
 void System::credit_skip(Cycle now, Cycle next) {
-  if (next <= now + 1) return;
+  if (next <= now + 1 || (census_ == nullptr && sampler_ == nullptr)) return;
+  lap(profiler_, HostPhase::kTick);  // the drain check and the oracle sweep
   if (census_ != nullptr) {
-    HostProfiler::Scope scope(profiler_, HostPhase::kTelemetry);
     census_->skip_to(next);
+    lap(profiler_, HostPhase::kTelemetry);
   }
   if (sampler_ != nullptr) {
-    HostProfiler::Scope scope(profiler_, HostPhase::kSampler);
     sampler_->advance_to(next - 1);
+    lap(profiler_, HostPhase::kSampler);
   }
 }
 
@@ -239,40 +236,14 @@ SystemRunSummary System::run_event(Cycle max_cycles) {
   bool completed = false;
   Cycle now = 0;
   std::uint64_t visited = 0;
+  start_laps(profiler_);
   try {
     while (now < max_cycles) {
       ++visited;
-      {
-        HostProfiler::Scope scope(profiler_, HostPhase::kTick);
-        for (auto& node : nodes_) node->tick(now, fabric);
-      }
-      if (census_ != nullptr) {
-        HostProfiler::Scope scope(profiler_, HostPhase::kTelemetry);
-        census_->observe(now);
-      }
-      if (sampler_ != nullptr) {
-        HostProfiler::Scope scope(profiler_, HostPhase::kSampler);
-        sampler_->advance_to(now);
-      }
-      if (snapshot_ != nullptr) {
-        HostProfiler::Scope scope(profiler_, HostPhase::kSampler);
-        snapshot_->advance_to(now);
-        // A fired watchdog abandons the run (summary.completed stays
-        // false) — the only exit a stalled system has short of
-        // max_cycles.
-        if (snapshot_->watchdog_fired()) break;
-      }
-
-      bool drained = fabric == nullptr || fabric->idle();
-      if (drained) {
-        for (const auto& node : nodes_) {
-          if (!node->drained()) {
-            drained = false;
-            break;
-          }
-        }
-      }
-      if (drained) {
+      for (auto& node : nodes_) node->tick(now, fabric);
+      lap(profiler_, HostPhase::kTick);
+      if (observe_cycle(now)) break;
+      if (drained(fabric)) {
         completed = true;
         ++now;
         break;
@@ -316,51 +287,23 @@ SystemRunSummary System::run_parallel(std::uint32_t threads,
 
   bool completed = false;
   Cycle now = 0;
+  start_laps(profiler_);
   try {
     for (; now < max_cycles; ++now) {
-      {
-        HostProfiler::Scope scope(profiler_, HostPhase::kTick);
-        stepper.for_shards(nodes_.size(), [this, now, fabric](std::size_t i) {
-          nodes_[i]->tick(now, fabric);
-        });
+      stepper.for_shards(nodes_.size(), [this, now, fabric](std::size_t i) {
+        nodes_[i]->tick(now, fabric);
+      });
+      lap(profiler_, HostPhase::kTick);
+      // Barrier: cross-shard effects apply in canonical order.
+      if (fabric != nullptr) fabric->commit_staged();
+      if (sink_ != nullptr) {
+        for (BufferedSink& buffer : buffers) buffer.flush(*sink_);
       }
-      {
-        // Barrier: cross-shard effects apply in canonical order.
-        HostProfiler::Scope scope(profiler_, HostPhase::kCommit);
-        if (fabric != nullptr) fabric->commit_staged();
-        if (sink_ != nullptr) {
-          for (BufferedSink& buffer : buffers) buffer.flush(*sink_);
-        }
-      }
-      if (census_ != nullptr) {
-        // Same serial point as run(): post-barrier, pre-sampler — census
-        // exports stay byte-identical across engines.
-        HostProfiler::Scope scope(profiler_, HostPhase::kTelemetry);
-        census_->observe(now);
-      }
-      if (sampler_ != nullptr) {
-        HostProfiler::Scope scope(profiler_, HostPhase::kSampler);
-        sampler_->advance_to(now);
-      }
-      if (snapshot_ != nullptr) {
-        HostProfiler::Scope scope(profiler_, HostPhase::kSampler);
-        snapshot_->advance_to(now);
-        // A fired watchdog abandons the run (summary.completed stays
-        // false) — the only exit a stalled system has short of
-        // max_cycles.
-        if (snapshot_->watchdog_fired()) break;
-      }
-
-      bool drained = fabric == nullptr || fabric->idle();
-      if (drained) {
-        for (const auto& node : nodes_) {
-          if (!node->drained()) {
-            drained = false;
-            break;
-          }
-        }
-      }
-      if (drained) {
+      lap(profiler_, HostPhase::kCommit);
+      // Same serial point as run(): post-barrier, so census exports stay
+      // byte-identical across engines.
+      if (observe_cycle(now)) break;
+      if (drained(fabric)) {
         completed = true;
         ++now;
         break;
@@ -408,50 +351,22 @@ SystemRunSummary System::run_event_parallel(std::uint32_t threads,
   bool completed = false;
   Cycle now = 0;
   std::uint64_t visited = 0;
+  start_laps(profiler_);
   try {
     while (now < max_cycles) {
       ++visited;
-      {
-        HostProfiler::Scope scope(profiler_, HostPhase::kTick);
-        stepper.for_shards(nodes_.size(), [this, now, fabric](std::size_t i) {
-          nodes_[i]->tick(now, fabric);
-        });
+      stepper.for_shards(nodes_.size(), [this, now, fabric](std::size_t i) {
+        nodes_[i]->tick(now, fabric);
+      });
+      lap(profiler_, HostPhase::kTick);
+      if (fabric != nullptr) fabric->commit_staged();
+      if (sink_ != nullptr) {
+        for (BufferedSink& buffer : buffers) buffer.flush(*sink_);
       }
-      {
-        HostProfiler::Scope scope(profiler_, HostPhase::kCommit);
-        if (fabric != nullptr) fabric->commit_staged();
-        if (sink_ != nullptr) {
-          for (BufferedSink& buffer : buffers) buffer.flush(*sink_);
-        }
-      }
-      if (census_ != nullptr) {
-        // Same serial point as every other engine: post-barrier.
-        HostProfiler::Scope scope(profiler_, HostPhase::kTelemetry);
-        census_->observe(now);
-      }
-      if (sampler_ != nullptr) {
-        HostProfiler::Scope scope(profiler_, HostPhase::kSampler);
-        sampler_->advance_to(now);
-      }
-      if (snapshot_ != nullptr) {
-        HostProfiler::Scope scope(profiler_, HostPhase::kSampler);
-        snapshot_->advance_to(now);
-        // A fired watchdog abandons the run (summary.completed stays
-        // false) — the only exit a stalled system has short of
-        // max_cycles.
-        if (snapshot_->watchdog_fired()) break;
-      }
-
-      bool drained = fabric == nullptr || fabric->idle();
-      if (drained) {
-        for (const auto& node : nodes_) {
-          if (!node->drained()) {
-            drained = false;
-            break;
-          }
-        }
-      }
-      if (drained) {
+      lap(profiler_, HostPhase::kCommit);
+      // Same serial point as every other engine: post-barrier.
+      if (observe_cycle(now)) break;
+      if (drained(fabric)) {
         completed = true;
         ++now;
         break;

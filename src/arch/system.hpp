@@ -133,9 +133,10 @@ class System {
     snapshot_ = snapshot;
   }
 
-  /// Attach host wall-clock attribution: run()/run_parallel() time their
-  /// tick / commit / telemetry / sampler phases, and run_parallel
-  /// additionally records per-worker busy time. Host time never feeds
+  /// Attach host wall-clock attribution: every engine laps its tick /
+  /// commit / telemetry / sampler phases (one clock read per boundary, so
+  /// the phases partition the loop's wall time), and the parallel engines
+  /// additionally record per-worker busy time. Host time never feeds
   /// back into simulated time — simulated results are identical with or
   /// without a profiler. Pass nullptr to detach.
   void attach_profiler(HostProfiler* profiler) noexcept {
@@ -159,6 +160,12 @@ class System {
   /// census and sampler — before the landing tick, while device busy
   /// thresholds are frozen.
   void credit_skip(Cycle now, Cycle next);
+  /// The post-tick serial point every engine shares: census, sampler and
+  /// snapshot, each lapped into its host phase. True when the stall
+  /// watchdog fired and the run must stop.
+  bool observe_cycle(Cycle now);
+  /// The fabric (when present) and every node hold no work.
+  [[nodiscard]] bool drained(const Interconnect* fabric) const;
   /// begin_run + per-node/fabric probe registration (no-op when detached).
   void register_probes();
   /// End-of-run gauge writes (serial point; see attach_metrics).

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/config.hpp"
@@ -157,6 +158,23 @@ class MacCoalescer {
   }
   [[nodiscard]] bool flit_table_did_work(Cycle now) const noexcept {
     return flit_last_work_ == now;
+  }
+
+  /// Register the MAC's idle-cycle census rows under `prefix` (e.g.
+  /// "node0."): `<prefix>mac`, `<prefix>arq`, `<prefix>builder` and
+  /// `<prefix>flit_table`. Templated on the census like
+  /// HmcDevice::register_census. The coalescer must outlive the census's
+  /// observed run; seal the census before tearing it down.
+  template <typename Census>
+  void register_census(Census& census, const std::string& prefix) const {
+    census.add_component(prefix + "mac", *this);
+    census.add_component(prefix + "arq",
+                         [this](Cycle now) { return arq_did_work(now); });
+    census.add_component(prefix + "builder",
+                         [this](Cycle now) { return builder_did_work(now); });
+    census.add_component(prefix + "flit_table", [this](Cycle now) {
+      return flit_table_did_work(now);
+    });
   }
 
  private:

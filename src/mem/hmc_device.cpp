@@ -1,5 +1,6 @@
 #include "mem/hmc_device.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -29,7 +30,8 @@ HmcDevice::HmcDevice(const SimConfig& config, NodeId node)
       node_(node),
       vaults_per_link_(config.vaults / config.hmc_links),
       banks_(config.total_banks()),
-      links_(config.hmc_links, Link(config.t_link_flit)) {
+      links_(config.hmc_links, Link(config.t_link_flit)),
+      vault_until_(config.vaults, 0) {
   config_.validate();
   if (config_.t_refi != 0) {
     // Stagger refresh windows evenly across the banks of each vault so a
@@ -149,6 +151,11 @@ void HmcDevice::commit_staged(StagedSubmit& entry) {
   HmcRequest& request = entry.request;
   const Bank::Schedule& sched = entry.sched;
   stats_.row_hits += sched.row_hit ? 1 : 0;
+  // Busy-until thresholds: commit is serial in both modes, so the
+  // sharded time_staged phase never writes them.
+  Cycle& vault_until = vault_until_[entry.vault];
+  vault_until = std::max(vault_until, entry.bank_free_at);
+  banks_until_ = std::max(banks_until_, entry.bank_free_at);
 
 #if MAC3D_OBS_ENABLED
   if (sink_ != nullptr) {
@@ -250,6 +257,8 @@ std::pair<std::uint64_t, std::uint64_t> HmcDevice::link_flits() const {
 void HmcDevice::reset() {
   for (Bank& bank : banks_) bank.reset();
   for (Link& link : links_) link.reset();
+  std::fill(vault_until_.begin(), vault_until_.end(), Cycle{0});
+  banks_until_ = 0;
   pending_ = {};
   staged_.clear();
   stats_ = {};

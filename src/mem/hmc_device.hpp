@@ -166,7 +166,7 @@ class HmcDevice {
   /// Any bank is mid-access at `now` (the device's coarse activity bit;
   /// the per-unit census rows below are the fine-grained view).
   [[nodiscard]] bool did_work_this_cycle(Cycle now) const noexcept {
-    return banks_busy_fraction(now) > 0.0;
+    return now < banks_until_;
   }
   /// Earliest in-flight completion (0 = drained) — the event-driven
   /// engine's wake-up oracle for the device.
@@ -175,73 +175,40 @@ class HmcDevice {
     return next_completion();
   }
 
-  // ---- Busy-threshold accessors (census range probes) --------------------
-  // Every device activity probe has the form "active iff now < threshold",
-  // and the thresholds are frozen while the event engine fast-forwards (no
-  // submits happen mid-span), so the active cycles inside a skipped span
-  // are exactly countable — that is what keeps the census byte-identical
-  // between the cycle and event engines.
-  /// Cycle the last busy bank frees (0 = all banks idle).
-  [[nodiscard]] Cycle banks_busy_until() const noexcept {
-    Cycle until = 0;
-    for (const Bank& bank : banks_) {
-      if (bank.free_at() > until) until = bank.free_at();
-    }
-    return until;
-  }
+  // ---- Busy-until thresholds (census threshold rows) ---------------------
+  // Every device activity row has the form "active iff now < threshold".
+  // A bank's free_at never decreases (an access starts at
+  // max(arrival, free_at)), so the largest free_at ever committed in a
+  // vault is exactly "any bank in the vault is busy before this cycle";
+  // commit_staged keeps these maxima as banks are scheduled. Thresholds
+  // are frozen while the event engine fast-forwards (no submits happen
+  // mid-span), so skipped spans credit exactly — that is what keeps the
+  // census byte-identical between the cycle and event engines.
+  /// Cycle the last busy bank frees (0 = no access since construction or
+  /// reset).
+  [[nodiscard]] Cycle banks_busy_until() const noexcept { return banks_until_; }
   /// Cycle one vault's last busy bank frees.
   [[nodiscard]] Cycle vault_busy_until(std::uint32_t vault) const noexcept {
-    const std::size_t base =
-        static_cast<std::size_t>(vault) * config_.banks_per_vault;
-    Cycle until = 0;
-    for (std::size_t i = 0; i < config_.banks_per_vault; ++i) {
-      if (banks_[base + i].free_at() > until) until = banks_[base + i].free_at();
-    }
-    return until;
-  }
-  /// Cycle one link's request direction drains.
-  [[nodiscard]] Cycle link_request_free_at(std::uint32_t link) const noexcept {
-    return links_[link].request_free_at();
+    return vault_until_[vault];
   }
 
   /// Register this device's idle-cycle census rows under `prefix`
   /// (e.g. "node0."): `<prefix>banks`, `<prefix>vault<V>` and
-  /// `<prefix>link<L>`. Each row carries a range probe built from the
-  /// matching busy threshold so skipped spans credit exactly. Templated
-  /// on the census (normally obs's ActivityCensus — mem avoids the link
-  /// dependency the same way step_staged avoids sim's). The device must
-  /// outlive the census's observed run; seal the census before tearing
-  /// the device down.
+  /// `<prefix>link<L>`, each a threshold row over the matching busy-until
+  /// cycle. Templated on the census (normally obs's ActivityCensus — mem
+  /// avoids the link dependency the same way step_staged avoids sim's).
+  /// The device must outlive the census's observed run; seal the census
+  /// before tearing the device down.
   template <typename Census>
   void register_census(Census& census, const std::string& prefix) const {
-    // Active cycles of "busy iff cycle < threshold" over [first, last].
-    const auto span_active = [](Cycle threshold, Cycle first,
-                                Cycle last) -> std::uint64_t {
-      if (threshold <= first) return 0;
-      const Cycle end = threshold - 1 < last ? threshold - 1 : last;
-      return end - first + 1;
-    };
-    census.add_component(
-        prefix + "banks",
-        [this](Cycle now) { return banks_busy_fraction(now) > 0.0; },
-        [this, span_active](Cycle first, Cycle last) {
-          return span_active(banks_busy_until(), first, last);
-        });
+    census.add_threshold(prefix + "banks", &banks_until_);
     for (std::uint32_t v = 0; v < vault_count(); ++v) {
-      census.add_component(
-          prefix + "vault" + std::to_string(v),
-          [this, v](Cycle now) { return vault_busy_fraction(v, now) > 0.0; },
-          [this, v, span_active](Cycle first, Cycle last) {
-            return span_active(vault_busy_until(v), first, last);
-          });
+      census.add_threshold(prefix + "vault" + std::to_string(v),
+                           &vault_until_[v]);
     }
     for (std::uint32_t l = 0; l < link_count(); ++l) {
-      census.add_component(
-          prefix + "link" + std::to_string(l),
-          [this, l](Cycle now) { return link_request_backlog(l, now) > 0; },
-          [this, l, span_active](Cycle first, Cycle last) {
-            return span_active(link_request_free_at(l), first, last);
-          });
+      census.add_threshold(prefix + "link" + std::to_string(l),
+                           &links_[l].request_free_at());
     }
   }
 
@@ -308,6 +275,10 @@ class HmcDevice {
   std::uint32_t vaults_per_link_;
   std::vector<Bank> banks_;  ///< flat [vault][bank]
   std::vector<Link> links_;
+  /// Max bank free_at per vault and over all banks; sized once and reset
+  /// in place, so census rows may hold their addresses.
+  std::vector<Cycle> vault_until_;
+  Cycle banks_until_ = 0;
   std::priority_queue<HmcResponse, std::vector<HmcResponse>, PendingGreater>
       pending_;
   HmcStats stats_;

@@ -36,9 +36,11 @@ class Link {
   }
 
   /// Cycle the request direction drains: the backlog probe is "busy iff
-  /// now < request_free_at()", which lets the idle-cycle census credit
-  /// spans the event engine skips without probing every cycle.
-  [[nodiscard]] Cycle request_free_at() const noexcept { return req_free_; }
+  /// now < request_free_at()", so the idle-cycle census holds a reference
+  /// to it as a threshold row and credits skipped spans without probing.
+  [[nodiscard]] const Cycle& request_free_at() const noexcept {
+    return req_free_;
+  }
 
   [[nodiscard]] std::uint64_t request_flits_sent() const noexcept {
     return req_flits_;

@@ -17,23 +17,49 @@ double host_now_seconds() {
   return std::chrono::duration<double>(now).count();
 }
 
-std::size_t ActivityCensus::add_component(std::string name, Probe probe) {
-  return add_component(std::move(name), std::move(probe), RangeProbe{});
+namespace {
+
+/// The threshold of a row that is never busy (sealed or probe-less rows).
+constexpr Cycle kNeverBusy = 0;
+
+void book(ActivityCensus::Row& row, bool active) noexcept {
+  const std::uint64_t hit = active ? 1 : 0;
+  row.active_cycles += hit;
+  row.idle_cycles += 1 - hit;
 }
 
-std::size_t ActivityCensus::add_component(std::string name, Probe probe,
-                                          RangeProbe range) {
-  const std::size_t index = rows_.size();
+}  // namespace
+
+std::size_t ActivityCensus::add_row(std::string name) {
   rows_.push_back({std::move(name), 0, 0});
-  probes_.push_back(std::move(probe));
-  range_probes_.push_back(std::move(range));
-  return index;
+  return rows_.size() - 1;
+}
+
+void ActivityCensus::add_idle_row(std::size_t row) {
+  thresholds_.push_back({row, &kNeverBusy});
+}
+
+std::size_t ActivityCensus::add_component(std::string name, Probe probe) {
+  const std::size_t row = add_row(std::move(name));
+  if (probe) {
+    probes_.push_back({row, std::move(probe)});
+  } else {
+    add_idle_row(row);
+  }
+  return row;
+}
+
+std::size_t ActivityCensus::add_threshold(std::string name,
+                                          const Cycle* busy_until) {
+  const std::size_t row = add_row(std::move(name));
+  thresholds_.push_back({row, busy_until});
+  return row;
 }
 
 std::size_t ActivityCensus::add_feeder(std::string name) {
-  const std::size_t index = add_component(std::move(name), Probe{});
-  feeder_index_ = index;
-  return index;
+  if (feeder_index_ != kNoFeeder) add_idle_row(feeder_index_);
+  feeder_index_ = add_row(std::move(name));
+  return feeder_index_;
 }
 
 void ActivityCensus::observe(Cycle now) {
@@ -41,16 +67,18 @@ void ActivityCensus::observe(Cycle now) {
   // Cycles the engine skipped (or never visited) are idle for everyone:
   // the driver only jumps over cycles where provably nothing happens.
   const std::uint64_t gap = observed_any_ ? now - last_observed_ - 1 : now;
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    rows_[i].idle_cycles += gap;
-    const bool active = i == feeder_index_
-                            ? feeder_marked_at_ == now
-                            : probes_[i] && probes_[i](now);
-    if (active) {
-      ++rows_[i].active_cycles;
-    } else {
-      ++rows_[i].idle_cycles;
-    }
+  if (gap != 0) {
+    for (Row& row : rows_) row.idle_cycles += gap;
+  }
+  Row* const rows = rows_.data();
+  for (const ThresholdRow& entry : thresholds_) {
+    book(rows[entry.row], now < *entry.busy_until);
+  }
+  for (const ProbeRow& entry : probes_) {
+    book(rows[entry.row], entry.probe(now));
+  }
+  if (feeder_index_ != kNoFeeder) {
+    book(rows[feeder_index_], feeder_marked_at_ == now);
   }
   observed_cycles_ += gap + 1;
   last_observed_ = now;
@@ -60,32 +88,32 @@ void ActivityCensus::observe(Cycle now) {
 void ActivityCensus::skip_to(Cycle next) {
   // Span of cycles the engine is about to jump over, strictly before the
   // landing cycle `next` (which observe(next) will account after its
-  // tick). Called before that tick, so range probes see the busy
-  // thresholds exactly as they stood throughout the span.
+  // tick). Called before that tick, so thresholds read exactly as they
+  // stood throughout the span: a threshold row is active on
+  // [first, threshold) and every other row is idle.
   const Cycle first = observed_any_ ? last_observed_ + 1 : 0;
   if (next <= first) return;
-  const Cycle last = next - 1;
-  const std::uint64_t span = last - first + 1;
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    std::uint64_t active = 0;
-    if (i != feeder_index_ && range_probes_[i]) {
-      active = range_probes_[i](first, last);
-      if (active > span) active = span;
-    }
-    rows_[i].active_cycles += active;
-    rows_[i].idle_cycles += span - active;
+  const std::uint64_t span = next - first;
+  for (Row& row : rows_) row.idle_cycles += span;
+  for (const ThresholdRow& entry : thresholds_) {
+    const Cycle busy_until = *entry.busy_until;
+    if (busy_until <= first) continue;
+    const std::uint64_t active = std::min(busy_until, next) - first;
+    rows_[entry.row].active_cycles += active;
+    rows_[entry.row].idle_cycles -= active;
   }
   observed_cycles_ += span;
-  last_observed_ = last;
+  last_observed_ = next - 1;
   observed_any_ = true;
 }
 
 void ActivityCensus::seal() {
+  // Every row becomes a never-busy threshold row: counts stay, and no
+  // reference into the probed components survives.
+  thresholds_.clear();
   probes_.clear();
-  probes_.resize(rows_.size());
-  range_probes_.clear();
-  range_probes_.resize(rows_.size());
-  feeder_index_ = kNoFeeder;  // the feeder's marker may dangle too
+  feeder_index_ = kNoFeeder;
+  for (std::size_t row = 0; row < rows_.size(); ++row) add_idle_row(row);
 }
 
 void ActivityCensus::export_metrics(MetricsRegistry& registry) const {

@@ -48,23 +48,24 @@ concept ActivityComponent = requires(const T& t, Cycle now) {
 
 /// Idle-cycle census: accumulates per-component active/idle cycle counts.
 ///
-/// Components register a probe (or satisfy ActivityComponent); the run
-/// owner calls observe(now) once per simulated cycle at a serial point.
-/// Cycles the engine never visited (time skips) count as idle for every
-/// component — the driver only skips cycles where provably no component
-/// does work — unless the component registered a range probe: device
-/// state like "bank busy until cycle c" is active during skipped spans
-/// even though nothing ticks, and the range probe credits those cycles
-/// exactly, so the event engine's census stays byte-identical to the
-/// cycle engine's. The engine must call skip_to(next) BEFORE ticking the
-/// landing cycle: the landing tick can raise busy thresholds, which
-/// would falsely mark the skipped span active.
+/// Components register a row; the run owner calls observe(now) once per
+/// simulated cycle at a serial point. A row is one of two kinds:
+///  * a probe row (add_component) asks a callback "active at `now`?" —
+///    stamp-form units ("last worked at cycle c") and external callers;
+///  * a threshold row (add_threshold) points at a busy-until cycle and is
+///    active iff now < *busy_until — device state like "bank busy until
+///    cycle c", evaluated with one load and a compare.
+/// Cycles the engine never visited (time skips) count as idle for probe
+/// rows — the driver only skips cycles where provably no component does
+/// work. Threshold state stays active during skipped spans even though
+/// nothing ticks, and skip_to() credits those cycles exactly, so the
+/// event engine's census stays byte-identical to the cycle engine's. The
+/// engine must call skip_to(next) BEFORE ticking the landing cycle: the
+/// landing tick can raise busy thresholds, which would falsely mark the
+/// skipped span active.
 class ActivityCensus {
  public:
   using Probe = std::function<bool(Cycle)>;
-  /// Active-cycle count over the inclusive span [first, last], evaluated
-  /// against the component's current (frozen, mid-skip) state.
-  using RangeProbe = std::function<std::uint64_t(Cycle, Cycle)>;
 
   struct Row {
     std::string name;
@@ -72,15 +73,10 @@ class ActivityCensus {
     std::uint64_t idle_cycles = 0;
   };
 
-  /// Register a component under `name` with an explicit activity probe.
-  /// Returns the component's census index.
+  /// Register a component under `name` with an explicit activity probe,
+  /// called exactly once per visited cycle by observe() and never by
+  /// skip_to(). Returns the component's census index.
   std::size_t add_component(std::string name, Probe probe);
-
-  /// Register a component whose activity persists across skipped spans
-  /// (threshold-form device state): `probe` answers visited cycles,
-  /// `range` answers "how many cycles in [first, last] were active"
-  /// for spans the event engine fast-forwards over.
-  std::size_t add_component(std::string name, Probe probe, RangeProbe range);
 
   /// Register any ActivityComponent; the probe delegates to its
   /// did_work_this_cycle. The component must outlive the observed run
@@ -91,6 +87,12 @@ class ActivityCensus {
       return component.did_work_this_cycle(now);
     });
   }
+
+  /// Register threshold-form state: active at `now` iff
+  /// now < *busy_until. The threshold must never decrease while the run
+  /// is observed and must be frozen across skipped spans (no submits
+  /// happen mid-skip); the pointee must outlive the run (seal() first).
+  std::size_t add_threshold(std::string name, const Cycle* busy_until);
 
   /// Register a manually-marked component (the trace feeder has no tick
   /// of its own): mark_feeder(now) flags the current cycle as active.
@@ -104,15 +106,15 @@ class ActivityCensus {
 
   /// Account the skipped span strictly before `next` (the event engine's
   /// landing cycle): every cycle after the last observed one and before
-  /// `next` books via the component's range probe (all-idle without one).
-  /// Must run before the landing cycle is ticked — range probes read the
-  /// busy thresholds as frozen during the skip. The landing cycle itself
-  /// is then accounted by the usual observe(next).
+  /// `next` is active for a threshold row up to its threshold and idle
+  /// for every other row. Must run before the landing cycle is ticked —
+  /// thresholds are read as frozen during the skip. The landing cycle
+  /// itself is then accounted by the usual observe(next).
   void skip_to(Cycle next);
 
-  /// Drop every probe, keeping the accumulated counts. Call before the
-  /// probed components are destroyed (mirrors the SamplerWindow hazard:
-  /// probes capture components by reference).
+  /// Drop every probe and threshold pointer, keeping the accumulated
+  /// counts. Call before the probed components are destroyed (mirrors
+  /// the SamplerWindow hazard: rows reference components).
   void seal();
 
   /// Export `<name>.active_cycles` / `<name>.idle_cycles` counters.
@@ -137,9 +139,25 @@ class ActivityCensus {
  private:
   static constexpr std::size_t kNoFeeder = static_cast<std::size_t>(-1);
 
+  struct ThresholdRow {
+    std::size_t row;
+    const Cycle* busy_until;
+  };
+  struct ProbeRow {
+    std::size_t row;
+    Probe probe;
+  };
+
+  std::size_t add_row(std::string name);
+  /// Make row `row` permanently idle: a threshold row that is never busy.
+  void add_idle_row(std::size_t row);
+
+  // Every row is exactly one of: a threshold row, a probe row, or the
+  // feeder. The kinds live in separate dense lists so observe() runs the
+  // threshold rows as a tight load-compare loop.
   std::vector<Row> rows_;
-  std::vector<Probe> probes_;             // parallel to rows_ until seal()
-  std::vector<RangeProbe> range_probes_;  // parallel to rows_ until seal()
+  std::vector<ThresholdRow> thresholds_;
+  std::vector<ProbeRow> probes_;
   std::size_t feeder_index_ = kNoFeeder;
   Cycle feeder_marked_at_ = ~Cycle{0};
   bool observed_any_ = false;
@@ -149,10 +167,11 @@ class ActivityCensus {
 
 /// Engine phases the host profiler attributes wall-clock to.
 enum class HostPhase : std::uint8_t {
-  kTick = 0,    ///< component tick / shard execution
+  kTick = 0,    ///< feed intake, component tick / shard execution,
+                ///< completion drain, drain check and wake-up oracle
   kCommit,      ///< staged-state commit + telemetry mailbox flush
-  kTelemetry,   ///< census observe + lifecycle/trace bookkeeping
-  kSampler,     ///< cycle-sampler probe evaluation
+  kTelemetry,   ///< census observe / skip credit
+  kSampler,     ///< cycle-sampler and snapshot probe evaluation
 };
 
 inline constexpr std::size_t kHostPhaseCount = 4;
@@ -170,33 +189,29 @@ inline constexpr std::size_t kHostPhaseCount = 4;
 /// Wall-clock attribution for a run: per-phase totals plus per-worker
 /// busy time under the parallel engine. All values are host seconds and
 /// live only in the non-diffed `host` report section.
+///
+/// Phases are timed with a lap clock: a run loop calls start_laps() once,
+/// then lap(phase) at each phase boundary, which attributes the wall time
+/// since the previous lap to `phase` — one clock read per boundary, and
+/// the phases partition the loop's wall time.
 class HostProfiler {
  public:
-  /// RAII phase timer. Null profiler => no clock read at all, so an
-  /// unprofiled run never touches the host clock on the hot path.
-  class Scope {
-   public:
-    Scope(HostProfiler* profiler, HostPhase phase)
-        : profiler_(profiler),
-          phase_(phase),
-          start_(profiler == nullptr ? 0.0 : host_now_seconds()) {}
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-    ~Scope() {
-      if (profiler_ != nullptr) {
-        profiler_->add_phase_seconds(phase_, host_now_seconds() - start_);
-      }
-    }
+  using Clock = double (*)();
 
-   private:
-    HostProfiler* profiler_;
-    HostPhase phase_;
-    double start_;
-  };
+  /// `clock` returns monotonic seconds; tests inject a counting fake.
+  explicit HostProfiler(Clock clock = host_now_seconds) noexcept
+      : clock_(clock) {}
 
-  void add_phase_seconds(HostPhase phase, double seconds) noexcept {
-    phase_seconds_[static_cast<std::size_t>(phase)] += seconds;
+  /// Open a lap sequence: the next lap() measures from here.
+  void start_laps() noexcept { lap_start_ = clock_(); }
+  /// Attribute the wall time since the previous lap (or start_laps) to
+  /// `phase`.
+  void lap(HostPhase phase) noexcept {
+    const double now = clock_();
+    phase_seconds_[static_cast<std::size_t>(phase)] += now - lap_start_;
+    lap_start_ = now;
   }
+
   [[nodiscard]] double phase_seconds(HostPhase phase) const noexcept {
     return phase_seconds_[static_cast<std::size_t>(phase)];
   }
@@ -222,8 +237,19 @@ class HostProfiler {
   [[nodiscard]] std::string to_table() const;
 
  private:
+  Clock clock_;
+  double lap_start_ = 0.0;
   double phase_seconds_[kHostPhaseCount] = {};
   std::vector<double> worker_busy_;
 };
+
+/// Run-loop helpers: a null profiler reads no clock at all, so an
+/// unprofiled run never touches the host clock on the hot path.
+inline void start_laps(HostProfiler* profiler) noexcept {
+  if (profiler != nullptr) profiler->start_laps();
+}
+inline void lap(HostProfiler* profiler, HostPhase phase) noexcept {
+  if (profiler != nullptr) profiler->lap(phase);
+}
 
 }  // namespace mac3d

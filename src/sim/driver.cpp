@@ -50,6 +50,94 @@ struct LoopResult {
   std::uint64_t completions = 0;  ///< data records + retired fences
 };
 
+/// The telemetry a feed loop advances at its serial point, resolved once
+/// per run (all null under MAC3D_OBS=OFF), plus the host profiler's laps.
+/// Every feed loop runs the same cycle tail through it: observe_cycle()
+/// after the tick/barrier/drain, then advance() to the next cycle.
+class LoopTelemetry {
+ public:
+  LoopTelemetry(const DriveOptions& options, const LoopResult& result,
+                bool event_engine)
+      : event_engine_(event_engine) {
+#if MAC3D_OBS_ENABLED
+    census_ = options.census;
+    profiler_ = options.profiler;
+    sampler_ = options.sampler;
+    snapshot_ = options.snapshot;
+#else
+    (void)options;
+#endif
+    if (snapshot_ != nullptr) {
+      // The loop owns the completion count, so the reserved completions
+      // counter registers here; the run_* wrappers register the rest.
+      snapshot_->add_counter(SnapshotStreamer::kCompletionsCounter,
+                             [&result] { return result.completions; });
+    }
+    start_laps(profiler_);
+  }
+
+  void mark_feeder(Cycle now) const {
+    if (census_ != nullptr) census_->mark_feeder(now);
+  }
+  void lap(HostPhase phase) const { mac3d::lap(profiler_, phase); }
+
+  /// Serial point: the cycle's work (intake, tick, barrier, drain) is
+  /// done. True when the stall watchdog fired — the run is abandoned here,
+  /// the only exit a livelocked pipeline has.
+  bool observe_cycle(Cycle now) const {
+    lap(HostPhase::kTick);
+    if (census_ != nullptr) {
+      census_->observe(now);
+      lap(HostPhase::kTelemetry);
+    }
+    if (sampler_ == nullptr && snapshot_ == nullptr) return false;
+    if (sampler_ != nullptr) sampler_->advance_to(now);
+    if (snapshot_ != nullptr) snapshot_->advance_to(now);
+    lap(HostPhase::kSampler);
+    return snapshot_ != nullptr && snapshot_->watchdog_fired();
+  }
+
+  /// The cycle after `now`. The strict cycle engines always step one
+  /// cycle (the reference semantics); the event engines jump to the
+  /// earliest of `feed_next` (the feeder's next arrival, kNever for none)
+  /// and the path's next_event oracle (0 when idle), never over a
+  /// snapshot boundary — those are mandatory landing cycles, so every
+  /// engine samples every window at identical state. The skipped
+  /// span is credited to the census and sampler BEFORE the landing tick,
+  /// which can raise device busy thresholds and would falsely mark the
+  /// span active. `feed_next` is only evaluated on the event engines.
+  template <typename Path, typename FeedNext>
+  Cycle advance(Cycle now, const Path& path, FeedNext&& feed_next) const {
+    if (!event_engine_) return now + 1;
+    Cycle next = feed_next();
+    const Cycle path_next = path.next_event(now);
+    if (path_next > now) next = std::min(next, path_next);
+    next = (next == kNever || next <= now) ? now + 1 : next;
+    if (snapshot_ != nullptr) {
+      next = std::min(next, snapshot_->next_boundary(now));
+    }
+    if (next > now + 1 && (census_ != nullptr || sampler_ != nullptr)) {
+      lap(HostPhase::kTick);  // the wake-up oracle
+      if (census_ != nullptr) {
+        census_->skip_to(next);
+        lap(HostPhase::kTelemetry);
+      }
+      if (sampler_ != nullptr) {
+        sampler_->advance_to(next - 1);
+        lap(HostPhase::kSampler);
+      }
+    }
+    return next;
+  }
+
+ private:
+  bool event_engine_;
+  ActivityCensus* census_ = nullptr;
+  HostProfiler* profiler_ = nullptr;
+  CycleSampler* sampler_ = nullptr;
+  SnapshotStreamer* snapshot_ = nullptr;
+};
+
 /// Trace streaming (paper Sec. 5.1): every thread's memory instruction
 /// stream arrives open-loop, paced only by its recorded compute gaps (the
 /// instruction stream the RISC-V tracer produced); the interleaved
@@ -93,23 +181,8 @@ LoopResult run_streaming(Path& path, const MemoryTrace& trace,
   Cycle now = 0;
   LoopResult result;
   std::uint32_t turn = 0;
-  const bool event_engine = engine_is_event(options.engine);
-#if MAC3D_OBS_ENABLED
-  ActivityCensus* const census = options.census;
-  HostProfiler* const profiler = options.profiler;
-  SnapshotStreamer* const snapshot = options.snapshot;
-#else
-  ActivityCensus* const census = nullptr;
-  HostProfiler* const profiler = nullptr;
-  SnapshotStreamer* const snapshot = nullptr;
-#endif
-  if (snapshot != nullptr) {
-    // The loop owns the completion count, so the reserved completions
-    // counter registers here; the run_* wrappers register the rest.
-    snapshot->add_counter(SnapshotStreamer::kCompletionsCounter,
-                          [&result] { return result.completions; });
-  }
   const Cycle livelock_at = options.inject_livelock_at;
+  LoopTelemetry telemetry(options, result, engine_is_event(options.engine));
 
   while (records_left > 0 || !path.idle()) {
     // Intake: present arrived records round-robin until the path's intake
@@ -149,7 +222,7 @@ LoopResult run_streaming(Path& path, const MemoryTrace& trace,
           break;
         }
         tags[t].allocate();
-        if (census != nullptr) census->mark_feeder(now);
+        telemetry.mark_feeder(now);
         ++cursor.next;
         cursor.stamped = false;
         --records_left;
@@ -165,61 +238,30 @@ LoopResult run_streaming(Path& path, const MemoryTrace& trace,
       if (!found) break;
     }
 
-    {
-      HostProfiler::Scope scope(profiler, HostPhase::kTick);
-      path.tick(now);
-    }
-    {
-      HostProfiler::Scope scope(profiler, HostPhase::kCommit);
-      barrier();
-    }
-    {
-      HostProfiler::Scope scope(profiler, HostPhase::kTelemetry);
-      // Livelock fault injection (watchdog testing): past the trigger
-      // cycle completions are left undelivered in the path.
-      const bool drain_open = livelock_at == 0 || now < livelock_at;
-      for (const CompletedAccess& done :
-           drain_open ? path.drain(now) : std::vector<CompletedAccess>{}) {
-        result.makespan = std::max(result.makespan, done.completed);
-        ++result.completions;
-        MAC3D_OBS_STAMP(options.sink, Stage::kCoreComplete, done.target.tid,
-                        done.target.tag, done.completed);
-        if (done.target.tid < threads) {
-          tags[done.target.tid].release(done.target.tag);
-        }
+    path.tick(now);
+    telemetry.lap(HostPhase::kTick);
+    barrier();
+    telemetry.lap(HostPhase::kCommit);
+    // Livelock fault injection (watchdog testing): past the trigger cycle
+    // completions are left undelivered in the path.
+    const bool drain_open = livelock_at == 0 || now < livelock_at;
+    for (const CompletedAccess& done :
+         drain_open ? path.drain(now) : std::vector<CompletedAccess>{}) {
+      result.makespan = std::max(result.makespan, done.completed);
+      ++result.completions;
+      MAC3D_OBS_STAMP(options.sink, Stage::kCoreComplete, done.target.tid,
+                      done.target.tag, done.completed);
+      if (done.target.tid < threads) {
+        tags[done.target.tid].release(done.target.tag);
       }
-      // Serial point: the cycle's work (tick, barrier, drain) is done.
-      if (census != nullptr) census->observe(now);
     }
-#if MAC3D_OBS_ENABLED
-    if (options.sampler != nullptr) {
-      HostProfiler::Scope scope(profiler, HostPhase::kSampler);
-      options.sampler->advance_to(now);
-    }
-#endif
-    if (snapshot != nullptr) {
-      HostProfiler::Scope scope(profiler, HostPhase::kSampler);
-      snapshot->advance_to(now);
-    }
-    // A fired watchdog abandons the run at this serial point — the only
-    // exit a livelocked pipeline has.
-    if (snapshot != nullptr && snapshot->watchdog_fired()) break;
+    if (telemetry.observe_cycle(now)) break;
 
-    // Advance time. The strict cycle engines always step one cycle (the
-    // reference semantics); the event engines jump to the minimum
-    // next-activity cycle — the feeder's earliest arrival and the path's
-    // next_event oracle — crediting the skipped span to the census and
-    // sampler BEFORE the landing tick (which can raise device busy
-    // thresholds and would falsely mark the span active).
-    if (!event_engine) {
-      ++now;
-      continue;
-    }
-    Cycle next = kNever;
-    if (records_left > 0) {
+    // Event engines wake at the feeder's earliest arrival or the path's
+    // next event, whichever comes first.
+    now = telemetry.advance(now, path, [&] {
       Cycle earliest = kNever;
-      bool pending_now = false;
-      for (std::uint32_t t = 0; t < threads; ++t) {
+      for (std::uint32_t t = 0; t < threads && records_left > 0; ++t) {
         const ThreadCursor& cursor = cursors[t];
         if (cursor.next >= trace.thread(static_cast<ThreadId>(t)).size()) {
           continue;
@@ -227,36 +269,11 @@ LoopResult run_streaming(Path& path, const MemoryTrace& trace,
         // A thread stalled on tag-pool exhaustion wakes on a completion
         // (path event), not on an arrival time.
         if (!tags[t].available()) continue;
-        if (cursor.arrive_at <= now) {
-          pending_now = true;
-          break;
-        }
+        if (cursor.arrive_at <= now) return now + 1;
         earliest = std::min(earliest, cursor.arrive_at);
       }
-      if (pending_now) {
-        next = now + 1;
-      } else {
-        next = earliest;
-      }
-    }
-    const Cycle path_next = path.next_event(now);
-    if (path_next > now) next = std::min(next, path_next);
-    next = (next == kNever || next <= now) ? now + 1 : next;
-    // Snapshot boundaries are mandatory landing cycles: never skip over
-    // one, so every engine samples every window at identical state.
-    if (snapshot != nullptr) {
-      next = std::min(next, snapshot->next_boundary(now));
-    }
-    if (next > now + 1) {
-      if (census != nullptr) census->skip_to(next);
-#if MAC3D_OBS_ENABLED
-      if (options.sampler != nullptr) {
-        HostProfiler::Scope scope(profiler, HostPhase::kSampler);
-        options.sampler->advance_to(next - 1);
-      }
-#endif
-    }
-    now = next;
+      return earliest;
+    });
   }
   return result;
 }
@@ -296,23 +313,8 @@ LoopResult run_closed_loop(Path& path, const MemoryTrace& trace,
   LoopResult result;
   std::uint32_t turn = 0;
   std::uint64_t outstanding_total = 0;
-  const bool event_engine = engine_is_event(options.engine);
-#if MAC3D_OBS_ENABLED
-  ActivityCensus* const census = options.census;
-  HostProfiler* const profiler = options.profiler;
-  SnapshotStreamer* const snapshot = options.snapshot;
-#else
-  ActivityCensus* const census = nullptr;
-  HostProfiler* const profiler = nullptr;
-  SnapshotStreamer* const snapshot = nullptr;
-#endif
-  if (snapshot != nullptr) {
-    // The loop owns the completion count, so the reserved completions
-    // counter registers here; the run_* wrappers register the rest.
-    snapshot->add_counter(SnapshotStreamer::kCompletionsCounter,
-                          [&result] { return result.completions; });
-  }
   const Cycle livelock_at = options.inject_livelock_at;
+  LoopTelemetry telemetry(options, result, engine_is_event(options.engine));
 
   auto thread_issuable = [&](const ThreadCursor& cursor,
                              ThreadId tid) -> bool {
@@ -361,7 +363,7 @@ LoopResult run_closed_loop(Path& path, const MemoryTrace& trace,
           break;
         }
         ++cursor.tag;
-        if (census != nullptr) census->mark_feeder(now);
+        telemetry.mark_feeder(now);
         ++cursor.next;
         cursor.stamped = false;
         if (record.op == MemOp::kStore) {
@@ -379,78 +381,47 @@ LoopResult run_closed_loop(Path& path, const MemoryTrace& trace,
       if (!found) break;
     }
 
-    {
-      HostProfiler::Scope scope(profiler, HostPhase::kTick);
-      path.tick(now);
-    }
-    {
-      HostProfiler::Scope scope(profiler, HostPhase::kCommit);
-      barrier();
-    }
-    {
-      HostProfiler::Scope scope(profiler, HostPhase::kTelemetry);
-      // Livelock fault injection (watchdog testing): past the trigger
-      // cycle completions are left undelivered in the path.
-      const bool drain_open = livelock_at == 0 || now < livelock_at;
-      for (const CompletedAccess& done :
-           drain_open ? path.drain(now) : std::vector<CompletedAccess>{}) {
-        result.makespan = std::max(result.makespan, done.completed);
-        ++result.completions;
-        MAC3D_OBS_STAMP(options.sink, Stage::kCoreComplete, done.target.tid,
-                        done.target.tag, done.completed);
-        const std::uint32_t t = done.target.tid;
-        if (t >= threads) continue;  // foreign node traffic (not used here)
-        ThreadCursor& cursor = cursors[t];
-        if (done.write && !done.atomic && !done.fence) {
-          --cursor.stores;
-        } else {
-          --cursor.loads;  // loads, atomics and fences
-        }
-        --outstanding_total;
-        const auto& records = trace.thread(static_cast<ThreadId>(t));
-        Cycle ready = done.completed;
-        if (options.charge_gaps && cursor.next < records.size()) {
-          ready += records[cursor.next].gap;
-        }
-        cursor.ready_at = std::max(cursor.ready_at, ready);
+    path.tick(now);
+    telemetry.lap(HostPhase::kTick);
+    barrier();
+    telemetry.lap(HostPhase::kCommit);
+    // Livelock fault injection (watchdog testing): past the trigger cycle
+    // completions are left undelivered in the path.
+    const bool drain_open = livelock_at == 0 || now < livelock_at;
+    for (const CompletedAccess& done :
+         drain_open ? path.drain(now) : std::vector<CompletedAccess>{}) {
+      result.makespan = std::max(result.makespan, done.completed);
+      ++result.completions;
+      MAC3D_OBS_STAMP(options.sink, Stage::kCoreComplete, done.target.tid,
+                      done.target.tag, done.completed);
+      const std::uint32_t t = done.target.tid;
+      if (t >= threads) continue;  // foreign node traffic (not used here)
+      ThreadCursor& cursor = cursors[t];
+      if (done.write && !done.atomic && !done.fence) {
+        --cursor.stores;
+      } else {
+        --cursor.loads;  // loads, atomics and fences
       }
-      // Serial point: the cycle's work (tick, barrier, drain) is done.
-      if (census != nullptr) census->observe(now);
+      --outstanding_total;
+      const auto& records = trace.thread(static_cast<ThreadId>(t));
+      Cycle ready = done.completed;
+      if (options.charge_gaps && cursor.next < records.size()) {
+        ready += records[cursor.next].gap;
+      }
+      cursor.ready_at = std::max(cursor.ready_at, ready);
     }
-#if MAC3D_OBS_ENABLED
-    if (options.sampler != nullptr) {
-      HostProfiler::Scope scope(profiler, HostPhase::kSampler);
-      options.sampler->advance_to(now);
-    }
-#endif
-    if (snapshot != nullptr) {
-      HostProfiler::Scope scope(profiler, HostPhase::kSampler);
-      snapshot->advance_to(now);
-    }
-    // A fired watchdog abandons the run at this serial point — the only
-    // exit a livelocked pipeline has.
-    if (snapshot != nullptr && snapshot->watchdog_fired()) break;
+    if (telemetry.observe_cycle(now)) break;
 
-    // Advance time. Strict cycle engines step one cycle; event engines
-    // jump to the earliest of (path event, thread ready time), crediting
-    // the skipped span before the landing tick (see run_streaming).
-    if (!event_engine) {
-      ++now;
-      continue;
-    }
-    Cycle next = kNever;
-    if (records_left > 0) {
-      bool now_issuable = false;
+    // Event engines wake at the earliest of (path event, thread ready
+    // time).
+    now = telemetry.advance(now, path, [&] {
       Cycle earliest_ready = kNever;
-      for (std::uint32_t t = 0; t < threads; ++t) {
+      for (std::uint32_t t = 0; t < threads && records_left > 0; ++t) {
         const auto tid = static_cast<ThreadId>(t);
         const ThreadCursor& cursor = cursors[t];
         const auto& records = trace.thread(tid);
         if (cursor.next >= records.size()) continue;
-        if (thread_issuable(cursor, tid)) {
-          now_issuable = true;
-          break;
-        }
+        if (thread_issuable(cursor, tid)) return now + 1;
         // Blocked only on time (not on an occupancy window)?
         const MemRecord& record = records[cursor.next];
         bool window_ok = false;
@@ -468,30 +439,8 @@ LoopResult run_closed_loop(Path& path, const MemoryTrace& trace,
           earliest_ready = std::min(earliest_ready, cursor.ready_at);
         }
       }
-      if (now_issuable) {
-        next = now + 1;
-      } else if (earliest_ready != kNever) {
-        next = earliest_ready;
-      }
-    }
-    const Cycle path_next = path.next_event(now);
-    if (path_next > now) next = std::min(next, path_next);
-    next = (next == kNever || next <= now) ? now + 1 : next;
-    // Snapshot boundaries are mandatory landing cycles: never skip over
-    // one, so every engine samples every window at identical state.
-    if (snapshot != nullptr) {
-      next = std::min(next, snapshot->next_boundary(now));
-    }
-    if (next > now + 1) {
-      if (census != nullptr) census->skip_to(next);
-#if MAC3D_OBS_ENABLED
-      if (options.sampler != nullptr) {
-        HostProfiler::Scope scope(profiler, HostPhase::kSampler);
-        options.sampler->advance_to(next - 1);
-      }
-#endif
-    }
-    now = next;
+      return earliest_ready;
+    });
   }
   return result;
 }
@@ -549,23 +498,8 @@ LoopResult run_lane_group(Path& path, const MemoryTrace& trace,
   Cycle now = 0;
   LoopResult result;
   std::uint64_t outstanding_total = 0;
-  const bool event_engine = engine_is_event(options.engine);
-#if MAC3D_OBS_ENABLED
-  ActivityCensus* const census = options.census;
-  HostProfiler* const profiler = options.profiler;
-  SnapshotStreamer* const snapshot = options.snapshot;
-#else
-  ActivityCensus* const census = nullptr;
-  HostProfiler* const profiler = nullptr;
-  SnapshotStreamer* const snapshot = nullptr;
-#endif
-  if (snapshot != nullptr) {
-    // The loop owns the completion count, so the reserved completions
-    // counter registers here; the run_* wrappers register the rest.
-    snapshot->add_counter(SnapshotStreamer::kCompletionsCounter,
-                          [&result] { return result.completions; });
-  }
   const Cycle livelock_at = options.inject_livelock_at;
+  LoopTelemetry telemetry(options, result, engine_is_event(options.engine));
 
   const auto participates = [&trace](const Group& group, std::uint32_t t) {
     return trace.thread(static_cast<ThreadId>(t)).size() > group.step;
@@ -616,93 +550,67 @@ LoopResult run_lane_group(Path& path, const MemoryTrace& trace,
         }
         lane.issued = true;
         lane.outstanding = true;
-        if (census != nullptr) census->mark_feeder(now);
+        telemetry.mark_feeder(now);
         ++outstanding_total;
         --records_left;
       }
     }
 
-    {
-      HostProfiler::Scope scope(profiler, HostPhase::kTick);
-      path.tick(now);
+    path.tick(now);
+    telemetry.lap(HostPhase::kTick);
+    barrier();
+    telemetry.lap(HostPhase::kCommit);
+    // Livelock fault injection (watchdog testing): past the trigger cycle
+    // completions are left undelivered in the path.
+    const bool drain_open = livelock_at == 0 || now < livelock_at;
+    for (const CompletedAccess& done :
+         drain_open ? path.drain(now) : std::vector<CompletedAccess>{}) {
+      result.makespan = std::max(result.makespan, done.completed);
+      ++result.completions;
+      MAC3D_OBS_STAMP(options.sink, Stage::kCoreComplete, done.target.tid,
+                      done.target.tag, done.completed);
+      const std::uint32_t t = done.target.tid;
+      if (t >= threads) continue;
+      LaneState& lane = lane_state[t];
+      lane.outstanding = false;
+      lane.completed_at = std::max(lane.completed_at, done.completed);
+      --outstanding_total;
     }
-    {
-      HostProfiler::Scope scope(profiler, HostPhase::kCommit);
-      barrier();
-    }
-    {
-      HostProfiler::Scope scope(profiler, HostPhase::kTelemetry);
-      // Livelock fault injection (watchdog testing): past the trigger
-      // cycle completions are left undelivered in the path.
-      const bool drain_open = livelock_at == 0 || now < livelock_at;
-      for (const CompletedAccess& done :
-           drain_open ? path.drain(now) : std::vector<CompletedAccess>{}) {
-        result.makespan = std::max(result.makespan, done.completed);
-        ++result.completions;
-        MAC3D_OBS_STAMP(options.sink, Stage::kCoreComplete, done.target.tid,
-                        done.target.tag, done.completed);
-        const std::uint32_t t = done.target.tid;
-        if (t >= threads) continue;
+    // Advance every group whose step fully completed.
+    for (Group& group : groups) {
+      if (group.step >= group.steps) continue;
+      bool done_step = true;
+      for (std::uint32_t l = 0; l < group.count; ++l) {
+        const std::uint32_t t = group.first + l;
+        if (!participates(group, t)) continue;
+        const LaneState& lane = lane_state[t];
+        if (!lane.issued || lane.outstanding) {
+          done_step = false;
+          break;
+        }
+      }
+      if (!done_step) continue;
+      ++group.step;
+      for (std::uint32_t l = 0; l < group.count; ++l) {
+        const std::uint32_t t = group.first + l;
         LaneState& lane = lane_state[t];
-        lane.outstanding = false;
-        lane.completed_at = std::max(lane.completed_at, done.completed);
-        --outstanding_total;
-      }
-      // Advance every group whose step fully completed.
-      for (Group& group : groups) {
-        if (group.step >= group.steps) continue;
-        bool done_step = true;
-        for (std::uint32_t l = 0; l < group.count; ++l) {
-          const std::uint32_t t = group.first + l;
-          if (!participates(group, t)) continue;
-          const LaneState& lane = lane_state[t];
-          if (!lane.issued || lane.outstanding) {
-            done_step = false;
-            break;
-          }
-        }
-        if (!done_step) continue;
-        ++group.step;
-        for (std::uint32_t l = 0; l < group.count; ++l) {
-          const std::uint32_t t = group.first + l;
-          LaneState& lane = lane_state[t];
-          lane.issued = false;
-          lane.stamped = false;
-          ++lane.tag;
-          const auto& records = trace.thread(static_cast<ThreadId>(t));
-          if (options.charge_gaps && group.step < records.size()) {
-            lane.ready_at = std::max(
-                lane.ready_at, lane.completed_at + records[group.step].gap);
-          }
+        lane.issued = false;
+        lane.stamped = false;
+        ++lane.tag;
+        const auto& records = trace.thread(static_cast<ThreadId>(t));
+        if (options.charge_gaps && group.step < records.size()) {
+          lane.ready_at = std::max(
+              lane.ready_at, lane.completed_at + records[group.step].gap);
         }
       }
-      // Serial point: the cycle's work (tick, barrier, drain) is done.
-      if (census != nullptr) census->observe(now);
     }
-#if MAC3D_OBS_ENABLED
-    if (options.sampler != nullptr) {
-      HostProfiler::Scope scope(profiler, HostPhase::kSampler);
-      options.sampler->advance_to(now);
-    }
-#endif
-    if (snapshot != nullptr) {
-      HostProfiler::Scope scope(profiler, HostPhase::kSampler);
-      snapshot->advance_to(now);
-    }
-    // A fired watchdog abandons the run at this serial point — the only
-    // exit a livelocked pipeline has.
-    if (snapshot != nullptr && snapshot->watchdog_fired()) break;
+    if (telemetry.observe_cycle(now)) break;
 
-    // Advance time (see run_streaming): event engines jump to the
-    // earliest of (path event, earliest group gate).
-    if (!event_engine) {
-      ++now;
-      continue;
-    }
-    Cycle next = kNever;
-    if (records_left > 0) {
-      bool pending_now = false;
+    // Event engines wake at the earliest of (path event, earliest group
+    // gate).
+    now = telemetry.advance(now, path, [&] {
       Cycle earliest = kNever;
+      if (records_left == 0) return earliest;
       for (const Group& group : groups) {
         if (group.step >= group.steps) continue;
         bool any_unissued = false;
@@ -716,36 +624,11 @@ LoopResult run_lane_group(Path& path, const MemoryTrace& trace,
         // A fully issued group wakes on a completion (a path event).
         if (!any_unissued) continue;
         const Cycle gate = group_gate(group);
-        if (gate <= now) {
-          pending_now = true;
-          break;
-        }
+        if (gate <= now) return now + 1;
         earliest = std::min(earliest, gate);
       }
-      if (pending_now) {
-        next = now + 1;
-      } else {
-        next = earliest;
-      }
-    }
-    const Cycle path_next = path.next_event(now);
-    if (path_next > now) next = std::min(next, path_next);
-    next = (next == kNever || next <= now) ? now + 1 : next;
-    // Snapshot boundaries are mandatory landing cycles: never skip over
-    // one, so every engine samples every window at identical state.
-    if (snapshot != nullptr) {
-      next = std::min(next, snapshot->next_boundary(now));
-    }
-    if (next > now + 1) {
-      if (census != nullptr) census->skip_to(next);
-#if MAC3D_OBS_ENABLED
-      if (options.sampler != nullptr) {
-        HostProfiler::Scope scope(profiler, HostPhase::kSampler);
-        options.sampler->advance_to(next - 1);
-      }
-#endif
-    }
-    now = next;
+      return earliest;
+    });
   }
   return result;
 }
@@ -1019,16 +902,7 @@ DriverResult run_mac(const MemoryTrace& trace, const SimConfig& config,
   }
   if (census != nullptr) {
     census->add_feeder("node0.feeder");
-    census->add_component("node0.mac", mac);
-    census->add_component("node0.arq", [&mac](Cycle now) {
-      return mac.arq_did_work(now);
-    });
-    census->add_component("node0.builder", [&mac](Cycle now) {
-      return mac.builder_did_work(now);
-    });
-    census->add_component("node0.flit_table", [&mac](Cycle now) {
-      return mac.flit_table_did_work(now);
-    });
+    mac.register_census(*census, "node0.");
     device.register_census(*census, "node0.");
   }
   if (snapshot != nullptr) {

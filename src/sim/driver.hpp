@@ -141,10 +141,10 @@ struct DriveOptions {
   /// accumulate); its probes are sealed before the pipeline dies. Ignored
   /// when the build disables MAC3D_OBS.
   ActivityCensus* census = nullptr;
-  /// Host wall-clock attribution: when non-null, the driver times its
-  /// tick / commit / telemetry / sampler phases. Host time never feeds
-  /// back into simulated results. Ignored when the build disables
-  /// MAC3D_OBS.
+  /// Host wall-clock attribution: when non-null, the driver laps its
+  /// tick / commit / telemetry / sampler phases, which partition the feed
+  /// loop's wall time. Host time never feeds back into simulated results.
+  /// Ignored when the build disables MAC3D_OBS.
   HostProfiler* profiler = nullptr;
   /// Windowed snapshot streaming (docs/OBSERVABILITY.md §streaming
   /// snapshots): when non-null, the driver opens a snapshot run named

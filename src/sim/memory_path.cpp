@@ -66,16 +66,7 @@ class MacAdapter final
 
   void register_census(ActivityCensus& census,
                        const std::string& prefix) override {
-    census.add_component(prefix + "mac", path_);
-    census.add_component(prefix + "arq", [this](Cycle now) {
-      return path_.arq_did_work(now);
-    });
-    census.add_component(prefix + "builder", [this](Cycle now) {
-      return path_.builder_did_work(now);
-    });
-    census.add_component(prefix + "flit_table", [this](Cycle now) {
-      return path_.flit_table_did_work(now);
-    });
+    path_.register_census(census, prefix);
   }
   void collect(StatSet& out, const std::string& prefix) const override {
     path_.stats().collect(out, prefix + ".mac");

@@ -10,7 +10,8 @@
 //     cycles) produces bit-identical completions and stats to ticking
 //     every cycle — skipped cycles were provably dead.
 //
-// Plus exactness of the device's next_completion oracle and the "drained
+// Plus exactness of the device's next_completion oracle, the device's
+// cached busy-until thresholds against a full bank scan, and the "drained
 // means silent forever" contract (next_event == 0).
 #include <gtest/gtest.h>
 
@@ -27,6 +28,7 @@
 #include "common/types.hpp"
 #include "mac/coalescer.hpp"
 #include "mem/hmc_device.hpp"
+#include "sim/parallel.hpp"
 #include "sim/raw_path.hpp"
 
 namespace mac3d {
@@ -299,6 +301,94 @@ TEST(DeviceOracle, NextCompletionIsExactNotJustConservative) {
   }
   EXPECT_EQ(device.next_completion(), 0u);
 }
+
+// ------------------------------------ device busy-until thresholds (cache)
+
+/// Drive a seeded random submit stream through `device` — inline, or
+/// staged with a step_staged barrier per cycle when `stepper` is given —
+/// and check, for every cycle up to the last completion, that the cached
+/// O(1) thresholds agree with a scan of every bank.
+void expect_thresholds_match_bank_scan(HmcDevice& device,
+                                       ParallelStepper* stepper,
+                                       std::uint64_t seed,
+                                       const SimConfig& config) {
+  Xoshiro256 rng(seed);
+  constexpr std::uint32_t kRequests = 600;
+  std::uint32_t submitted = 0;
+  std::uint32_t completed = 0;
+  Cycle now = 0;
+  for (; submitted < kRequests || completed < submitted; ++now) {
+    ASSERT_LT(now, 10'000'000u) << "device failed to drain";
+    // Bursty arrivals: several packets some cycles, long gaps others.
+    const std::uint64_t burst = rng.below(4) == 0 ? rng.below(6) : 0;
+    for (std::uint64_t i = 0; i < burst && submitted < kRequests; ++i) {
+      HmcRequest request;
+      const std::uint32_t flits =
+          1 + static_cast<std::uint32_t>(rng.below(config.row_bytes /
+                                                   kFlitBytes));
+      const Address row = rng.below(4096) * config.row_bytes;
+      const Address offset =
+          rng.below(config.row_bytes / kFlitBytes - flits + 1) * kFlitBytes;
+      request.addr = row + offset;
+      request.data_bytes = flits * kFlitBytes;
+      request.write = rng.below(3) == 0;
+      request.atomic = !request.write && rng.below(8) == 0;
+      request.id = submitted;
+      if (!device.can_accept(request, now)) break;
+      device.submit(std::move(request), now);
+      ++submitted;
+    }
+    if (stepper != nullptr) device.step_staged(*stepper);
+    completed += static_cast<std::uint32_t>(device.drain(now).size());
+
+    EXPECT_EQ(device.did_work_this_cycle(now),
+              device.banks_busy_fraction(now) > 0.0)
+        << "cycle " << now;
+    EXPECT_EQ(now < device.banks_busy_until(),
+              device.banks_busy_fraction(now) > 0.0)
+        << "cycle " << now;
+    for (std::uint32_t v = 0; v < device.vault_count(); ++v) {
+      EXPECT_EQ(now < device.vault_busy_until(v),
+                device.vault_busy_fraction(v, now) > 0.0)
+          << "vault " << v << " cycle " << now;
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_EQ(completed, kRequests);
+}
+
+class BusyUntilCache : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(BusyUntilCache, ThresholdsMatchTheBankScan) {
+  for (const bool open_page : {false, true}) {
+    SCOPED_TRACE(open_page ? "open-page" : "closed-page");
+    SimConfig config;
+    config.open_page = open_page;
+    config.t_refi = 3000;  // refresh on, dense enough to stall accesses
+    config.t_rfc = 200;
+    ParallelStepper one(1);
+    ParallelStepper four(4);
+    for (ParallelStepper* stepper : {static_cast<ParallelStepper*>(nullptr),
+                                     &one, &four}) {
+      SCOPED_TRACE(stepper == nullptr ? "inline"
+                   : stepper == &one  ? "staged, 1 shard thread"
+                                      : "staged, 4 shard threads");
+      HmcDevice device(config, 0);
+      if (stepper != nullptr) device.begin_staged();
+      expect_thresholds_match_bank_scan(device, stepper, GetParam(), config);
+      // reset() clears the thresholds in place; a second stream from
+      // cycle 0 must agree again.
+      device.reset();
+      EXPECT_EQ(device.banks_busy_until(), 0u);
+      expect_thresholds_match_bank_scan(device, stepper, GetParam() + 1,
+                                        config);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BusyUntilCache,
+                         ::testing::Values(1ull, 7ull, 42ull));
 
 // ------------------------------------------ drained units advertise zero
 

@@ -1,8 +1,12 @@
 // Self-profiling subsystem (docs/OBSERVABILITY.md §profiler):
 //  * ActivityCensus accounting on hand-built activity patterns — gap
-//    cycles book as idle, observe() is idempotent per cycle, the feeder
-//    row follows mark_feeder, seal() keeps counts, and the export lands
-//    in the metrics registry under <name>.{active,idle}_cycles;
+//    cycles book as idle, observe() is idempotent per cycle, threshold
+//    rows credit skipped spans exactly, probe rows run once per visited
+//    cycle, the feeder row follows mark_feeder, seal() keeps counts, and
+//    the export lands in the metrics registry under
+//    <name>.{active,idle}_cycles;
+//  * HostProfiler laps: one clock read per phase boundary, none without a
+//    profiler, and a profiled run's phases fit inside its wall time;
 //  * LatencyDecomposer residency histograms against analytic values,
 //    the critical-stage attribution (argmax residency, earliest stage
 //    wins ties) and the transparent downstream tee;
@@ -22,6 +26,7 @@
 #include "obs/latency.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
+#include "obs/sampler.hpp"
 #include "sim/driver.hpp"
 #include "trace/trace.hpp"
 
@@ -62,67 +67,103 @@ TEST(ActivityCensus, CountsActiveAndIdleWithGapCycles) {
   EXPECT_DOUBLE_EQ(census.dead_time_fraction(), 18.0 / 20.0);
 }
 
-TEST(ActivityCensus, SkipToCreditsRangeProbesExactly) {
+TEST(ActivityCensus, SkipToCreditsThresholdRowsExactly) {
   ActivityCensus census;
-  // Threshold-form probe, like a bank busy-until: active while now < 7.
-  census.add_component(
-      "bank", [](Cycle now) { return now < 7; },
-      [](Cycle first, Cycle last) -> std::uint64_t {
-        if (first >= 7) return 0;
-        const Cycle end = last < 6 ? last : 6;
-        return end - first + 1;
-      });
-  // Plain 2-arg component: skipped spans book as idle.
+  // Threshold row, like a bank busy-until: active while now < busy_until.
+  Cycle busy_until = 7;
+  census.add_threshold("bank", &busy_until);
+  // Probe row: skipped spans book as idle.
   census.add_component("idle_unit", [](Cycle) { return false; });
 
-  census.observe(0);   // both probed at 0: bank active, idle_unit idle
+  census.observe(0);   // both evaluated at 0: bank active, idle_unit idle
   census.skip_to(10);  // span 1..9: bank active 1..6 (6), idle 7..9 (3)
-  census.observe(10);  // landing cycle probed normally (bank now idle)
+  busy_until = 12;     // the landing tick raises the threshold
+  census.observe(10);  // landing cycle evaluated normally: active again
 
   EXPECT_EQ(census.observed_cycles(), 11u);
   const auto& rows = census.rows();
   ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].active_cycles, 7u);  // cycle 0 + span cycles 1..6
-  EXPECT_EQ(rows[0].idle_cycles, 4u);    // 7..9 + landing cycle 10
+  EXPECT_EQ(rows[0].active_cycles, 8u);  // 0, span cycles 1..6, and 10
+  EXPECT_EQ(rows[0].idle_cycles, 3u);    // 7..9
   EXPECT_EQ(rows[1].active_cycles, 0u);
   EXPECT_EQ(rows[1].idle_cycles, 11u);
+
+  // A span that ends before the threshold is active throughout.
+  census.skip_to(12);  // span 11 only: 11 < 12
+  EXPECT_EQ(rows[0].active_cycles, 9u);
+  EXPECT_EQ(census.observed_cycles(), 12u);
 }
 
 TEST(ActivityCensus, SkipToEdgeCases) {
   ActivityCensus census;
-  std::uint64_t range_calls = 0;
-  census.add_component(
-      "unit", [](Cycle) { return false; },
-      [&range_calls](Cycle first, Cycle last) -> std::uint64_t {
-        ++range_calls;
-        // Over-reporting probes are clamped to the span length.
-        return (last - first + 1) * 100;
-      });
+  Cycle busy_until = 3;
+  census.add_threshold("unit", &busy_until);
   census.add_feeder("feeder");
 
   census.observe(0);
   census.skip_to(1);  // next == first unobserved cycle: a no-op
   EXPECT_EQ(census.observed_cycles(), 1u);
-  EXPECT_EQ(range_calls, 0u);
 
-  census.skip_to(5);  // span 1..4
+  census.skip_to(5);  // span 1..4: active 1..2, idle 3..4
   EXPECT_EQ(census.observed_cycles(), 5u);
-  EXPECT_EQ(range_calls, 1u);
   const auto& rows = census.rows();
-  // Clamp: the probe claimed 400 active cycles for a 4-cycle span.
-  EXPECT_EQ(rows[0].active_cycles, 4u);
-  EXPECT_EQ(rows[0].idle_cycles, 1u);
-  // The feeder row never runs a range probe: skipped spans are idle
-  // (nothing was fed during a span nobody visited).
+  EXPECT_EQ(rows[0].active_cycles, 3u);  // 0, 1, 2
+  EXPECT_EQ(rows[0].idle_cycles, 2u);
+  // The feeder row is never credited: skipped spans are idle (nothing
+  // was fed during a span nobody visited).
   EXPECT_EQ(rows[1].active_cycles, 0u);
   EXPECT_EQ(rows[1].idle_cycles, 5u);
+
+  // A threshold at or below the span's first cycle credits nothing.
+  census.skip_to(8);  // span 5..7, busy_until 3
+  EXPECT_EQ(rows[0].active_cycles, 3u);
+  EXPECT_EQ(rows[0].idle_cycles, 5u);
 
   // skip_to on a fresh census starts the clock at cycle 0.
   ActivityCensus fresh;
   fresh.add_component("unit", [](Cycle) { return true; });
-  fresh.skip_to(3);  // books 0..2, idle (no range probe)
+  Cycle fresh_until = 2;
+  fresh.add_threshold("bank", &fresh_until);
+  fresh.skip_to(3);  // books 0..2
   EXPECT_EQ(fresh.observed_cycles(), 3u);
-  EXPECT_EQ(fresh.rows()[0].idle_cycles, 3u);
+  EXPECT_EQ(fresh.rows()[0].idle_cycles, 3u);    // probe rows: idle
+  EXPECT_EQ(fresh.rows()[1].active_cycles, 2u);  // 0 and 1
+
+  // seal() drops the threshold pointer along with the probes.
+  fresh.seal();
+  fresh.observe(3);
+  EXPECT_EQ(fresh.rows()[1].active_cycles, 2u);
+  EXPECT_EQ(fresh.rows()[1].idle_cycles, 2u);
+}
+
+// perf/src/workloads.cpp counts the engine's visited cycles with a probe
+// that only counts its calls, so a probe row must run exactly once per
+// visited cycle under observe() and never under skip_to().
+TEST(ActivityCensus, ProbeRowsRunOncePerVisitedCycle) {
+  ActivityCensus census;
+  std::uint64_t calls = 0;
+  census.add_component("visits", [&calls](Cycle) {
+    ++calls;
+    return false;
+  });
+  Cycle busy_until = 100;
+  census.add_threshold("bank", &busy_until);
+
+  census.observe(0);
+  census.observe(0);   // already accounted: no call
+  census.skip_to(5);   // span 1..4: no call
+  census.observe(5);
+  census.observe(9);   // forward jump books 6..8 idle, one call for 9
+  census.skip_to(20);  // span 10..19: no call
+  census.observe(20);
+  census.observe(21);
+
+  EXPECT_EQ(calls, 5u);  // cycles 0, 5, 9, 20, 21
+  EXPECT_EQ(census.observed_cycles(), 22u);
+  // The gap 6..8 books idle even for the threshold row (observe's jump
+  // is "nothing happened"); the skip_to spans credit it up to 100.
+  EXPECT_EQ(census.rows()[1].active_cycles, 19u);
+  EXPECT_EQ(census.rows()[1].idle_cycles, 3u);
 }
 
 TEST(ActivityCensus, FeederRowFollowsMarkFeeder) {
@@ -250,15 +291,71 @@ TEST(LatencyDecomposer, EmptyStreamAndZeroRequestEdgeCases) {
 
 // ------------------------------------------------------------- HostProfiler
 
-TEST(HostProfiler, PhaseScopesAndWorkerImbalance) {
+/// Fake host clock: every read advances one second and is counted.
+std::uint64_t g_clock_reads = 0;
+double counting_clock() { return static_cast<double>(++g_clock_reads); }
+
+TEST(HostProfiler, LapsAttributeTimeSincePreviousLap) {
+  g_clock_reads = 0;
+  HostProfiler profiler(counting_clock);
+  profiler.start_laps();              // read 1
+  profiler.lap(HostPhase::kTick);     // read 2: 1 s to tick
+  profiler.lap(HostPhase::kCommit);   // read 3: 1 s to commit
+  profiler.lap(HostPhase::kTick);     // read 4: 1 s more to tick
+  profiler.lap(HostPhase::kSampler);  // read 5
+  EXPECT_EQ(g_clock_reads, 5u);       // one read per phase boundary
+  EXPECT_DOUBLE_EQ(profiler.phase_seconds(HostPhase::kTick), 2.0);
+  EXPECT_DOUBLE_EQ(profiler.phase_seconds(HostPhase::kCommit), 1.0);
+  EXPECT_DOUBLE_EQ(profiler.phase_seconds(HostPhase::kTelemetry), 0.0);
+  EXPECT_DOUBLE_EQ(profiler.phase_seconds(HostPhase::kSampler), 1.0);
+
+  // The run-loop helpers forward to an attached profiler ...
+  lap(&profiler, HostPhase::kTelemetry);
+  EXPECT_EQ(g_clock_reads, 6u);
+  EXPECT_DOUBLE_EQ(profiler.phase_seconds(HostPhase::kTelemetry), 1.0);
+  // ... and a null profiler reads no clock at all.
+  HostProfiler* none = nullptr;
+  start_laps(none);
+  lap(none, HostPhase::kTick);
+  EXPECT_EQ(g_clock_reads, 6u);
+}
+
+TEST(HostProfiler, ProfiledSystemRunPhasesPartitionItsWallTime) {
+  SimConfig config;
+  config.nodes = 2;
+  config.cores = 2;
+  const MemoryTrace trace = small_trace(4, 100);
+  System system(config);
+  system.attach_trace(trace);
+  ActivityCensus census;
+  CycleSampler sampler(64);
   HostProfiler profiler;
-  { HostProfiler::Scope scope(&profiler, HostPhase::kTick); }
-  EXPECT_GE(profiler.phase_seconds(HostPhase::kTick), 0.0);
-  { HostProfiler::Scope scope(nullptr, HostPhase::kTick); }  // no-op
+  system.attach_census(&census);
+  system.attach_sampler(&sampler);
+  system.attach_profiler(&profiler);
 
-  profiler.add_phase_seconds(HostPhase::kCommit, 1.5);
-  EXPECT_DOUBLE_EQ(profiler.phase_seconds(HostPhase::kCommit), 1.5);
+  const double start = host_now_seconds();
+  const SystemRunSummary summary = system.run();
+  const double wall = host_now_seconds() - start;
+  census.seal();
+  EXPECT_TRUE(summary.completed);
 
+  double total = 0.0;
+  for (std::size_t i = 0; i < kHostPhaseCount; ++i) {
+    const double seconds = profiler.phase_seconds(static_cast<HostPhase>(i));
+    EXPECT_GE(seconds, 0.0);
+    total += seconds;
+  }
+  EXPECT_GT(total, 0.0);
+  EXPECT_LE(total, wall);
+  EXPECT_GT(profiler.phase_seconds(HostPhase::kTick), 0.0);
+  EXPECT_GT(profiler.phase_seconds(HostPhase::kTelemetry), 0.0);
+  // The strict serial engine has no barrier.
+  EXPECT_DOUBLE_EQ(profiler.phase_seconds(HostPhase::kCommit), 0.0);
+}
+
+TEST(HostProfiler, WorkerImbalanceAndExports) {
+  HostProfiler profiler;
   profiler.set_worker_count(2);
   profiler.add_worker_busy(0, 3.0);
   profiler.add_worker_busy(1, 1.0);
