@@ -870,13 +870,16 @@ int cmd_system(const CliOptions& options) {
                                            : options.trace_path));
   std::printf(
       "%u nodes, %u threads, %s records, %s engine\n"
-      "cycles %s%s, requests %s, completions %s, avg latency %.0f cy\n",
+      "cycles %s%s, requests %s, completions %s, avg latency %.0f cy\n"
+      "visited cycles %s, node ticks %s\n",
       config.nodes, trace.threads(), Table::count(trace.size()).c_str(),
       options.engine.empty() ? "serial" : options.engine.c_str(),
       Table::count(summary.cycles).c_str(),
       summary.completed ? "" : " (cycle limit hit)",
       Table::count(summary.requests).c_str(),
-      Table::count(summary.completions).c_str(), summary.avg_latency_cycles);
+      Table::count(summary.completions).c_str(), summary.avg_latency_cycles,
+      Table::count(summary.visited_cycles).c_str(),
+      Table::count(summary.node_ticks).c_str());
   if (options.profile) {
     std::printf("\nidle-cycle census (dead time %.1f%%)\n%s",
                 100.0 * census.dead_time_fraction(),

@@ -68,9 +68,6 @@ class CoreModel {
   [[nodiscard]] std::uint64_t spm_accesses() const noexcept {
     return spm_.accesses();
   }
-  [[nodiscard]] std::uint64_t stall_cycles() const noexcept {
-    return stall_cycles_;
-  }
   [[nodiscard]] const Spm& spm() const noexcept { return spm_; }
   [[nodiscard]] CoreId id() const noexcept { return core_; }
 
@@ -90,7 +87,6 @@ class CoreModel {
   std::vector<Thread> threads_;
   std::size_t turn_ = 0;
   std::uint64_t issued_ = 0;
-  std::uint64_t stall_cycles_ = 0;
 };
 
 inline void CoreModel::try_issue(Cycle now, RequestRouter& router) {
@@ -116,17 +112,13 @@ inline void CoreModel::try_issue(Cycle now, RequestRouter& router) {
     request.tag = thread.next_tag;
     request.core = core_;
     request.node = node_;
-    if (!router.route_local(request, now)) {
-      ++stall_cycles_;  // queue back-pressure; retry next cycle
-      return;
-    }
+    if (!router.route_local(request, now)) return;  // back-pressure: retry
     ++thread.next_tag;
     ++thread.cursor;
     thread.outstanding = true;
     ++issued_;
     return;
   }
-  ++stall_cycles_;  // every thread blocked on memory
 }
 
 inline void CoreModel::on_complete(ThreadId tid, Cycle now) {

@@ -35,6 +35,7 @@ class Interconnect {
       : hop_cycles_(config.remote_hop_cycles),
         request_lanes_(nodes),
         completion_lanes_(nodes),
+        next_due_(nodes, 0),
         outboxes_(nodes) {}
 
   /// `src` is the sending node — serial delivery order is node-tick order,
@@ -48,10 +49,8 @@ class Interconnect {
       return;
     }
     if (consume_drop_fault()) return;
-    request_lanes_.at(dest).queue.push_back({now + hop_cycles_, request});
-    ++messages_;
-    ++sends_;
-    MAC3D_OBS_COUNT(link_metric(link_requests_, src, dest));
+    enqueue(request_lanes_, link_requests_, src, dest, now + hop_cycles_,
+            request);
   }
 
   void send_completion(const CompletedAccess& completion, NodeId dest,
@@ -63,24 +62,17 @@ class Interconnect {
       return;
     }
     if (consume_drop_fault()) return;
-    completion_lanes_.at(dest).queue.push_back(
-        {now + hop_cycles_, completion});
-    ++messages_;
-    ++sends_;
-    MAC3D_OBS_COUNT(link_metric(link_completions_, src, dest));
+    enqueue(completion_lanes_, link_completions_, src, dest,
+            now + hop_cycles_, completion);
   }
 
   /// Pop all requests due at or before `now` destined to `dest` (FIFO).
   /// During the parallel phase only node `dest`'s shard may call this.
   std::vector<RawRequest> deliver_requests(NodeId dest, Cycle now) {
-    std::vector<RawRequest> out = deliver(request_lanes_.at(dest), now);
-    if (!out.empty()) MAC3D_OBS_ACTIVITY(last_work_, now);
-    return out;
+    return deliver(request_lanes_, dest, now);
   }
   std::vector<CompletedAccess> deliver_completions(NodeId dest, Cycle now) {
-    std::vector<CompletedAccess> out = deliver(completion_lanes_.at(dest), now);
-    if (!out.empty()) MAC3D_OBS_ACTIVITY(last_work_, now);
-    return out;
+    return deliver(completion_lanes_, dest, now);
   }
 
   // ---- Activity oracle (idle-cycle census, docs/OBSERVABILITY.md) --------
@@ -115,22 +107,15 @@ class Interconnect {
       Outbox& outbox = outboxes_[src];
       for (auto& message : outbox.requests) {
         if (consume_drop_fault()) continue;
-        request_lanes_.at(message.dest).queue.push_back(
-            {message.due, std::move(message.payload)});
-        ++messages_;
-        ++sends_;
-        MAC3D_OBS_COUNT(link_metric(link_requests_,
-                                    static_cast<NodeId>(src), message.dest));
+        enqueue(request_lanes_, link_requests_, static_cast<NodeId>(src),
+                message.dest, message.due, std::move(message.payload));
       }
       outbox.requests.clear();
       for (auto& message : outbox.completions) {
         if (consume_drop_fault()) continue;
-        completion_lanes_.at(message.dest).queue.push_back(
-            {message.due, std::move(message.payload)});
-        ++messages_;
-        ++sends_;
-        MAC3D_OBS_COUNT(link_metric(link_completions_,
-                                    static_cast<NodeId>(src), message.dest));
+        enqueue(completion_lanes_, link_completions_,
+                static_cast<NodeId>(src), message.dest, message.due,
+                std::move(message.payload));
       }
       outbox.completions.clear();
     }
@@ -149,17 +134,19 @@ class Interconnect {
   /// Earliest pending delivery time across all lanes (0 when idle).
   [[nodiscard]] Cycle next_delivery() const noexcept {
     Cycle next = 0;
-    auto scan = [&next](const auto& lanes) {
-      for (const auto& lane : lanes) {
-        if (!lane.queue.empty() &&
-            (next == 0 || lane.queue.front().due < next)) {
-          next = lane.queue.front().due;
-        }
-      }
-    };
-    scan(request_lanes_);
-    scan(completion_lanes_);
+    for (const Cycle due : next_due_) {
+      if (due != 0 && (next == 0 || due < next)) next = due;
+    }
     return next;
+  }
+
+  /// Earliest pending delivery to `dest` across its request and completion
+  /// lanes (0 when both are empty) — the event engines tick a node whose
+  /// own wake has not come only when this is due. O(1): kept current at
+  /// every push and delivery, so the engines' per-visited-cycle sweeps
+  /// never touch the lanes themselves.
+  [[nodiscard]] Cycle next_delivery(NodeId dest) const noexcept {
+    return next_due_[dest];
   }
 
   [[nodiscard]] std::uint64_t messages() const noexcept { return messages_; }
@@ -263,15 +250,42 @@ class Interconnect {
     std::vector<StagedMessage<CompletedAccess>> completions;
   };
 
+  /// Append to `dest`'s lane in `lanes`. Lanes are ordered by due time
+  /// (constant hop latency), so the new message can lower `dest`'s next
+  /// due cycle only when its lane was empty.
   template <typename T>
-  static std::vector<T> deliver(Lane<T>& lane, Cycle now) {
+  void enqueue(std::vector<Lane<T>>& lanes,
+               const std::vector<MetricCounter*>& links, NodeId src,
+               NodeId dest, Cycle due, T payload) {
+    lanes.at(dest).queue.push_back({due, std::move(payload)});
+    if (next_due_[dest] == 0 || due < next_due_[dest]) next_due_[dest] = due;
+    ++messages_;
+    ++sends_;
+    MAC3D_OBS_COUNT(link_metric(links, src, dest));
+  }
+
+  /// Pop every message due at or before `now` from `dest`'s lane in
+  /// `lanes`. Touches only `dest`'s lanes and next_due_ slot, so shards
+  /// may deliver to their own nodes concurrently.
+  template <typename T>
+  std::vector<T> deliver(std::vector<Lane<T>>& lanes, NodeId dest,
+                         Cycle now) {
+    Lane<T>& lane = lanes.at(dest);
     std::vector<T> out;
-    // Constant hop latency => lanes are ordered by due time.
     while (!lane.queue.empty() && lane.queue.front().due <= now) {
       out.push_back(std::move(lane.queue.front().payload));
       lane.queue.pop_front();
     }
+    if (out.empty()) return out;
     lane.delivered += out.size();
+    MAC3D_OBS_ACTIVITY(last_work_, now);
+    const auto& requests = request_lanes_[dest].queue;
+    const auto& completions = completion_lanes_[dest].queue;
+    const Cycle request = requests.empty() ? 0 : requests.front().due;
+    const Cycle completion = completions.empty() ? 0 : completions.front().due;
+    next_due_[dest] =
+        request == 0 || (completion != 0 && completion < request) ? completion
+                                                                  : request;
     return out;
   }
 
@@ -298,6 +312,9 @@ class Interconnect {
   std::uint64_t sends_ = 0;
   std::vector<Lane<RawRequest>> request_lanes_;
   std::vector<Lane<CompletedAccess>> completion_lanes_;
+  /// Per destination: the earliest due cycle across its two lanes (0 when
+  /// both are empty) — next_delivery(dest).
+  std::vector<Cycle> next_due_;
   std::vector<Outbox> outboxes_;
   bool staged_ = false;
   bool drop_next_ = false;

@@ -45,7 +45,9 @@ class Node {
   /// Earliest cycle > `now` at which any unit of this node could do work
   /// (0 = drained forever barring fabric arrivals, which the System-level
   /// jump covers via Interconnect::next_delivery). Ask only after
-  /// tick(now) — the answer reflects post-tick state.
+  /// tick(now) — the answer reflects post-tick state and stays valid until
+  /// the node's next tick or a delivery into its fabric lanes, which is
+  /// what lets the event engines cache it per node.
   [[nodiscard]] Cycle next_activity_cycle(Cycle now) const noexcept;
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }

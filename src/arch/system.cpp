@@ -1,5 +1,6 @@
 #include "arch/system.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -194,19 +195,69 @@ SystemRunSummary System::run(Cycle max_cycles) {
   return summary;
 }
 
+/// Per-node wake scheduling for one event-engine run (docs/PARALLELISM.md
+/// §event-driven engine). A node's state changes only in its own tick or
+/// through its fabric lanes, and every hop takes at least one cycle, so a
+/// node whose wake lies ahead and whose lanes hold nothing due by `now`
+/// would tick as a no-op: it is left out, and its cached wake stays valid.
+class System::NodeWakes {
+ public:
+  /// Nothing pending: no wake of its own and empty lanes.
+  static constexpr Cycle kNever = ~Cycle{0};
+
+  explicit NodeWakes(std::size_t nodes) : wake_(nodes, 0), due_at_(nodes, 0) {
+    due_.reserve(nodes);
+  }
+
+  /// The nodes to tick at `now`, in node order: every node at the first
+  /// visited cycle, afterwards those whose wake has come or that have a
+  /// message due by `now`.
+  const std::vector<std::size_t>& collect_due(Cycle now) {
+    due_.clear();
+    for (std::size_t i = 0; i < due_at_.size(); ++i) {
+      if (due_at_[i] <= now) due_.push_back(i);
+    }
+    ticks_ += due_.size();
+    return due_;
+  }
+
+  /// After the tick at `now` (and any staged commit): re-ask the nodes
+  /// that ticked, fold each node's next delivery into its due cycle, and
+  /// return the earliest due cycle over all nodes (kNever when nothing is
+  /// pending anywhere).
+  Cycle rearm(Cycle now, const std::vector<std::unique_ptr<Node>>& nodes,
+              const Interconnect* fabric) {
+    for (const std::size_t i : due_) {
+      const Cycle next = nodes[i]->next_activity_cycle(now);
+      wake_[i] = next == 0 ? kNever : std::max(next, now + 1);
+    }
+    Cycle earliest = kNever;
+    for (std::size_t i = 0; i < wake_.size(); ++i) {
+      Cycle at = wake_[i];
+      const Cycle delivery =
+          fabric == nullptr ? 0 : fabric->next_delivery(static_cast<NodeId>(i));
+      if (delivery != 0 && delivery < at) at = std::max(delivery, now + 1);
+      due_at_[i] = at;
+      earliest = std::min(earliest, at);
+    }
+    return earliest;
+  }
+
+  [[nodiscard]] std::uint64_t ticks() const noexcept { return ticks_; }
+
+ private:
+  std::vector<Cycle> wake_;    ///< cached next_activity_cycle, floored
+  std::vector<Cycle> due_at_;  ///< min(wake, next delivery), floored
+  std::vector<std::size_t> due_;
+  std::uint64_t ticks_ = 0;
+};
+
 Cycle System::next_wake(Cycle now, const Interconnect* fabric,
-                        Cycle max_cycles) const {
-  Cycle next = 0;
-  const auto merge = [&next, now](Cycle candidate) {
-    if (candidate == 0) return;
-    if (candidate <= now) candidate = now + 1;
-    if (next == 0 || candidate < next) next = candidate;
-  };
-  for (const auto& node : nodes_) merge(node->next_activity_cycle(now));
-  if (fabric != nullptr) merge(fabric->next_delivery());
-  // No advertised activity but not drained either (the caller already
+                        NodeWakes& wakes, Cycle max_cycles) const {
+  Cycle next = wakes.rearm(now, nodes_, fabric);
+  // Nothing pending anywhere but not drained either (the caller already
   // checked): fall back to single-stepping rather than stalling.
-  if (next == 0) next = now + 1;
+  if (next == NodeWakes::kNever) next = now + 1;
   // Snapshot boundaries are mandatory landing cycles: never skip over
   // one, so every engine samples every window at identical state.
   if (snapshot_ != nullptr && snapshot_->next_boundary(now) < next) {
@@ -236,11 +287,14 @@ SystemRunSummary System::run_event(Cycle max_cycles) {
   bool completed = false;
   Cycle now = 0;
   std::uint64_t visited = 0;
+  NodeWakes wakes(nodes_.size());
   start_laps(profiler_);
   try {
     while (now < max_cycles) {
       ++visited;
-      for (auto& node : nodes_) node->tick(now, fabric);
+      for (const std::size_t i : wakes.collect_due(now)) {
+        nodes_[i]->tick(now, fabric);
+      }
       lap(profiler_, HostPhase::kTick);
       if (observe_cycle(now)) break;
       if (drained(fabric)) {
@@ -248,7 +302,7 @@ SystemRunSummary System::run_event(Cycle max_cycles) {
         ++now;
         break;
       }
-      const Cycle next = next_wake(now, fabric, max_cycles);
+      const Cycle next = next_wake(now, fabric, wakes, max_cycles);
       credit_skip(now, next);
       now = next;
     }
@@ -261,6 +315,7 @@ SystemRunSummary System::run_event(Cycle max_cycles) {
   if (snapshot_ != nullptr) snapshot_->end_run(now);
   SystemRunSummary summary = summarize(now, completed);
   summary.visited_cycles = visited;
+  summary.node_ticks = wakes.ticks();
   finalize_metrics(summary);
   return summary;
 }
@@ -351,17 +406,21 @@ SystemRunSummary System::run_event_parallel(std::uint32_t threads,
   bool completed = false;
   Cycle now = 0;
   std::uint64_t visited = 0;
+  NodeWakes wakes(nodes_.size());
   start_laps(profiler_);
   try {
     while (now < max_cycles) {
       ++visited;
-      stepper.for_shards(nodes_.size(), [this, now, fabric](std::size_t i) {
-        nodes_[i]->tick(now, fabric);
+      // The due set was read from the lanes after the previous barrier's
+      // commit, so it is the one the serial engine computes.
+      const std::vector<std::size_t>& due = wakes.collect_due(now);
+      stepper.for_shards(due.size(), [this, now, fabric, &due](std::size_t k) {
+        nodes_[due[k]]->tick(now, fabric);
       });
       lap(profiler_, HostPhase::kTick);
       if (fabric != nullptr) fabric->commit_staged();
       if (sink_ != nullptr) {
-        for (BufferedSink& buffer : buffers) buffer.flush(*sink_);
+        for (const std::size_t i : due) buffers[i].flush(*sink_);
       }
       lap(profiler_, HostPhase::kCommit);
       // Same serial point as every other engine: post-barrier.
@@ -374,7 +433,7 @@ SystemRunSummary System::run_event_parallel(std::uint32_t threads,
       // Post-commit serial point: the staged fabric's lanes are up to
       // date, so the jump target sees the same state the serial engine
       // would.
-      const Cycle next = next_wake(now, fabric, max_cycles);
+      const Cycle next = next_wake(now, fabric, wakes, max_cycles);
       credit_skip(now, next);
       now = next;
     }
@@ -395,6 +454,7 @@ SystemRunSummary System::run_event_parallel(std::uint32_t threads,
   if (snapshot_ != nullptr) snapshot_->end_run(now);
   SystemRunSummary summary = summarize(now, completed);
   summary.visited_cycles = visited;
+  summary.node_ticks = wakes.ticks();
   finalize_metrics(summary);
   return summary;
 }
@@ -404,6 +464,7 @@ SystemRunSummary System::summarize(Cycle cycles, bool completed) const {
   summary.cycles = cycles;
   summary.completed = completed;
   summary.visited_cycles = cycles;
+  summary.node_ticks = cycles * nodes_.size();
   RunningStat latency;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const Node& node = *nodes_[i];

@@ -32,6 +32,10 @@ struct SystemRunSummary {
   /// engines; the event engines' skip ratio is cycles / visited_cycles).
   /// Deliberately NOT in `stats`, so exports stay engine-invariant.
   std::uint64_t visited_cycles = 0;
+  /// Node::tick calls (cycles x nodes for the strict engines; the event
+  /// engines tick only the nodes due at each visited cycle). Kept out of
+  /// `stats` like visited_cycles.
+  std::uint64_t node_ticks = 0;
   StatSet stats;
 };
 
@@ -63,14 +67,17 @@ class System {
 
   /// Event-driven fast-forward run (docs/PARALLELISM.md §event-driven
   /// engine): after each visited cycle the clock jumps to the minimum of
-  /// every node's next-activity oracle and the fabric's next delivery,
+  /// every node's cached wake cycle and the fabric's next delivery,
   /// crediting the skipped span to the census/sampler before the landing
-  /// tick. Bit-identical to run() — same cycles, stats, metrics, census —
+  /// tick. At a visited cycle only the nodes that are due tick: those
+  /// whose wake has come or whose fabric lanes hold a message due by then.
+  /// Bit-identical to run() — same cycles, stats, metrics, census —
   /// enforced by tests/test_parallel_equivalence.cpp.
   SystemRunSummary run_event(Cycle max_cycles = 2'000'000'000ULL);
 
   /// Event-driven fast-forward over the node-sharded parallel engine
-  /// (staged fabric + worker pool, same jump rule as run_event).
+  /// (staged fabric + worker pool sharding the due nodes, same jump and
+  /// wake rules as run_event).
   /// Bit-identical to run() for any `threads`; same zero-hop restriction
   /// as run_parallel.
   SystemRunSummary run_event_parallel(std::uint32_t threads,
@@ -144,6 +151,8 @@ class System {
   }
 
  private:
+  class NodeWakes;
+
   /// Engine-independent config validation, run at the top of all four
   /// run_* entry points so no engine accepts a config another rejects
   /// (the equivalence grid depends on uniform accept/reject behaviour).
@@ -151,11 +160,12 @@ class System {
   void validate_engine_config(const char* engine_name) const;
   /// Shared end-of-run accounting (node order, both engines).
   SystemRunSummary summarize(Cycle cycles, bool completed) const;
-  /// Event-engine jump target after ticking `now`: the minimum of every
-  /// node's next-activity oracle and the fabric's next delivery, floored
-  /// at now + 1 and clamped to `max_cycles`.
+  /// Event-engine jump target after ticking `now`: re-arms the wakes of
+  /// the nodes that ticked, then takes the minimum of every node's wake,
+  /// the fabric's deliveries and the next snapshot boundary, floored at
+  /// now + 1 and clamped to `max_cycles`.
   [[nodiscard]] Cycle next_wake(Cycle now, const Interconnect* fabric,
-                                Cycle max_cycles) const;
+                                NodeWakes& wakes, Cycle max_cycles) const;
   /// Credit the span (now, next) the event engine is about to skip to the
   /// census and sampler — before the landing tick, while device busy
   /// thresholds are frozen.

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "lint/json_doc.hpp"
@@ -223,11 +224,11 @@ TEST(LintCli, WriteBaselineThenGateIsClean) {
   // The SARIF artifact written on the gated run parses.
   std::ifstream in(gated.sarif, std::ios::binary);
   ASSERT_TRUE(in.good());
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  std::ostringstream text;
+  text << in.rdbuf();
   JsonValue doc;
   std::string error;
-  EXPECT_TRUE(parse_json(text, doc, error)) << error;
+  EXPECT_TRUE(parse_json(text.str(), doc, error)) << error;
 }
 
 TEST(LintLexer, TracksCompileOutGuards) {

@@ -5,8 +5,8 @@
 // full-precision JSON), same run reports, same invariant-check counters,
 // same idle-census exports — for every path, feed mode and worker count.
 // System::run_parallel / run_event / run_event_parallel must likewise
-// match System::run. A randomized-config fuzz loop widens the net beyond
-// the hand-picked grid.
+// match System::run. Randomized-config fuzz loops (streaming paths and
+// multi-node Systems) widen the net beyond the hand-picked grid.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +20,8 @@
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "obs/run_report.hpp"
+#include "obs/sampler.hpp"
+#include "obs/snapshot.hpp"
 #include "sim/driver.hpp"
 #include "trace/trace.hpp"
 
@@ -408,6 +410,192 @@ TEST(SystemEquivalence, ChecksMatchUnderBothEngines) {
   EXPECT_EQ(serial.second, parallel.second);
   EXPECT_EQ(parallel.second, 0u);
 }
+
+// ------------------------------------ per-node wake in the System engines
+/// `trace` with every memory record moved into the memory of node
+/// `first_home + rng.below(homes)` (node span `span`), so the System's
+/// fabric carries remote traffic in the chosen directions.
+MemoryTrace rehome(const MemoryTrace& trace, std::uint32_t first_home,
+                   std::uint32_t homes, Address span, std::uint64_t seed) {
+  MemoryTrace out(trace.threads());
+  Xoshiro256 rng(seed);
+  for (std::uint32_t t = 0; t < trace.threads(); ++t) {
+    for (MemRecord record : trace.thread(static_cast<ThreadId>(t))) {
+      if (record.op != MemOp::kFence) {
+        record.addr += (first_home + rng.below(homes)) * span;
+      }
+      out.append(static_cast<ThreadId>(t), record);
+    }
+  }
+  return out;
+}
+
+/// One System run with every telemetry layer and the invariant checks
+/// attached: all of its exports, concatenated, plus the check counters.
+struct ObservedSystemRun {
+  SystemRunSummary summary;
+  std::string exports;
+  std::uint64_t checks_run = 0;
+  std::uint64_t violations = 0;
+};
+
+enum class SystemEngine { kRun, kEvent, kEventParallel };
+
+ObservedSystemRun observed_system_run(
+    const SimConfig& config, const MemoryTrace& trace, SystemEngine engine,
+    std::uint32_t threads = 2, Cycle max_cycles = 2'000'000'000ULL) {
+  System system(config);
+  MetricsRegistry registry;
+  ActivityCensus census;
+  CycleSampler sampler(97);
+  SnapshotStreamer snapshot(251);
+  CheckContext checks(CheckContext::FailMode::kCount);
+  system.attach_metrics(&registry);
+  system.attach_census(&census);
+  system.attach_sampler(&sampler);
+  system.attach_snapshot(&snapshot);
+  system.attach_checks(&checks);
+  system.attach_trace(trace);
+  ObservedSystemRun out;
+  switch (engine) {
+    case SystemEngine::kRun: out.summary = system.run(max_cycles); break;
+    case SystemEngine::kEvent:
+      out.summary = system.run_event(max_cycles);
+      break;
+    case SystemEngine::kEventParallel:
+      out.summary = system.run_event_parallel(threads, max_cycles);
+      break;
+  }
+  census.seal();
+  checks.finalize();
+  out.exports = out.summary.stats.to_json() + "\n" + census.to_json() +
+                "\n" + registry.to_json() + "\n" + sampler.to_csv() + "\n" +
+                snapshot.str();
+  out.checks_run = checks.checks_run();
+  out.violations = checks.violations();
+  return out;
+}
+
+/// The event engines against run(): byte-equal exports and check
+/// counters, the same visited cycles and node ticks from both event
+/// engines, and the strict engine ticking every node every cycle. The
+/// event runs are capped at run()'s cycle count, so an engine that misses
+/// work fails instead of hanging. Returns run_event()'s summary.
+SystemRunSummary expect_system_engines_agree(const SimConfig& config,
+                                             const MemoryTrace& trace,
+                                             std::uint32_t threads,
+                                             const std::string& label) {
+  const ObservedSystemRun reference =
+      observed_system_run(config, trace, SystemEngine::kRun);
+  if (!reference.summary.completed) {
+    ADD_FAILURE() << label << ": run() did not complete";
+    return reference.summary;
+  }
+  EXPECT_EQ(reference.violations, 0u) << label;
+  EXPECT_EQ(reference.summary.node_ticks,
+            reference.summary.cycles * config.nodes)
+      << label;
+  const Cycle cap = reference.summary.cycles;
+  const ObservedSystemRun event =
+      observed_system_run(config, trace, SystemEngine::kEvent, threads, cap);
+  const ObservedSystemRun event_parallel = observed_system_run(
+      config, trace, SystemEngine::kEventParallel, threads, cap);
+  for (const ObservedSystemRun* run : {&event, &event_parallel}) {
+    const char* engine = run == &event ? "run_event" : "run_event_parallel";
+    EXPECT_EQ(reference.summary.cycles, run->summary.cycles)
+        << label << " " << engine;
+    EXPECT_EQ(reference.exports, run->exports) << label << " " << engine;
+    EXPECT_EQ(reference.checks_run, run->checks_run)
+        << label << " " << engine;
+    EXPECT_EQ(reference.violations, run->violations)
+        << label << " " << engine;
+    EXPECT_LE(run->summary.node_ticks,
+              run->summary.visited_cycles * config.nodes)
+        << label << " " << engine;
+  }
+  EXPECT_EQ(event.summary.visited_cycles,
+            event_parallel.summary.visited_cycles)
+      << label;
+  EXPECT_EQ(event.summary.node_ticks, event_parallel.summary.node_ticks)
+      << label;
+  return event.summary;
+}
+
+TEST(SystemWake, ThreadlessNodeWakesOnlyForItsRemoteRequests) {
+  // Node 1 owns no threads: every record homes on its memory, so it works
+  // only when node 0's requests arrive over the fabric.
+  for (const std::uint32_t hop : {1u, 200u}) {
+    SimConfig config;
+    config.nodes = 2;
+    config.cores = 2;
+    config.remote_hop_cycles = hop;
+    config.validate();
+    const MemoryTrace trace = rehome(locality_trace(0.5, 1, 150, 67), 1, 1,
+                                     config.hmc_capacity, 71);
+    const std::string label = "hop " + std::to_string(hop);
+    const SystemRunSummary event =
+        expect_system_engines_agree(config, trace, 2, label);
+    EXPECT_GT(event.completions, 0u) << label;
+    EXPECT_LT(event.node_ticks, event.visited_cycles * 2) << label;
+  }
+}
+
+// Random node counts, core counts, hop latencies, queue depths and
+// per-node policy mixes; thread counts that leave some nodes without
+// threads; records homed on a random run of nodes (one hot node up to all
+// of them). Seeds are fixed so failures replay deterministically.
+class SystemFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SystemFuzz, EventEnginesMatchRunWithEveryLayerAttached) {
+  Xoshiro256 rng(GetParam());
+  SimConfig config;
+  const std::uint32_t node_choices[] = {1, 2, 4, 8, 16};
+  const CoalescerPolicy policies[] = {
+      CoalescerPolicy::kRaw, CoalescerPolicy::kMac, CoalescerPolicy::kMshr,
+      CoalescerPolicy::kWarp};
+  config.nodes = node_choices[rng.below(5)];
+  config.cores = 1u + static_cast<std::uint32_t>(rng.below(8));
+  config.remote_hop_cycles =
+      rng.below(2) == 0 ? 1u : 2u + static_cast<std::uint32_t>(rng.below(199));
+  // Shallow router queues make cores stall and remote requests wait in
+  // the retry buffer.
+  config.queue_depth = 1u << rng.below(7);  // 1 .. 64
+  config.policy = policies[rng.below(4)];
+  for (std::uint32_t n = 0; n < config.nodes; ++n) {
+    if (rng.below(2) == 0) continue;
+    if (!config.node_policies.empty()) config.node_policies += ';';
+    config.node_policies += std::to_string(n) + ":" +
+                            std::string(to_string(policies[rng.below(4)]));
+  }
+  config.validate();
+
+  const std::uint32_t threads =
+      1u + static_cast<std::uint32_t>(rng.below(2 * config.nodes));
+  const double locality = 0.25 * static_cast<double>(rng.below(5));
+  const std::uint32_t homes =
+      1u + static_cast<std::uint32_t>(rng.below(config.nodes));
+  const std::uint32_t first_home =
+      static_cast<std::uint32_t>(rng.below(config.nodes - homes + 1));
+  const MemoryTrace trace =
+      rehome(locality_trace(locality, threads,
+                            60 + static_cast<std::uint32_t>(rng.below(140)),
+                            GetParam() * 131 + 7),
+             first_home, homes, config.hmc_capacity, GetParam());
+  const std::uint32_t engine_threads =
+      1u + static_cast<std::uint32_t>(rng.below(4));
+  expect_system_engines_agree(
+      config, trace, engine_threads,
+      "seed " + std::to_string(GetParam()) + " (" +
+          std::to_string(config.nodes) + " nodes, " +
+          std::to_string(threads) + " threads, hop " +
+          std::to_string(config.remote_hop_cycles) + ", queue depth " +
+          std::to_string(config.queue_depth) + ", homes " +
+          std::to_string(first_home) + "+" + std::to_string(homes) +
+          ", policies '" + config.node_policies + "')");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SystemFuzz,
+                         ::testing::Range(std::uint64_t{1}, std::uint64_t{21}));
 
 // --------------------------------------------------- randomized-config fuzz
 // Random geometry / timing / feeder knobs, random trace shape, random
