@@ -28,9 +28,10 @@ int main(int argc, char** argv) {
     streaming.mode = FeedMode::kStreaming;
     DriveOptions closed;
     closed.mode = FeedMode::kClosedLoop;
-    const DriverResult s = run_mac(trace, base.config, base.threads,
-                                   streaming);
-    const DriverResult c = run_mac(trace, base.config, base.threads, closed);
+    const DriverResult s = run_policy(CoalescerPolicy::kMac, trace, base.config,
+                                      base.threads, streaming);
+    const DriverResult c = run_policy(CoalescerPolicy::kMac, trace, base.config,
+                                      base.threads, closed);
     table.add_row({bench::label(workload->name()),
                    Table::pct(s.coalescing_efficiency()),
                    Table::pct(c.coalescing_efficiency()),

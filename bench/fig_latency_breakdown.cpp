@@ -31,8 +31,10 @@ int main(int argc, char** argv) {
     drive.sink = &decomposer;
     const DriverResult result =
         std::string(path) == "raw"
-            ? run_raw(trace, base.config, base.threads, drive)
-            : run_mac(trace, base.config, base.threads, drive);
+            ? run_policy(CoalescerPolicy::kRaw, trace, base.config,
+                         base.threads, drive)
+            : run_policy(CoalescerPolicy::kMac, trace, base.config,
+                         base.threads, drive);
     std::printf("\n[%s] %llu packets\n%s", path,
                 static_cast<unsigned long long>(result.packets),
                 decomposer.to_table().c_str());

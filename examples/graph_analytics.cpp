@@ -36,8 +36,10 @@ int main(int argc, char** argv) {
        {gap_bfs_workload(), gap_pr_workload(), gap_cc_workload()}) {
     const MemoryTrace trace = workload->trace(params);
     const TraceProfile profile = analyze(trace, config, params.threads);
-    const DriverResult raw = run_raw(trace, config, params.threads);
-    const DriverResult mac = run_mac(trace, config, params.threads);
+    const DriverResult raw = run_policy(CoalescerPolicy::kRaw, trace, config,
+                                        params.threads);
+    const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config,
+                                        params.threads);
     table.add_row({workload->name(), Table::count(trace.size()),
                    Table::pct(profile.ideal_coalescing),
                    Table::pct(mac.coalescing_efficiency()),

@@ -74,8 +74,10 @@ void scatter_gather_demo() {
   params.config = config;
   const MemoryTrace trace = sg_workload()->trace(params);
 
-  const DriverResult raw = run_raw(trace, config, params.threads);
-  const DriverResult mac = run_mac(trace, config, params.threads);
+  const DriverResult raw = run_policy(CoalescerPolicy::kRaw, trace, config,
+                                      params.threads);
+  const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config,
+                                      params.threads);
 
   std::printf("raw requests        : %llu\n",
               static_cast<unsigned long long>(mac.raw_requests));

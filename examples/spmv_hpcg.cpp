@@ -34,8 +34,10 @@ int main(int argc, char** argv) {
   params.config = config;
 
   const MemoryTrace trace = hpcg_workload()->trace(params);
-  const DriverResult raw = run_raw(trace, config, params.threads);
-  const DriverResult mac = run_mac(trace, config, params.threads);
+  const DriverResult raw = run_policy(CoalescerPolicy::kRaw, trace, config,
+                                      params.threads);
+  const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config,
+                                      params.threads);
 
   if (csv) {
     StatSet stats;

@@ -46,9 +46,12 @@ int main(int argc, char** argv) {
   std::printf("reloaded %s records, %u threads\n\n",
               Table::count(replay.size()).c_str(), replay.threads());
 
-  const DriverResult raw = run_raw(replay, config, config.cores);
-  const DriverResult mshr = run_mshr(replay, config, config.cores);
-  const DriverResult mac = run_mac(replay, config, config.cores);
+  const DriverResult raw = run_policy(CoalescerPolicy::kRaw, replay, config,
+                                      config.cores);
+  const DriverResult mshr = run_policy(CoalescerPolicy::kMshr, replay, config,
+                                       config.cores);
+  const DriverResult mac = run_policy(CoalescerPolicy::kMac, replay, config,
+                                      config.cores);
 
   Table table({"path", "packets", "avg packet", "bw eff", "bank conflicts",
                "speedup vs raw"});

@@ -255,8 +255,9 @@ class Interconnect {
   /// due cycle only when its lane was empty.
   template <typename T>
   void enqueue(std::vector<Lane<T>>& lanes,
-               const std::vector<MetricCounter*>& links, NodeId src,
-               NodeId dest, Cycle due, T payload) {
+               [[maybe_unused]] const std::vector<MetricCounter*>& links,
+               [[maybe_unused]] NodeId src, NodeId dest, Cycle due,
+               T payload) {
     lanes.at(dest).queue.push_back({due, std::move(payload)});
     if (next_due_[dest] == 0 || due < next_due_[dest]) next_due_[dest] = due;
     ++messages_;

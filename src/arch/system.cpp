@@ -1,12 +1,14 @@
 #include "arch/system.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
 #include "obs/obs.hpp"
-#include "obs/profiler.hpp"
-#include "obs/snapshot.hpp"
+#include "obs/serial_point.hpp"
+#include "sim/driver.hpp"
 #include "sim/parallel.hpp"
 
 namespace mac3d {
@@ -46,7 +48,6 @@ void System::attach_census(ActivityCensus* census) {
 
 void System::register_probes() {
   if (sampler_ != nullptr) {
-    sampler_->begin_run("system");
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       Node* node = nodes_[i].get();
       const std::string prefix = "node" + std::to_string(i);
@@ -78,7 +79,6 @@ void System::register_probes() {
     }
   }
   if (snapshot_ != nullptr) {
-    snapshot_->begin_run("system");
     snapshot_->add_counter(SnapshotStreamer::kInjectedCounter, [this] {
       std::uint64_t total = 0;
       for (const auto& node : nodes_) {
@@ -130,32 +130,6 @@ void System::attach_trace(const MemoryTrace& trace) {
   }
 }
 
-void System::validate_engine_config(const char* engine_name) const {
-  if (nodes_.size() > 1 && config_.remote_hop_cycles == 0) {
-    // A zero-hop fabric lets a serial engine deliver a message to a
-    // later-ticking node within the sending cycle — unreproducible under
-    // any barrier schedule, so every engine refuses it uniformly rather
-    // than letting the serial engines silently diverge from the staged
-    // ones (the equivalence grid relies on identical accept/reject).
-    throw std::invalid_argument(std::string("System::") + engine_name +
-                                " requires remote_hop_cycles >= 1 (got 0)");
-  }
-}
-
-bool System::observe_cycle(Cycle now) {
-  if (census_ != nullptr) {
-    census_->observe(now);
-    lap(profiler_, HostPhase::kTelemetry);
-  }
-  if (sampler_ == nullptr && snapshot_ == nullptr) return false;
-  if (sampler_ != nullptr) sampler_->advance_to(now);
-  if (snapshot_ != nullptr) snapshot_->advance_to(now);
-  lap(profiler_, HostPhase::kSampler);
-  // A fired watchdog abandons the run (summary.completed stays false) —
-  // the only exit a stalled system has short of max_cycles.
-  return snapshot_ != nullptr && snapshot_->watchdog_fired();
-}
-
 bool System::drained(const Interconnect* fabric) const {
   if (fabric != nullptr && !fabric->idle()) return false;
   for (const auto& node : nodes_) {
@@ -164,60 +138,29 @@ bool System::drained(const Interconnect* fabric) const {
   return true;
 }
 
-SystemRunSummary System::run(Cycle max_cycles) {
-  validate_engine_config("run");
-  Interconnect* fabric = nodes_.size() > 1 ? fabric_.get() : nullptr;
-  register_probes();
-
-  bool completed = false;
-  Cycle now = 0;
-  start_laps(profiler_);
-  try {
-    for (; now < max_cycles; ++now) {
-      for (auto& node : nodes_) node->tick(now, fabric);
-      lap(profiler_, HostPhase::kTick);
-      if (observe_cycle(now)) break;
-      if (drained(fabric)) {
-        completed = true;
-        ++now;
-        break;
-      }
-    }
-  } catch (...) {
-    if (sampler_ != nullptr) sampler_->abort_run();
-    if (snapshot_ != nullptr) snapshot_->abort_run();
-    throw;
-  }
-  if (sampler_ != nullptr) sampler_->end_run(now);
-  if (snapshot_ != nullptr) snapshot_->end_run(now);
-  const SystemRunSummary summary = summarize(now, completed);
-  finalize_metrics(summary);
-  return summary;
-}
-
-/// Per-node wake scheduling for one event-engine run (docs/PARALLELISM.md
+/// Per-node wake scheduling for the event clock (docs/PARALLELISM.md
 /// §event-driven engine). A node's state changes only in its own tick or
 /// through its fabric lanes, and every hop takes at least one cycle, so a
 /// node whose wake lies ahead and whose lanes hold nothing due by `now`
 /// would tick as a no-op: it is left out, and its cached wake stays valid.
 class System::NodeWakes {
  public:
-  /// Nothing pending: no wake of its own and empty lanes.
-  static constexpr Cycle kNever = ~Cycle{0};
-
-  explicit NodeWakes(std::size_t nodes) : wake_(nodes, 0), due_at_(nodes, 0) {
+  explicit NodeWakes(std::size_t nodes)
+      : wake_(nodes, 0), due_at_(nodes, 0) {
     due_.reserve(nodes);
   }
 
-  /// The nodes to tick at `now`, in node order: every node at the first
-  /// visited cycle, afterwards those whose wake has come or that have a
-  /// message due by `now`.
-  const std::vector<std::size_t>& collect_due(Cycle now) {
+  /// Fill due() with the nodes to tick at `now`, in node order: every node
+  /// at the first visited cycle, afterwards those whose wake has come or
+  /// that have a message due by `now`.
+  void collect_due(Cycle now) {
     due_.clear();
     for (std::size_t i = 0; i < due_at_.size(); ++i) {
       if (due_at_[i] <= now) due_.push_back(i);
     }
     ticks_ += due_.size();
+  }
+  [[nodiscard]] const std::vector<std::size_t>& due() const noexcept {
     return due_;
   }
 
@@ -229,9 +172,9 @@ class System::NodeWakes {
               const Interconnect* fabric) {
     for (const std::size_t i : due_) {
       const Cycle next = nodes[i]->next_activity_cycle(now);
-      wake_[i] = next == 0 ? kNever : std::max(next, now + 1);
+      wake_[i] = next == 0 ? SerialPoint::kNever : std::max(next, now + 1);
     }
-    Cycle earliest = kNever;
+    Cycle earliest = SerialPoint::kNever;
     for (std::size_t i = 0; i < wake_.size(); ++i) {
       Cycle at = wake_[i];
       const Cycle delivery =
@@ -252,211 +195,147 @@ class System::NodeWakes {
   std::uint64_t ticks_ = 0;
 };
 
-Cycle System::next_wake(Cycle now, const Interconnect* fabric,
-                        NodeWakes& wakes, Cycle max_cycles) const {
-  Cycle next = wakes.rearm(now, nodes_, fabric);
-  // Nothing pending anywhere but not drained either (the caller already
-  // checked): fall back to single-stepping rather than stalling.
-  if (next == NodeWakes::kNever) next = now + 1;
-  // Snapshot boundaries are mandatory landing cycles: never skip over
-  // one, so every engine samples every window at identical state.
-  if (snapshot_ != nullptr && snapshot_->next_boundary(now) < next) {
-    next = snapshot_->next_boundary(now);
+/// How one run ticks its nodes (docs/PARALLELISM.md). The inline engines
+/// tick them in node order. The parallel engines tick them as shards on a
+/// worker pool: each node stamps into its own mailbox and the fabric
+/// buffers sends in per-source outboxes, and the barrier commits both in
+/// node order — the inline engines' exact delivery and stamp order. The
+/// staging is undone when the run ends, on either exit.
+class System::Stepping {
+ public:
+  /// Ticks the nodes listed in `ticking` (a vector the caller refills
+  /// before each tick).
+  Stepping(System& system, Interconnect* fabric,
+           const std::vector<std::size_t>& ticking, bool parallel,
+           std::uint32_t threads)
+      : system_(system),
+        fabric_(fabric),
+        ticking_(ticking),
+        mailboxes_(parallel && system.sink_ != nullptr ? system.nodes_.size()
+                                                       : 0) {
+    if (!parallel) return;
+    pool_ = std::make_unique<ParallelStepper>(threads);
+    pool_->attach_profiler(system.profiler_);
+    if (system.profiler_ != nullptr) {
+      system.profiler_->set_worker_count(pool_->thread_count());
+    }
+    for (std::size_t i = 0; i < mailboxes_.size(); ++i) {
+      system.nodes_[i]->attach_sink(&mailboxes_[i]);
+    }
+    if (fabric_ != nullptr) fabric_->begin_staged();
+    shard_ = [this](std::size_t k) {
+      system_.nodes_[ticking_[k]]->tick(now_, fabric_);
+    };
   }
-  return next < max_cycles ? next : max_cycles;
-}
+  Stepping(const Stepping&) = delete;
+  Stepping& operator=(const Stepping&) = delete;
+  ~Stepping() {
+    if (pool_ == nullptr) return;
+    for (std::size_t i = 0; i < mailboxes_.size(); ++i) {
+      system_.nodes_[i]->attach_sink(system_.sink_);
+    }
+    if (fabric_ != nullptr) fabric_->end_staged();
+  }
 
-void System::credit_skip(Cycle now, Cycle next) {
-  if (next <= now + 1 || (census_ == nullptr && sampler_ == nullptr)) return;
-  lap(profiler_, HostPhase::kTick);  // the drain check and the oracle sweep
-  if (census_ != nullptr) {
-    census_->skip_to(next);
-    lap(profiler_, HostPhase::kTelemetry);
+  void tick(Cycle now) {
+    if (pool_ == nullptr) {
+      for (const std::size_t i : ticking_) {
+        system_.nodes_[i]->tick(now, fabric_);
+      }
+      return;
+    }
+    now_ = now;
+    pool_->for_shards(ticking_.size(), shard_);
+    lap(system_.profiler_, HostPhase::kTick);
+    // Barrier: cross-shard effects apply in canonical order.
+    if (fabric_ != nullptr) fabric_->commit_staged();
+    if (!mailboxes_.empty()) {
+      for (const std::size_t i : ticking_) mailboxes_[i].flush(*system_.sink_);
+    }
+    lap(system_.profiler_, HostPhase::kCommit);
   }
-  if (sampler_ != nullptr) {
-    sampler_->advance_to(next - 1);
-    lap(profiler_, HostPhase::kSampler);
-  }
-}
 
-SystemRunSummary System::run_event(Cycle max_cycles) {
-  validate_engine_config("run_event");
+ private:
+  System& system_;
+  Interconnect* fabric_;
+  const std::vector<std::size_t>& ticking_;
+  std::vector<BufferedSink> mailboxes_;
+  std::function<void(std::size_t)> shard_;
+  Cycle now_ = 0;
+  std::unique_ptr<ParallelStepper> pool_;  ///< joins before the above die
+};
+
+template <Engine kEngine>
+SystemRunSummary System::run_engine(std::uint32_t threads, Cycle max_cycles) {
+  if (nodes_.size() > 1 && config_.remote_hop_cycles == 0) {
+    // A zero-hop fabric lets an inline engine deliver a message to a
+    // later-ticking node within the sending cycle — unreproducible under
+    // any barrier schedule, so every engine refuses it uniformly (the
+    // equivalence grid relies on identical accept/reject).
+    throw std::invalid_argument(
+        "System requires remote_hop_cycles >= 1 with several nodes (got 0)");
+  }
+  constexpr bool event = engine_is_event(kEngine);
   Interconnect* fabric = nodes_.size() > 1 ? fabric_.get() : nullptr;
+  // The step clock ticks every node; the event clock only the due ones.
+  std::vector<std::size_t> every_node(nodes_.size());
+  std::iota(every_node.begin(), every_node.end(), std::size_t{0});
+  NodeWakes wakes(nodes_.size());
+  Stepping stepping(*this, fabric, event ? wakes.due() : every_node,
+                    engine_is_parallel(kEngine), threads);
+  SerialPoint serial(census_, sampler_, snapshot_, profiler_, "system");
   register_probes();
 
   bool completed = false;
   Cycle now = 0;
   std::uint64_t visited = 0;
-  NodeWakes wakes(nodes_.size());
-  start_laps(profiler_);
-  try {
-    while (now < max_cycles) {
-      ++visited;
-      for (const std::size_t i : wakes.collect_due(now)) {
-        nodes_[i]->tick(now, fabric);
-      }
-      lap(profiler_, HostPhase::kTick);
-      if (observe_cycle(now)) break;
-      if (drained(fabric)) {
-        completed = true;
-        ++now;
-        break;
-      }
-      const Cycle next = next_wake(now, fabric, wakes, max_cycles);
-      credit_skip(now, next);
-      now = next;
+  serial.start_laps();
+  while (now < max_cycles) {
+    ++visited;
+    // The due set is read from the lanes after the previous barrier's
+    // commit, so it is the one the inline engine computes.
+    if constexpr (event) wakes.collect_due(now);
+    stepping.tick(now);
+    // A fired watchdog abandons the run (summary.completed stays false) —
+    // the only exit a stalled system has short of max_cycles.
+    if (serial.observe(now)) break;
+    if (drained(fabric)) {
+      completed = true;
+      ++now;
+      break;
     }
-  } catch (...) {
-    if (sampler_ != nullptr) sampler_->abort_run();
-    if (snapshot_ != nullptr) snapshot_->abort_run();
-    throw;
+    if constexpr (event) {
+      now = serial.advance(now, wakes.rearm(now, nodes_, fabric), max_cycles);
+    } else {
+      ++now;
+    }
   }
-  if (sampler_ != nullptr) sampler_->end_run(now);
-  if (snapshot_ != nullptr) snapshot_->end_run(now);
+  serial.finish(now);
   SystemRunSummary summary = summarize(now, completed);
-  summary.visited_cycles = visited;
-  summary.node_ticks = wakes.ticks();
+  if constexpr (event) {
+    summary.visited_cycles = visited;
+    summary.node_ticks = wakes.ticks();
+  }
   finalize_metrics(summary);
   return summary;
+}
+
+SystemRunSummary System::run(Cycle max_cycles) {
+  return run_engine<Engine::kSerial>(1, max_cycles);
 }
 
 SystemRunSummary System::run_parallel(std::uint32_t threads,
                                       Cycle max_cycles) {
-  validate_engine_config("run_parallel");
-  Interconnect* fabric = nodes_.size() > 1 ? fabric_.get() : nullptr;
-  ParallelStepper stepper(threads);
-  stepper.attach_profiler(profiler_);
-  if (profiler_ != nullptr) profiler_->set_worker_count(stepper.thread_count());
+  return run_engine<Engine::kParallel>(threads, max_cycles);
+}
 
-  // Per-node telemetry mailboxes: each shard stamps into its own buffer
-  // during the concurrent phase; the buffers flush to the user's sink in
-  // node order after the barrier — the serial engine's exact stamp stream.
-  std::vector<BufferedSink> buffers(sink_ != nullptr ? nodes_.size() : 0);
-  if (sink_ != nullptr) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      nodes_[i]->attach_sink(&buffers[i]);
-    }
-  }
-  if (fabric != nullptr) fabric->begin_staged();
-  register_probes();
-
-  bool completed = false;
-  Cycle now = 0;
-  start_laps(profiler_);
-  try {
-    for (; now < max_cycles; ++now) {
-      stepper.for_shards(nodes_.size(), [this, now, fabric](std::size_t i) {
-        nodes_[i]->tick(now, fabric);
-      });
-      lap(profiler_, HostPhase::kTick);
-      // Barrier: cross-shard effects apply in canonical order.
-      if (fabric != nullptr) fabric->commit_staged();
-      if (sink_ != nullptr) {
-        for (BufferedSink& buffer : buffers) buffer.flush(*sink_);
-      }
-      lap(profiler_, HostPhase::kCommit);
-      // Same serial point as run(): post-barrier, so census exports stay
-      // byte-identical across engines.
-      if (observe_cycle(now)) break;
-      if (drained(fabric)) {
-        completed = true;
-        ++now;
-        break;
-      }
-    }
-  } catch (...) {
-    // Re-point the nodes at the durable sink before the local buffers die
-    // (kThrow-mode breaches unwind through here).
-    if (sink_ != nullptr) {
-      for (const auto& node : nodes_) node->attach_sink(sink_);
-    }
-    if (fabric != nullptr) fabric->end_staged();
-    if (sampler_ != nullptr) sampler_->abort_run();
-    if (snapshot_ != nullptr) snapshot_->abort_run();
-    throw;
-  }
-  if (sink_ != nullptr) {
-    for (const auto& node : nodes_) node->attach_sink(sink_);
-  }
-  if (fabric != nullptr) fabric->end_staged();
-  if (sampler_ != nullptr) sampler_->end_run(now);
-  if (snapshot_ != nullptr) snapshot_->end_run(now);
-  const SystemRunSummary summary = summarize(now, completed);
-  finalize_metrics(summary);
-  return summary;
+SystemRunSummary System::run_event(Cycle max_cycles) {
+  return run_engine<Engine::kEvent>(1, max_cycles);
 }
 
 SystemRunSummary System::run_event_parallel(std::uint32_t threads,
                                             Cycle max_cycles) {
-  validate_engine_config("run_event_parallel");
-  Interconnect* fabric = nodes_.size() > 1 ? fabric_.get() : nullptr;
-  ParallelStepper stepper(threads);
-  stepper.attach_profiler(profiler_);
-  if (profiler_ != nullptr) profiler_->set_worker_count(stepper.thread_count());
-
-  std::vector<BufferedSink> buffers(sink_ != nullptr ? nodes_.size() : 0);
-  if (sink_ != nullptr) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      nodes_[i]->attach_sink(&buffers[i]);
-    }
-  }
-  if (fabric != nullptr) fabric->begin_staged();
-  register_probes();
-
-  bool completed = false;
-  Cycle now = 0;
-  std::uint64_t visited = 0;
-  NodeWakes wakes(nodes_.size());
-  start_laps(profiler_);
-  try {
-    while (now < max_cycles) {
-      ++visited;
-      // The due set was read from the lanes after the previous barrier's
-      // commit, so it is the one the serial engine computes.
-      const std::vector<std::size_t>& due = wakes.collect_due(now);
-      stepper.for_shards(due.size(), [this, now, fabric, &due](std::size_t k) {
-        nodes_[due[k]]->tick(now, fabric);
-      });
-      lap(profiler_, HostPhase::kTick);
-      if (fabric != nullptr) fabric->commit_staged();
-      if (sink_ != nullptr) {
-        for (const std::size_t i : due) buffers[i].flush(*sink_);
-      }
-      lap(profiler_, HostPhase::kCommit);
-      // Same serial point as every other engine: post-barrier.
-      if (observe_cycle(now)) break;
-      if (drained(fabric)) {
-        completed = true;
-        ++now;
-        break;
-      }
-      // Post-commit serial point: the staged fabric's lanes are up to
-      // date, so the jump target sees the same state the serial engine
-      // would.
-      const Cycle next = next_wake(now, fabric, wakes, max_cycles);
-      credit_skip(now, next);
-      now = next;
-    }
-  } catch (...) {
-    if (sink_ != nullptr) {
-      for (const auto& node : nodes_) node->attach_sink(sink_);
-    }
-    if (fabric != nullptr) fabric->end_staged();
-    if (sampler_ != nullptr) sampler_->abort_run();
-    if (snapshot_ != nullptr) snapshot_->abort_run();
-    throw;
-  }
-  if (sink_ != nullptr) {
-    for (const auto& node : nodes_) node->attach_sink(sink_);
-  }
-  if (fabric != nullptr) fabric->end_staged();
-  if (sampler_ != nullptr) sampler_->end_run(now);
-  if (snapshot_ != nullptr) snapshot_->end_run(now);
-  SystemRunSummary summary = summarize(now, completed);
-  summary.visited_cycles = visited;
-  summary.node_ticks = wakes.ticks();
-  finalize_metrics(summary);
-  return summary;
+  return run_engine<Engine::kEventParallel>(threads, max_cycles);
 }
 
 SystemRunSummary System::summarize(Cycle cycles, bool completed) const {

@@ -21,6 +21,7 @@ namespace mac3d {
 class ActivityCensus;
 class HostProfiler;
 class SnapshotStreamer;
+enum class Engine;
 
 struct SystemRunSummary {
   Cycle cycles = 0;
@@ -152,31 +153,22 @@ class System {
 
  private:
   class NodeWakes;
+  class Stepping;
 
-  /// Engine-independent config validation, run at the top of all four
-  /// run_* entry points so no engine accepts a config another rejects
-  /// (the equivalence grid depends on uniform accept/reject behaviour).
-  /// `engine_name` labels the thrown std::invalid_argument.
-  void validate_engine_config(const char* engine_name) const;
-  /// Shared end-of-run accounting (node order, both engines).
+  /// The one cycle loop behind the four public engines
+  /// (docs/PARALLELISM.md): engine_is_event(kEngine) picks the clock (step
+  /// by one, or jump to the next wake) and engine_is_parallel(kEngine) how
+  /// the nodes tick (inline, or sharded over `threads` workers with a
+  /// barrier). The engine is a template argument so that the clock costs
+  /// no branch per visited cycle.
+  template <Engine kEngine>
+  SystemRunSummary run_engine(std::uint32_t threads, Cycle max_cycles);
+  /// Shared end-of-run accounting (node order, every engine).
   SystemRunSummary summarize(Cycle cycles, bool completed) const;
-  /// Event-engine jump target after ticking `now`: re-arms the wakes of
-  /// the nodes that ticked, then takes the minimum of every node's wake,
-  /// the fabric's deliveries and the next snapshot boundary, floored at
-  /// now + 1 and clamped to `max_cycles`.
-  [[nodiscard]] Cycle next_wake(Cycle now, const Interconnect* fabric,
-                                NodeWakes& wakes, Cycle max_cycles) const;
-  /// Credit the span (now, next) the event engine is about to skip to the
-  /// census and sampler — before the landing tick, while device busy
-  /// thresholds are frozen.
-  void credit_skip(Cycle now, Cycle next);
-  /// The post-tick serial point every engine shares: census, sampler and
-  /// snapshot, each lapped into its host phase. True when the stall
-  /// watchdog fired and the run must stop.
-  bool observe_cycle(Cycle now);
   /// The fabric (when present) and every node hold no work.
   [[nodiscard]] bool drained(const Interconnect* fabric) const;
-  /// begin_run + per-node/fabric probe registration (no-op when detached).
+  /// Per-node/fabric probe registration for the open run (no-op when
+  /// detached).
   void register_probes();
   /// End-of-run gauge writes (serial point; see attach_metrics).
   void finalize_metrics(const SystemRunSummary& summary);

@@ -156,6 +156,13 @@ bool WarpCoalescer::issue_iteration(Cycle now) {
               now, "warp packet leaks across its merge block");
   if (!device_.can_accept(request, now)) return false;
 
+  // Stamp the builder stages before submit(), which stamps the device
+  // stages at once on an unstaged device: lifecycle stamps in stage order.
+  MAC3D_OBS_STAMP(sink_, Stage::kBuilderPick, lead.tid, lead.tag, now);
+  for (std::size_t m = 1; m < merged.size(); ++m) {
+    MAC3D_OBS_STAMP(sink_, Stage::kMerge, window_[merged[m]].request.tid,
+                    window_[merged[m]].request.tag, now);
+  }
   const std::uint32_t packet_bytes = request.data_bytes;
   request.id = next_txn_++;
   device_.submit(std::move(request), now);
@@ -164,11 +171,6 @@ bool WarpCoalescer::issue_iteration(Cycle now) {
   stats_.merged_lanes += merged.size() - 1;
   if (window_served_ > 0) ++stats_.replays;
   ++stats_.packets_by_size[packet_bytes];
-  MAC3D_OBS_STAMP(sink_, Stage::kBuilderPick, lead.tid, lead.tag, now);
-  for (std::size_t m = 1; m < merged.size(); ++m) {
-    const RawRequest& req = window_[merged[m]].request;
-    MAC3D_OBS_STAMP(sink_, Stage::kMerge, req.tid, req.tag, now);
-  }
   for (const std::size_t i : merged) window_[i].served = true;
   window_served_ += merged.size();
   if (window_served_ == window_.size()) {

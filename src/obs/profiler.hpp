@@ -114,7 +114,7 @@ class ActivityCensus {
 
   /// Drop every probe and threshold pointer, keeping the accumulated
   /// counts. Call before the probed components are destroyed (mirrors
-  /// the SamplerWindow hazard: rows reference components).
+  /// the sampler's probe hazard: rows reference components).
   void seal();
 
   /// Export `<name>.active_cycles` / `<name>.idle_cycles` counters.

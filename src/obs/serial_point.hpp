@@ -1,0 +1,113 @@
+// The serial point every cycle loop shares (docs/PARALLELISM.md): once a
+// visited cycle's work is done — on the parallel engines, once its barrier
+// has committed — the loop observes the idle-cycle census, advances the
+// cycle sampler and the snapshot streamer, and polls the stall watchdog.
+// On the event clock it then jumps to the next wake, landing on every
+// snapshot boundary and crediting the skipped span before the landing
+// tick. The streaming driver (src/sim/driver.cpp) and the multi-node
+// System (src/arch/system.cpp) both run through it, so every engine
+// evaluates every probe at the same simulated cycles with the same state.
+#pragma once
+
+#include <algorithm>
+#include <string>
+
+#include "common/types.hpp"
+#include "obs/profiler.hpp"
+#include "obs/sampler.hpp"
+#include "obs/snapshot.hpp"
+
+namespace mac3d {
+
+/// One run's telemetry, advanced at its loop's serial point; any pointer
+/// may be null. Construction begins the sampler and snapshot runs under
+/// `label` and finish() flushes them at the run's end cycle. A run left
+/// unfinished — an exception unwinding out of its loop — aborts both
+/// instead, dropping probes that capture the dying pipeline.
+class SerialPoint {
+ public:
+  /// A wake that never comes: nothing pending.
+  static constexpr Cycle kNever = ~Cycle{0};
+
+  SerialPoint(ActivityCensus* census, CycleSampler* sampler,
+              SnapshotStreamer* snapshot, HostProfiler* profiler,
+              const std::string& label)
+      : census_(census),
+        sampler_(sampler),
+        snapshot_(snapshot),
+        profiler_(profiler) {
+    if (sampler_ != nullptr) sampler_->begin_run(label);
+    if (snapshot_ != nullptr) snapshot_->begin_run(label);
+  }
+  SerialPoint(const SerialPoint&) = delete;
+  SerialPoint& operator=(const SerialPoint&) = delete;
+  ~SerialPoint() {
+    if (finished_) return;
+    if (sampler_ != nullptr) sampler_->abort_run();
+    if (snapshot_ != nullptr) snapshot_->abort_run();
+  }
+
+  /// Normal exit: flush the tail windows through `end`.
+  void finish(Cycle end) {
+    finished_ = true;
+    if (sampler_ != nullptr) sampler_->end_run(end);
+    if (snapshot_ != nullptr) snapshot_->end_run(end);
+  }
+
+  void start_laps() const noexcept { mac3d::start_laps(profiler_); }
+  void lap(HostPhase phase) const noexcept { mac3d::lap(profiler_, phase); }
+  void mark_feeder(Cycle now) const noexcept {
+    if (census_ != nullptr) census_->mark_feeder(now);
+  }
+
+  /// The cycle's work is done. True when the stall watchdog fired: the
+  /// run is abandoned here, the only exit a livelocked pipeline has.
+  bool observe(Cycle now) const {
+    lap(HostPhase::kTick);
+    if (census_ != nullptr) {
+      census_->observe(now);
+      lap(HostPhase::kTelemetry);
+    }
+    if (sampler_ == nullptr && snapshot_ == nullptr) return false;
+    if (sampler_ != nullptr) sampler_->advance_to(now);
+    if (snapshot_ != nullptr) snapshot_->advance_to(now);
+    lap(HostPhase::kSampler);
+    return snapshot_ != nullptr && snapshot_->watchdog_fired();
+  }
+
+  /// Event clock: the cycle to visit after `now`, given the loop's
+  /// earliest `wake` (kNever, or a cycle not after `now`, steps one
+  /// cycle) and capped at `limit`. Snapshot boundaries are mandatory
+  /// landing cycles, so every engine samples every window at identical
+  /// state. The skipped span is credited to the census and sampler BEFORE
+  /// the landing tick, which can raise device busy thresholds and would
+  /// falsely mark the span active.
+  Cycle advance(Cycle now, Cycle wake, Cycle limit = kNever) const {
+    Cycle next = wake == kNever || wake <= now ? now + 1 : wake;
+    if (snapshot_ != nullptr) {
+      next = std::min(next, snapshot_->next_boundary(now));
+    }
+    next = std::min(next, limit);
+    if (next > now + 1 && (census_ != nullptr || sampler_ != nullptr)) {
+      lap(HostPhase::kTick);  // the drain check and the wake-up oracle
+      if (census_ != nullptr) {
+        census_->skip_to(next);
+        lap(HostPhase::kTelemetry);
+      }
+      if (sampler_ != nullptr) {
+        sampler_->advance_to(next - 1);
+        lap(HostPhase::kSampler);
+      }
+    }
+    return next;
+  }
+
+ private:
+  ActivityCensus* census_;
+  CycleSampler* sampler_;
+  SnapshotStreamer* snapshot_;
+  HostProfiler* profiler_;
+  bool finished_ = false;
+};
+
+}  // namespace mac3d

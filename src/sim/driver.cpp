@@ -1,22 +1,15 @@
 #include "sim/driver.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <memory>
 #include <vector>
 
-#include <memory>
-
-#include "cache/mshr.hpp"
 #include "check/check.hpp"
-#include "mac/coalescer.hpp"
-#include "mac/warp_coalescer.hpp"
 #include "mem/hmc_device.hpp"
 #include "obs/obs.hpp"
-#include "obs/profiler.hpp"
-#include "obs/sampler.hpp"
-#include "obs/snapshot.hpp"
+#include "obs/serial_point.hpp"
 #include "sim/parallel.hpp"
-#include "sim/raw_path.hpp"
+#include "sim/path_adapters.hpp"
 #include "sim/tag_allocator.hpp"
 
 namespace mac3d {
@@ -43,99 +36,87 @@ void DriverResult::collect(StatSet& out, const std::string& prefix) const {
 
 namespace {
 
-constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+constexpr Cycle kNever = SerialPoint::kNever;
 
+/// What the loop learns from completions. It outlives the loop: the
+/// snapshot's completions counter still reads it when the run ends.
 struct LoopResult {
-  Cycle makespan = 0;       ///< cycle of the last completion
+  Cycle makespan = 0;             ///< cycle of the last completion
   std::uint64_t completions = 0;  ///< data records + retired fences
 };
 
-/// The telemetry a feed loop advances at its serial point, resolved once
-/// per run (all null under MAC3D_OBS=OFF), plus the host profiler's laps.
-/// Every feed loop runs the same cycle tail through it: observe_cycle()
-/// after the tick/barrier/drain, then advance() to the next cycle.
-class LoopTelemetry {
- public:
-  LoopTelemetry(const DriveOptions& options, const LoopResult& result,
-                bool event_engine)
-      : event_engine_(event_engine) {
-#if MAC3D_OBS_ENABLED
-    census_ = options.census;
-    profiler_ = options.profiler;
-    sampler_ = options.sampler;
-    snapshot_ = options.snapshot;
-#else
-    (void)options;
-#endif
-    if (snapshot_ != nullptr) {
-      // The loop owns the completion count, so the reserved completions
-      // counter registers here; the run_* wrappers register the rest.
-      snapshot_->add_counter(SnapshotStreamer::kCompletionsCounter,
-                             [&result] { return result.completions; });
+/// What every feed shares: its view of the trace and the presentation of
+/// one record to the path. A feed adds what differs: intake(), the
+/// bookkeeping of a completion, pending() work that keeps the loop
+/// running, and next_arrival(), the event clock's wake for the feed.
+class Feed {
+ protected:
+  Feed(const MemoryTrace& trace, const SimConfig& config,
+       std::uint32_t threads, const DriveOptions& options,
+       const SerialPoint& serial)
+      : trace_(trace),
+        options_(options),
+        serial_(serial),
+        cores_(config.cores),
+        threads_(std::min(threads, trace.threads())) {
+    for (std::uint32_t t = 0; t < threads_; ++t) {
+      records_left_ += records(t).size();
     }
-    start_laps(profiler_);
   }
 
-  void mark_feeder(Cycle now) const {
-    if (census_ != nullptr) census_->mark_feeder(now);
+  [[nodiscard]] const std::vector<MemRecord>& records(std::uint32_t t) const {
+    return trace_.thread(static_cast<ThreadId>(t));
   }
-  void lap(HostPhase phase) const { mac3d::lap(profiler_, phase); }
-
-  /// Serial point: the cycle's work (intake, tick, barrier, drain) is
-  /// done. True when the stall watchdog fired — the run is abandoned here,
-  /// the only exit a livelocked pipeline has.
-  bool observe_cycle(Cycle now) const {
-    lap(HostPhase::kTick);
-    if (census_ != nullptr) {
-      census_->observe(now);
-      lap(HostPhase::kTelemetry);
-    }
-    if (sampler_ == nullptr && snapshot_ == nullptr) return false;
-    if (sampler_ != nullptr) sampler_->advance_to(now);
-    if (snapshot_ != nullptr) snapshot_->advance_to(now);
-    lap(HostPhase::kSampler);
-    return snapshot_ != nullptr && snapshot_->watchdog_fired();
+  /// When thread `t`'s first record arrives: after its compute gap, if
+  /// gaps are charged.
+  [[nodiscard]] Cycle first_arrival(std::uint32_t t) const {
+    return options_.charge_gaps && !records(t).empty()
+               ? records(t).front().gap
+               : 0;
   }
 
-  /// The cycle after `now`. The strict cycle engines always step one
-  /// cycle (the reference semantics); the event engines jump to the
-  /// earliest of `feed_next` (the feeder's next arrival, kNever for none)
-  /// and the path's next_event oracle (0 when idle), never over a
-  /// snapshot boundary — those are mandatory landing cycles, so every
-  /// engine samples every window at identical state. The skipped
-  /// span is credited to the census and sampler BEFORE the landing tick,
-  /// which can raise device busy thresholds and would falsely mark the
-  /// span active. `feed_next` is only evaluated on the event engines.
-  template <typename Path, typename FeedNext>
-  Cycle advance(Cycle now, const Path& path, FeedNext&& feed_next) const {
-    if (!event_engine_) return now + 1;
-    Cycle next = feed_next();
-    const Cycle path_next = path.next_event(now);
-    if (path_next > now) next = std::min(next, path_next);
-    next = (next == kNever || next <= now) ? now + 1 : next;
-    if (snapshot_ != nullptr) {
-      next = std::min(next, snapshot_->next_boundary(now));
+  /// Round-robin from the turn: the first thread `ready` admits, or
+  /// threads_ when none does.
+  template <typename Ready>
+  [[nodiscard]] std::uint32_t next_thread(Ready&& ready) const {
+    for (std::uint32_t scan = 0; scan < threads_; ++scan) {
+      const std::uint32_t t = (turn_ + scan) % threads_;
+      if (ready(t)) return t;
     }
-    if (next > now + 1 && (census_ != nullptr || sampler_ != nullptr)) {
-      lap(HostPhase::kTick);  // the wake-up oracle
-      if (census_ != nullptr) {
-        census_->skip_to(next);
-        lap(HostPhase::kTelemetry);
-      }
-      if (sampler_ != nullptr) {
-        sampler_->advance_to(next - 1);
-        lap(HostPhase::kSampler);
-      }
-    }
-    return next;
+    return threads_;
   }
 
- private:
-  bool event_engine_;
-  ActivityCensus* census_ = nullptr;
-  HostProfiler* profiler_ = nullptr;
-  CycleSampler* sampler_ = nullptr;
-  SnapshotStreamer* snapshot_ = nullptr;
+  /// Present `record` to the path as thread `t`'s request `tag`; true when
+  /// accepted. core_issue marks the first presentation attempt (`stamped`
+  /// remembers it across rejections), so its delta to the path's
+  /// queue_insert measures intake back-pressure.
+  template <typename Path>
+  bool present(Path& path, const MemRecord& record, std::uint32_t t, Tag tag,
+               bool& stamped, Cycle now) const {
+    RawRequest request;
+    request.addr = record.addr;
+    request.op = record.op;
+    request.size = record.size;
+    request.tid = static_cast<ThreadId>(t);
+    request.tag = tag;
+    request.core = static_cast<CoreId>(t % cores_);
+    if (!stamped) {
+      MAC3D_OBS_STAMP(options_.sink, Stage::kCoreIssue, request.tid, tag, now);
+      stamped = true;
+    }
+    if (!path.try_accept(request, now)) return false;
+    serial_.mark_feeder(now);
+    stamped = false;
+    return true;
+  }
+
+  const MemoryTrace& trace_;
+  const DriveOptions& options_;
+  const SerialPoint& serial_;
+  std::uint32_t cores_;
+  std::uint32_t threads_;
+  std::uint64_t records_left_ = 0;
+  std::uint32_t turn_ = 0;
 };
 
 /// Trace streaming (paper Sec. 5.1): every thread's memory instruction
@@ -152,142 +133,164 @@ class LoopTelemetry {
 /// so each thread draws from a finite MSHR-style TagAllocator pool and
 /// stalls only on pool exhaustion (the invariant fuzz suite caught the
 /// ambiguity on bank-conflict-heavy traces back when tags were a bare
-/// wrapping cursor). `barrier` runs once per cycle right after the path
-/// ticks — the parallel engine commits its staged device work there; the
-/// serial engine passes a no-op.
-template <typename Path, typename Barrier>
-LoopResult run_streaming(Path& path, const MemoryTrace& trace,
-                         const SimConfig& config, std::uint32_t threads,
-                         const DriveOptions& options, Barrier&& barrier) {
-  struct ThreadCursor {
+/// wrapping cursor).
+class StreamingFeed : public Feed {
+ public:
+  StreamingFeed(const MemoryTrace& trace, const SimConfig& config,
+                std::uint32_t threads, const DriveOptions& options,
+                const SerialPoint& serial)
+      : Feed(trace, config, threads, options, serial),
+        cursors_(threads_),
+        tags_(threads_, TagAllocator(options.tag_pool)) {
+    for (std::uint32_t t = 0; t < threads_; ++t) {
+      cursors_[t].arrive_at = first_arrival(t);
+    }
+  }
+
+  [[nodiscard]] bool pending() const { return records_left_ > 0; }
+
+  /// Present arrived records round-robin until the path's intake ports
+  /// reject one (or no arrival is pending).
+  template <typename Path>
+  void intake(Path& path, Cycle now) {
+    while (records_left_ > 0) {
+      const std::uint32_t t = next_thread([&](std::uint32_t u) {
+        return has_record(u) && cursors_[u].arrive_at <= now &&
+               tags_[u].available();
+      });
+      if (t == threads_) return;
+      Cursor& cursor = cursors_[t];
+      const std::vector<MemRecord>& stream = records(t);
+      if (!present(path, stream[cursor.next], t, tags_[t].peek(),
+                   cursor.stamped, now)) {
+        return;
+      }
+      tags_[t].allocate();
+      --records_left_;
+      // Open-loop pacing: the next record arrives `gap` core cycles
+      // after this one *was generated* (arrivals can back up).
+      if (++cursor.next < stream.size() && options_.charge_gaps) {
+        cursor.arrive_at += stream[cursor.next].gap;
+      }
+      turn_ = (t + 1) % threads_;
+    }
+  }
+
+  void complete(const CompletedAccess& done) {
+    if (done.target.tid < threads_) {
+      tags_[done.target.tid].release(done.target.tag);
+    }
+  }
+
+  /// The earliest arrival. A thread stalled on tag-pool exhaustion wakes
+  /// on a completion (a path event), not on an arrival time.
+  [[nodiscard]] Cycle next_arrival(Cycle now) const {
+    Cycle earliest = kNever;
+    for (std::uint32_t t = 0; t < threads_ && records_left_ > 0; ++t) {
+      if (!has_record(t) || !tags_[t].available()) continue;
+      if (cursors_[t].arrive_at <= now) return now + 1;
+      earliest = std::min(earliest, cursors_[t].arrive_at);
+    }
+    return earliest;
+  }
+
+ private:
+  struct Cursor {
     std::size_t next = 0;
-    Cycle arrive_at = 0;  ///< when the current record reaches the queue
+    Cycle arrive_at = 0;   ///< when the current record reaches the queue
     bool stamped = false;  ///< core_issue emitted for the current record
   };
-  const bool charge_gaps = options.charge_gaps;
 
-  threads = std::min(threads, trace.threads());
-  std::vector<ThreadCursor> cursors(threads);
-  std::vector<TagAllocator> tags(threads, TagAllocator(options.tag_pool));
-  std::uint64_t records_left = 0;
-  for (std::uint32_t t = 0; t < threads; ++t) {
-    const auto& records = trace.thread(static_cast<ThreadId>(t));
-    records_left += records.size();
-    if (!records.empty() && charge_gaps) {
-      cursors[t].arrive_at = records.front().gap;
-    }
+  [[nodiscard]] bool has_record(std::uint32_t t) const {
+    return cursors_[t].next < records(t).size();
   }
 
-  Cycle now = 0;
-  LoopResult result;
-  std::uint32_t turn = 0;
-  const Cycle livelock_at = options.inject_livelock_at;
-  LoopTelemetry telemetry(options, result, engine_is_event(options.engine));
-
-  while (records_left > 0 || !path.idle()) {
-    // Intake: present arrived records round-robin until the path's intake
-    // ports reject one (or no arrival is pending).
-    bool intake_open = records_left > 0;
-    while (intake_open) {
-      bool found = false;
-      for (std::uint32_t scan = 0; scan < threads; ++scan) {
-        const std::uint32_t t = (turn + scan) % threads;
-        const auto tid = static_cast<ThreadId>(t);
-        ThreadCursor& cursor = cursors[t];
-        const auto& records = trace.thread(tid);
-        if (cursor.next >= records.size() || cursor.arrive_at > now ||
-            !tags[t].available()) {
-          continue;
-        }
-        const MemRecord& record = records[cursor.next];
-        RawRequest request;
-        request.addr = record.addr;
-        request.op = record.op;
-        request.size = record.size;
-        request.tid = tid;
-        request.tag = tags[t].peek();
-        request.core = static_cast<CoreId>(t % config.cores);
-#if MAC3D_OBS_ENABLED
-        // core_issue marks the first presentation attempt; the delta to the
-        // path's queue_insert measures intake back-pressure. peek() is
-        // stable across rejected attempts, so the stamp matches the tag
-        // eventually allocated.
-        if (options.sink != nullptr && !cursor.stamped) {
-          options.sink->on_stage(Stage::kCoreIssue, tid, request.tag, now);
-          cursor.stamped = true;
-        }
-#endif
-        if (!path.try_accept(request, now)) {
-          intake_open = false;
-          break;
-        }
-        tags[t].allocate();
-        telemetry.mark_feeder(now);
-        ++cursor.next;
-        cursor.stamped = false;
-        --records_left;
-        // Open-loop pacing: the next record arrives `gap` core cycles
-        // after this one *was generated* (arrivals can back up).
-        if (cursor.next < records.size()) {
-          cursor.arrive_at += charge_gaps ? records[cursor.next].gap : 0;
-        }
-        turn = (t + 1) % threads;
-        found = true;
-        break;
-      }
-      if (!found) break;
-    }
-
-    path.tick(now);
-    telemetry.lap(HostPhase::kTick);
-    barrier();
-    telemetry.lap(HostPhase::kCommit);
-    // Livelock fault injection (watchdog testing): past the trigger cycle
-    // completions are left undelivered in the path.
-    const bool drain_open = livelock_at == 0 || now < livelock_at;
-    for (const CompletedAccess& done :
-         drain_open ? path.drain(now) : std::vector<CompletedAccess>{}) {
-      result.makespan = std::max(result.makespan, done.completed);
-      ++result.completions;
-      MAC3D_OBS_STAMP(options.sink, Stage::kCoreComplete, done.target.tid,
-                      done.target.tag, done.completed);
-      if (done.target.tid < threads) {
-        tags[done.target.tid].release(done.target.tag);
-      }
-    }
-    if (telemetry.observe_cycle(now)) break;
-
-    // Event engines wake at the feeder's earliest arrival or the path's
-    // next event, whichever comes first.
-    now = telemetry.advance(now, path, [&] {
-      Cycle earliest = kNever;
-      for (std::uint32_t t = 0; t < threads && records_left > 0; ++t) {
-        const ThreadCursor& cursor = cursors[t];
-        if (cursor.next >= trace.thread(static_cast<ThreadId>(t)).size()) {
-          continue;
-        }
-        // A thread stalled on tag-pool exhaustion wakes on a completion
-        // (path event), not on an arrival time.
-        if (!tags[t].available()) continue;
-        if (cursor.arrive_at <= now) return now + 1;
-        earliest = std::min(earliest, cursor.arrive_at);
-      }
-      return earliest;
-    });
-  }
-  return result;
-}
+  std::vector<Cursor> cursors_;
+  std::vector<TagAllocator> tags_;
+};
 
 /// Closed-loop feed (paper Sec. 3): each hardware thread may have a small
 /// number of loads outstanding (hit-under-miss) and posts stores through a
 /// finite store buffer; it stalls otherwise, and pays its recorded compute
 /// gap between references. Up to `intake_ports` requests (one per core
 /// port) enter the path per cycle.
-template <typename Path, typename Barrier>
-LoopResult run_closed_loop(Path& path, const MemoryTrace& trace,
-                           const SimConfig& config, std::uint32_t threads,
-                           const DriveOptions& options, Barrier&& barrier) {
-  struct ThreadCursor {
+class ClosedLoopFeed : public Feed {
+ public:
+  ClosedLoopFeed(const MemoryTrace& trace, const SimConfig& config,
+                 std::uint32_t threads, const DriveOptions& options,
+                 const SerialPoint& serial)
+      : Feed(trace, config, threads, options, serial),
+        cursors_(threads_),
+        ports_(options.intake_ports == 0 ? config.cores
+                                         : options.intake_ports) {
+    for (std::uint32_t t = 0; t < threads_; ++t) {
+      cursors_[t].ready_at = first_arrival(t);
+    }
+  }
+
+  [[nodiscard]] bool pending() const {
+    return records_left_ > 0 || outstanding_ > 0;
+  }
+
+  /// Scan the threads round-robin, presenting issuable requests until the
+  /// path's intake ports reject one (or every thread is busy).
+  template <typename Path>
+  void intake(Path& path, Cycle now) {
+    for (std::uint32_t accepted = 0; records_left_ > 0 && accepted < ports_;
+         ++accepted) {
+      const std::uint32_t t = next_thread([&](std::uint32_t u) {
+        const Cursor& cursor = cursors_[u];
+        return cursor.next < records(u).size() && cursor.ready_at <= now &&
+               window_open(cursor, records(u)[cursor.next].op);
+      });
+      if (t == threads_) return;
+      Cursor& cursor = cursors_[t];
+      const MemRecord& record = records(t)[cursor.next];
+      if (!present(path, record, t, cursor.tag, cursor.stamped, now)) {
+        return;  // ports exhausted for this cycle
+      }
+      ++cursor.tag;
+      ++cursor.next;
+      // Loads, atomics and fences all complete back.
+      ++(record.op == MemOp::kStore ? cursor.stores : cursor.loads);
+      ++outstanding_;
+      --records_left_;
+      turn_ = (t + 1) % threads_;
+    }
+  }
+
+  void complete(const CompletedAccess& done) {
+    const std::uint32_t t = done.target.tid;
+    if (t >= threads_) return;  // foreign node traffic (not used here)
+    Cursor& cursor = cursors_[t];
+    --(done.write && !done.atomic && !done.fence ? cursor.stores
+                                                 : cursor.loads);
+    --outstanding_;
+    Cycle ready = done.completed;
+    if (options_.charge_gaps && cursor.next < records(t).size()) {
+      ready += records(t)[cursor.next].gap;
+    }
+    cursor.ready_at = std::max(cursor.ready_at, ready);
+  }
+
+  /// The earliest ready time of a thread blocked only on time, not on its
+  /// occupancy window (a full window wakes on a completion, a path event).
+  [[nodiscard]] Cycle next_arrival(Cycle now) const {
+    Cycle earliest = kNever;
+    for (std::uint32_t t = 0; t < threads_ && records_left_ > 0; ++t) {
+      const Cursor& cursor = cursors_[t];
+      if (cursor.next >= records(t).size() ||
+          !window_open(cursor, records(t)[cursor.next].op)) {
+        continue;
+      }
+      if (cursor.ready_at <= now) return now + 1;
+      earliest = std::min(earliest, cursor.ready_at);
+    }
+    return earliest;
+  }
+
+ private:
+  struct Cursor {
     std::size_t next = 0;
     std::uint32_t loads = 0;   ///< outstanding loads + atomics
     std::uint32_t stores = 0;  ///< store-buffer occupancy
@@ -296,154 +299,25 @@ LoopResult run_closed_loop(Path& path, const MemoryTrace& trace,
     bool stamped = false;  ///< core_issue emitted for the current record
   };
 
-  threads = std::min(threads, trace.threads());
-  const std::uint32_t ports =
-      options.intake_ports == 0 ? config.cores : options.intake_ports;
-  std::vector<ThreadCursor> cursors(threads);
-  std::uint64_t records_left = 0;
-  for (std::uint32_t t = 0; t < threads; ++t) {
-    const auto& records = trace.thread(static_cast<ThreadId>(t));
-    records_left += records.size();
-    if (!records.empty() && options.charge_gaps) {
-      cursors[t].ready_at = records.front().gap;
-    }
-  }
-
-  Cycle now = 0;
-  LoopResult result;
-  std::uint32_t turn = 0;
-  std::uint64_t outstanding_total = 0;
-  const Cycle livelock_at = options.inject_livelock_at;
-  LoopTelemetry telemetry(options, result, engine_is_event(options.engine));
-
-  auto thread_issuable = [&](const ThreadCursor& cursor,
-                             ThreadId tid) -> bool {
-    const auto& records = trace.thread(tid);
-    if (cursor.next >= records.size() || cursor.ready_at > now) return false;
-    switch (records[cursor.next].op) {
-      case MemOp::kFence:  // a fence waits for all of the thread's ops
+  /// The thread's occupancy window admits a record of kind `op`: a fence
+  /// waits for all of the thread's operations.
+  [[nodiscard]] bool window_open(const Cursor& cursor, MemOp op) const {
+    switch (op) {
+      case MemOp::kFence:
         return cursor.loads == 0 && cursor.stores == 0;
       case MemOp::kStore:
-        return cursor.stores < options.max_stores_per_thread;
+        return cursor.stores < options_.max_stores_per_thread;
       case MemOp::kLoad:
       case MemOp::kAtomic:
-        return cursor.loads < options.max_loads_per_thread;
+        return cursor.loads < options_.max_loads_per_thread;
     }
     return false;
-  };
-
-  while (records_left > 0 || outstanding_total > 0 || !path.idle()) {
-    // Intake: scan the threads round-robin, presenting issuable requests
-    // until the path's intake ports reject one (or every thread is busy).
-    std::uint32_t accepted = 0;
-    bool intake_open = true;
-    while (records_left > 0 && accepted < ports && intake_open) {
-      bool found = false;
-      for (std::uint32_t scan = 0; scan < threads; ++scan) {
-        const std::uint32_t t = (turn + scan) % threads;
-        const auto tid = static_cast<ThreadId>(t);
-        ThreadCursor& cursor = cursors[t];
-        if (!thread_issuable(cursor, tid)) continue;
-        const MemRecord& record = trace.thread(tid)[cursor.next];
-        RawRequest request;
-        request.addr = record.addr;
-        request.op = record.op;
-        request.size = record.size;
-        request.tid = tid;
-        request.tag = cursor.tag;
-        request.core = static_cast<CoreId>(t % config.cores);
-#if MAC3D_OBS_ENABLED
-        if (options.sink != nullptr && !cursor.stamped) {
-          options.sink->on_stage(Stage::kCoreIssue, tid, cursor.tag, now);
-          cursor.stamped = true;
-        }
-#endif
-        if (!path.try_accept(request, now)) {
-          intake_open = false;  // ports exhausted for this cycle
-          break;
-        }
-        ++cursor.tag;
-        telemetry.mark_feeder(now);
-        ++cursor.next;
-        cursor.stamped = false;
-        if (record.op == MemOp::kStore) {
-          ++cursor.stores;
-        } else {
-          ++cursor.loads;  // loads, atomics and fences all complete back
-        }
-        ++outstanding_total;
-        --records_left;
-        turn = (t + 1) % threads;
-        found = true;
-        ++accepted;
-        break;
-      }
-      if (!found) break;
-    }
-
-    path.tick(now);
-    telemetry.lap(HostPhase::kTick);
-    barrier();
-    telemetry.lap(HostPhase::kCommit);
-    // Livelock fault injection (watchdog testing): past the trigger cycle
-    // completions are left undelivered in the path.
-    const bool drain_open = livelock_at == 0 || now < livelock_at;
-    for (const CompletedAccess& done :
-         drain_open ? path.drain(now) : std::vector<CompletedAccess>{}) {
-      result.makespan = std::max(result.makespan, done.completed);
-      ++result.completions;
-      MAC3D_OBS_STAMP(options.sink, Stage::kCoreComplete, done.target.tid,
-                      done.target.tag, done.completed);
-      const std::uint32_t t = done.target.tid;
-      if (t >= threads) continue;  // foreign node traffic (not used here)
-      ThreadCursor& cursor = cursors[t];
-      if (done.write && !done.atomic && !done.fence) {
-        --cursor.stores;
-      } else {
-        --cursor.loads;  // loads, atomics and fences
-      }
-      --outstanding_total;
-      const auto& records = trace.thread(static_cast<ThreadId>(t));
-      Cycle ready = done.completed;
-      if (options.charge_gaps && cursor.next < records.size()) {
-        ready += records[cursor.next].gap;
-      }
-      cursor.ready_at = std::max(cursor.ready_at, ready);
-    }
-    if (telemetry.observe_cycle(now)) break;
-
-    // Event engines wake at the earliest of (path event, thread ready
-    // time).
-    now = telemetry.advance(now, path, [&] {
-      Cycle earliest_ready = kNever;
-      for (std::uint32_t t = 0; t < threads && records_left > 0; ++t) {
-        const auto tid = static_cast<ThreadId>(t);
-        const ThreadCursor& cursor = cursors[t];
-        const auto& records = trace.thread(tid);
-        if (cursor.next >= records.size()) continue;
-        if (thread_issuable(cursor, tid)) return now + 1;
-        // Blocked only on time (not on an occupancy window)?
-        const MemRecord& record = records[cursor.next];
-        bool window_ok = false;
-        switch (record.op) {
-          case MemOp::kFence:
-            window_ok = cursor.loads == 0 && cursor.stores == 0;
-            break;
-          case MemOp::kStore:
-            window_ok = cursor.stores < options.max_stores_per_thread;
-            break;
-          default:
-            window_ok = cursor.loads < options.max_loads_per_thread;
-        }
-        if (window_ok && cursor.ready_at > now) {
-          earliest_ready = std::min(earliest_ready, cursor.ready_at);
-        }
-      }
-      return earliest_ready;
-    });
   }
-  return result;
-}
+
+  std::vector<Cursor> cursors_;
+  std::uint32_t ports_;
+  std::uint64_t outstanding_ = 0;
+};
 
 /// SIMT lane-group feed (FeedMode::kLaneGroup): threads form consecutive
 /// groups of config.warp_lanes lanes. A group presents record step `s` of
@@ -453,248 +327,179 @@ LoopResult run_closed_loop(Path& path, const MemoryTrace& trace,
 /// with shorter streams simply drop out of later steps. Each lane has at
 /// most one request in flight, so a per-lane tag cursor never reissues a
 /// live (tid, tag).
-template <typename Path, typename Barrier>
-LoopResult run_lane_group(Path& path, const MemoryTrace& trace,
-                          const SimConfig& config, std::uint32_t threads,
-                          const DriveOptions& options, Barrier&& barrier) {
-  struct LaneState {
-    bool issued = false;       ///< current step's request accepted
-    bool outstanding = false;  ///< awaiting its completion
-    Cycle ready_at = 0;        ///< gap pacing for the current step
-    Cycle completed_at = 0;    ///< last completion (next step's gap base)
+class LaneGroupFeed : public Feed {
+ public:
+  LaneGroupFeed(const MemoryTrace& trace, const SimConfig& config,
+                std::uint32_t threads, const DriveOptions& options,
+                const SerialPoint& serial)
+      : Feed(trace, config, threads, options, serial),
+        lanes_(threads_),
+        width_(std::max<std::uint32_t>(1, config.warp_lanes)) {
+    for (std::uint32_t t = 0; t < threads_; ++t) {
+      lanes_[t].ready_at = first_arrival(t);
+    }
+    for (std::uint32_t first = 0; first < threads_; first += width_) {
+      Group group;
+      group.first = first;
+      group.end = std::min(first + width_, threads_);
+      for (std::uint32_t t = first; t < group.end; ++t) {
+        group.steps = std::max(group.steps, records(t).size());
+        group.waiting += participates(group, t) ? 1 : 0;
+      }
+      groups_.push_back(group);
+    }
+  }
+
+  [[nodiscard]] bool pending() const {
+    return records_left_ > 0 || outstanding_ > 0;
+  }
+
+  /// Groups in index order, lanes in lane order, until the path's intake
+  /// ports reject one.
+  template <typename Path>
+  void intake(Path& path, Cycle now) {
+    if (records_left_ == 0) return;
+    for (const Group& group : groups_) {
+      if (group.step >= group.steps || gate(group) > now) continue;
+      for (std::uint32_t t = group.first; t < group.end; ++t) {
+        Lane& lane = lanes_[t];
+        if (!participates(group, t) || lane.issued) continue;
+        if (!present(path, records(t)[group.step], t, lane.tag, lane.stamped,
+                     now)) {
+          return;
+        }
+        lane.issued = true;
+        ++outstanding_;
+        --records_left_;
+      }
+    }
+  }
+
+  /// A lane's request completed; its group advances once it was the
+  /// step's last.
+  void complete(const CompletedAccess& done) {
+    const std::uint32_t t = done.target.tid;
+    if (t >= threads_) return;
+    Lane& lane = lanes_[t];
+    lane.completed_at = std::max(lane.completed_at, done.completed);
+    --outstanding_;
+    Group& group = groups_[t / width_];
+    if (--group.waiting != 0) return;
+    ++group.step;
+    for (std::uint32_t u = group.first; u < group.end; ++u) {
+      Lane& next = lanes_[u];
+      next.issued = false;
+      ++next.tag;
+      if (!participates(group, u)) continue;
+      ++group.waiting;
+      if (options_.charge_gaps) {
+        next.ready_at = std::max(
+            next.ready_at, next.completed_at + records(u)[group.step].gap);
+      }
+    }
+  }
+
+  /// The earliest gate of a group with unissued lanes (a fully issued
+  /// group wakes on a completion, a path event).
+  [[nodiscard]] Cycle next_arrival(Cycle now) const {
+    Cycle earliest = kNever;
+    if (records_left_ == 0) return earliest;
+    for (const Group& group : groups_) {
+      if (group.step >= group.steps) continue;
+      bool unissued = false;
+      for (std::uint32_t t = group.first; t < group.end && !unissued; ++t) {
+        unissued = participates(group, t) && !lanes_[t].issued;
+      }
+      if (!unissued) continue;
+      const Cycle at = gate(group);
+      if (at <= now) return now + 1;
+      earliest = std::min(earliest, at);
+    }
+    return earliest;
+  }
+
+ private:
+  struct Lane {
+    bool issued = false;     ///< current step's request accepted
+    Cycle ready_at = 0;      ///< gap pacing for the current step
+    Cycle completed_at = 0;  ///< last completion (next step's gap base)
     Tag tag = 0;
     bool stamped = false;  ///< core_issue emitted for the current step
   };
   struct Group {
-    std::uint32_t first = 0;
-    std::uint32_t count = 0;
+    std::uint32_t first = 0;  ///< lanes [first, end)
+    std::uint32_t end = 0;
     std::size_t step = 0;
     std::size_t steps = 0;  ///< longest lane stream in the group
+    /// Participating lanes whose request for this step has not completed.
+    std::uint32_t waiting = 0;
   };
 
-  threads = std::min(threads, trace.threads());
-  const std::uint32_t lanes = std::max<std::uint32_t>(1, config.warp_lanes);
-  std::vector<LaneState> lane_state(threads);
-  std::vector<Group> groups;
-  std::uint64_t records_left = 0;
-  for (std::uint32_t t = 0; t < threads; ++t) {
-    const auto& records = trace.thread(static_cast<ThreadId>(t));
-    records_left += records.size();
-    if (!records.empty() && options.charge_gaps) {
-      lane_state[t].ready_at = records.front().gap;
-    }
+  [[nodiscard]] bool participates(const Group& group, std::uint32_t t) const {
+    return records(t).size() > group.step;
   }
-  for (std::uint32_t first = 0; first < threads; first += lanes) {
-    Group group;
-    group.first = first;
-    group.count = std::min(lanes, threads - first);
-    for (std::uint32_t l = 0; l < group.count; ++l) {
-      group.steps = std::max(
-          group.steps, trace.thread(static_cast<ThreadId>(first + l)).size());
+  /// Lockstep gate: the step may start only once every participating lane
+  /// has paid its gap.
+  [[nodiscard]] Cycle gate(const Group& group) const {
+    Cycle at = 0;
+    for (std::uint32_t t = group.first; t < group.end; ++t) {
+      if (participates(group, t)) at = std::max(at, lanes_[t].ready_at);
     }
-    groups.push_back(group);
+    return at;
   }
 
-  Cycle now = 0;
-  LoopResult result;
-  std::uint64_t outstanding_total = 0;
-  const Cycle livelock_at = options.inject_livelock_at;
-  LoopTelemetry telemetry(options, result, engine_is_event(options.engine));
-
-  const auto participates = [&trace](const Group& group, std::uint32_t t) {
-    return trace.thread(static_cast<ThreadId>(t)).size() > group.step;
-  };
-  // Lockstep gate: the step may start only once every participating lane
-  // has paid its gap.
-  const auto group_gate = [&](const Group& group) -> Cycle {
-    Cycle gate = 0;
-    for (std::uint32_t l = 0; l < group.count; ++l) {
-      const std::uint32_t t = group.first + l;
-      if (!participates(group, t)) continue;
-      gate = std::max(gate, lane_state[t].ready_at);
-    }
-    return gate;
-  };
-
-  while (records_left > 0 || outstanding_total > 0 || !path.idle()) {
-    // Intake: groups in index order, lanes in lane order, until the
-    // path's intake ports reject one.
-    bool intake_open = records_left > 0;
-    for (Group& group : groups) {
-      if (!intake_open) break;
-      if (group.step >= group.steps) continue;
-      if (group_gate(group) > now) continue;
-      for (std::uint32_t l = 0; l < group.count && intake_open; ++l) {
-        const std::uint32_t t = group.first + l;
-        if (!participates(group, t)) continue;
-        LaneState& lane = lane_state[t];
-        if (lane.issued) continue;
-        const auto tid = static_cast<ThreadId>(t);
-        const MemRecord& record = trace.thread(tid)[group.step];
-        RawRequest request;
-        request.addr = record.addr;
-        request.op = record.op;
-        request.size = record.size;
-        request.tid = tid;
-        request.tag = lane.tag;
-        request.core = static_cast<CoreId>(t % config.cores);
-#if MAC3D_OBS_ENABLED
-        if (options.sink != nullptr && !lane.stamped) {
-          options.sink->on_stage(Stage::kCoreIssue, tid, lane.tag, now);
-          lane.stamped = true;
-        }
-#endif
-        if (!path.try_accept(request, now)) {
-          intake_open = false;
-          break;
-        }
-        lane.issued = true;
-        lane.outstanding = true;
-        telemetry.mark_feeder(now);
-        ++outstanding_total;
-        --records_left;
-      }
-    }
-
-    path.tick(now);
-    telemetry.lap(HostPhase::kTick);
-    barrier();
-    telemetry.lap(HostPhase::kCommit);
-    // Livelock fault injection (watchdog testing): past the trigger cycle
-    // completions are left undelivered in the path.
-    const bool drain_open = livelock_at == 0 || now < livelock_at;
-    for (const CompletedAccess& done :
-         drain_open ? path.drain(now) : std::vector<CompletedAccess>{}) {
-      result.makespan = std::max(result.makespan, done.completed);
-      ++result.completions;
-      MAC3D_OBS_STAMP(options.sink, Stage::kCoreComplete, done.target.tid,
-                      done.target.tag, done.completed);
-      const std::uint32_t t = done.target.tid;
-      if (t >= threads) continue;
-      LaneState& lane = lane_state[t];
-      lane.outstanding = false;
-      lane.completed_at = std::max(lane.completed_at, done.completed);
-      --outstanding_total;
-    }
-    // Advance every group whose step fully completed.
-    for (Group& group : groups) {
-      if (group.step >= group.steps) continue;
-      bool done_step = true;
-      for (std::uint32_t l = 0; l < group.count; ++l) {
-        const std::uint32_t t = group.first + l;
-        if (!participates(group, t)) continue;
-        const LaneState& lane = lane_state[t];
-        if (!lane.issued || lane.outstanding) {
-          done_step = false;
-          break;
-        }
-      }
-      if (!done_step) continue;
-      ++group.step;
-      for (std::uint32_t l = 0; l < group.count; ++l) {
-        const std::uint32_t t = group.first + l;
-        LaneState& lane = lane_state[t];
-        lane.issued = false;
-        lane.stamped = false;
-        ++lane.tag;
-        const auto& records = trace.thread(static_cast<ThreadId>(t));
-        if (options.charge_gaps && group.step < records.size()) {
-          lane.ready_at = std::max(
-              lane.ready_at, lane.completed_at + records[group.step].gap);
-        }
-      }
-    }
-    if (telemetry.observe_cycle(now)) break;
-
-    // Event engines wake at the earliest of (path event, earliest group
-    // gate).
-    now = telemetry.advance(now, path, [&] {
-      Cycle earliest = kNever;
-      if (records_left == 0) return earliest;
-      for (const Group& group : groups) {
-        if (group.step >= group.steps) continue;
-        bool any_unissued = false;
-        for (std::uint32_t l = 0; l < group.count; ++l) {
-          const std::uint32_t t = group.first + l;
-          if (participates(group, t) && !lane_state[t].issued) {
-            any_unissued = true;
-            break;
-          }
-        }
-        // A fully issued group wakes on a completion (a path event).
-        if (!any_unissued) continue;
-        const Cycle gate = group_gate(group);
-        if (gate <= now) return now + 1;
-        earliest = std::min(earliest, gate);
-      }
-      return earliest;
-    });
-  }
-  return result;
-}
-
-template <typename Path>
-DriverResult finish(Path& path, const HmcDevice& device,
-                    const LoopResult& loop, const char* name) {
-  DriverResult result;
-  result.path = name;
-  result.makespan = loop.makespan;
-  result.completions = loop.completions;
-  const HmcStats& hmc = device.stats();
-  result.packets = hmc.requests;
-  result.bank_conflicts = hmc.bank_conflicts;
-  result.refresh_stalls = hmc.refresh_stalls;
-  result.row_hit_rate =
-      hmc.requests == 0 ? 0.0
-                        : static_cast<double>(hmc.row_hits) /
-                              static_cast<double>(hmc.requests);
-  result.data_bytes = hmc.data_bytes;
-  result.link_bytes = hmc.link_bytes;
-  result.overhead_bytes = hmc.overhead_bytes;
-  result.avg_packet_bytes = hmc.packet_data_bytes.mean();
-  result.device_latency_sum = hmc.latency_cycles.sum();
-  result.device_latency_avg = hmc.latency_cycles.mean();
-  (void)path;
-  return result;
-}
-
-/// Per-run engine state: under the parallel engines the device runs
-/// staged and a ParallelStepper commits its per-cycle work at the loop
-/// barrier; under the serial engines the barrier is a no-op and no pool
-/// is spawned.
-class EngineWindow {
- public:
-  EngineWindow(const DriveOptions& options, HmcDevice& device)
-      : device_(device) {
-    if (engine_is_parallel(options.engine)) {
-      stepper_ = std::make_unique<ParallelStepper>(options.engine_threads);
-      device.begin_staged();
-    }
-  }
-
-  void barrier() {
-    if (stepper_ != nullptr) device_.step_staged(*stepper_);
-  }
-
- private:
-  HmcDevice& device_;
-  std::unique_ptr<ParallelStepper> stepper_;
+  std::vector<Lane> lanes_;
+  std::vector<Group> groups_;
+  std::uint32_t width_;
+  std::uint64_t outstanding_ = 0;
 };
 
-template <typename Path>
-LoopResult dispatch(Path& path, const MemoryTrace& trace,
-                    const SimConfig& config, std::uint32_t threads,
-                    const DriveOptions& options, EngineWindow& engine) {
-  const auto barrier = [&engine] { engine.barrier(); };
-  switch (options.mode) {
-    case FeedMode::kClosedLoop:
-      return run_closed_loop(path, trace, config, threads, options, barrier);
-    case FeedMode::kLaneGroup:
-      return run_lane_group(path, trace, config, threads, options, barrier);
-    case FeedMode::kStreaming:
-      break;
+/// The driver's one cycle loop (docs/PARALLELISM.md). Each visited cycle
+/// the feed presents requests, the path ticks, the parallel engines'
+/// barrier commits the device's staged work, completions drain back to
+/// the feed, and the serial point observes the cycle. The step clock then
+/// moves on one cycle; the event clock jumps to the earlier of the feed's
+/// next arrival and the path's next event.
+template <typename Path, typename FeedT>
+void run_loop(Path& path, FeedT feed, HmcDevice& device,
+              const DriveOptions& options, const SerialPoint& serial,
+              LoopResult& result) {
+  std::unique_ptr<ParallelStepper> pool;
+  if (engine_is_parallel(options.engine)) {
+    pool = std::make_unique<ParallelStepper>(options.engine_threads);
+    device.begin_staged();
   }
-  return run_streaming(path, trace, config, threads, options, barrier);
+  const bool event = engine_is_event(options.engine);
+  const Cycle livelock_at = options.inject_livelock_at;
+  Cycle now = 0;
+  serial.start_laps();
+  while (feed.pending() || !path.idle()) {
+    feed.intake(path, now);
+    path.tick(now);
+    serial.lap(HostPhase::kTick);
+    if (pool != nullptr) device.step_staged(*pool);
+    serial.lap(HostPhase::kCommit);
+    // Livelock fault injection (watchdog testing): past the trigger cycle
+    // completions are left undelivered in the path.
+    if (livelock_at == 0 || now < livelock_at) {
+      for (const CompletedAccess& done : path.drain(now)) {
+        result.makespan = std::max(result.makespan, done.completed);
+        ++result.completions;
+        MAC3D_OBS_STAMP(options.sink, Stage::kCoreComplete, done.target.tid,
+                        done.target.tag, done.completed);
+        feed.complete(done);
+      }
+    }
+    if (serial.observe(now)) break;
+    if (!event) {
+      ++now;
+      continue;
+    }
+    const Cycle path_next = path.next_event(now);  // 0 when idle
+    now = serial.advance(
+        now, std::min(feed.next_arrival(now),
+                      path_next > now ? path_next : kNever));
+  }
 }
 
 /// Scopes one run's slice of a (possibly shared) CheckContext: snapshots
@@ -740,75 +545,15 @@ class CheckWindow {
   bool closed_ = false;
 };
 
-/// Scopes one run's slice of a (possibly shared) CycleSampler: opens the
-/// sampling window, and guarantees the probes — which capture the run's
-/// path and device by reference — are dropped before those objects die,
-/// including on exception unwind (declare after the device and the path).
-class SamplerWindow {
+/// Seals a (possibly shared) census when the run ends, on either exit: its
+/// rows capture the run's path and device by reference. Counts survive
+/// the seal; a shared census accumulates across runs.
+class CensusSeal {
  public:
-  SamplerWindow(CycleSampler* sampler, const char* path_name)
-      : sampler_(sampler) {
-    if (sampler_ != nullptr) sampler_->begin_run(path_name);
-  }
-
-  SamplerWindow(const SamplerWindow&) = delete;
-  SamplerWindow& operator=(const SamplerWindow&) = delete;
-
-  ~SamplerWindow() {
-    if (sampler_ != nullptr && !closed_) sampler_->abort_run();
-  }
-
-  /// Normal completion: flush the tail windows up to the makespan.
-  void close(Cycle makespan) {
-    closed_ = true;
-    if (sampler_ != nullptr) sampler_->end_run(makespan);
-  }
-
- private:
-  CycleSampler* sampler_;
-  bool closed_ = false;
-};
-
-/// Scopes one run's slice of a (possibly shared) SnapshotStreamer: opens
-/// the snapshot run, and guarantees the probes — which capture the run's
-/// path and device by reference — are dropped before those objects die,
-/// including on exception unwind (same hazard as SamplerWindow).
-class SnapshotWindow {
- public:
-  SnapshotWindow(SnapshotStreamer* snapshot, const char* path_name)
-      : snapshot_(snapshot) {
-    if (snapshot_ != nullptr) snapshot_->begin_run(path_name);
-  }
-
-  SnapshotWindow(const SnapshotWindow&) = delete;
-  SnapshotWindow& operator=(const SnapshotWindow&) = delete;
-
-  ~SnapshotWindow() {
-    if (snapshot_ != nullptr && !closed_) snapshot_->abort_run();
-  }
-
-  /// Normal completion: flush the tail windows and the run footer.
-  void close(Cycle makespan) {
-    closed_ = true;
-    if (snapshot_ != nullptr) snapshot_->end_run(makespan);
-  }
-
- private:
-  SnapshotStreamer* snapshot_;
-  bool closed_ = false;
-};
-
-/// Scopes one run's slice of a (possibly shared) ActivityCensus: its
-/// probes capture the run's path and device by reference, so seal() must
-/// run before those objects die — including on exception unwind (declare
-/// after the device and the path, like SamplerWindow). Counts survive the
-/// seal; a shared census accumulates across runs.
-class CensusWindow {
- public:
-  explicit CensusWindow(ActivityCensus* census) : census_(census) {}
-  CensusWindow(const CensusWindow&) = delete;
-  CensusWindow& operator=(const CensusWindow&) = delete;
-  ~CensusWindow() {
+  explicit CensusSeal(ActivityCensus* census) : census_(census) {}
+  CensusSeal(const CensusSeal&) = delete;
+  CensusSeal& operator=(const CensusSeal&) = delete;
+  ~CensusSeal() {
     if (census_ != nullptr) census_->seal();
   }
 
@@ -816,335 +561,150 @@ class CensusWindow {
   ActivityCensus* census_;
 };
 
-#if MAC3D_OBS_ENABLED
-/// Device-side probes shared by every path (registered after the path's
-/// own probes so the CSV column set is uniform: queue_occupancy,
-/// issue_backlog, then the device series).
-void register_device_probes(CycleSampler& sampler, const HmcDevice& device) {
-  sampler.add_probe("device_in_flight", [&device](Cycle) {
-    return static_cast<double>(device.in_flight());
-  });
-  sampler.add_probe("banks_busy", [&device](Cycle cycle) {
-    return device.banks_busy_fraction(cycle);
-  });
-  for (std::uint32_t v = 0; v < device.vault_count(); ++v) {
-    sampler.add_probe("vault" + std::to_string(v) + "_busy",
-                      [&device, v](Cycle cycle) {
-                        return device.vault_busy_fraction(v, cycle);
-                      });
+/// The run's census rows (the feeder, the path's units, the device's
+/// banks/vaults/links), sampler probes and snapshot counters and gauges.
+/// Every path registers the same column set: queue_occupancy,
+/// issue_backlog, then the device series.
+template <typename Path>
+void register_telemetry(Path& path, const HmcDevice& device,
+                        const LoopResult& loop, ActivityCensus* census,
+                        CycleSampler* sampler, SnapshotStreamer* snapshot) {
+  if (census != nullptr) {
+    census->add_feeder("node0.feeder");
+    path.register_census(*census, "node0.");
+    device.register_census(*census, "node0.");
   }
-  for (std::uint32_t l = 0; l < device.link_count(); ++l) {
-    sampler.add_probe("link" + std::to_string(l) + "_backlog",
-                      [&device, l](Cycle cycle) {
-                        return static_cast<double>(
-                            device.link_request_backlog(l, cycle));
-                      });
-    sampler.add_probe("link" + std::to_string(l) + "_flits",
-                      [&device, l](Cycle) {
-                        return static_cast<double>(device.link_flits_sent(l));
-                      });
+  if (sampler != nullptr) {
+    sampler->add_probe("queue_occupancy", [&path](Cycle) {
+      return static_cast<double>(path.occupancy());
+    });
+    sampler->add_probe("issue_backlog", [&path](Cycle) {
+      return static_cast<double>(path.issue_backlog());
+    });
+    sampler->add_probe("device_in_flight", [&device](Cycle) {
+      return static_cast<double>(device.in_flight());
+    });
+    sampler->add_probe("banks_busy", [&device](Cycle cycle) {
+      return device.banks_busy_fraction(cycle);
+    });
+    for (std::uint32_t v = 0; v < device.vault_count(); ++v) {
+      sampler->add_probe("vault" + std::to_string(v) + "_busy",
+                         [&device, v](Cycle cycle) {
+                           return device.vault_busy_fraction(v, cycle);
+                         });
+    }
+    for (std::uint32_t l = 0; l < device.link_count(); ++l) {
+      sampler->add_probe("link" + std::to_string(l) + "_backlog",
+                         [&device, l](Cycle cycle) {
+                           return static_cast<double>(
+                               device.link_request_backlog(l, cycle));
+                         });
+      sampler->add_probe("link" + std::to_string(l) + "_flits",
+                         [&device, l](Cycle) {
+                           return static_cast<double>(
+                               device.link_flits_sent(l));
+                         });
+    }
+  }
+  if (snapshot != nullptr) {
+    snapshot->add_counter(SnapshotStreamer::kInjectedCounter,
+                          [&path] { return path.injected(); });
+    snapshot->add_counter(SnapshotStreamer::kCompletionsCounter,
+                          [&loop] { return loop.completions; });
+    snapshot->add_gauge("queue_occupancy", [&path] {
+      return static_cast<double>(path.occupancy());
+    });
+    const HmcStats& stats = device.stats();
+    snapshot->add_counter("packets", [&stats] { return stats.requests; });
+    snapshot->add_counter("data_bytes", [&stats] { return stats.data_bytes; });
+    snapshot->add_counter("link_bytes", [&stats] { return stats.link_bytes; });
+    snapshot->add_gauge("device_in_flight", [&device] {
+      return static_cast<double>(device.in_flight());
+    });
+    snapshot->attach_census(census);
   }
 }
 
-/// Device-side snapshot counters/gauges shared by every path (the path
-/// adapter registers the reserved injected counter and its own occupancy
-/// gauge; the loop registers the reserved completions counter).
-void register_device_snapshot(SnapshotStreamer& snapshot,
-                              const HmcDevice& device) {
-  const HmcStats& stats = device.stats();
-  snapshot.add_counter("packets", [&stats] { return stats.requests; });
-  snapshot.add_counter("data_bytes", [&stats] { return stats.data_bytes; });
-  snapshot.add_counter("link_bytes", [&stats] { return stats.link_bytes; });
-  snapshot.add_gauge("device_in_flight", [&device] {
-    return static_cast<double>(device.in_flight());
-  });
+/// One run of the trace through a fresh device and `Path` adapter.
+template <typename Path>
+DriverResult drive(const MemoryTrace& trace, const SimConfig& config,
+                   std::uint32_t threads, const DriveOptions& options) {
+  HmcDevice device(config);
+  Path path(config, device);
+  CheckWindow checks(options.checks);
+  if (options.checks != nullptr) {
+    device.attach_checks(options.checks);
+    path.attach_checks(options.checks, "");
+  }
+  // Telemetry compiles out under MAC3D_OBS=OFF: the hooks stay untouched.
+  constexpr bool kObserved = MAC3D_OBS_ENABLED != 0;
+  ActivityCensus* const census = kObserved ? options.census : nullptr;
+  CycleSampler* const sampler = kObserved ? options.sampler : nullptr;
+  SnapshotStreamer* const snapshot = kObserved ? options.snapshot : nullptr;
+  if (kObserved && options.sink != nullptr) {
+    path.attach_sink(options.sink);
+    device.attach_sink(options.sink);
+  }
+  LoopResult loop;
+  const CensusSeal seal(census);
+  SerialPoint serial(census, sampler, snapshot,
+                     kObserved ? options.profiler : nullptr, path.name());
+  register_telemetry(path, device, loop, census, sampler, snapshot);
+  switch (options.mode) {
+    case FeedMode::kClosedLoop:
+      run_loop(path, ClosedLoopFeed(trace, config, threads, options, serial),
+               device, options, serial, loop);
+      break;
+    case FeedMode::kLaneGroup:
+      run_loop(path, LaneGroupFeed(trace, config, threads, options, serial),
+               device, options, serial, loop);
+      break;
+    case FeedMode::kStreaming:
+      run_loop(path, StreamingFeed(trace, config, threads, options, serial),
+               device, options, serial, loop);
+      break;
+  }
+  serial.finish(loop.makespan);
+
+  DriverResult result;
+  result.path = path.name();
+  result.makespan = loop.makespan;
+  result.completions = loop.completions;
+  const HmcStats& hmc = device.stats();
+  result.packets = hmc.requests;
+  result.bank_conflicts = hmc.bank_conflicts;
+  result.refresh_stalls = hmc.refresh_stalls;
+  result.row_hit_rate =
+      hmc.requests == 0 ? 0.0
+                        : static_cast<double>(hmc.row_hits) /
+                              static_cast<double>(hmc.requests);
+  result.data_bytes = hmc.data_bytes;
+  result.link_bytes = hmc.link_bytes;
+  result.overhead_bytes = hmc.overhead_bytes;
+  result.avg_packet_bytes = hmc.packet_data_bytes.mean();
+  result.device_latency_sum = hmc.latency_cycles.sum();
+  result.device_latency_avg = hmc.latency_cycles.mean();
+  path.report(result);
+  checks.close(result);
+  return result;
 }
-#endif  // MAC3D_OBS_ENABLED
 
 }  // namespace
-
-DriverResult run_mac(const MemoryTrace& trace, const SimConfig& config,
-                     std::uint32_t threads, const DriveOptions& options) {
-  HmcDevice device(config);
-  MacCoalescer mac(config, device);
-  CheckWindow window(options.checks);
-  if (options.checks != nullptr) {
-    device.attach_checks(options.checks);
-    mac.attach_checks(options.checks);
-  }
-#if MAC3D_OBS_ENABLED
-  if (options.sink != nullptr) {
-    mac.attach_sink(options.sink);
-    device.attach_sink(options.sink);
-  }
-#endif
-#if MAC3D_OBS_ENABLED
-  CycleSampler* const sampler = options.sampler;
-  ActivityCensus* const census = options.census;
-  SnapshotStreamer* const snapshot = options.snapshot;
-#else
-  CycleSampler* const sampler = nullptr;
-  ActivityCensus* const census = nullptr;
-  SnapshotStreamer* const snapshot = nullptr;
-#endif
-  SamplerWindow swindow(sampler, "mac");
-  CensusWindow cwindow(census);
-  SnapshotWindow snwindow(snapshot, "mac");
-#if MAC3D_OBS_ENABLED
-  if (sampler != nullptr) {
-    sampler->add_probe("queue_occupancy", [&mac](Cycle) {
-      return static_cast<double>(mac.arq().size());
-    });
-    sampler->add_probe("issue_backlog", [&mac](Cycle) {
-      return static_cast<double>(mac.issue_backlog());
-    });
-    register_device_probes(*sampler, device);
-  }
-  if (census != nullptr) {
-    census->add_feeder("node0.feeder");
-    mac.register_census(*census, "node0.");
-    device.register_census(*census, "node0.");
-  }
-  if (snapshot != nullptr) {
-    // "injected" counts everything that will eventually complete —
-    // fences retire like requests, so they are folded in.
-    snapshot->add_counter(SnapshotStreamer::kInjectedCounter, [&mac] {
-      return mac.stats().raw_in + mac.stats().fences_in;
-    });
-    snapshot->add_gauge("queue_occupancy", [&mac] {
-      return static_cast<double>(mac.arq().size());
-    });
-    register_device_snapshot(*snapshot, device);
-    snapshot->attach_census(census);
-  }
-#endif
-  EngineWindow engine(options, device);
-  const LoopResult loop = dispatch(mac, trace, config, threads, options,
-                                   engine);
-  DriverResult result = finish(mac, device, loop, "mac");
-  snwindow.close(loop.makespan);
-  swindow.close(loop.makespan);
-  window.close(result);
-  result.raw_requests = mac.stats().raw_in;
-  result.avg_latency_cycles = mac.stats().raw_latency_cycles.mean();
-  result.avg_targets_per_entry = mac.arq().stats().targets_per_entry.mean();
-  result.max_targets_per_entry = mac.arq().stats().targets_per_entry.max();
-  result.packets_by_size = mac.stats().packets_by_size;
-  return result;
-}
-
-DriverResult run_raw(const MemoryTrace& trace, const SimConfig& config,
-                     std::uint32_t threads, const DriveOptions& options) {
-  HmcDevice device(config);
-  RawPath raw(config, device);
-  CheckWindow window(options.checks);
-  if (options.checks != nullptr) {
-    device.attach_checks(options.checks);
-    raw.attach_checks(options.checks);
-  }
-#if MAC3D_OBS_ENABLED
-  if (options.sink != nullptr) {
-    raw.attach_sink(options.sink);
-    device.attach_sink(options.sink);
-  }
-#endif
-#if MAC3D_OBS_ENABLED
-  CycleSampler* const sampler = options.sampler;
-  ActivityCensus* const census = options.census;
-  SnapshotStreamer* const snapshot = options.snapshot;
-#else
-  CycleSampler* const sampler = nullptr;
-  ActivityCensus* const census = nullptr;
-  SnapshotStreamer* const snapshot = nullptr;
-#endif
-  SamplerWindow swindow(sampler, "raw");
-  CensusWindow cwindow(census);
-  SnapshotWindow snwindow(snapshot, "raw");
-#if MAC3D_OBS_ENABLED
-  if (sampler != nullptr) {
-    sampler->add_probe("queue_occupancy", [&raw](Cycle) {
-      return static_cast<double>(raw.queue_depth());
-    });
-    sampler->add_probe("issue_backlog", [](Cycle) { return 0.0; });
-    register_device_probes(*sampler, device);
-  }
-  if (census != nullptr) {
-    census->add_feeder("node0.feeder");
-    census->add_component("node0.queue", raw);
-    device.register_census(*census, "node0.");
-  }
-  if (snapshot != nullptr) {
-    snapshot->add_counter(SnapshotStreamer::kInjectedCounter, [&raw] {
-      return raw.raw_in() + raw.fences_in();
-    });
-    snapshot->add_gauge("queue_occupancy", [&raw] {
-      return static_cast<double>(raw.queue_depth());
-    });
-    register_device_snapshot(*snapshot, device);
-    snapshot->attach_census(census);
-  }
-#endif
-  EngineWindow engine(options, device);
-  const LoopResult loop = dispatch(raw, trace, config, threads, options,
-                                   engine);
-  DriverResult result = finish(raw, device, loop, "raw");
-  snwindow.close(loop.makespan);
-  swindow.close(loop.makespan);
-  window.close(result);
-  result.raw_requests = raw.raw_in();
-  result.avg_latency_cycles = raw.latency().mean();
-  result.packets_by_size[kFlitBytes] = raw.packets_out();
-  return result;
-}
-
-DriverResult run_mshr(const MemoryTrace& trace, const SimConfig& config,
-                      std::uint32_t threads, std::uint32_t mshr_entries,
-                      std::uint32_t block_bytes, const DriveOptions& options) {
-  HmcDevice device(config);
-  MshrCoalescer mshr(config, device, mshr_entries, block_bytes);
-  CheckWindow window(options.checks);
-  if (options.checks != nullptr) {
-    device.attach_checks(options.checks);
-    mshr.attach_checks(options.checks);
-  }
-#if MAC3D_OBS_ENABLED
-  if (options.sink != nullptr) {
-    mshr.attach_sink(options.sink);
-    device.attach_sink(options.sink);
-  }
-#endif
-#if MAC3D_OBS_ENABLED
-  CycleSampler* const sampler = options.sampler;
-  ActivityCensus* const census = options.census;
-  SnapshotStreamer* const snapshot = options.snapshot;
-#else
-  CycleSampler* const sampler = nullptr;
-  ActivityCensus* const census = nullptr;
-  SnapshotStreamer* const snapshot = nullptr;
-#endif
-  SamplerWindow swindow(sampler, "mshr");
-  CensusWindow cwindow(census);
-  SnapshotWindow snwindow(snapshot, "mshr");
-#if MAC3D_OBS_ENABLED
-  if (sampler != nullptr) {
-    sampler->add_probe("queue_occupancy", [&mshr](Cycle) {
-      return static_cast<double>(mshr.occupancy());
-    });
-    sampler->add_probe("issue_backlog", [&mshr](Cycle) {
-      return static_cast<double>(mshr.dispatch_backlog());
-    });
-    register_device_probes(*sampler, device);
-  }
-  if (census != nullptr) {
-    census->add_feeder("node0.feeder");
-    census->add_component("node0.mshr", mshr);
-    device.register_census(*census, "node0.");
-  }
-  if (snapshot != nullptr) {
-    snapshot->add_counter(SnapshotStreamer::kInjectedCounter, [&mshr] {
-      return mshr.stats().raw_in + mshr.stats().fences_in;
-    });
-    snapshot->add_gauge("queue_occupancy", [&mshr] {
-      return static_cast<double>(mshr.occupancy());
-    });
-    register_device_snapshot(*snapshot, device);
-    snapshot->attach_census(census);
-  }
-#endif
-  EngineWindow engine(options, device);
-  const LoopResult loop = dispatch(mshr, trace, config, threads, options,
-                                   engine);
-  DriverResult result = finish(mshr, device, loop, "mshr");
-  snwindow.close(loop.makespan);
-  swindow.close(loop.makespan);
-  window.close(result);
-  result.raw_requests = mshr.stats().raw_in;
-  result.avg_latency_cycles = mshr.stats().raw_latency_cycles.mean();
-  result.packets_by_size[block_bytes] = mshr.stats().packets_out;
-  return result;
-}
-
-DriverResult run_warp(const MemoryTrace& trace, const SimConfig& config,
-                      std::uint32_t threads, const DriveOptions& options) {
-  HmcDevice device(config);
-  WarpCoalescer warp(config, device);
-  CheckWindow window(options.checks);
-  if (options.checks != nullptr) {
-    device.attach_checks(options.checks);
-    warp.attach_checks(options.checks);
-  }
-#if MAC3D_OBS_ENABLED
-  if (options.sink != nullptr) {
-    warp.attach_sink(options.sink);
-    device.attach_sink(options.sink);
-  }
-#endif
-#if MAC3D_OBS_ENABLED
-  CycleSampler* const sampler = options.sampler;
-  ActivityCensus* const census = options.census;
-  SnapshotStreamer* const snapshot = options.snapshot;
-#else
-  CycleSampler* const sampler = nullptr;
-  ActivityCensus* const census = nullptr;
-  SnapshotStreamer* const snapshot = nullptr;
-#endif
-  SamplerWindow swindow(sampler, "warp");
-  CensusWindow cwindow(census);
-  SnapshotWindow snwindow(snapshot, "warp");
-#if MAC3D_OBS_ENABLED
-  if (sampler != nullptr) {
-    sampler->add_probe("queue_occupancy", [&warp](Cycle) {
-      return static_cast<double>(warp.occupancy());
-    });
-    sampler->add_probe("issue_backlog", [&warp](Cycle) {
-      return static_cast<double>(warp.window_backlog());
-    });
-    register_device_probes(*sampler, device);
-  }
-  if (census != nullptr) {
-    census->add_feeder("node0.feeder");
-    census->add_component("node0.warp", warp);
-    device.register_census(*census, "node0.");
-  }
-  if (snapshot != nullptr) {
-    snapshot->add_counter(SnapshotStreamer::kInjectedCounter, [&warp] {
-      return warp.stats().raw_in + warp.stats().fences_in;
-    });
-    snapshot->add_gauge("queue_occupancy", [&warp] {
-      return static_cast<double>(warp.occupancy());
-    });
-    register_device_snapshot(*snapshot, device);
-    snapshot->attach_census(census);
-  }
-#endif
-  EngineWindow engine(options, device);
-  const LoopResult loop = dispatch(warp, trace, config, threads, options,
-                                   engine);
-  DriverResult result = finish(warp, device, loop, "warp");
-  snwindow.close(loop.makespan);
-  swindow.close(loop.makespan);
-  window.close(result);
-  result.raw_requests = warp.stats().raw_in;
-  result.avg_latency_cycles = warp.stats().raw_latency_cycles.mean();
-  result.packets_by_size = warp.stats().packets_by_size;
-  return result;
-}
 
 DriverResult run_policy(CoalescerPolicy policy, const MemoryTrace& trace,
                         const SimConfig& config, std::uint32_t threads,
                         const DriveOptions& options) {
   switch (policy) {
     case CoalescerPolicy::kRaw:
-      return run_raw(trace, config, threads, options);
+      return drive<RawAdapter>(trace, config, threads, options);
     case CoalescerPolicy::kMshr:
-      return run_mshr(trace, config, threads, config.mshr_entries,
-                      config.mshr_block_bytes, options);
+      return drive<MshrAdapter>(trace, config, threads, options);
     case CoalescerPolicy::kWarp:
-      return run_warp(trace, config, threads, options);
+      return drive<WarpAdapter>(trace, config, threads, options);
     case CoalescerPolicy::kMac:
       break;
   }
-  return run_mac(trace, config, threads, options);
+  return drive<MacAdapter>(trace, config, threads, options);
 }
 
 }  // namespace mac3d

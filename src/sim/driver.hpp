@@ -1,7 +1,9 @@
-// Streaming simulation drivers (the paper's methodology, Sec. 5.1): the
+// The streaming simulation driver (the paper's methodology, Sec. 5.1): the
 // interleaved multi-thread trace is fed into a memory path at its intake
-// rate (one raw request per cycle, with back-pressure), the path drives
-// the HMC device model, and every paper metric is collected.
+// rate (with back-pressure), the path drives the HMC device model, and
+// every paper metric is collected. run_policy is the one entry point; it
+// runs one cycle loop (src/sim/driver.cpp), instantiated on the concrete
+// MemoryPath adapter of the chosen policy (src/sim/memory_path.hpp).
 //
 // Four coalescer policies are available over identical traces
 // (DESIGN.md §policy):
@@ -120,7 +122,7 @@ struct DriveOptions {
   /// after the run (while the pipeline is still alive) and reports the
   /// run's check/violation counts in the DriverResult. The context may be
   /// shared across runs; counters accumulate. In FailMode::kThrow the
-  /// first breach raises InvariantViolation out of the run_* call.
+  /// first breach raises InvariantViolation out of run_policy.
   CheckContext* checks = nullptr;
   /// Request-lifecycle telemetry (docs/OBSERVABILITY.md): when non-null,
   /// the driver attaches the sink to the path and stamps core_issue (at a
@@ -203,36 +205,10 @@ struct DriverResult {
   void collect(StatSet& out, const std::string& prefix) const;
 };
 
-/// Run the trace (first `threads` streams) through the MAC.
-[[nodiscard]] DriverResult run_mac(const MemoryTrace& trace,
-                                   const SimConfig& config,
-                                   std::uint32_t threads,
-                                   const DriveOptions& options = {});
-
-/// Same trace, raw 16 B requests (the "without MAC" baseline).
-[[nodiscard]] DriverResult run_raw(const MemoryTrace& trace,
-                                   const SimConfig& config,
-                                   std::uint32_t threads,
-                                   const DriveOptions& options = {});
-
-/// Same trace through the fixed-granularity MSHR coalescer baseline.
-[[nodiscard]] DriverResult run_mshr(const MemoryTrace& trace,
-                                    const SimConfig& config,
-                                    std::uint32_t threads,
-                                    std::uint32_t mshr_entries = 32,
-                                    std::uint32_t block_bytes = 64,
-                                    const DriveOptions& options = {});
-
-/// Same trace through the SIMT-style warp-iterative coalescer
-/// (config.warp_lanes / warp_block_bytes / warp_window_cycles).
-[[nodiscard]] DriverResult run_warp(const MemoryTrace& trace,
-                                    const SimConfig& config,
-                                    std::uint32_t threads,
-                                    const DriveOptions& options = {});
-
-/// Dispatch on the policy enum (the MSHR path takes its geometry from
-/// config.mshr_entries / config.mshr_block_bytes). This is the single
-/// entry point the CLI's --policy flag and the policy benches go through.
+/// Run the trace (its first `threads` streams) through the `policy` path:
+/// the driver's only entry point. The MSHR path takes its geometry from
+/// config.mshr_entries / config.mshr_block_bytes, the warp path from
+/// config.warp_lanes / warp_block_bytes / warp_window_cycles.
 [[nodiscard]] DriverResult run_policy(CoalescerPolicy policy,
                                       const MemoryTrace& trace,
                                       const SimConfig& config,

@@ -41,23 +41,14 @@ std::vector<WorkloadRun> run_suite(const SuiteOptions& options) {
     run.trace.requests_per_instruction = trace.requests_per_instruction();
     run.trace.mem_access_rate = trace.mem_access_rate();
 
-    if (options.run_raw) {
-      run.raw = run_raw(trace, options.config, options.threads,
+    const auto drive = [&](CoalescerPolicy policy) {
+      return run_policy(policy, trace, options.config, options.threads,
                         options.drive);
-    }
-    if (options.run_mac) {
-      run.mac = run_mac(trace, options.config, options.threads,
-                        options.drive);
-    }
-    if (options.run_mshr) {
-      run.mshr = run_mshr(trace, options.config, options.threads,
-                          options.mshr_entries, options.mshr_block_bytes,
-                          options.drive);
-    }
-    if (options.run_warp) {
-      run.warp = run_warp(trace, options.config, options.threads,
-                          options.drive);
-    }
+    };
+    if (options.run_raw) run.raw = drive(CoalescerPolicy::kRaw);
+    if (options.run_mac) run.mac = drive(CoalescerPolicy::kMac);
+    if (options.run_mshr) run.mshr = drive(CoalescerPolicy::kMshr);
+    if (options.run_warp) run.warp = drive(CoalescerPolicy::kWarp);
   };
 
   // Shared telemetry/check hooks capture per-run state (probe windows,

@@ -22,8 +22,6 @@ struct SuiteOptions {
   bool run_mac = true;
   bool run_mshr = false;
   bool run_warp = false;
-  std::uint32_t mshr_entries = 32;
-  std::uint32_t mshr_block_bytes = 64;
   std::vector<std::string> only;  ///< restrict to these workloads if set
   /// Worker threads for the suite (docs/PARALLELISM.md): workloads are
   /// independent runs, so they execute as parallel tasks with results
@@ -33,7 +31,8 @@ struct SuiteOptions {
   /// capture per-run state and must observe runs one at a time).
   std::uint32_t jobs = 1;
   /// Per-run driver options (engine, feed mode, tag pool, hooks). The
-  /// suite forwards it to every run_raw/run_mac/run_mshr/run_warp call.
+  /// suite forwards it to every run_policy call; each path's geometry
+  /// comes from `config`.
   DriveOptions drive;
 };
 

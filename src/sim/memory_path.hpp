@@ -1,12 +1,9 @@
-// Runtime-polymorphic front-end between a Node's router and its HMC
-// device (DESIGN.md §policy). The streaming drivers stay templated
-// on the concrete path types (zero-cost); the full-system Node selects
-// its path once at construction from SimConfig::policy, so one virtual
-// hop per call is paid only where the policy is a run-time knob.
-//
-// Adapters exist for all four policies — mac, raw, mshr, warp — and keep
-// each path's established metric / census / check-scope namespaces, so a
-// default (mac) system run is byte-identical to the pre-interface output.
+// The memory path between a requester and its HMC device (DESIGN.md
+// §policy): the runtime-polymorphic interface the full-system Node holds,
+// selected once from SimConfig::policy, so one virtual hop per call is
+// paid only where the policy is a run-time knob. Its four final adapters
+// (src/sim/path_adapters.hpp) hold everything specific to each path; the
+// streaming driver instantiates its cycle loop on them directly.
 #pragma once
 
 #include <memory>

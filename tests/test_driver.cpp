@@ -2,6 +2,8 @@
 // comparison metrics over identical traces.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/rng.hpp"
 #include "sim/driver.hpp"
 #include "sim/metrics.hpp"
@@ -38,7 +40,7 @@ MemoryTrace random_trace(std::uint32_t threads, std::uint32_t per_thread) {
 TEST(Driver, RawPathIssuesOnePacketPerRequest) {
   SimConfig config;
   const MemoryTrace trace = shared_row_trace(4, 50);
-  const DriverResult raw = run_raw(trace, config, 4);
+  const DriverResult raw = run_policy(CoalescerPolicy::kRaw, trace, config, 4);
   EXPECT_EQ(raw.raw_requests, 200u);
   EXPECT_EQ(raw.packets, 200u);
   EXPECT_EQ(raw.completions, 200u);
@@ -49,7 +51,7 @@ TEST(Driver, RawPathIssuesOnePacketPerRequest) {
 TEST(Driver, MacPathCoalescesSharedRows) {
   SimConfig config;
   const MemoryTrace trace = shared_row_trace(8, 200);
-  const DriverResult mac = run_mac(trace, config, 8);
+  const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config, 8);
   EXPECT_EQ(mac.raw_requests, 1600u);
   EXPECT_EQ(mac.completions, 1600u);
   EXPECT_LT(mac.packets, 1600u);
@@ -61,7 +63,7 @@ TEST(Driver, MacPathCoalescesSharedRows) {
 TEST(Driver, RandomTraceBarelyCoalesces) {
   SimConfig config;
   const MemoryTrace trace = random_trace(8, 200);
-  const DriverResult mac = run_mac(trace, config, 8);
+  const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config, 8);
   EXPECT_LT(mac.coalescing_efficiency(), 0.1);
   // Everything bypasses as single-FLIT requests.
   EXPECT_NEAR(mac.bandwidth_efficiency(), 1.0 / 3.0, 0.05);
@@ -76,8 +78,10 @@ TEST(Driver, MacNeverIncreasesPacketsOrConflicts) {
     params.scale = 0.05;
     params.config = config;
     const MemoryTrace trace = workload->trace(params);
-    const DriverResult raw = run_raw(trace, config, 4);
-    const DriverResult mac = run_mac(trace, config, 4);
+    const DriverResult raw = run_policy(CoalescerPolicy::kRaw, trace, config,
+                                        4);
+    const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config,
+                                        4);
     EXPECT_LE(mac.packets, raw.packets) << workload->name();
     EXPECT_LE(mac.bank_conflicts, raw.bank_conflicts) << workload->name();
     // Note: link *bytes* may grow — a sparse span pads unrequested FLITs
@@ -91,7 +95,8 @@ TEST(Driver, MacNeverIncreasesPacketsOrConflicts) {
 TEST(Driver, MshrPathDispatchesFixedBlocks) {
   SimConfig config;
   const MemoryTrace trace = shared_row_trace(8, 100);
-  const DriverResult mshr = run_mshr(trace, config, 8, 32, 64);
+  const DriverResult mshr = run_policy(CoalescerPolicy::kMshr, trace, config,
+                                       8);
   EXPECT_EQ(mshr.completions, 800u);
   EXPECT_GT(mshr.coalescing_efficiency(), 0.0);
   // All packets are 64 B.
@@ -111,7 +116,8 @@ TEST(Driver, WarpPathCoalescesAdjacentLanes) {
                  static_cast<Address>(step) * 128 + t * 16);
     }
   }
-  const DriverResult warp = run_warp(trace, config, 8);
+  const DriverResult warp = run_policy(CoalescerPolicy::kWarp, trace, config,
+                                       8);
   EXPECT_EQ(warp.raw_requests, 1600u);
   EXPECT_EQ(warp.completions, 1600u);
   // Eight same-block lanes per window merge into few iterations.
@@ -122,7 +128,8 @@ TEST(Driver, WarpPathCoalescesAdjacentLanes) {
 TEST(Driver, WarpPathDivergedLanesBarelyCoalesce) {
   SimConfig config;
   const MemoryTrace trace = random_trace(8, 300);
-  const DriverResult warp = run_warp(trace, config, 8);
+  const DriverResult warp = run_policy(CoalescerPolicy::kWarp, trace, config,
+                                       8);
   EXPECT_EQ(warp.completions, warp.raw_requests);
   // Random addresses diverge: nearly one packet per lane.
   EXPECT_GT(warp.packets, warp.raw_requests * 9 / 10);
@@ -131,20 +138,18 @@ TEST(Driver, WarpPathDivergedLanesBarelyCoalesce) {
 TEST(Driver, RunPolicyDispatchesToTheMatchingPath) {
   SimConfig config;
   const MemoryTrace trace = shared_row_trace(8, 100);
-  const auto json = [&](const DriverResult& result) {
+  std::set<std::string> runs;
+  for (const CoalescerPolicy policy :
+       {CoalescerPolicy::kRaw, CoalescerPolicy::kMac, CoalescerPolicy::kMshr,
+        CoalescerPolicy::kWarp}) {
+    const DriverResult result = run_policy(policy, trace, config, 8);
+    EXPECT_EQ(result.path, to_string(policy));
+    EXPECT_EQ(result.completions, 800u) << result.path;
     StatSet stats;
     result.collect(stats, "path");
-    return stats.to_json();
-  };
-  EXPECT_EQ(json(run_policy(CoalescerPolicy::kRaw, trace, config, 8)),
-            json(run_raw(trace, config, 8)));
-  EXPECT_EQ(json(run_policy(CoalescerPolicy::kMac, trace, config, 8)),
-            json(run_mac(trace, config, 8)));
-  EXPECT_EQ(json(run_policy(CoalescerPolicy::kMshr, trace, config, 8)),
-            json(run_mshr(trace, config, 8, config.mshr_entries,
-                          config.mshr_block_bytes)));
-  EXPECT_EQ(json(run_policy(CoalescerPolicy::kWarp, trace, config, 8)),
-            json(run_warp(trace, config, 8)));
+    runs.insert(stats.to_json());
+  }
+  EXPECT_EQ(runs.size(), 4u);  // four policies, four different runs
 }
 
 TEST(Driver, LaneGroupFeedCompletesEverythingOnEveryPath) {
@@ -178,8 +183,10 @@ TEST(Driver, LaneGroupFeedKeepsLanesInLockstep) {
   }
   DriveOptions lockstep;
   lockstep.mode = FeedMode::kLaneGroup;
-  const DriverResult grouped = run_warp(trace, config, 8, lockstep);
-  const DriverResult streamed = run_warp(trace, config, 8);
+  const DriverResult grouped = run_policy(CoalescerPolicy::kWarp, trace, config,
+                                          8, lockstep);
+  const DriverResult streamed = run_policy(CoalescerPolicy::kWarp, trace,
+                                           config, 8);
   EXPECT_EQ(grouped.completions, grouped.raw_requests);
   EXPECT_GE(grouped.coalescing_efficiency(),
             streamed.coalescing_efficiency());
@@ -191,8 +198,9 @@ TEST(Driver, MacAdaptsPacketSizesBeyondTheMshrCap) {
   // comparison lives in bench/ablation_mshr_vs_mac.)
   SimConfig config;
   const MemoryTrace trace = shared_row_trace(16, 300);
-  const DriverResult mac = run_mac(trace, config, 16);
-  const DriverResult mshr = run_mshr(trace, config, 16, 32, 64);
+  const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config, 16);
+  const DriverResult mshr = run_policy(CoalescerPolicy::kMshr, trace, config,
+                                       16);
   std::uint64_t mac_large = 0;
   for (const auto& [size, count] : mac.packets_by_size) {
     if (size > 64) mac_large += count;
@@ -208,7 +216,8 @@ TEST(Driver, ClosedLoopModeCompletesEverything) {
   const MemoryTrace trace = shared_row_trace(4, 50);
   DriveOptions options;
   options.mode = FeedMode::kClosedLoop;
-  const DriverResult mac = run_mac(trace, config, 4, options);
+  const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config, 4,
+                                      options);
   EXPECT_EQ(mac.completions, 200u);
   EXPECT_GT(mac.makespan, 0u);
 }
@@ -225,8 +234,10 @@ TEST(Driver, GapChargingSlowsArrivalButChangesNoCounts) {
   DriveOptions paced;
   DriveOptions unpaced;
   unpaced.charge_gaps = false;
-  const DriverResult slow = run_mac(trace, config, 2, paced);
-  const DriverResult fast = run_mac(trace, config, 2, unpaced);
+  const DriverResult slow = run_policy(CoalescerPolicy::kMac, trace, config, 2,
+                                       paced);
+  const DriverResult fast = run_policy(CoalescerPolicy::kMac, trace, config, 2,
+                                       unpaced);
   EXPECT_EQ(slow.completions, fast.completions);
   EXPECT_GT(slow.makespan, fast.makespan);
 }
@@ -234,8 +245,8 @@ TEST(Driver, GapChargingSlowsArrivalButChangesNoCounts) {
 TEST(Driver, SpeedupMetricsAreConsistent) {
   SimConfig config;
   const MemoryTrace trace = shared_row_trace(8, 300);
-  const DriverResult raw = run_raw(trace, config, 8);
-  const DriverResult mac = run_mac(trace, config, 8);
+  const DriverResult raw = run_policy(CoalescerPolicy::kRaw, trace, config, 8);
+  const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config, 8);
   const double speedup = memory_speedup(raw, mac);
   EXPECT_GT(speedup, 0.0);
   EXPECT_LT(speedup, 1.0);
@@ -246,8 +257,8 @@ TEST(Driver, SpeedupMetricsAreConsistent) {
 TEST(Driver, DeterministicAcrossRuns) {
   SimConfig config;
   const MemoryTrace trace = random_trace(4, 100);
-  const DriverResult a = run_mac(trace, config, 4);
-  const DriverResult b = run_mac(trace, config, 4);
+  const DriverResult a = run_policy(CoalescerPolicy::kMac, trace, config, 4);
+  const DriverResult b = run_policy(CoalescerPolicy::kMac, trace, config, 4);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.packets, b.packets);
   EXPECT_EQ(a.bank_conflicts, b.bank_conflicts);
@@ -317,8 +328,10 @@ TEST(TagPool, TinyPoolStillCompletesEveryRequest) {
   const MemoryTrace trace = random_trace(4, 300);
   DriveOptions options;
   options.tag_pool = 2;  // two outstanding requests per thread
-  const DriverResult mac = run_mac(trace, config, 4, options);
-  const DriverResult raw = run_raw(trace, config, 4, options);
+  const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config, 4,
+                                      options);
+  const DriverResult raw = run_policy(CoalescerPolicy::kRaw, trace, config, 4,
+                                      options);
   EXPECT_EQ(mac.completions, trace.size());
   EXPECT_EQ(raw.completions, trace.size());
 }
@@ -330,7 +343,8 @@ TEST(TagPool, SmallerPoolsNeverFinishEarlier) {
   for (const std::uint32_t pool : {0u, 16u, 4u, 1u}) {  // descending depth
     DriveOptions options;
     options.tag_pool = pool;
-    const DriverResult mac = run_mac(trace, config, 4, options);
+    const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config, 4,
+                                        options);
     EXPECT_EQ(mac.completions, trace.size()) << "pool " << pool;
     EXPECT_GE(mac.makespan, previous) << "pool " << pool;
     previous = mac.makespan;
@@ -345,8 +359,10 @@ TEST(TagPool, FullSpacePoolMatchesHistoricalDefaultBitForBit) {
   DriveOptions defaults;
   DriveOptions full;
   full.tag_pool = 0;
-  const DriverResult a = run_mac(trace, config, 8, defaults);
-  const DriverResult b = run_mac(trace, config, 8, full);
+  const DriverResult a = run_policy(CoalescerPolicy::kMac, trace, config, 8,
+                                    defaults);
+  const DriverResult b = run_policy(CoalescerPolicy::kMac, trace, config, 8,
+                                    full);
   StatSet sa;
   StatSet sb;
   a.collect(sa, "mac");

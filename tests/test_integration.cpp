@@ -35,7 +35,8 @@ TEST(Integration, EveryRawRequestOfEveryWorkloadCompletesOnce) {
         (record.op == MemOp::kFence ? fences : data_records) += 1;
       }
     }
-    const DriverResult mac = run_mac(trace, config, 4);
+    const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config,
+                                        4);
     EXPECT_EQ(mac.raw_requests, data_records) << workload->name();
     // Completions cover both data records and retired fences.
     EXPECT_EQ(mac.completions, data_records + fences) << workload->name();
@@ -181,7 +182,8 @@ TEST(Integration, OverheadEquals32BytesPerPacket) {
   SimConfig config;
   const MemoryTrace trace = sg_workload()->trace(small_params(4));
   for (const DriverResult& result :
-       {run_raw(trace, config, 4), run_mac(trace, config, 4)}) {
+       {run_policy(CoalescerPolicy::kRaw, trace, config, 4),
+        run_policy(CoalescerPolicy::kMac, trace, config, 4)}) {
     EXPECT_EQ(result.overhead_bytes,
               result.packets * kAccessOverheadBytes)
         << result.path;
@@ -196,7 +198,8 @@ TEST(Integration, BandwidthEfficiencyWithinProtocolBounds) {
     WorkloadParams params = small_params(4);
     params.config = config;
     const MemoryTrace trace = workload->trace(params);
-    const DriverResult mac = run_mac(trace, config, 4);
+    const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config,
+                                        4);
     EXPECT_GE(mac.bandwidth_efficiency(), 1.0 / 3.0 - 1e-9)
         << workload->name();
     EXPECT_LE(mac.bandwidth_efficiency(), 8.0 / 9.0 + 1e-9)
@@ -210,7 +213,8 @@ TEST(Integration, TargetsPerEntryNeverExceedCapacity) {
     WorkloadParams params = small_params(8);
     params.config = config;
     const MemoryTrace trace = workload->trace(params);
-    const DriverResult mac = run_mac(trace, config, 8);
+    const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config,
+                                        8);
     EXPECT_LE(mac.max_targets_per_entry,
               static_cast<double>(config.max_targets_per_entry()))
         << workload->name();
@@ -229,8 +233,10 @@ TEST(Integration, MemorySpeedupPositiveAcrossSuite) {
     params.scale = 0.2;
     params.config = config;
     const MemoryTrace trace = workload->trace(params);
-    const DriverResult raw = run_raw(trace, config, 8);
-    const DriverResult mac = run_mac(trace, config, 8);
+    const DriverResult raw = run_policy(CoalescerPolicy::kRaw, trace, config,
+                                        8);
+    const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config,
+                                        8);
     const double speedup = memory_speedup(raw, mac);
     EXPECT_GT(speedup, -0.25) << workload->name();
     sum += speedup;

@@ -101,7 +101,8 @@ TEST(InvariantReplay, EveryWorkloadReplaysCleanThroughTheCheckedMac) {
   options.checks = &context;
   for (const Workload* workload : workload_registry()) {
     const MemoryTrace trace = workload->trace(small_params());
-    const DriverResult result = run_mac(trace, config, 4, options);
+    const DriverResult result = run_policy(CoalescerPolicy::kMac, trace, config,
+                                           4, options);
     EXPECT_GT(result.checks_run, 0u) << workload->name();
     EXPECT_EQ(result.check_violations, 0u) << workload->name()
                                            << "\n" << context.report();
@@ -118,9 +119,12 @@ TEST(InvariantReplay, RandomTraceFuzzAllPathsBothFeedModes) {
       DriveOptions options;
       options.mode = mode;
       options.checks = &context;
-      const DriverResult mac = run_mac(trace, config, 4, options);
-      const DriverResult raw = run_raw(trace, config, 4, options);
-      const DriverResult mshr = run_mshr(trace, config, 4, 32, 64, options);
+      const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config,
+                                          4, options);
+      const DriverResult raw = run_policy(CoalescerPolicy::kRaw, trace, config,
+                                          4, options);
+      const DriverResult mshr = run_policy(CoalescerPolicy::kMshr, trace,
+                                           config, 4, options);
       EXPECT_GT(mac.checks_run, 0u);
       EXPECT_EQ(mac.check_violations + raw.check_violations +
                     mshr.check_violations,
@@ -155,7 +159,8 @@ TEST(InvariantReplay, CleanRunExportsCheckCountsIntoStats) {
   DriveOptions options;
   options.checks = &context;
   const DriverResult result =
-      run_mac(random_trace(2, 2, 100), config, 2, options);
+      run_policy(CoalescerPolicy::kMac, random_trace(2, 2, 100), config, 2,
+                 options);
   StatSet stats;
   result.collect(stats, "mac");
   EXPECT_GT(stats.get("mac.checks_run"), 0.0);

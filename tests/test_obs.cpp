@@ -29,6 +29,8 @@
 namespace mac3d {
 namespace {
 
+#if MAC3D_OBS_ENABLED
+
 /// Mixed random stream (loads/stores/atomics, compute gaps, fences) over a
 /// small row range so every lifecycle shape appears, merges included.
 MemoryTrace random_trace(std::uint64_t seed, std::uint32_t threads,
@@ -57,12 +59,12 @@ MemoryTrace random_trace(std::uint64_t seed, std::uint32_t threads,
 
 DriverResult run_path(const std::string& path, const MemoryTrace& trace,
                       const SimConfig& config, const DriveOptions& options) {
-  if (path == "mac") return run_mac(trace, config, 4, options);
-  if (path == "raw") return run_raw(trace, config, 4, options);
-  return run_mshr(trace, config, 4, 32, 64, options);
+  if (path == "mac") return run_policy(CoalescerPolicy::kMac, trace, config, 4,
+                                       options);
+  if (path == "raw") return run_policy(CoalescerPolicy::kRaw, trace, config, 4,
+                                       options);
+  return run_policy(CoalescerPolicy::kMshr, trace, config, 4, options);
 }
-
-#if MAC3D_OBS_ENABLED
 
 TEST(Lifecycle, EveryPathAndFeedModeAuditsCleanWithCompleteRecords) {
   const MemoryTrace trace = random_trace(21, 4, 300);
@@ -123,7 +125,8 @@ TEST(Lifecycle, MacWindowRecordsMergesAndDeviceStages) {
   tracer.begin_path("mac");
   DriveOptions options;
   options.sink = &tracer;
-  const DriverResult result = run_mac(trace, config, 4, options);
+  const DriverResult result = run_policy(CoalescerPolicy::kMac, trace, config,
+                                         4, options);
   tracer.finish();
   const LifecycleTracer::PathTelemetry* telemetry = tracer.path("mac");
   ASSERT_NE(telemetry, nullptr);
@@ -550,11 +553,11 @@ TEST(Tracer, AuditFlagsBackwardCycleAndStageOrder)
 
 TEST(Lifecycle, DisabledBuildCompilesStampsToNothing) {
   // The macros must expand to no-ops without evaluating the sink.
-  LifecycleTracer* sink = nullptr;
+  [[maybe_unused]] LifecycleTracer* sink = nullptr;
   MAC3D_OBS_STAMP(sink, Stage::kCoreIssue, 0, 0, 0);
   MAC3D_OBS_MERGE(sink, 0, 0, 0, 0, 0);
   MAC3D_OBS_HOP(sink, Hop::kRequestSend, 0, 0, 0, 1, 0);
-  MetricCounter* counter = nullptr;
+  [[maybe_unused]] MetricCounter* counter = nullptr;
   MAC3D_OBS_COUNT(counter);
   MAC3D_OBS_COUNT_N(counter, 7);
   SUCCEED();

@@ -6,10 +6,12 @@
 // same idle-census exports — for every path, feed mode and worker count.
 // System::run_parallel / run_event / run_event_parallel must likewise
 // match System::run. Randomized-config fuzz loops (streaming paths and
-// multi-node Systems) widen the net beyond the hand-picked grid.
+// multi-node Systems) widen the net beyond the hand-picked grid, and the
+// unwind tests throw out of every engine's loop mid-run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "check/check.hpp"
 #include "common/config.hpp"
 #include "common/rng.hpp"
+#include "obs/lifecycle.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "obs/run_report.hpp"
@@ -173,17 +176,36 @@ TEST(ReportEquivalence, SerialAndParallelReportsRenderIdentically) {
   const MemoryTrace trace = locality_trace(0.5, 8, 250, 29);
 
   const auto render = [&](Engine engine) {
+    // A lifecycle tracer rides along as `mac3d run --report` attaches one,
+    // and its per-path stage sections go into the report: the stamp
+    // stream itself must be engine-invariant and in stage order.
+    LifecycleTracer tracer;
     DriveOptions options;
     options.engine = engine;
     options.engine_threads = 4;
+    options.sink = &tracer;
+    std::vector<DriverResult> results;
+    for (const char* path : {"raw", "mac", "mshr", "warp"}) {
+      tracer.begin_path(path);
+      results.push_back(
+          run_policy(policy_of(path), trace, config, 8, options));
+    }
+    tracer.finish();
+    EXPECT_EQ(tracer.monotonicity_errors(), 0u) << engine_name(engine);
     RunReport report;
     report.set_config(config);
-    for (const char* path : {"raw", "mac", "mshr", "warp"}) {
-      const DriverResult result =
-          run_policy(policy_of(path), trace, config, 8, options);
+    for (const DriverResult& result : results) {
       StatSet stats;
-      result.collect(stats, path);
-      report.set_path_stats(path, stats);
+      result.collect(stats, result.path);
+      report.set_path_stats(result.path, stats);
+      const LifecycleTracer::PathTelemetry* telemetry =
+          tracer.path(result.path);
+      if (telemetry == nullptr) continue;
+      for (std::size_t s = 0; s < kStageCount; ++s) {
+        if (telemetry->stage_latency[s].count() == 0) continue;
+        report.add_path_stage(result.path, to_string(static_cast<Stage>(s)),
+                              telemetry->stage_latency[s]);
+      }
     }
     return report.to_json();
   };
@@ -439,7 +461,7 @@ struct ObservedSystemRun {
   std::uint64_t violations = 0;
 };
 
-enum class SystemEngine { kRun, kEvent, kEventParallel };
+enum class SystemEngine { kRun, kParallel, kEvent, kEventParallel };
 
 ObservedSystemRun observed_system_run(
     const SimConfig& config, const MemoryTrace& trace, SystemEngine engine,
@@ -459,6 +481,9 @@ ObservedSystemRun observed_system_run(
   ObservedSystemRun out;
   switch (engine) {
     case SystemEngine::kRun: out.summary = system.run(max_cycles); break;
+    case SystemEngine::kParallel:
+      out.summary = system.run_parallel(threads, max_cycles);
+      break;
     case SystemEngine::kEvent:
       out.summary = system.run_event(max_cycles);
       break;
@@ -476,11 +501,11 @@ ObservedSystemRun observed_system_run(
   return out;
 }
 
-/// The event engines against run(): byte-equal exports and check
+/// The other three engines against run(): byte-equal exports and check
 /// counters, the same visited cycles and node ticks from both event
-/// engines, and the strict engine ticking every node every cycle. The
-/// event runs are capped at run()'s cycle count, so an engine that misses
-/// work fails instead of hanging. Returns run_event()'s summary.
+/// engines, and both strict engines ticking every node every cycle. The
+/// runs are capped at run()'s cycle count, so an engine that misses work
+/// fails instead of hanging. Returns run_event()'s summary.
 SystemRunSummary expect_system_engines_agree(const SimConfig& config,
                                              const MemoryTrace& trace,
                                              std::uint32_t threads,
@@ -496,12 +521,19 @@ SystemRunSummary expect_system_engines_agree(const SimConfig& config,
             reference.summary.cycles * config.nodes)
       << label;
   const Cycle cap = reference.summary.cycles;
+  const ObservedSystemRun parallel = observed_system_run(
+      config, trace, SystemEngine::kParallel, threads, cap);
   const ObservedSystemRun event =
       observed_system_run(config, trace, SystemEngine::kEvent, threads, cap);
   const ObservedSystemRun event_parallel = observed_system_run(
       config, trace, SystemEngine::kEventParallel, threads, cap);
-  for (const ObservedSystemRun* run : {&event, &event_parallel}) {
-    const char* engine = run == &event ? "run_event" : "run_event_parallel";
+  EXPECT_EQ(parallel.summary.node_ticks,
+            parallel.summary.cycles * config.nodes)
+      << label << " run_parallel";
+  for (const ObservedSystemRun* run : {&parallel, &event, &event_parallel}) {
+    const char* engine = run == &parallel ? "run_parallel"
+                         : run == &event  ? "run_event"
+                                          : "run_event_parallel";
     EXPECT_EQ(reference.summary.cycles, run->summary.cycles)
         << label << " " << engine;
     EXPECT_EQ(reference.exports, run->exports) << label << " " << engine;
@@ -596,6 +628,100 @@ TEST_P(SystemFuzz, EventEnginesMatchRunWithEveryLayerAttached) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SystemFuzz,
                          ::testing::Range(std::uint64_t{1}, std::uint64_t{21}));
+
+// ------------------------------------------------------- unwind paths
+/// A census row whose probe throws once the run reaches cycle 200: an
+/// exception raised at the serial point, mid-run, with every telemetry
+/// layer holding probes into the pipeline.
+void add_throwing_probe(ActivityCensus& census) {
+  census.add_component("throws_at_200", [](Cycle now) -> bool {
+    if (now >= 200) throw std::runtime_error("probe");
+    return false;
+  });
+}
+
+TEST(EngineUnwind, DriverAbortsItsTelemetryRunsUnderEveryEngine) {
+#if !MAC3D_OBS_ENABLED
+  GTEST_SKIP() << "the driver's telemetry hooks compile out";
+#endif
+  SimConfig config;
+  const MemoryTrace trace = locality_trace(0.5, 4, 200, 73);
+  CycleSampler sampler(64);
+  SnapshotStreamer snapshot(256);
+  for (const Engine engine : {Engine::kSerial, Engine::kParallel,
+                              Engine::kEvent, Engine::kEventParallel}) {
+    ActivityCensus census;
+    add_throwing_probe(census);
+    DriveOptions options;
+    options.engine = engine;
+    options.engine_threads = 2;
+    options.census = &census;
+    options.sampler = &sampler;
+    options.snapshot = &snapshot;
+    EXPECT_THROW((void)run_policy(CoalescerPolicy::kMac, trace, config, 4,
+                                  options),
+                 std::runtime_error)
+        << engine_name(engine);
+  }
+  // The aborted runs dropped their probes: nothing samples any more.
+  const std::size_t rows = sampler.row_count();
+  const std::string stream = snapshot.str();
+  sampler.advance_to(1'000'000);
+  snapshot.advance_to(1'000'000);
+  EXPECT_EQ(sampler.row_count(), rows);
+  EXPECT_EQ(snapshot.str(), stream);
+
+  // The same sampler and streamer serve a clean run afterwards.
+  DriveOptions clean;
+  clean.sampler = &sampler;
+  clean.snapshot = &snapshot;
+  const DriverResult result =
+      run_policy(CoalescerPolicy::kMac, trace, config, 4, clean);
+  EXPECT_EQ(result.completions, trace.size());
+  EXPECT_GT(sampler.row_count(), rows);
+  const std::string records = std::to_string(trace.size());
+  EXPECT_NE(snapshot.str().find("\"injected\":" + records +
+                                ",\"completions\":" + records),
+            std::string::npos);
+}
+
+TEST(EngineUnwind, SystemRestoresItsStagingUnderEveryEngine) {
+  SimConfig config;
+  config.nodes = 2;
+  config.cores = 2;
+  const MemoryTrace trace = locality_trace(0.5, 8, 200, 79);
+  for (int engine = 0; engine < 4; ++engine) {
+    System system(config);
+    ActivityCensus census;
+    CycleSampler sampler(64);
+    SnapshotStreamer snapshot(256);
+    LifecycleTracer sink;
+    system.attach_census(&census);
+    add_throwing_probe(census);
+    system.attach_sampler(&sampler);
+    system.attach_snapshot(&snapshot);
+    system.attach_sink(&sink);
+    system.attach_trace(trace);
+    switch (engine) {
+      case 0: EXPECT_THROW(system.run(), std::runtime_error); break;
+      case 1:
+        EXPECT_THROW(system.run_parallel(2), std::runtime_error);
+        break;
+      case 2: EXPECT_THROW(system.run_event(), std::runtime_error); break;
+      default:
+        EXPECT_THROW(system.run_event_parallel(2), std::runtime_error);
+        break;
+    }
+    EXPECT_FALSE(system.fabric().staged()) << engine;
+    const std::size_t rows = sampler.row_count();
+    const std::string stream = snapshot.str();
+    sampler.advance_to(1'000'000);
+    snapshot.advance_to(1'000'000);
+    EXPECT_EQ(sampler.row_count(), rows) << engine;
+    EXPECT_EQ(snapshot.str(), stream) << engine;
+    census.seal();
+  }
+}
 
 // --------------------------------------------------- randomized-config fuzz
 // Random geometry / timing / feeder knobs, random trace shape, random

@@ -408,7 +408,8 @@ TEST(ProfilerPerturbation, ProfiledRunsMatchUnprofiledRuns) {
   SimConfig config;
   const MemoryTrace trace = small_trace(4, 200);
   const DriveOptions plain;
-  const DriverResult baseline = run_mac(trace, config, 4, plain);
+  const DriverResult baseline = run_policy(CoalescerPolicy::kMac, trace, config,
+                                           4, plain);
 
   ActivityCensus census;
   HostProfiler profiler;
@@ -417,7 +418,8 @@ TEST(ProfilerPerturbation, ProfiledRunsMatchUnprofiledRuns) {
   profiled.sink = &decomposer;
   profiled.census = &census;
   profiled.profiler = &profiler;
-  const DriverResult result = run_mac(trace, config, 4, profiled);
+  const DriverResult result = run_policy(CoalescerPolicy::kMac, trace, config,
+                                         4, profiled);
 
   StatSet expected;
   StatSet actual;

@@ -50,7 +50,7 @@ class LocalitySweep : public ::testing::TestWithParam<double> {};
 TEST_P(LocalitySweep, EfficiencyWithinBounds) {
   SimConfig config;
   const MemoryTrace trace = locality_trace(GetParam(), 8, 400, 7);
-  const DriverResult mac = run_mac(trace, config, 8);
+  const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config, 8);
   EXPECT_GE(mac.coalescing_efficiency(), 0.0);
   // 16 FLITs per row and a 12-target entry bound the reduction.
   EXPECT_LE(mac.coalescing_efficiency(), 1.0 - 1.0 / 12.0 + 1e-9);
@@ -65,7 +65,8 @@ TEST(LocalityMonotonicity, MoreLocalityNeverHurtsMuch) {
   double previous = -1.0;
   for (const double locality : {0.0, 0.5, 1.0}) {
     const MemoryTrace trace = locality_trace(locality, 8, 400, 11);
-    const DriverResult mac = run_mac(trace, config, 8);
+    const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config,
+                                        8);
     // Allow small noise but require the overall trend to be upward.
     EXPECT_GT(mac.coalescing_efficiency(), previous - 0.05)
         << "locality " << locality;
@@ -81,7 +82,7 @@ TEST_P(ArqSizeSweep, CompletesAndStaysBounded) {
   SimConfig config;
   config.arq_entries = GetParam();
   const MemoryTrace trace = locality_trace(0.7, 8, 300, 13);
-  const DriverResult mac = run_mac(trace, config, 8);
+  const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config, 8);
   EXPECT_EQ(mac.completions, trace.size());
   EXPECT_GE(mac.coalescing_efficiency(), 0.0);
   EXPECT_LE(mac.avg_targets_per_entry,
@@ -103,8 +104,8 @@ TEST(ArqSizeTrend, TinyQueueCoalescesLessThanPaperSize) {
   params.scale = 0.1;
   params.config = paper;
   const MemoryTrace trace = gap_cc_workload()->trace(params);
-  const DriverResult small = run_mac(trace, tiny, 8);
-  const DriverResult large = run_mac(trace, paper, 8);
+  const DriverResult small = run_policy(CoalescerPolicy::kMac, trace, tiny, 8);
+  const DriverResult large = run_policy(CoalescerPolicy::kMac, trace, paper, 8);
   EXPECT_GT(large.coalescing_efficiency(),
             small.coalescing_efficiency() + 0.02);
 }
@@ -116,8 +117,10 @@ TEST_P(ThreadSweep, ConservationHoldsForAnyThreadCount) {
   SimConfig config;
   const std::uint32_t threads = GetParam();
   const MemoryTrace trace = locality_trace(0.6, threads, 300, 23);
-  const DriverResult raw = run_raw(trace, config, threads);
-  const DriverResult mac = run_mac(trace, config, threads);
+  const DriverResult raw = run_policy(CoalescerPolicy::kRaw, trace, config,
+                                      threads);
+  const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config,
+                                      threads);
   EXPECT_EQ(raw.completions, trace.size());
   EXPECT_EQ(mac.completions, trace.size());
   EXPECT_LE(mac.packets, raw.packets);
@@ -134,7 +137,7 @@ TEST_P(GranularitySweep, PacketsRespectGranularity) {
   SimConfig config;
   config.builder_min_bytes = GetParam();
   const MemoryTrace trace = locality_trace(0.9, 8, 300, 29);
-  const DriverResult mac = run_mac(trace, config, 8);
+  const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config, 8);
   for (const auto& [size, count] : mac.packets_by_size) {
     (void)count;
     // Bypass packets are 16 B; built packets are multiples of the
@@ -159,7 +162,7 @@ TEST_P(GeometrySweep, RunsCleanlyOnAnyGeometry) {
   config.hmc_links = std::get<1>(GetParam());
   config.validate();
   const MemoryTrace trace = locality_trace(0.5, 4, 200, 31);
-  const DriverResult mac = run_mac(trace, config, 4);
+  const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config, 4);
   EXPECT_EQ(mac.completions, trace.size());
   EXPECT_GT(mac.makespan, 0u);
 }
@@ -189,8 +192,8 @@ TEST_P(SeedFuzz, RandomTrafficNeverBreaksInvariants) {
       default: trace.load(tid, addr, 8); break;
     }
   }
-  const DriverResult mac = run_mac(trace, config, 4);
-  const DriverResult raw = run_raw(trace, config, 4);
+  const DriverResult mac = run_policy(CoalescerPolicy::kMac, trace, config, 4);
+  const DriverResult raw = run_policy(CoalescerPolicy::kRaw, trace, config, 4);
   EXPECT_EQ(mac.completions, trace.size());
   EXPECT_EQ(raw.completions, trace.size());
   EXPECT_LE(mac.packets, raw.packets);

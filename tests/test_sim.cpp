@@ -6,6 +6,7 @@
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/report.hpp"
+#include "workloads/all.hpp"
 
 namespace mac3d {
 namespace {
@@ -76,6 +77,37 @@ TEST(Experiment, MshrPathOptIn) {
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0].mshr.path, "mshr");
   EXPECT_GT(runs[0].mshr.packets, 0u);
+}
+
+TEST(Experiment, SuiteTakesTheMshrGeometryFromTheConfig) {
+  SuiteOptions options;
+  options.scale = 0.05;
+  options.threads = 8;
+  options.only = {"sg"};
+  options.run_raw = false;
+  options.run_mac = false;
+  options.run_mshr = true;
+  options.config.mshr_entries = 8;
+  options.config.mshr_block_bytes = 128;
+  const auto runs = run_suite(options);
+  ASSERT_EQ(runs.size(), 1u);
+
+  WorkloadParams params;
+  params.threads = options.threads;
+  params.scale = options.scale;
+  params.seed = options.seed;
+  params.config = options.config;
+  const MemoryTrace trace = sg_workload()->trace(params);
+  const DriverResult direct = run_policy(CoalescerPolicy::kMshr, trace,
+                                         options.config, options.threads);
+  StatSet suite_stats;
+  StatSet direct_stats;
+  runs[0].mshr.collect(suite_stats, "mshr");
+  direct.collect(direct_stats, "mshr");
+  EXPECT_EQ(suite_stats.to_json(), direct_stats.to_json());
+  EXPECT_EQ(runs[0].mshr.packets_by_size, direct.packets_by_size);
+  ASSERT_EQ(runs[0].mshr.packets_by_size.size(), 1u);
+  EXPECT_EQ(runs[0].mshr.packets_by_size.begin()->first, 128u);
 }
 
 TEST(Experiment, EnvScaleParsesAndDefaults) {

@@ -177,6 +177,7 @@ MemoryTrace locality_trace(double locality, std::uint32_t threads,
   return trace;
 }
 
+#if MAC3D_OBS_ENABLED
 std::string driver_stream(CoalescerPolicy policy, Engine engine,
                           const MemoryTrace& trace, const SimConfig& config) {
   SnapshotStreamer snapshot(64);
@@ -194,7 +195,6 @@ std::string driver_stream(CoalescerPolicy policy, Engine engine,
   return snapshot.str();
 }
 
-#if MAC3D_OBS_ENABLED
 TEST(SnapshotEquivalence, DriverStreamByteIdenticalAcrossEngines) {
   const MemoryTrace trace = locality_trace(0.6, 4, 250, 20260808);
   SimConfig config;
