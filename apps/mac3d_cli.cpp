@@ -64,9 +64,9 @@ struct CliOptions {
   std::string policy;
   bool checks = false;
   bool profile = false;  ///< idle-cycle census + latency/host profiling
-  /// serial | parallel | event | event-parallel ("" = per-command default:
-  /// run/suite use the event fast-forward engine, system the strict serial
-  /// reference — docs/PARALLELISM.md §event-driven engine).
+  /// serial | parallel | event | event-parallel ("" = the event
+  /// fast-forward engine; serial is the strict reference —
+  /// docs/PARALLELISM.md §event-driven engine).
   std::string engine;
   std::uint32_t engine_threads = 0;  ///< 0 = hardware concurrency
   std::uint32_t jobs = 0;          ///< parallel paths/workloads (0 = env)
@@ -115,8 +115,8 @@ void usage() {
                "                    groups of config.warp_lanes threads)\n"
                "  --engine E        serial | parallel | event | "
                "event-parallel (docs/PARALLELISM.md;\n"
-               "                    default: event for run/suite, serial "
-               "for system)\n"
+               "                    default: event; serial is the "
+               "reference)\n"
                "  --engine-threads N  workers for the parallel engines "
                "(0 = hardware)\n"
                "  --jobs N          run paths (run) / workloads (suite) as "
@@ -327,7 +327,13 @@ const char* feed_name(FeedMode mode) {
 
 MemoryTrace make_trace(const CliOptions& options, const SimConfig& config) {
   if (!options.trace_path.empty()) {
-    return load_trace(options.trace_path);
+    try {
+      return load_trace(options.trace_path);
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "mac3d: %s: %s\n", options.trace_path.c_str(),
+                   error.what());
+      std::exit(2);
+    }
   }
   const Workload* workload = find_workload(options.workload);
   if (workload == nullptr) {
@@ -762,18 +768,18 @@ int cmd_system(const CliOptions& options) {
     system.attach_snapshot(&snapshot);
   }
 
-  // The system command defaults to the strict serial reference engine
-  // (its committed baselines predate the event engine; all four engines
-  // are bit-identical, so this is a wall-clock choice only).
+  // The system command defaults to the event engine, like run and suite;
+  // all four engines are bit-identical, and --engine serial is the strict
+  // reference.
   const SystemRunSummary summary = [&] {
+    if (options.engine == "serial") return system.run();
     if (options.engine == "parallel") {
       return system.run_parallel(options.engine_threads);
     }
-    if (options.engine == "event") return system.run_event();
     if (options.engine == "event-parallel") {
       return system.run_event_parallel(options.engine_threads);
     }
-    return system.run();
+    return system.run_event();
   }();
   census.seal();  // probes reference nodes owned by `system`
   tracer.finish();
@@ -873,7 +879,7 @@ int cmd_system(const CliOptions& options) {
       "cycles %s%s, requests %s, completions %s, avg latency %.0f cy\n"
       "visited cycles %s, node ticks %s\n",
       config.nodes, trace.threads(), Table::count(trace.size()).c_str(),
-      options.engine.empty() ? "serial" : options.engine.c_str(),
+      options.engine.empty() ? "event" : options.engine.c_str(),
       Table::count(summary.cycles).c_str(),
       summary.completed ? "" : " (cycle limit hit)",
       Table::count(summary.requests).c_str(),

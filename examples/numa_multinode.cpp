@@ -10,6 +10,7 @@
 
 #include "arch/system.hpp"
 #include "common/rng.hpp"
+#include "mac/coalescer.hpp"
 #include "sim/report.hpp"
 
 using namespace mac3d;

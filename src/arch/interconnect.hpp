@@ -23,7 +23,7 @@
 #include "check/invariants.hpp"
 #include "common/config.hpp"
 #include "common/types.hpp"
-#include "mac/coalescer.hpp"
+#include "mem/request_ledger.hpp"
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
 
@@ -212,7 +212,7 @@ class Interconnect {
     std::uint64_t queued = 0;
     for (const auto& lane : request_lanes_) queued += lane.queue.size();
     for (const auto& lane : completion_lanes_) queued += lane.queue.size();
-    const std::uint64_t delivered = deliveries();
+    [[maybe_unused]] const std::uint64_t delivered = deliveries();
     MAC3D_CHECK(checks_, inv::kFabricCredit,
                 sends_ == delivered + queued && queued == 0, 0,
                 std::to_string(sends_) + " messages sent, " +

@@ -15,8 +15,8 @@
 #include "common/config.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "mac/coalescer.hpp"
 #include "mem/hmc_device.hpp"
+#include "mem/request_ledger.hpp"
 #include "sim/memory_path.hpp"
 
 namespace mac3d {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "check/check.hpp"
-#include "check/conservation.hpp"
 #include "check/invariants.hpp"
 #include "common/bitutil.hpp"
 #include "obs/obs.hpp"
@@ -16,7 +14,8 @@ MshrCoalescer::MshrCoalescer(const SimConfig& config, HmcDevice& device,
     : config_(config),
       device_(device),
       entries_(entries),
-      block_bytes_(block_bytes) {
+      block_bytes_(block_bytes),
+      ledger_(device, stats_) {
   assert(is_pow2(block_bytes));
   assert(block_bytes >= kFlitBytes && block_bytes <= config.row_bytes);
 }
@@ -25,49 +24,29 @@ MshrCoalescer::~MshrCoalescer() = default;
 
 void MshrCoalescer::attach_checks(CheckContext* context,
                                   const std::string& scope) {
-  checks_ = context;
-  if (context == nullptr) {
-    conservation_.reset();
-    return;
-  }
-  conservation_ = std::make_unique<ConservationChecker>(*context, scope);
-  context->on_finalize([this](CheckContext&) {
-    if (conservation_ != nullptr) conservation_->finalize(last_cycle_);
-  });
+  ledger_.attach_checks(context, scope);
 }
 
 bool MshrCoalescer::can_accept() const noexcept {
   // Conservative: require a free entry (a merging request would not need
   // one, but the allocation decision must be guaranteed up front), and no
   // pending barrier.
-  return barrier_pending_ == 0 && file_.size() < entries_;
+  return fences_.empty() && file_.size() < entries_;
 }
 
 bool MshrCoalescer::try_accept(const RawRequest& request, Cycle now) {
-  const bool accepted = intake(request, now);
-#if MAC3D_CHECKS_ENABLED
-  if (accepted && conservation_ != nullptr) {
-    conservation_->on_accept(request.tid, request.tag, request.op, now);
-  }
-#endif
-  return accepted;
-}
-
-bool MshrCoalescer::intake(const RawRequest& request, Cycle now) {
   const bool merge_free = merge_port_used_at_ != now;
   const bool alloc_free = alloc_port_used_at_ != now;
 
   if (request.op == MemOp::kFence) {
     if (!alloc_free) return false;
-    fences_.push_back({Target{request.tid, request.tag, 0}, now});
-    ++stats_.fences_in;
-    ++barrier_pending_;
+    fences_.push_back(Target{request.tid, request.tag, 0});
     alloc_port_used_at_ = now;
     MAC3D_OBS_ACTIVITY(last_work_, now);
-    MAC3D_OBS_STAMP(sink_, Stage::kQueueInsert, request.tid, request.tag, now);
+    ledger_.accept(request, now);
     return true;
   }
-  if (barrier_pending_ > 0) return false;  // strict barrier
+  if (!fences_.empty()) return false;  // strict barrier
 
   const std::uint32_t flit = device_.address_map().flit_of(
       device_.address_map().local_addr(request.addr));
@@ -80,17 +59,14 @@ bool MshrCoalescer::intake(const RawRequest& request, Cycle now) {
     Entry entry;
     entry.block = align_down(request.addr, kFlitBytes);
     entry.write = true;
-    entry.dispatched = false;
     entry.targets.push_back(target);
-    entry.accept_cycles.push_back(now);
     const std::uint64_t key = (1ull << 63) | next_unique_++;
     file_.emplace(key, std::move(entry));
     dispatch_queue_.push_back(key);
     atomic_keys_.insert(key);
     alloc_port_used_at_ = now;
     MAC3D_OBS_ACTIVITY(last_work_, now);
-    ++stats_.raw_in;
-    MAC3D_OBS_STAMP(sink_, Stage::kQueueInsert, request.tid, request.tag, now);
+    ledger_.accept(request, now);
     return true;
   }
 
@@ -100,17 +76,16 @@ bool MshrCoalescer::intake(const RawRequest& request, Cycle now) {
   if (it != file_.end()) {
     if (!merge_free) return false;
     it->second.targets.push_back(target);
-    it->second.accept_cycles.push_back(now);
     merge_port_used_at_ = now;
     MAC3D_OBS_ACTIVITY(last_work_, now);
     ++stats_.merged;
-    ++stats_.raw_in;
-    MAC3D_OBS_STAMP(sink_, Stage::kQueueInsert, request.tid, request.tag, now);
-    MAC3D_OBS_STAMP(sink_, Stage::kMerge, request.tid, request.tag, now);
+    ledger_.accept(request, now);
+    [[maybe_unused]] EventSink* const sink = ledger_.sink();
+    MAC3D_OBS_STAMP(sink, Stage::kMerge, request.tid, request.tag, now);
 #if MAC3D_OBS_ENABLED
-    if (sink_ != nullptr && !it->second.targets.empty()) {
+    if (sink != nullptr) {
       const Target& leader = it->second.targets.front();
-      sink_->on_merge(request.tid, request.tag, leader.tid, leader.tag, now);
+      sink->on_merge(request.tid, request.tag, leader.tid, leader.tag, now);
     }
 #endif
     return true;
@@ -126,16 +101,15 @@ bool MshrCoalescer::intake(const RawRequest& request, Cycle now) {
   entry.block = block;
   entry.write = request.op == MemOp::kStore;
   entry.targets.push_back(target);
-  entry.accept_cycles.push_back(now);
   file_.emplace(key, std::move(entry));
   dispatch_queue_.push_back(key);
   alloc_port_used_at_ = now;
   MAC3D_OBS_ACTIVITY(last_work_, now);
-  ++stats_.raw_in;
-  MAC3D_CHECK(checks_, inv::kMshrOccupancy, file_.size() <= entries_, now,
+  MAC3D_CHECK(ledger_.checks(), inv::kMshrOccupancy,
+              file_.size() <= entries_, now,
               "MSHR file occupancy " + std::to_string(file_.size()) +
                   " exceeds " + std::to_string(entries_) + " entries");
-  MAC3D_OBS_STAMP(sink_, Stage::kQueueInsert, request.tid, request.tag, now);
+  ledger_.accept(request, now);
   return true;
 }
 
@@ -146,19 +120,12 @@ void MshrCoalescer::accept(const RawRequest& request, Cycle now) {
 }
 
 void MshrCoalescer::tick(Cycle now) {
-  last_cycle_ = now;
+  ledger_.on_tick(now);
   // Retire a pending barrier once everything older has drained.
-  if (barrier_pending_ > 0 && file_.empty() && dispatch_queue_.empty() &&
-      in_flight_.empty()) {
-    const auto [target, accepted] = fences_.front();
+  if (!fences_.empty() && file_.empty() && dispatch_queue_.empty() &&
+      ledger_.in_flight() == 0) {
+    ledger_.retire_fence(fences_.front(), now);
     fences_.pop_front();
-    --barrier_pending_;
-    CompletedAccess done;
-    done.target = target;
-    done.fence = true;
-    done.accepted = accepted;
-    done.completed = now;
-    ready_completions_.push_back(done);
     MAC3D_OBS_ACTIVITY(last_work_, now);
   }
 
@@ -176,70 +143,39 @@ void MshrCoalescer::tick(Cycle now) {
   request.write = entry.write;
   request.atomic = is_atomic;
   if (!device_.can_accept(request, now)) return;
-  request.id = next_txn_++;
-  in_flight_.emplace(request.id, key);
-  device_.submit(std::move(request), now);
-  entry.dispatched = true;
+  in_flight_.emplace(ledger_.submit(std::move(request), now), key);
   dispatch_queue_.pop_front();
   MAC3D_OBS_ACTIVITY(last_work_, now);
-  ++stats_.packets_out;
 }
 
-std::vector<CompletedAccess> MshrCoalescer::drain(Cycle now) {
-  std::vector<CompletedAccess> out;
-  out.swap(ready_completions_);
-
-  for (const HmcResponse& response : device_.drain(now)) {
-    const auto flight = in_flight_.find(response.id);
-    assert(flight != in_flight_.end());
-    const std::uint64_t key = flight->second;
-    in_flight_.erase(flight);
-    const auto it = file_.find(key);
-    assert(it != file_.end());
-    Entry& entry = it->second;
-    for (std::size_t i = 0; i < entry.targets.size(); ++i) {
-      CompletedAccess done;
-      done.target = entry.targets[i];
-      done.write = entry.write;
-      done.atomic = atomic_keys_.count(key) != 0;
-      done.accepted = entry.accept_cycles[i];
-      done.completed = response.completed;
-      stats_.raw_latency_cycles.add(
-          static_cast<double>(done.completed - done.accepted));
-      out.push_back(done);
-    }
-    atomic_keys_.erase(key);
-    file_.erase(it);
-  }
-  if (!out.empty()) MAC3D_OBS_ACTIVITY(last_work_, now);
-#if MAC3D_OBS_ENABLED
-  if (sink_ != nullptr) {
-    for (const CompletedAccess& done : out) {
-      sink_->on_stage(Stage::kResponseMatch, done.target.tid, done.target.tag,
-                      done.completed);
-    }
-  }
-#endif
-#if MAC3D_CHECKS_ENABLED
-  if (conservation_ != nullptr) {
-    for (const CompletedAccess& done : out) {
-      conservation_->on_complete(done.target.tid, done.target.tag, done.fence,
-                                 now);
-    }
-  }
-#endif
-  return out;
+const std::vector<CompletedAccess>& MshrCoalescer::drain(Cycle now) {
+  // An entry keeps merging while its packet is in flight, so the entry,
+  // not the packet, names every request a response answers.
+  const std::vector<CompletedAccess>& done = ledger_.drain(
+      now, [this](const HmcResponse& response) -> const std::vector<Target>& {
+        const auto flight = in_flight_.find(response.id);
+        assert(flight != in_flight_.end());
+        const auto it = file_.find(flight->second);
+        assert(it != file_.end());
+        retired_targets_.swap(it->second.targets);
+        atomic_keys_.erase(flight->second);
+        file_.erase(it);
+        in_flight_.erase(flight);
+        return retired_targets_;
+      });
+  if (!done.empty()) MAC3D_OBS_ACTIVITY(last_work_, now);
+  return done;
 }
 
 bool MshrCoalescer::idle() const noexcept {
-  return file_.empty() && dispatch_queue_.empty() && in_flight_.empty() &&
-         ready_completions_.empty() && barrier_pending_ == 0;
+  return file_.empty() && dispatch_queue_.empty() && fences_.empty() &&
+         ledger_.idle();
 }
 
 Cycle MshrCoalescer::next_event(Cycle now) const noexcept {
   if (idle()) return 0;
-  if (!ready_completions_.empty() || !dispatch_queue_.empty() ||
-      barrier_pending_ > 0) {
+  if (ledger_.fence_ready() || !dispatch_queue_.empty() ||
+      !fences_.empty()) {
     return now + 1;
   }
   const Cycle completion = device_.next_completion();

@@ -9,38 +9,26 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/stats.hpp"
 #include "common/types.hpp"
-#include "mac/coalescer.hpp"  // CompletedAccess
 #include "mem/hmc_device.hpp"
+#include "mem/request_ledger.hpp"
 
 namespace mac3d {
 
 class CheckContext;
-class ConservationChecker;
 class EventSink;
 
-struct MshrStats {
-  std::uint64_t raw_in = 0;
-  std::uint64_t fences_in = 0;     ///< fences accepted (complete like requests)
+/// raw_in, fences_in, packets_out (fixed-size transactions) and the
+/// per-request latency come from AccessCounts (the ledger's counts).
+struct MshrStats : AccessCounts {
   std::uint64_t merged = 0;        ///< requests merged into an existing entry
-  std::uint64_t packets_out = 0;   ///< fixed-size transactions dispatched
   std::uint64_t stalls_full = 0;   ///< cycles an allocation failed
-  RunningStat raw_latency_cycles;
-
-  [[nodiscard]] double coalescing_efficiency() const noexcept {
-    return raw_in == 0 ? 0.0
-                       : 1.0 - static_cast<double>(packets_out) /
-                                   static_cast<double>(raw_in);
-  }
 };
 
 class MshrCoalescer {
@@ -58,7 +46,9 @@ class MshrCoalescer {
   [[nodiscard]] bool try_accept(const RawRequest& request, Cycle now);
   void accept(const RawRequest& request, Cycle now);
   void tick(Cycle now);
-  std::vector<CompletedAccess> drain(Cycle now);
+  /// Completions at or before `now` (RequestLedger::drain); valid until
+  /// the next drain.
+  const std::vector<CompletedAccess>& drain(Cycle now);
   [[nodiscard]] bool idle() const noexcept;
   [[nodiscard]] Cycle next_event(Cycle now) const noexcept;
 
@@ -77,7 +67,7 @@ class MshrCoalescer {
 
   /// Enable request-lifecycle telemetry (docs/OBSERVABILITY.md). The sink
   /// must outlive the coalescer; pass nullptr to detach.
-  void attach_sink(EventSink* sink) noexcept { sink_ = sink; }
+  void attach_sink(EventSink* sink) noexcept { ledger_.attach_sink(sink); }
 
   // ---- Activity oracle (idle-cycle census, docs/OBSERVABILITY.md) --------
   [[nodiscard]] bool did_work_this_cycle(Cycle now) const noexcept {
@@ -98,16 +88,13 @@ class MshrCoalescer {
   struct Entry {
     Address block = 0;
     bool write = false;
-    bool dispatched = false;
+    /// Every request merged so far — dispatch does not close the entry.
     std::vector<Target> targets;
-    std::vector<Cycle> accept_cycles;
   };
 
   static std::uint64_t entry_key(Address block, bool write) noexcept {
     return block | (write ? 1ull : 0ull);
   }
-
-  [[nodiscard]] bool intake(const RawRequest& request, Cycle now);
 
   SimConfig config_;
   HmcDevice& device_;
@@ -117,20 +104,16 @@ class MshrCoalescer {
   std::deque<std::uint64_t> dispatch_queue_;       ///< keys awaiting dispatch
   std::unordered_map<TransactionId, std::uint64_t> in_flight_;
   std::unordered_set<std::uint64_t> atomic_keys_;
-  std::deque<std::pair<Target, Cycle>> fences_;
-  std::uint32_t barrier_pending_ = 0;
+  std::deque<Target> fences_;  ///< accepted barriers, oldest first
+  /// The targets of the entry whose response is draining.
+  std::vector<Target> retired_targets_;
   std::uint64_t next_unique_ = 0;
   Cycle merge_port_used_at_ = ~Cycle{0};
   Cycle alloc_port_used_at_ = ~Cycle{0};
-  std::vector<CompletedAccess> ready_completions_;
-  TransactionId next_txn_ = 1;
-  Cycle last_cycle_ = 0;
   Cycle last_work_ = ~Cycle{0};  ///< census slot (MAC3D_OBS_ACTIVITY)
   MshrStats stats_;
+  RequestLedger ledger_;
   std::uint32_t inject_overrun_ = 0;
-  CheckContext* checks_ = nullptr;
-  EventSink* sink_ = nullptr;
-  std::unique_ptr<ConservationChecker> conservation_;
 };
 
 }  // namespace mac3d

@@ -10,7 +10,7 @@ namespace mac3d {
 
 namespace {
 
-std::string describe_entry(const ArqEntry& entry) {
+[[maybe_unused]] std::string describe_entry(const ArqEntry& entry) {
   std::ostringstream out;
   out << "entry row=" << entry.row << " store=" << entry.is_store
       << " fence=" << entry.is_fence << " atomic=" << entry.is_atomic

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "check/check.hpp"
-#include "check/conservation.hpp"
 #include "obs/obs.hpp"
 
 namespace mac3d {
@@ -29,7 +27,8 @@ MacCoalescer::MacCoalescer(const SimConfig& config, HmcDevice& device)
     : config_(config),
       device_(device),
       arq_(config, device.address_map()),
-      builder_(config, device.address_map()) {
+      builder_(config, device.address_map()),
+      ledger_(device, stats_) {
   config_.validate();
 }
 
@@ -37,17 +36,9 @@ MacCoalescer::~MacCoalescer() = default;
 
 void MacCoalescer::attach_checks(CheckContext* context,
                                  const std::string& scope) {
-  checks_ = context;
   arq_.attach_checks(context);
   builder_.attach_checks(context);
-  if (context == nullptr) {
-    conservation_.reset();
-    return;
-  }
-  conservation_ = std::make_unique<ConservationChecker>(*context, scope);
-  context->on_finalize([this](CheckContext&) {
-    if (conservation_ != nullptr) conservation_->finalize(last_tick_);
-  });
+  ledger_.attach_checks(context, scope);
 }
 
 bool MacCoalescer::try_accept(const RawRequest& request, Cycle now) {
@@ -58,42 +49,22 @@ bool MacCoalescer::try_accept(const RawRequest& request, Cycle now) {
   const ArqEntry* merged_into = nullptr;
   const Arq::InsertResult result =
       arq_.insert(request, now, merge_free, alloc_free, &merged_into);
-  switch (result) {
-    case Arq::InsertResult::kMerged:
-      merge_port_used_at_ = now;
-      MAC3D_OBS_ACTIVITY(arq_last_work_, now);
-      MAC3D_OBS_ACTIVITY(last_work_, now);
-      MAC3D_OBS_STAMP(sink_, Stage::kQueueInsert, request.tid, request.tag,
-                      now);
-      MAC3D_OBS_STAMP(sink_, Stage::kMerge, request.tid, request.tag, now);
+  if (result == Arq::InsertResult::kRejected) return false;
+  MAC3D_OBS_ACTIVITY(arq_last_work_, now);
+  MAC3D_OBS_ACTIVITY(last_work_, now);
+  ledger_.accept(request, now);
+  if (result == Arq::InsertResult::kAllocated) {
+    alloc_port_used_at_ = now;
+    return true;
+  }
+  merge_port_used_at_ = now;
+  [[maybe_unused]] EventSink* const sink = ledger_.sink();
+  MAC3D_OBS_STAMP(sink, Stage::kMerge, request.tid, request.tag, now);
 #if MAC3D_OBS_ENABLED
-      if (sink_ != nullptr && merged_into != nullptr &&
-          !merged_into->targets.empty()) {
-        const Target& leader = merged_into->targets.front();
-        sink_->on_merge(request.tid, request.tag, leader.tid, leader.tag, now);
-      }
-#endif
-      break;
-    case Arq::InsertResult::kAllocated:
-      alloc_port_used_at_ = now;
-      MAC3D_OBS_ACTIVITY(arq_last_work_, now);
-      MAC3D_OBS_ACTIVITY(last_work_, now);
-      MAC3D_OBS_STAMP(sink_, Stage::kQueueInsert, request.tid, request.tag,
-                      now);
-      break;
-    case Arq::InsertResult::kRejected:
-      return false;
-  }
-
-  if (request.op == MemOp::kFence) {
-    ++stats_.fences_in;
-  } else {
-    ++stats_.raw_in;
-  }
-  accept_cycle_.put(key(Target{request.tid, request.tag, 0}), now);
-#if MAC3D_CHECKS_ENABLED
-  if (conservation_ != nullptr) {
-    conservation_->on_accept(request.tid, request.tag, request.op, now);
+  if (sink != nullptr && merged_into != nullptr &&
+      !merged_into->targets.empty()) {
+    const Target& leader = merged_into->targets.front();
+    sink->on_merge(request.tid, request.tag, leader.tid, leader.tag, now);
   }
 #endif
   return true;
@@ -123,14 +94,9 @@ void MacCoalescer::pop_stage(Cycle now) {
     // A fence retires only once every earlier memory operation has fully
     // completed (Sec. 4.1): builder and issue queue drained, nothing in
     // flight in the device.
-    if (builder_.empty() && issue_queue_.empty() && outstanding_ == 0) {
-      ArqEntry fence = arq_.pop();
-      CompletedAccess done;
-      done.target = fence.targets.front();
-      done.fence = true;
-      done.accepted = accept_cycle_.take(key(done.target), now);
-      done.completed = now;
-      ready_completions_.push_back(done);
+    if (builder_.empty() && issue_queue_.empty() &&
+        ledger_.in_flight() == 0) {
+      ledger_.retire_fence(arq_.pop().targets.front(), now);
       MAC3D_OBS_ACTIVITY(arq_last_work_, now);
       MAC3D_OBS_ACTIVITY(last_work_, now);
     }
@@ -162,9 +128,9 @@ void MacCoalescer::pop_stage(Cycle now) {
   if (builder_.can_accept(now)) {
     ArqEntry entry = arq_.pop();
 #if MAC3D_OBS_ENABLED
-    if (sink_ != nullptr) {
+    if (EventSink* const sink = ledger_.sink(); sink != nullptr) {
       for (const Target& target : entry.targets) {
-        sink_->on_stage(Stage::kBuilderPick, target.tid, target.tag, now);
+        sink->on_stage(Stage::kBuilderPick, target.tid, target.tag, now);
       }
     }
 #endif
@@ -183,9 +149,9 @@ void MacCoalescer::issue_stage(Cycle now) {
     item.request = builder_.pop_output(now);
     item.ready_at = now;
 #if MAC3D_OBS_ENABLED
-    if (sink_ != nullptr) {
+    if (EventSink* const sink = ledger_.sink(); sink != nullptr) {
       for (const Target& target : item.request.targets) {
-        sink_->on_stage(Stage::kFlitAlloc, target.tid, target.tag, now);
+        sink->on_stage(Stage::kFlitAlloc, target.tid, target.tag, now);
       }
     }
 #endif
@@ -200,11 +166,8 @@ void MacCoalescer::issue_stage(Cycle now) {
   IssueItem& head = issue_queue_.front();
   if (head.ready_at > now || !device_.can_accept(head.request, now)) return;
 
-  head.request.id = next_txn_++;
   const std::uint32_t size = head.request.data_bytes;
-  device_.submit(std::move(head.request), now);
-  ++outstanding_;
-  ++stats_.packets_out;
+  ledger_.submit(std::move(head.request), now);
   ++stats_.packets_by_size[size];
   if (head.atomic) {
     ++stats_.atomic_out;
@@ -219,66 +182,33 @@ void MacCoalescer::issue_stage(Cycle now) {
 }
 
 void MacCoalescer::tick(Cycle now) {
-  assert(now >= last_tick_);
-  last_tick_ = now;
+  ledger_.on_tick(now);
   pop_stage(now);
   issue_stage(now);
 }
 
-std::vector<CompletedAccess> MacCoalescer::drain(Cycle now) {
-  std::vector<CompletedAccess> out;
-  // Fence retirements (and any buffered completions) first.
-  out.swap(ready_completions_);
-
-  for (HmcResponse& response : device_.drain(now)) {
-    assert(outstanding_ > 0);
-    --outstanding_;
-    for (const Target& target : response.targets) {
-      CompletedAccess done;
-      done.target = target;
-      done.write = response.write;
-      done.completed = response.completed;
-      done.accepted = accept_cycle_.take(key(target), response.completed);
-      stats_.raw_latency_cycles.add(
-          static_cast<double>(done.completed - done.accepted));
-      out.push_back(done);
-    }
-  }
-  stats_.completions += out.size();
-  if (!out.empty()) MAC3D_OBS_ACTIVITY(last_work_, now);
-#if MAC3D_OBS_ENABLED
-  if (sink_ != nullptr) {
-    for (const CompletedAccess& done : out) {
-      sink_->on_stage(Stage::kResponseMatch, done.target.tid, done.target.tag,
-                      done.completed);
-    }
-  }
-#endif
-#if MAC3D_CHECKS_ENABLED
-  if (conservation_ != nullptr) {
-    for (const CompletedAccess& done : out) {
-      conservation_->on_complete(done.target.tid, done.target.tag, done.fence,
-                                 now);
-    }
-  }
-#endif
-  return out;
+const std::vector<CompletedAccess>& MacCoalescer::drain(Cycle now) {
+  const std::vector<CompletedAccess>& done = ledger_.drain(now);
+  stats_.completions += done.size();
+  if (!done.empty()) MAC3D_OBS_ACTIVITY(last_work_, now);
+  return done;
 }
 
 bool MacCoalescer::idle() const noexcept {
   return arq_.empty() && builder_.empty() && issue_queue_.empty() &&
-         outstanding_ == 0 && ready_completions_.empty();
+         ledger_.idle();
 }
 
 Cycle MacCoalescer::next_event(Cycle now) const noexcept {
   if (idle()) return 0;
   // Immediate work?
-  if (!ready_completions_.empty()) return now;
+  if (ledger_.fence_ready()) return now;
+  const std::uint64_t in_flight = ledger_.in_flight();
   Cycle next = ~Cycle{0};
   if (!arq_.empty()) {
     const ArqEntry& head = arq_.front();
     if (head.is_fence && !(builder_.empty() && issue_queue_.empty() &&
-                           outstanding_ == 0)) {
+                           in_flight == 0)) {
       // Fence blocked on the device; wake at the next completion.
       if (device_.next_completion() != 0) {
         next = std::min(next, std::max(now + 1, device_.next_completion()));
@@ -295,7 +225,7 @@ Cycle MacCoalescer::next_event(Cycle now) const noexcept {
   if (!issue_queue_.empty()) {
     next = std::min(next, std::max(now + 1, issue_queue_.front().ready_at));
   }
-  if (outstanding_ > 0 && device_.next_completion() != 0) {
+  if (in_flight > 0 && device_.next_completion() != 0) {
     next = std::min(next, std::max(now + 1, device_.next_completion()));
   }
   return next == ~Cycle{0} ? now + 1 : next;

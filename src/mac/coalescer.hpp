@@ -13,54 +13,31 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/flat_cycle_map.hpp"
 #include "common/ring_queue.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "mac/arq.hpp"
 #include "mac/request_builder.hpp"
 #include "mem/hmc_device.hpp"
+#include "mem/request_ledger.hpp"
 
 namespace mac3d {
 
 class CheckContext;
-class ConservationChecker;
 class EventSink;
 
-/// One raw request's completion, de-coalesced from a packet response
-/// (or a retired fence).
-struct CompletedAccess {
-  Target target;
-  bool write = false;
-  bool fence = false;
-  bool atomic = false;
-  Cycle accepted = 0;   ///< cycle the raw request entered the MAC
-  Cycle completed = 0;  ///< cycle its data/ack became available
-};
-
-struct MacStats {
-  std::uint64_t raw_in = 0;      ///< loads + stores + atomics accepted
-  std::uint64_t fences_in = 0;
-  std::uint64_t packets_out = 0; ///< total HMC transactions dispatched
+/// raw_in, fences_in, packets_out and the per-request latency come from
+/// AccessCounts (the ledger's counts).
+struct MacStats : AccessCounts {
   std::uint64_t built_out = 0;   ///< via the Request Builder
   std::uint64_t bypass_out = 0;  ///< B-bit single-FLIT requests
   std::uint64_t atomic_out = 0;
-  std::uint64_t completions = 0;
+  std::uint64_t completions = 0;  ///< de-coalesced completions + fences
   std::map<std::uint32_t, std::uint64_t> packets_by_size;
-  RunningStat raw_latency_cycles;  ///< per raw request, accept -> complete
-
-  /// Request-reduction ratio (paper Eq. 3 as used in Sec. 5.3.1):
-  /// 1 - (requests with MAC / raw requests without MAC).
-  [[nodiscard]] double coalescing_efficiency() const noexcept {
-    return raw_in == 0 ? 0.0
-                       : 1.0 - static_cast<double>(packets_out) /
-                                   static_cast<double>(raw_in);
-  }
 
   void collect(StatSet& out, const std::string& prefix) const;
 };
@@ -92,8 +69,9 @@ class MacCoalescer {
   void tick(Cycle now);
 
   /// Completions (de-coalesced raw requests and retired fences) available
-  /// at or before `now`.
-  std::vector<CompletedAccess> drain(Cycle now);
+  /// at or before `now` (RequestLedger::drain); valid until the next
+  /// drain.
+  const std::vector<CompletedAccess>& drain(Cycle now);
 
   /// True when no work is buffered anywhere in the MAC or the device.
   [[nodiscard]] bool idle() const noexcept;
@@ -133,10 +111,10 @@ class MacCoalescer {
   }
 
   /// Enable request-lifecycle telemetry (docs/OBSERVABILITY.md): stamps
-  /// queue_insert/merge at intake, builder_pick/flit_alloc through the
-  /// pipeline and response_match at drain. The sink must outlive the
-  /// coalescer; pass nullptr to detach.
-  void attach_sink(EventSink* sink) noexcept { sink_ = sink; }
+  /// merge at intake and builder_pick/flit_alloc through the pipeline;
+  /// the ledger stamps queue_insert and response_match. The sink must
+  /// outlive the coalescer; pass nullptr to detach.
+  void attach_sink(EventSink* sink) noexcept { ledger_.attach_sink(sink); }
 
   // ---- Activity oracle (idle-cycle census, docs/OBSERVABILITY.md) --------
   /// Any MAC stage did useful work at `now`: intake accepted, an ARQ
@@ -185,10 +163,6 @@ class MacCoalescer {
     bool bypass = false;
   };
 
-  static std::uint64_t key(const Target& target) noexcept {
-    return request_key(target.tid, target.tag);
-  }
-
   void pop_stage(Cycle now);
   void issue_stage(Cycle now);
 
@@ -197,22 +171,15 @@ class MacCoalescer {
   Arq arq_;
   RequestBuilder builder_;
   RingQueue<IssueItem> issue_queue_;
-  std::vector<CompletedAccess> ready_completions_;
-  FlatCycleMap accept_cycle_;
+  MacStats stats_;
+  RequestLedger ledger_;
   Cycle next_pop_at_ = 0;
-  Cycle last_tick_ = 0;
   Cycle merge_port_used_at_ = ~Cycle{0};  ///< dual-port intake bookkeeping
   Cycle alloc_port_used_at_ = ~Cycle{0};
   Cycle last_work_ = ~Cycle{0};  ///< census slots (MAC3D_OBS_ACTIVITY)
   Cycle arq_last_work_ = ~Cycle{0};
   Cycle builder_last_work_ = ~Cycle{0};
   Cycle flit_last_work_ = ~Cycle{0};
-  std::uint64_t outstanding_ = 0;
-  TransactionId next_txn_ = 1;
-  MacStats stats_;
-  CheckContext* checks_ = nullptr;
-  EventSink* sink_ = nullptr;
-  std::unique_ptr<ConservationChecker> conservation_;
 };
 
 }  // namespace mac3d

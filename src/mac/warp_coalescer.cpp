@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "check/invariants.hpp"
+#include "common/bitutil.hpp"
 
 namespace mac3d {
 
@@ -13,7 +14,7 @@ void WarpStats::collect(StatSet& out, const std::string& prefix) const {
   out.set(prefix + ".packets_out", static_cast<double>(packets_out));
   out.set(prefix + ".merged_lanes", static_cast<double>(merged_lanes));
   out.set(prefix + ".replays", static_cast<double>(replays));
-  out.set(prefix + ".completions", static_cast<double>(completions));
+  out.set(prefix + ".completions", static_cast<double>(completions()));
   out.set(prefix + ".coalescing_efficiency", coalescing_efficiency());
   out.set(prefix + ".avg_raw_latency_cycles", raw_latency_cycles.mean());
   for (const auto& [size, count] : packets_by_size) {
@@ -27,7 +28,8 @@ WarpCoalescer::WarpCoalescer(const SimConfig& config, HmcDevice& device)
       device_(device),
       queue_capacity_(config.queue_depth),
       lanes_(config.warp_lanes),
-      window_cycles_(config.warp_window_cycles) {
+      window_cycles_(config.warp_window_cycles),
+      ledger_(device, stats_) {
   config_.validate();
 }
 
@@ -43,18 +45,7 @@ bool WarpCoalescer::try_accept(const RawRequest& request, Cycle now) {
   ++accepts_this_cycle_;
   pending_.push_back(Lane{request, now, false});
   MAC3D_OBS_ACTIVITY(last_work_, now);
-  accept_cycle_.put(key(request), now);
-  if (request.op == MemOp::kFence) {
-    ++stats_.fences_in;
-  } else {
-    ++stats_.raw_in;
-  }
-  MAC3D_OBS_STAMP(sink_, Stage::kQueueInsert, request.tid, request.tag, now);
-#if MAC3D_CHECKS_ENABLED
-  if (conservation_ != nullptr) {
-    conservation_->on_accept(request.tid, request.tag, request.op, now);
-  }
-#endif
+  ledger_.accept(request, now);
   return true;
 }
 
@@ -92,7 +83,7 @@ void WarpCoalescer::form_window(Cycle now) {
     pending_.pop_front();
   }
   ++stats_.windows;
-  MAC3D_CHECK(checks_, inv::kWarpWindowBound,
+  MAC3D_CHECK(ledger_.checks(), inv::kWarpWindowBound,
               !window_.empty() && window_.size() <= lanes_, now,
               "formed a window of " + std::to_string(window_.size()) +
                   " lanes against a cap of " + std::to_string(lanes_));
@@ -148,7 +139,7 @@ bool WarpCoalescer::issue_iteration(Cycle now) {
     request.targets.push_back(
         Target{req.tid, req.tag, static_cast<std::uint8_t>(flit)});
   }
-  MAC3D_CHECK(checks_, inv::kWarpPacketSpan,
+  MAC3D_CHECK(ledger_.checks(), inv::kWarpPacketSpan,
               request.data_bytes <= config_.warp_block_bytes &&
                   align_down(request.addr, config_.warp_block_bytes) ==
                       align_down(request.addr + request.data_bytes - 1,
@@ -158,16 +149,14 @@ bool WarpCoalescer::issue_iteration(Cycle now) {
 
   // Stamp the builder stages before submit(), which stamps the device
   // stages at once on an unstaged device: lifecycle stamps in stage order.
-  MAC3D_OBS_STAMP(sink_, Stage::kBuilderPick, lead.tid, lead.tag, now);
+  [[maybe_unused]] EventSink* const sink = ledger_.sink();
+  MAC3D_OBS_STAMP(sink, Stage::kBuilderPick, lead.tid, lead.tag, now);
   for (std::size_t m = 1; m < merged.size(); ++m) {
-    MAC3D_OBS_STAMP(sink_, Stage::kMerge, window_[merged[m]].request.tid,
+    MAC3D_OBS_STAMP(sink, Stage::kMerge, window_[merged[m]].request.tid,
                     window_[merged[m]].request.tag, now);
   }
   const std::uint32_t packet_bytes = request.data_bytes;
-  request.id = next_txn_++;
-  device_.submit(std::move(request), now);
-  ++outstanding_;
-  ++stats_.packets_out;
+  ledger_.submit(std::move(request), now);
   stats_.merged_lanes += merged.size() - 1;
   if (window_served_ > 0) ++stats_.replays;
   ++stats_.packets_by_size[packet_bytes];
@@ -182,17 +171,13 @@ bool WarpCoalescer::issue_iteration(Cycle now) {
 }
 
 void WarpCoalescer::tick(Cycle now) {
-  last_cycle_ = now;
+  ledger_.on_tick(now);
   // 1. Retire a head fence once the window and the device drained.
   if (unserved() == 0 && !pending_.empty() &&
-      pending_.front().request.op == MemOp::kFence && outstanding_ == 0) {
-    const Lane head = pending_.front();
-    CompletedAccess done;
-    done.target = Target{head.request.tid, head.request.tag, 0};
-    done.fence = true;
-    done.accepted = accept_cycle_.take(key(done.target), now);
-    done.completed = now;
-    ready_.push_back(done);
+      pending_.front().request.op == MemOp::kFence &&
+      ledger_.in_flight() == 0) {
+    const RawRequest& fence = pending_.front().request;
+    ledger_.retire_fence(Target{fence.tid, fence.tag, 0}, now);
     pending_.pop_front();
     MAC3D_OBS_ACTIVITY(last_work_, now);
   }
@@ -204,46 +189,15 @@ void WarpCoalescer::tick(Cycle now) {
   if (unserved() > 0) (void)issue_iteration(now);
 }
 
-std::vector<CompletedAccess> WarpCoalescer::drain(Cycle now) {
-  std::vector<CompletedAccess> out;
-  out.swap(ready_);
-  for (const HmcResponse& response : device_.drain(now)) {
-    --outstanding_;
-    for (const Target& target : response.targets) {
-      CompletedAccess done;
-      done.target = target;
-      done.write = response.write;
-      done.completed = response.completed;
-      done.accepted = accept_cycle_.take(key(target), response.completed);
-      stats_.raw_latency_cycles.add(
-          static_cast<double>(done.completed - done.accepted));
-      ++stats_.completions;
-      out.push_back(done);
-    }
-  }
-  if (!out.empty()) MAC3D_OBS_ACTIVITY(last_work_, now);
-#if MAC3D_OBS_ENABLED
-  if (sink_ != nullptr) {
-    for (const CompletedAccess& done : out) {
-      sink_->on_stage(Stage::kResponseMatch, done.target.tid, done.target.tag,
-                      done.completed);
-    }
-  }
-#endif
-#if MAC3D_CHECKS_ENABLED
-  if (conservation_ != nullptr) {
-    for (const CompletedAccess& done : out) {
-      conservation_->on_complete(done.target.tid, done.target.tag, done.fence,
-                                 now);
-    }
-  }
-#endif
-  return out;
+const std::vector<CompletedAccess>& WarpCoalescer::drain(Cycle now) {
+  const std::vector<CompletedAccess>& done = ledger_.drain(now);
+  if (!done.empty()) MAC3D_OBS_ACTIVITY(last_work_, now);
+  return done;
 }
 
 Cycle WarpCoalescer::next_event(Cycle now) const noexcept {
   if (idle()) return 0;
-  if (!ready_.empty()) return now;
+  if (ledger_.fence_ready()) return now;
   if (unserved() > 0) return now + 1;
   if (!pending_.empty()) {
     const Lane& head = pending_.front();
@@ -253,13 +207,13 @@ Cycle WarpCoalescer::next_event(Cycle now) const noexcept {
       Cycle wake = (run >= lanes_ || terminated)
                        ? now + 1
                        : std::max(head.accepted + window_cycles_, now + 1);
-      if (outstanding_ != 0) {
+      if (ledger_.in_flight() != 0) {
         const Cycle completion = device_.next_completion();
         wake = std::min(wake, completion > now ? completion : now + 1);
       }
       return wake;
     }
-    if (outstanding_ == 0) return now + 1;
+    if (ledger_.in_flight() == 0) return now + 1;
   }
   const Cycle completion = device_.next_completion();
   return completion > now ? completion : now + 1;
@@ -267,15 +221,7 @@ Cycle WarpCoalescer::next_event(Cycle now) const noexcept {
 
 void WarpCoalescer::attach_checks(CheckContext* context,
                                   const std::string& scope) {
-  checks_ = context;
-  if (context == nullptr) {
-    conservation_.reset();
-    return;
-  }
-  conservation_ = std::make_unique<ConservationChecker>(*context, scope);
-  context->on_finalize([this](CheckContext&) {
-    if (conservation_ != nullptr) conservation_->finalize(last_cycle_);
-  });
+  ledger_.attach_checks(context, scope);
 }
 
 }  // namespace mac3d

@@ -12,39 +12,31 @@
 #include <cassert>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "check/check.hpp"
-#include "check/conservation.hpp"
-#include "common/bitutil.hpp"
 #include "common/config.hpp"
-#include "common/flat_cycle_map.hpp"
 #include "common/ring_queue.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "mac/coalescer.hpp"  // CompletedAccess
 #include "mem/hmc_device.hpp"
+#include "mem/request_ledger.hpp"
 #include "obs/obs.hpp"
 
 namespace mac3d {
 
-struct WarpStats {
-  std::uint64_t raw_in = 0;       ///< loads + stores + atomics accepted
-  std::uint64_t fences_in = 0;
+/// raw_in, fences_in, packets_out and the per-request latency come from
+/// AccessCounts (the ledger's counts).
+struct WarpStats : AccessCounts {
   std::uint64_t windows = 0;      ///< warp windows formed
-  std::uint64_t packets_out = 0;  ///< HMC transactions dispatched
   std::uint64_t merged_lanes = 0; ///< non-leader lanes riding a packet
   std::uint64_t replays = 0;      ///< extra iterations beyond the first
-  std::uint64_t completions = 0;  ///< raw completions delivered upstream
   std::map<std::uint32_t, std::uint64_t> packets_by_size;
-  RunningStat raw_latency_cycles;  ///< accept -> completion, per raw request
 
-  [[nodiscard]] double coalescing_efficiency() const noexcept {
-    return raw_in == 0 ? 0.0
-                       : 1.0 - static_cast<double>(packets_out) /
-                                   static_cast<double>(raw_in);
+  /// Raw completions delivered upstream (fences excluded): one latency
+  /// sample each.
+  [[nodiscard]] std::uint64_t completions() const noexcept {
+    return raw_latency_cycles.count();
   }
 
   void collect(StatSet& out, const std::string& prefix) const;
@@ -75,11 +67,12 @@ class WarpCoalescer {
   /// window when one is ready, then run one coalescing iteration.
   void tick(Cycle now);
 
-  std::vector<CompletedAccess> drain(Cycle now);
+  /// Completions at or before `now` (RequestLedger::drain); valid until
+  /// the next drain.
+  const std::vector<CompletedAccess>& drain(Cycle now);
 
   [[nodiscard]] bool idle() const noexcept {
-    return pending_.empty() && window_.empty() && outstanding_ == 0 &&
-           ready_.empty();
+    return pending_.empty() && window_.empty() && ledger_.idle();
   }
 
   /// Earliest cycle at which tick()/drain() could do work (0 when idle).
@@ -93,9 +86,6 @@ class WarpCoalescer {
   [[nodiscard]] std::size_t window_backlog() const noexcept {
     return unserved();
   }
-  [[nodiscard]] std::uint64_t outstanding() const noexcept {
-    return outstanding_;
-  }
 
   /// Enable invariant checking (docs/INVARIANTS.md): request conservation
   /// plus the warp window/packet invariants. Same contract as
@@ -103,10 +93,10 @@ class WarpCoalescer {
   void attach_checks(CheckContext* context, const std::string& scope = "warp");
 
   /// Enable request-lifecycle telemetry (docs/OBSERVABILITY.md): stamps
-  /// queue_insert at intake, builder_pick for the leader lane, merge for
-  /// lanes riding its packet, response_match at drain. The sink must
-  /// outlive the path; pass nullptr to detach.
-  void attach_sink(EventSink* sink) noexcept { sink_ = sink; }
+  /// builder_pick for the leader lane and merge for lanes riding its
+  /// packet; the ledger stamps queue_insert and response_match. The sink
+  /// must outlive the path; pass nullptr to detach.
+  void attach_sink(EventSink* sink) noexcept { ledger_.attach_sink(sink); }
 
   // ---- Activity oracle (idle-cycle census, docs/OBSERVABILITY.md) --------
   [[nodiscard]] bool did_work_this_cycle(Cycle now) const noexcept {
@@ -137,13 +127,6 @@ class WarpCoalescer {
   /// the packet (retry next cycle).
   bool issue_iteration(Cycle now);
 
-  static std::uint64_t key(const RawRequest& request) noexcept {
-    return request_key(request.tid, request.tag);
-  }
-  static std::uint64_t key(const Target& target) noexcept {
-    return request_key(target.tid, target.tag);
-  }
-
   const SimConfig config_;
   HmcDevice& device_;
   std::size_t queue_capacity_;
@@ -154,16 +137,9 @@ class WarpCoalescer {
   RingQueue<Lane> pending_;
   std::vector<Lane> window_;
   std::size_t window_served_ = 0;
-  FlatCycleMap accept_cycle_;
-  std::vector<CompletedAccess> ready_;
-  std::uint64_t outstanding_ = 0;
-  TransactionId next_txn_ = 1;
-  Cycle last_cycle_ = 0;
   Cycle last_work_ = ~Cycle{0};  ///< census slot (MAC3D_OBS_ACTIVITY)
   WarpStats stats_;
-  CheckContext* checks_ = nullptr;
-  std::unique_ptr<ConservationChecker> conservation_;
-  EventSink* sink_ = nullptr;
+  RequestLedger ledger_;
 };
 
 }  // namespace mac3d

@@ -211,18 +211,21 @@ void HmcDevice::commit_staged(StagedSubmit& entry) {
   response.addr = request.addr;
   response.data_bytes = request.data_bytes;
   response.write = request.write;
+  response.atomic = request.atomic;
   response.completed = entry.completed;
   response.targets = std::move(request.targets);
-  pending_.push(std::move(response));
+  pending_.push_back(std::move(response));
+  std::push_heap(pending_.begin(), pending_.end(), PendingGreater{});
 }
 
-std::vector<HmcResponse> HmcDevice::drain(Cycle now) {
-  std::vector<HmcResponse> done;
-  while (!pending_.empty() && pending_.top().completed <= now) {
-    done.push_back(pending_.top());
-    pending_.pop();
+const std::vector<HmcResponse>& HmcDevice::drain(Cycle now) {
+  drained_.clear();
+  while (!pending_.empty() && pending_.front().completed <= now) {
+    std::pop_heap(pending_.begin(), pending_.end(), PendingGreater{});
+    drained_.push_back(std::move(pending_.back()));
+    pending_.pop_back();
   }
-  return done;
+  return drained_;
 }
 
 double HmcDevice::banks_busy_fraction(Cycle now) const noexcept {
@@ -259,7 +262,8 @@ void HmcDevice::reset() {
   for (Link& link : links_) link.reset();
   std::fill(vault_until_.begin(), vault_until_.end(), Cycle{0});
   banks_until_ = 0;
-  pending_ = {};
+  pending_.clear();
+  drained_.clear();
   staged_.clear();
   stats_ = {};
   fault_ = Fault::kNone;

@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -116,15 +115,17 @@ class HmcDevice {
     staged_.clear();
   }
 
-  /// Pop all responses completed at or before `now` (completion order).
-  std::vector<HmcResponse> drain(Cycle now);
+  /// Pop all responses completed at or before `now`, in (completed, id)
+  /// order. They move into a buffer the device reuses, valid until the
+  /// next drain.
+  const std::vector<HmcResponse>& drain(Cycle now);
 
   /// True when no undelivered response remains.
   [[nodiscard]] bool idle() const noexcept { return pending_.empty(); }
 
   /// Earliest completion among in-flight transactions (0 when idle).
   [[nodiscard]] Cycle next_completion() const noexcept {
-    return pending_.empty() ? 0 : pending_.top().completed;
+    return pending_.empty() ? 0 : pending_.front().completed;
   }
 
   [[nodiscard]] std::size_t in_flight() const noexcept {
@@ -258,6 +259,7 @@ class HmcDevice {
   /// response enqueue (phase B work — serial, global staging order).
   void commit_staged(StagedSubmit& entry);
 
+  /// Min-heap order of pending_: earliest completion, then lowest id.
   struct PendingGreater {
     bool operator()(const HmcResponse& a, const HmcResponse& b) const {
       return a.completed > b.completed || (a.completed == b.completed &&
@@ -279,8 +281,8 @@ class HmcDevice {
   /// in place, so census rows may hold their addresses.
   std::vector<Cycle> vault_until_;
   Cycle banks_until_ = 0;
-  std::priority_queue<HmcResponse, std::vector<HmcResponse>, PendingGreater>
-      pending_;
+  std::vector<HmcResponse> pending_;  ///< heap under PendingGreater
+  std::vector<HmcResponse> drained_;  ///< the last drain's responses
   HmcStats stats_;
   CheckContext* checks_ = nullptr;
   EventSink* sink_ = nullptr;

@@ -33,6 +33,7 @@ struct HmcResponse {
   Address addr = 0;
   std::uint32_t data_bytes = 0;
   bool write = false;
+  bool atomic = false;
   Cycle completed = 0;            ///< cycle at which the response is available
   std::vector<Target> targets;
 };

@@ -38,6 +38,13 @@ namespace {
 
 constexpr Cycle kNever = SerialPoint::kNever;
 
+/// The closed-loop window (paper Sec. 3): loads and atomics a thread may
+/// have outstanding before it stalls — 2 models the "hit under miss"
+/// (Kroft) a simple in-order core affords — and its posted-store buffer
+/// depth.
+constexpr std::uint32_t kMaxLoadsPerThread = 2;
+constexpr std::uint32_t kMaxStoresPerThread = 4;
+
 /// What the loop learns from completions. It outlives the loop: the
 /// snapshot's completions counter still reads it when the run ends.
 struct LoopResult {
@@ -67,12 +74,9 @@ class Feed {
   [[nodiscard]] const std::vector<MemRecord>& records(std::uint32_t t) const {
     return trace_.thread(static_cast<ThreadId>(t));
   }
-  /// When thread `t`'s first record arrives: after its compute gap, if
-  /// gaps are charged.
+  /// When thread `t`'s first record arrives: after its compute gap.
   [[nodiscard]] Cycle first_arrival(std::uint32_t t) const {
-    return options_.charge_gaps && !records(t).empty()
-               ? records(t).front().gap
-               : 0;
+    return records(t).empty() ? 0 : records(t).front().gap;
   }
 
   /// Round-robin from the turn: the first thread `ready` admits, or
@@ -169,7 +173,7 @@ class StreamingFeed : public Feed {
       --records_left_;
       // Open-loop pacing: the next record arrives `gap` core cycles
       // after this one *was generated* (arrivals can back up).
-      if (++cursor.next < stream.size() && options_.charge_gaps) {
+      if (++cursor.next < stream.size()) {
         cursor.arrive_at += stream[cursor.next].gap;
       }
       turn_ = (t + 1) % threads_;
@@ -212,17 +216,16 @@ class StreamingFeed : public Feed {
 /// Closed-loop feed (paper Sec. 3): each hardware thread may have a small
 /// number of loads outstanding (hit-under-miss) and posts stores through a
 /// finite store buffer; it stalls otherwise, and pays its recorded compute
-/// gap between references. Up to `intake_ports` requests (one per core
-/// port) enter the path per cycle.
+/// gap between references. Up to one request per core (one intake port
+/// each; the ARQ comparators check every entry at once, cf. Fig. 9)
+/// enters the path per cycle.
 class ClosedLoopFeed : public Feed {
  public:
   ClosedLoopFeed(const MemoryTrace& trace, const SimConfig& config,
                  std::uint32_t threads, const DriveOptions& options,
                  const SerialPoint& serial)
       : Feed(trace, config, threads, options, serial),
-        cursors_(threads_),
-        ports_(options.intake_ports == 0 ? config.cores
-                                         : options.intake_ports) {
+        cursors_(threads_) {
     for (std::uint32_t t = 0; t < threads_; ++t) {
       cursors_[t].ready_at = first_arrival(t);
     }
@@ -236,7 +239,7 @@ class ClosedLoopFeed : public Feed {
   /// path's intake ports reject one (or every thread is busy).
   template <typename Path>
   void intake(Path& path, Cycle now) {
-    for (std::uint32_t accepted = 0; records_left_ > 0 && accepted < ports_;
+    for (std::uint32_t accepted = 0; records_left_ > 0 && accepted < cores_;
          ++accepted) {
       const std::uint32_t t = next_thread([&](std::uint32_t u) {
         const Cursor& cursor = cursors_[u];
@@ -267,9 +270,7 @@ class ClosedLoopFeed : public Feed {
                                                  : cursor.loads);
     --outstanding_;
     Cycle ready = done.completed;
-    if (options_.charge_gaps && cursor.next < records(t).size()) {
-      ready += records(t)[cursor.next].gap;
-    }
+    if (cursor.next < records(t).size()) ready += records(t)[cursor.next].gap;
     cursor.ready_at = std::max(cursor.ready_at, ready);
   }
 
@@ -306,16 +307,15 @@ class ClosedLoopFeed : public Feed {
       case MemOp::kFence:
         return cursor.loads == 0 && cursor.stores == 0;
       case MemOp::kStore:
-        return cursor.stores < options_.max_stores_per_thread;
+        return cursor.stores < kMaxStoresPerThread;
       case MemOp::kLoad:
       case MemOp::kAtomic:
-        return cursor.loads < options_.max_loads_per_thread;
+        return cursor.loads < kMaxLoadsPerThread;
     }
     return false;
   }
 
   std::vector<Cursor> cursors_;
-  std::uint32_t ports_;
   std::uint64_t outstanding_ = 0;
 };
 
@@ -392,10 +392,8 @@ class LaneGroupFeed : public Feed {
       ++next.tag;
       if (!participates(group, u)) continue;
       ++group.waiting;
-      if (options_.charge_gaps) {
-        next.ready_at = std::max(
-            next.ready_at, next.completed_at + records(u)[group.step].gap);
-      }
+      next.ready_at = std::max(
+          next.ready_at, next.completed_at + records(u)[group.step].gap);
     }
   }
 

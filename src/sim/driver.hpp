@@ -38,9 +38,10 @@ enum class FeedMode {
   /// default for all figure benches.
   kStreaming,
   /// Execution-driven: threads stall on outstanding references
-  /// (paper Sec. 3) with a small load window and posted stores, paying
-  /// their recorded compute gaps. Used by the feed-mode ablation and the
-  /// full-system (arch/) examples.
+  /// (paper Sec. 3) with a small load window (2, hit-under-miss) and a
+  /// 4-deep posted-store buffer, paying their recorded compute gaps; one
+  /// request per core enters the path per cycle. Used by the feed-mode
+  /// ablation and the full-system (arch/) examples.
   kClosedLoop,
   /// SIMT lane groups: threads are partitioned into consecutive groups of
   /// config.warp_lanes lanes; a group presents record `s` of all its
@@ -104,19 +105,6 @@ struct DriveOptions {
   /// open-loop throughput effect). Ignored in closed-loop mode, whose
   /// load/store windows already bound outstanding tags.
   std::uint32_t tag_pool = 0;
-  /// Loads (and atomics) a thread may have outstanding before it stalls.
-  /// 2 models the classic "hit under miss" (Kroft) a simple in-order core
-  /// affords; 1 is the strict stall-on-every-reference of paper Sec. 3.
-  std::uint32_t max_loads_per_thread = 2;
-  /// Posted stores: the store-buffer depth per thread (stores retire
-  /// without stalling the core until the buffer fills).
-  std::uint32_t max_stores_per_thread = 4;
-  /// Requests entering the MAC per cycle (one per core port; 0 = cores).
-  /// The comparators check all ARQ entries simultaneously, so the ARQ can
-  /// absorb one request per core port each cycle (cf. Fig. 9: up to 9.32
-  /// raw requests per cycle are ready to enter the ARQ).
-  std::uint32_t intake_ports = 0;
-  bool charge_gaps = true;  ///< pay per-record compute gaps (closed loop)
   /// Model-invariant checking (docs/INVARIANTS.md): when non-null, the
   /// driver attaches the context to the device and the path, finalizes it
   /// after the run (while the pipeline is still alive) and reports the

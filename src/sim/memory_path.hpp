@@ -13,7 +13,7 @@
 #include "common/config.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "mac/coalescer.hpp"  // CompletedAccess
+#include "mem/request_ledger.hpp"  // CompletedAccess
 
 namespace mac3d {
 
@@ -36,7 +36,9 @@ class MemoryPath {
   virtual bool try_accept(const RawRequest& request, Cycle now) = 0;
   virtual void accept(const RawRequest& request, Cycle now) = 0;
   virtual void tick(Cycle now) = 0;
-  virtual std::vector<CompletedAccess> drain(Cycle now) = 0;
+  /// Completions at or before `now`; the buffer belongs to the path and
+  /// stays valid until its next drain.
+  virtual const std::vector<CompletedAccess>& drain(Cycle now) = 0;
   [[nodiscard]] virtual bool idle() const = 0;
   [[nodiscard]] virtual Cycle next_event(Cycle now) const = 0;
 

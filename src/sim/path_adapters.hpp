@@ -50,7 +50,7 @@ class PathAdapter : public MemoryPath {
     path_.accept(request, now);
   }
   void tick(Cycle now) final { path_.tick(now); }
-  std::vector<CompletedAccess> drain(Cycle now) final {
+  const std::vector<CompletedAccess>& drain(Cycle now) final {
     return path_.drain(now);
   }
   [[nodiscard]] bool idle() const final { return path_.idle(); }
@@ -119,20 +119,22 @@ class RawAdapter final : public PathAdapter<RawPath, CoalescerPolicy::kRaw> {
   }
   void collect(StatSet& out, const std::string& prefix) const override {
     const std::string base = prefix + ".raw";
-    out.set(base + ".raw_in", static_cast<double>(path_.raw_in()));
-    out.set(base + ".packets_out", static_cast<double>(path_.packets_out()));
-    out.set(base + ".avg_raw_latency_cycles", path_.latency().mean());
+    const AccessCounts& stats = path_.stats();
+    out.set(base + ".raw_in", static_cast<double>(stats.raw_in));
+    out.set(base + ".packets_out", static_cast<double>(stats.packets_out));
+    out.set(base + ".avg_raw_latency_cycles",
+            stats.raw_latency_cycles.mean());
   }
 
   [[nodiscard]] std::size_t occupancy() const { return path_.queue_depth(); }
   [[nodiscard]] std::size_t issue_backlog() const { return 0; }
   [[nodiscard]] std::uint64_t injected() const {
-    return path_.raw_in() + path_.fences_in();
+    return path_.stats().raw_in + path_.stats().fences_in;
   }
   void report(DriverResult& result) const {
-    result.raw_requests = path_.raw_in();
-    result.avg_latency_cycles = path_.latency().mean();
-    result.packets_by_size[kFlitBytes] = path_.packets_out();
+    result.raw_requests = path_.stats().raw_in;
+    result.avg_latency_cycles = path_.stats().raw_latency_cycles.mean();
+    result.packets_by_size[kFlitBytes] = path_.stats().packets_out;
   }
 };
 

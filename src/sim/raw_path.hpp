@@ -6,20 +6,15 @@
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "check/check.hpp"
-#include "check/conservation.hpp"
 #include "common/bitutil.hpp"
 #include "common/config.hpp"
-#include "common/flat_cycle_map.hpp"
 #include "common/ring_queue.hpp"
-#include "common/stats.hpp"
 #include "common/types.hpp"
-#include "mac/coalescer.hpp"  // CompletedAccess
 #include "mem/hmc_device.hpp"
+#include "mem/request_ledger.hpp"
 #include "obs/obs.hpp"
 
 namespace mac3d {
@@ -27,7 +22,9 @@ namespace mac3d {
 class RawPath {
  public:
   RawPath(const SimConfig& config, HmcDevice& device)
-      : device_(device), queue_capacity_(config.queue_depth) {}
+      : device_(device),
+        queue_capacity_(config.queue_depth),
+        ledger_(device, stats_) {}
 
   [[nodiscard]] bool can_accept() const noexcept {
     return queue_.size() < queue_capacity_;
@@ -45,15 +42,7 @@ class RawPath {
     ++accepts_this_cycle_;
     queue_.push_back(request);
     MAC3D_OBS_ACTIVITY(last_work_, now);
-    accept_cycle_.put(key(request), now);
-    raw_in_ += request.op != MemOp::kFence ? 1 : 0;
-    fences_in_ += request.op == MemOp::kFence ? 1 : 0;
-    MAC3D_OBS_STAMP(sink_, Stage::kQueueInsert, request.tid, request.tag, now);
-#if MAC3D_CHECKS_ENABLED
-    if (conservation_ != nullptr) {
-      conservation_->on_accept(request.tid, request.tag, request.op, now);
-    }
-#endif
+    ledger_.accept(request, now);
     return true;
   }
 
@@ -64,17 +53,12 @@ class RawPath {
   }
 
   void tick(Cycle now) {
-    last_cycle_ = now;
+    ledger_.on_tick(now);
     if (queue_.empty()) return;
     const RawRequest& head = queue_.front();
     if (head.op == MemOp::kFence) {
-      if (outstanding_ == 0) {
-        CompletedAccess done;
-        done.target = Target{head.tid, head.tag, 0};
-        done.fence = true;
-        done.accepted = take_accept(done.target, now);
-        done.completed = now;
-        ready_.push_back(done);
+      if (ledger_.in_flight() == 0) {
+        ledger_.retire_fence(Target{head.tid, head.tag, 0}, now);
         queue_.pop_front();
         MAC3D_OBS_ACTIVITY(last_work_, now);
       }
@@ -91,95 +75,46 @@ class RawPath {
     request.targets.push_back(
         Target{head.tid, head.tag, static_cast<std::uint8_t>(flit)});
     if (!device_.can_accept(request, now)) return;
-    request.id = next_txn_++;
-    device_.submit(std::move(request), now);
-    ++outstanding_;
-    ++packets_out_;
+    ledger_.submit(std::move(request), now);
     queue_.pop_front();
     MAC3D_OBS_ACTIVITY(last_work_, now);
   }
 
-  std::vector<CompletedAccess> drain(Cycle now) {
-    std::vector<CompletedAccess> out;
-    out.swap(ready_);
-    for (const HmcResponse& response : device_.drain(now)) {
-      --outstanding_;
-      for (const Target& target : response.targets) {
-        CompletedAccess done;
-        done.target = target;
-        done.write = response.write;
-        done.completed = response.completed;
-        done.accepted = take_accept(target, response.completed);
-        latency_.add(static_cast<double>(done.completed - done.accepted));
-        out.push_back(done);
-      }
-    }
-    if (!out.empty()) MAC3D_OBS_ACTIVITY(last_work_, now);
-#if MAC3D_OBS_ENABLED
-    if (sink_ != nullptr) {
-      for (const CompletedAccess& done : out) {
-        sink_->on_stage(Stage::kResponseMatch, done.target.tid,
-                        done.target.tag, done.completed);
-      }
-    }
-#endif
-#if MAC3D_CHECKS_ENABLED
-    if (conservation_ != nullptr) {
-      for (const CompletedAccess& done : out) {
-        conservation_->on_complete(done.target.tid, done.target.tag,
-                                   done.fence, now);
-      }
-    }
-#endif
-    return out;
+  /// Completions at or before `now` (RequestLedger::drain); valid until
+  /// the next drain.
+  const std::vector<CompletedAccess>& drain(Cycle now) {
+    const std::vector<CompletedAccess>& done = ledger_.drain(now);
+    if (!done.empty()) MAC3D_OBS_ACTIVITY(last_work_, now);
+    return done;
   }
 
   [[nodiscard]] bool idle() const noexcept {
-    return queue_.empty() && outstanding_ == 0 && ready_.empty();
+    return queue_.empty() && ledger_.idle();
   }
 
   [[nodiscard]] Cycle next_event(Cycle now) const noexcept {
     if (idle()) return 0;
-    if (!ready_.empty()) return now;
+    if (ledger_.fence_ready()) return now;
     if (!queue_.empty() && queue_.front().op != MemOp::kFence) return now + 1;
     const Cycle completion = device_.next_completion();
     return completion > now ? completion : now + 1;
   }
 
-  [[nodiscard]] std::uint64_t raw_in() const noexcept { return raw_in_; }
-  [[nodiscard]] std::uint64_t fences_in() const noexcept {
-    return fences_in_;
-  }
-  [[nodiscard]] std::uint64_t packets_out() const noexcept {
-    return packets_out_;
-  }
+  [[nodiscard]] const AccessCounts& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t queue_depth() const noexcept {
     return queue_.size();
-  }
-  [[nodiscard]] std::uint64_t outstanding() const noexcept {
-    return outstanding_;
-  }
-  [[nodiscard]] const RunningStat& latency() const noexcept {
-    return latency_;
   }
 
   /// Enable request/response conservation checking (docs/INVARIANTS.md
   /// §conservation). Same contract as MacCoalescer::attach_checks.
   void attach_checks(CheckContext* context, const std::string& scope = "raw") {
-    if (context == nullptr) {
-      conservation_.reset();
-      return;
-    }
-    conservation_ = std::make_unique<ConservationChecker>(*context, scope);
-    context->on_finalize([this](CheckContext&) {
-      if (conservation_ != nullptr) conservation_->finalize(last_cycle_);
-    });
+    ledger_.attach_checks(context, scope);
   }
 
-  /// Enable request-lifecycle telemetry (docs/OBSERVABILITY.md): stamps
-  /// queue_insert at intake and response_match at drain. The sink must
-  /// outlive the path; pass nullptr to detach.
-  void attach_sink(EventSink* sink) noexcept { sink_ = sink; }
+  /// Enable request-lifecycle telemetry (docs/OBSERVABILITY.md): the
+  /// ledger stamps queue_insert at intake and response_match at drain.
+  /// The sink must outlive the path; pass nullptr to detach.
+  void attach_sink(EventSink* sink) noexcept { ledger_.attach_sink(sink); }
 
   // ---- Activity oracle (idle-cycle census, docs/OBSERVABILITY.md) --------
   [[nodiscard]] bool did_work_this_cycle(Cycle now) const noexcept {
@@ -190,34 +125,14 @@ class RawPath {
   }
 
  private:
-  static std::uint64_t key(const RawRequest& request) noexcept {
-    return request_key(request.tid, request.tag);
-  }
-  static std::uint64_t key(const Target& target) noexcept {
-    return request_key(target.tid, target.tag);
-  }
-
-  Cycle take_accept(const Target& target, Cycle fallback) {
-    return accept_cycle_.take(key(target), fallback);
-  }
-
   HmcDevice& device_;
   std::size_t queue_capacity_;
   Cycle accepts_at_ = ~Cycle{0};
   std::uint32_t accepts_this_cycle_ = 0;
   RingQueue<RawRequest> queue_;
-  FlatCycleMap accept_cycle_;
-  std::vector<CompletedAccess> ready_;
-  std::uint64_t outstanding_ = 0;
-  std::uint64_t raw_in_ = 0;
-  std::uint64_t fences_in_ = 0;
-  std::uint64_t packets_out_ = 0;
-  TransactionId next_txn_ = 1;
-  Cycle last_cycle_ = 0;
+  AccessCounts stats_;
+  RequestLedger ledger_;
   Cycle last_work_ = ~Cycle{0};  ///< census slot (MAC3D_OBS_ACTIVITY)
-  RunningStat latency_;
-  std::unique_ptr<ConservationChecker> conservation_;
-  EventSink* sink_ = nullptr;
 };
 
 }  // namespace mac3d

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 namespace mac3d {
@@ -32,6 +33,21 @@ void read_pod(std::ifstream& in, T& value) {
   if (!in) throw std::runtime_error("trace file truncated");
 }
 
+/// Why `disk` cannot reach the model as it stands, or nullptr. Fences carry
+/// no address or size.
+const char* invalid_record(const DiskRecord& disk) {
+  if (disk.op > static_cast<std::uint8_t>(MemOp::kAtomic)) {
+    return "corrupt record op";
+  }
+  if (static_cast<MemOp>(disk.op) == MemOp::kFence) return nullptr;
+  if (disk.size == 0) return "record of size 0";
+  if (disk.size > kFlitBytes) return "record larger than a FLIT (16 B)";
+  if (disk.addr % kFlitBytes + disk.size > kFlitBytes) {
+    return "record straddles a FLIT boundary";
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 void save_trace(const MemoryTrace& trace, const std::string& path) {
@@ -53,8 +69,10 @@ void save_trace(const MemoryTrace& trace, const std::string& path) {
 }
 
 MemoryTrace load_trace(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw std::runtime_error("cannot open for reading: " + path);
+  const std::streamoff file_bytes = in.tellg();
+  in.seekg(0);
   std::array<char, 8> magic{};
   in.read(magic.data(), magic.size());
   if (!in || magic != kMagic) {
@@ -75,11 +93,23 @@ MemoryTrace load_trace(const std::string& path) {
   for (std::uint32_t t = 0; t < threads; ++t) {
     std::uint64_t count = 0;
     read_pod(in, count);
+    const auto bytes_left = static_cast<std::uint64_t>(file_bytes - in.tellg());
+    if (count > bytes_left / sizeof(DiskRecord)) {
+      throw std::runtime_error(
+          "trace thread " + std::to_string(t) + " claims " +
+          std::to_string(count) + " records, but only " +
+          std::to_string(bytes_left / sizeof(DiskRecord)) + " fit in the " +
+          std::to_string(bytes_left) + " bytes left");
+    }
     for (std::uint64_t i = 0; i < count; ++i) {
       DiskRecord disk{};
       read_pod(in, disk);
-      if (disk.op > static_cast<std::uint8_t>(MemOp::kAtomic)) {
-        throw std::runtime_error("corrupt record op in trace");
+      if (const char* why = invalid_record(disk)) {
+        std::ostringstream detail;
+        detail << why << " in trace (thread " << t << ", record " << i
+               << ", address 0x" << std::hex << disk.addr << std::dec
+               << ", size " << static_cast<unsigned>(disk.size) << ")";
+        throw std::runtime_error(detail.str());
       }
       trace.append(static_cast<ThreadId>(t),
                    MemRecord{disk.addr, static_cast<MemOp>(disk.op),

@@ -222,26 +222,6 @@ TEST(Driver, ClosedLoopModeCompletesEverything) {
   EXPECT_GT(mac.makespan, 0u);
 }
 
-TEST(Driver, GapChargingSlowsArrivalButChangesNoCounts) {
-  SimConfig config;
-  MemoryTrace trace(2);
-  for (int i = 0; i < 50; ++i) {
-    trace.instr(0, 200);
-    trace.load(0, static_cast<Address>(i) * 256);
-    trace.instr(1, 200);
-    trace.load(1, static_cast<Address>(i) * 256 + 16);
-  }
-  DriveOptions paced;
-  DriveOptions unpaced;
-  unpaced.charge_gaps = false;
-  const DriverResult slow = run_policy(CoalescerPolicy::kMac, trace, config, 2,
-                                       paced);
-  const DriverResult fast = run_policy(CoalescerPolicy::kMac, trace, config, 2,
-                                       unpaced);
-  EXPECT_EQ(slow.completions, fast.completions);
-  EXPECT_GT(slow.makespan, fast.makespan);
-}
-
 TEST(Driver, SpeedupMetricsAreConsistent) {
   SimConfig config;
   const MemoryTrace trace = shared_row_trace(8, 300);

@@ -2,14 +2,19 @@
 // interleaving and the analyzer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "common/config.hpp"
 #include "trace/address_space.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_io.hpp"
+#include "workloads/workload.hpp"
 
 namespace mac3d {
 namespace {
@@ -118,6 +123,105 @@ TEST(TraceIo, RejectsCorruptMagic) {
   std::fputs("NOTATRACEFILE###", f);
   std::fclose(f);
   EXPECT_THROW(load_trace(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+/// One on-disk v2 record: addr u64, op u8, size u8, gap u16, pad u32.
+struct CraftedRecord {
+  std::uint64_t addr = 0;
+  MemOp op = MemOp::kLoad;
+  std::uint8_t size = 8;
+};
+
+/// Writes a one-thread v2 trace file holding `records` under a per-thread
+/// count of `count` (the record count unless given); returns its path.
+std::string write_crafted(const std::string& name,
+                          const std::vector<CraftedRecord>& records,
+                          std::uint64_t count = ~std::uint64_t{0}) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / name).string();
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const auto put = [&out](const auto& value) {
+    out.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  out.write("MAC3DTRC", 8);
+  put(std::uint32_t{2});  // version
+  put(std::uint32_t{1});  // threads
+  put(count == ~std::uint64_t{0} ? std::uint64_t{records.size()} : count);
+  for (const CraftedRecord& record : records) {
+    put(record.addr);
+    put(static_cast<std::uint8_t>(record.op));
+    put(record.size);
+    put(std::uint16_t{0});  // gap
+    put(std::uint32_t{0});  // pad
+  }
+  return path;
+}
+
+/// load_trace must refuse `path` with a runtime_error naming `why`.
+void expect_rejected(const std::string& path, const std::string& why) {
+  try {
+    (void)load_trace(path);
+    ADD_FAILURE() << path << " loaded";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(why), std::string::npos)
+        << error.what();
+  }
+  std::remove(path.c_str());
+}
+
+// Records the model would misread are rejected, never split, so that a
+// saved trace still loads back exactly.
+TEST(TraceIo, RejectsRecordOfSizeZero) {
+  expect_rejected(
+      write_crafted("mac3d_size0.trace", {{0x1000, MemOp::kLoad, 0}}),
+      "size 0");
+}
+
+TEST(TraceIo, RejectsRecordLargerThanAFlit) {
+  expect_rejected(
+      write_crafted("mac3d_size255.trace", {{0x1000, MemOp::kStore, 255}}),
+      "larger than a FLIT");
+}
+
+TEST(TraceIo, RejectsRecordStraddlingAFlit) {
+  expect_rejected(
+      write_crafted("mac3d_straddle.trace", {{0x100F, MemOp::kLoad, 8}}),
+      "straddles a FLIT");
+}
+
+TEST(TraceIo, RejectsCountLargerThanTheFile) {
+  expect_rejected(write_crafted("mac3d_count.trace",
+                                {{0x1000, MemOp::kLoad, 8}}, 1'000'000),
+                  "claims 1000000 records");
+}
+
+TEST(TraceIo, AcceptsFencesAndFullFlitRecords) {
+  const std::string path = write_crafted(
+      "mac3d_valid.trace", {{0x1000, MemOp::kLoad, 16},
+                            {0, MemOp::kFence, 0},
+                            {0x100C, MemOp::kAtomic, 4}});
+  const MemoryTrace loaded = load_trace(path);
+  ASSERT_EQ(loaded.thread(0).size(), 3u);
+  EXPECT_EQ(loaded.thread(0)[1].op, MemOp::kFence);
+  std::remove(path.c_str());
+}
+
+TEST(TraceIo, GeneratedTraceRoundTrips) {
+  WorkloadParams params;
+  params.threads = 4;
+  params.scale = 0.02;
+  const MemoryTrace trace = find_workload("sg")->trace(params);
+  ASSERT_GT(trace.size(), 0u);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "mac3d_sg.trace").string();
+  save_trace(trace, path);
+  const MemoryTrace loaded = load_trace(path);
+  ASSERT_EQ(loaded.threads(), trace.threads());
+  for (std::uint32_t t = 0; t < trace.threads(); ++t) {
+    const auto tid = static_cast<ThreadId>(t);
+    EXPECT_EQ(loaded.thread(tid), trace.thread(tid)) << "thread " << t;
+  }
   std::remove(path.c_str());
 }
 
