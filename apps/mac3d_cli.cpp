@@ -11,17 +11,24 @@
 //   mac3d config                             # effective Table-1 config
 //
 // Config overrides compose from MAC3D_CONFIG and repeated --set key=value.
+// Every flag is one row of kFlags, which drives the argv walker and the
+// usage text. A malformed flag, value or override prints one line and
+// exits 2.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "arch/system.hpp"
 #include "check/check.hpp"
+#include "common/parse_number.hpp"
 #include "lint/lint.hpp"
 #include "obs/analysis.hpp"
 #include "obs/latency.hpp"
@@ -44,238 +51,246 @@ namespace {
 
 using namespace mac3d;
 
+struct Command;
+
+/// Every flag's value; a field keeps its default unless its flag is given
+/// (kFlags documents each one).
 struct CliOptions {
-  std::string command;
+  const Command* command = nullptr;
+  std::vector<std::string> operands;  ///< report-diff OLD NEW, analyze REPORT
   std::string workload = "sg";
   std::string trace_path;
   std::string out_path;
-  std::vector<std::string> paths = {"raw", "mac"};
-  std::uint32_t threads = 0;  // 0 = config.cores
-  std::uint32_t nodes = 0;    // 0 = config.nodes (system command)
+  std::string paths = "raw,mac";
+  std::uint32_t threads = 0;  ///< 0 = config.cores
+  std::uint32_t nodes = 0;    ///< 0 = config.nodes
   double scale = 1.0;
   std::uint64_t seed = 42;
   bool csv = false;
-  bool closed_loop = false;
-  /// streaming | closed-loop | lane-group ("" = streaming, or closed-loop
-  /// when --closed-loop was given).
-  std::string feed;
-  /// raw | mac | mshr | warp ("" = config default). Sets config.policy
-  /// (system command) and, unless --paths was given, the run path list.
-  std::string policy;
+  std::string feed = "streaming";
+  std::string policy;  ///< "" = config.policy
   bool checks = false;
-  bool profile = false;  ///< idle-cycle census + latency/host profiling
-  /// serial | parallel | event | event-parallel ("" = the event
-  /// fast-forward engine; serial is the strict reference —
-  /// docs/PARALLELISM.md §event-driven engine).
-  std::string engine;
-  std::uint32_t engine_threads = 0;  ///< 0 = hardware concurrency
-  std::uint32_t jobs = 0;          ///< parallel paths/workloads (0 = env)
-  std::uint32_t tag_pool = 0;      ///< streaming tag pool (0 = full 64 K)
-  std::string trace_events;    ///< Chrome trace-event JSON output
-  std::uint64_t sample_every = 0;  ///< sampler period (0 = off)
-  std::string sample_out;      ///< sampler CSV output
-  std::string report_path;     ///< machine-readable run report JSON
-  std::uint64_t snapshot_every = 0;  ///< snapshot window (0 = off)
-  std::string snapshot_out;    ///< snapshot JSONL output
-  bool watchdog = false;       ///< stall watchdog (implies snapshots)
-  std::uint64_t watchdog_windows = 3;  ///< stalled windows before firing
-  std::uint64_t inject_livelock = 0;   ///< stop draining at cycle N (run)
-  /// --node-policy i=p entries, system command (heterogeneous nodes).
+  bool profile = false;
+  std::string engine = "event";
+  std::uint32_t engine_threads = 0;
+  std::uint32_t jobs = 0;
+  std::uint32_t tag_pool = 0;
+  std::string trace_events;
+  std::uint64_t sample_every = 0;  ///< 0 = off (or 64 with --sample-out)
+  std::string sample_out;
+  std::string report_path;
+  std::uint64_t snapshot_every = 0;  ///< 0 = off (or 1024 when implied)
+  std::string snapshot_out;
+  bool watchdog = false;
+  std::uint64_t watchdog_windows = 3;
+  std::uint64_t inject_livelock = 0;  ///< 0 = off
   std::vector<std::string> node_policies;
   std::vector<std::string> overrides;
+  // report-diff
+  double diff_tolerance = DiffOptions{}.tolerance_pct;
+  std::vector<std::string> ignore;
+  bool allow_missing = false;
+  // analyze
+  std::string snapshots;
+  std::string json_out;
+  double analyze_tolerance = AnalysisOptions{}.tolerance_pct;
+  // lint
+  std::string lint_root = lint::LintCliOptions{}.root;
+  std::string baseline;
+  std::string sarif;
+  std::string write_baseline;
+  bool list_rules = false;
 };
 
-void usage() {
-  std::fprintf(stderr,
-               "usage: mac3d <run|suite|system|trace|list|config> [options]\n"
-               "       mac3d report-diff OLD NEW [--tolerance PCT] "
-               "[--ignore PATH|SECTION|GLOB] [--allow-missing]\n"
-               "       mac3d analyze REPORT --snapshots FILE [--json FILE] "
-               "[--tolerance PCT]\n"
-               "       mac3d lint [--root DIR] [--baseline FILE] "
-               "[--sarif FILE] [--write-baseline FILE] [--list-rules]\n"
-               "  --workload NAME   workload to trace (default sg)\n"
-               "  --trace FILE      replay a saved trace instead\n"
-               "  --out FILE        output trace file (trace command)\n"
-               "  --paths a,b,c     raw | mac | mshr | warp (default "
-               "raw,mac)\n"
-               "  --policy P        coalescer policy raw | mac | mshr | warp\n"
-               "                    (sets config.policy; run: implies "
-               "--paths P)\n"
-               "  --threads N       thread streams (default: cores)\n"
-               "  --nodes N         NUMA nodes (system command; default: "
-               "config)\n"
-               "  --scale X         dataset scale (default 1.0)\n"
-               "  --seed N          workload seed (default 42)\n"
-               "  --set key=value   config override (repeatable)\n"
-               "  --closed-loop     execution-driven feed (default: "
-               "streaming)\n"
-               "  --feed MODE       streaming | closed-loop | lane-group "
-               "(SIMT lockstep\n"
-               "                    groups of config.warp_lanes threads)\n"
-               "  --engine E        serial | parallel | event | "
-               "event-parallel (docs/PARALLELISM.md;\n"
-               "                    default: event; serial is the "
-               "reference)\n"
-               "  --engine-threads N  workers for the parallel engines "
-               "(0 = hardware)\n"
-               "  --jobs N          run paths (run) / workloads (suite) as "
-               "N parallel tasks\n"
-               "  --tag-pool N      streaming feeder: outstanding tags per "
-               "thread (0 = 64 K)\n"
-               "  --checks          run model-invariant checks "
-               "(docs/INVARIANTS.md)\n"
-               "  --profile         idle-cycle census, per-stage residency "
-               "and host wall-clock\n"
-               "  --csv             machine-readable output\n"
-               "  --trace-events F  write Chrome/Perfetto trace-event JSON "
-               "(docs/OBSERVABILITY.md)\n"
-               "  --sample-every N  sample occupancy probes every N cycles\n"
-               "  --sample-out F    write the sampled time series as CSV\n"
-               "  --report F        write a machine-readable run report "
-               "(JSON)\n"
-               "  --snapshot-every N  stream windowed telemetry snapshots "
-               "every N cycles\n"
-               "  --snapshot-out F  write the snapshot stream "
-               "(mac3d-snapshot/1 JSONL)\n"
-               "  --watchdog        abandon the run (exit 1) after N "
-               "observed windows\n"
-               "                    with zero completions while work is in "
-               "flight\n"
-               "  --watchdog-windows N  stalled windows before firing "
-               "(default 3)\n"
-               "  --inject-livelock C  fault injection: stop draining "
-               "completions at\n"
-               "                    cycle C (run command; requires "
-               "--watchdog)\n"
-               "  --node-policy I=P heterogeneous nodes: node I runs policy "
-               "P (system\n"
-               "                    command, repeatable; others use "
-               "--policy)\n");
+// ---- Flags -----------------------------------------------------------------
+
+template <typename T>
+using Number = NumberField<CliOptions, T>;
+
+/// Where a flag's value goes: a switch, text, a repeatable list, a number.
+using FlagTarget =
+    std::variant<bool CliOptions::*, std::string CliOptions::*,
+                 std::vector<std::string> CliOptions::*, Number<std::uint32_t>,
+                 Number<std::uint64_t>, Number<double>>;
+
+/// Bit per subcommand; a flag lists the commands that accept it.
+enum : unsigned {
+  kRun = 1u << 0,
+  kSuite = 1u << 1,
+  kSystem = 1u << 2,
+  kTrace = 1u << 3,
+  kList = 1u << 4,
+  kConfig = 1u << 5,
+  kReportDiff = 1u << 6,
+  kAnalyze = 1u << 7,
+  kLint = 1u << 8,
+  kSim = kRun | kSuite | kSystem | kTrace | kList | kConfig,
+};
+
+struct Flag {
+  std::string_view name;
+  std::string_view metavar;  ///< empty for a switch
+  std::string_view help;     ///< '\n' continues on the next line
+  unsigned commands;
+  FlagTarget target;
+  /// Text flags: the accepted values, '|'-separated ("" = any), and with
+  /// `list` a comma-separated list of them.
+  std::string_view choices = {};
+  bool list = false;
+};
+
+constexpr std::string_view kPolicies = "raw|mac|mshr|warp";
+// ThreadId and NodeId are 16-bit; 0 is the "use the config" default.
+constexpr NumberRange<std::uint32_t> kIdCount{1, 65536};
+// Each worker is an OS thread started up front; 0 = the documented default.
+constexpr NumberRange<std::uint32_t> kWorkers{0, 256};
+constexpr NumberRange<std::uint64_t> kAtLeastOne{1};
+
+const Flag kFlags[] = {
+    {"--workload", "NAME", "workload to trace (default sg)", kSim,
+     &CliOptions::workload},
+    {"--trace", "FILE", "replay a saved trace instead", kSim,
+     &CliOptions::trace_path},
+    {"--out", "FILE", "output trace file (trace command)", kSim,
+     &CliOptions::out_path},
+    {"--paths", "a,b,c", "raw | mac | mshr | warp (default raw,mac)", kSim,
+     &CliOptions::paths, kPolicies, true},
+    {"--policy", "P",
+     "coalescer policy raw | mac | mshr | warp\n"
+     "(sets config.policy; run: implies --paths P)",
+     kSim, &CliOptions::policy, kPolicies},
+    {"--threads", "N", "thread streams (default: cores)", kSim,
+     Number<std::uint32_t>{&CliOptions::threads, kIdCount}},
+    {"--nodes", "N", "NUMA nodes (system command; default: config)", kSim,
+     Number<std::uint32_t>{&CliOptions::nodes, kIdCount}},
+    {"--scale", "X", "dataset scale (default 1.0)", kSim,
+     Number<double>{&CliOptions::scale, kPositive<double>}},
+    {"--seed", "N", "workload seed (default 42)", kSim,
+     Number<std::uint64_t>{&CliOptions::seed}},
+    {"--set", "key=value", "config override (repeatable)", kSim,
+     &CliOptions::overrides},
+    {"--feed", "MODE",
+     "streaming | closed-loop | lane-group (SIMT lockstep\n"
+     "groups of config.warp_lanes threads)",
+     kSim, &CliOptions::feed, "streaming|closed-loop|lane-group"},
+    {"--engine", "E",
+     "serial | parallel | event | event-parallel (docs/PARALLELISM.md;\n"
+     "default: event; serial is the reference)",
+     kSim, &CliOptions::engine, "serial|parallel|event|event-parallel"},
+    {"--engine-threads", "N", "workers for the parallel engines (0 = hardware)",
+     kSim, Number<std::uint32_t>{&CliOptions::engine_threads, kWorkers}},
+    {"--jobs", "N", "run paths (run) / workloads (suite) as N parallel tasks",
+     kSim, Number<std::uint32_t>{&CliOptions::jobs, kWorkers}},
+    {"--tag-pool", "N",
+     "streaming feeder: outstanding tags per thread (0 = 64 K)", kSim,
+     Number<std::uint32_t>{&CliOptions::tag_pool, {0, 65536}}},
+    {"--checks", "", "run model-invariant checks (docs/INVARIANTS.md)", kSim,
+     &CliOptions::checks},
+    {"--profile", "",
+     "idle-cycle census, per-stage residency and host wall-clock", kSim,
+     &CliOptions::profile},
+    {"--csv", "", "machine-readable output", kSim, &CliOptions::csv},
+    {"--trace-events", "F",
+     "write Chrome/Perfetto trace-event JSON (docs/OBSERVABILITY.md)", kSim,
+     &CliOptions::trace_events},
+    {"--sample-every", "N", "sample occupancy probes every N cycles", kSim,
+     Number<std::uint64_t>{&CliOptions::sample_every, kAtLeastOne}},
+    {"--sample-out", "F", "write the sampled time series as CSV", kSim,
+     &CliOptions::sample_out},
+    {"--report", "F", "write a machine-readable run report (JSON)", kSim,
+     &CliOptions::report_path},
+    {"--snapshot-every", "N",
+     "stream windowed telemetry snapshots every N cycles", kSim,
+     Number<std::uint64_t>{&CliOptions::snapshot_every, kAtLeastOne}},
+    {"--snapshot-out", "F",
+     "write the snapshot stream (mac3d-snapshot/1 JSONL)", kSim,
+     &CliOptions::snapshot_out},
+    {"--watchdog", "",
+     "abandon the run (exit 1) after N observed windows\n"
+     "with zero completions while work is in flight",
+     kSim, &CliOptions::watchdog},
+    {"--watchdog-windows", "N", "stalled windows before firing (default 3)",
+     kSim, Number<std::uint64_t>{&CliOptions::watchdog_windows, kAtLeastOne}},
+    {"--inject-livelock", "C",
+     "fault injection: stop draining completions at\n"
+     "cycle C (run command; requires --watchdog)",
+     kSim, Number<std::uint64_t>{&CliOptions::inject_livelock, kAtLeastOne}},
+    {"--node-policy", "I=P",
+     "heterogeneous nodes: node I runs policy P (system\n"
+     "command, repeatable; others use --policy)",
+     kSim, &CliOptions::node_policies},
+    {"--tolerance", "PCT", "report-diff: relative tolerance in % (default 0)",
+     kReportDiff,
+     Number<double>{&CliOptions::diff_tolerance, kNonNegative<double>}},
+    {"--ignore", "PATH|SECTION|GLOB",
+     "report-diff: skip matching metrics (repeatable)", kReportDiff,
+     &CliOptions::ignore},
+    {"--allow-missing", "", "report-diff: a metric missing on one side passes",
+     kReportDiff, &CliOptions::allow_missing},
+    {"--snapshots", "FILE", "analyze: the run's snapshot stream (required)",
+     kAnalyze, &CliOptions::snapshots},
+    {"--json", "FILE", "analyze: write the analysis as JSON", kAnalyze,
+     &CliOptions::json_out},
+    {"--tolerance", "PCT", "analyze: Little's-law tolerance in % (default 10)",
+     kAnalyze,
+     Number<double>{&CliOptions::analyze_tolerance, kNonNegative<double>}},
+    {"--root", "DIR", "lint: tree to analyze (default .)", kLint,
+     &CliOptions::lint_root},
+    {"--baseline", "FILE", "lint: gate on findings not in this baseline", kLint,
+     &CliOptions::baseline},
+    {"--sarif", "FILE", "lint: write the findings as SARIF", kLint,
+     &CliOptions::sarif},
+    {"--write-baseline", "FILE", "lint: write the findings as a baseline",
+     kLint, &CliOptions::write_baseline},
+    {"--list-rules", "", "lint: print the rule catalog", kLint,
+     &CliOptions::list_rules},
+};
+
+/// `text` split at `separator` ("" gives one empty item).
+std::vector<std::string> split(std::string_view text, char separator) {
+  std::vector<std::string> items;
+  for (std::size_t pos = 0;;) {
+    const std::size_t end = text.find(separator, pos);
+    items.emplace_back(text.substr(pos, end - pos));
+    if (end == std::string_view::npos) return items;
+    pos = end + 1;
+  }
 }
 
-std::optional<CliOptions> parse(int argc, char** argv) {
-  if (argc < 2) return std::nullopt;
-  CliOptions options;
-  options.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--workload") {
-      options.workload = value();
-    } else if (arg == "--trace") {
-      options.trace_path = value();
-    } else if (arg == "--out") {
-      options.out_path = value();
-    } else if (arg == "--paths") {
-      options.paths.clear();
-      std::string list = value();
-      std::size_t pos = 0;
-      while (pos != std::string::npos) {
-        const std::size_t comma = list.find(',', pos);
-        options.paths.push_back(list.substr(
-            pos, comma == std::string::npos ? comma : comma - pos));
-        pos = comma == std::string::npos ? comma : comma + 1;
-      }
-    } else if (arg == "--threads") {
-      options.threads = static_cast<std::uint32_t>(std::atoi(value()));
-    } else if (arg == "--nodes") {
-      options.nodes = static_cast<std::uint32_t>(std::atoi(value()));
-    } else if (arg == "--scale") {
-      options.scale = std::atof(value());
-    } else if (arg == "--seed") {
-      options.seed = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--set") {
-      options.overrides.push_back(value());
-    } else if (arg == "--csv") {
-      options.csv = true;
-    } else if (arg == "--closed-loop") {
-      options.closed_loop = true;
-    } else if (arg == "--feed") {
-      options.feed = value();
-      if (options.feed != "streaming" && options.feed != "closed-loop" &&
-          options.feed != "lane-group") {
-        std::fprintf(stderr,
-                     "unknown feed '%s' "
-                     "(streaming|closed-loop|lane-group)\n",
-                     options.feed.c_str());
-        return std::nullopt;
-      }
-    } else if (arg == "--policy") {
-      options.policy = value();
-      CoalescerPolicy parsed;
-      if (!parse_policy(options.policy, parsed)) {
-        std::fprintf(stderr, "unknown policy '%s' (raw|mac|mshr|warp)\n",
-                     options.policy.c_str());
-        return std::nullopt;
-      }
-    } else if (arg == "--checks") {
-      options.checks = true;
-    } else if (arg == "--profile") {
-      options.profile = true;
-    } else if (arg == "--engine") {
-      options.engine = value();
-      // "cycle" aliases make the strict engines addressable by what they
-      // are in the 4-way differential matrix.
-      if (options.engine == "cycle") options.engine = "serial";
-      if (options.engine == "cycle-parallel") options.engine = "parallel";
-      if (options.engine != "serial" && options.engine != "parallel" &&
-          options.engine != "event" && options.engine != "event-parallel") {
-        std::fprintf(stderr,
-                     "unknown engine '%s' "
-                     "(serial|parallel|event|event-parallel)\n",
-                     options.engine.c_str());
-        return std::nullopt;
-      }
-    } else if (arg == "--engine-threads") {
-      options.engine_threads =
-          static_cast<std::uint32_t>(std::atoi(value()));
-    } else if (arg == "--jobs") {
-      options.jobs = static_cast<std::uint32_t>(std::atoi(value()));
-    } else if (arg == "--tag-pool") {
-      options.tag_pool = static_cast<std::uint32_t>(std::atoi(value()));
-    } else if (arg == "--trace-events") {
-      options.trace_events = value();
-    } else if (arg == "--sample-every") {
-      options.sample_every = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--sample-out") {
-      options.sample_out = value();
-    } else if (arg == "--report") {
-      options.report_path = value();
-    } else if (arg == "--snapshot-every") {
-      options.snapshot_every = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--snapshot-out") {
-      options.snapshot_out = value();
-    } else if (arg == "--watchdog") {
-      options.watchdog = true;
-    } else if (arg == "--watchdog-windows") {
-      options.watchdog_windows = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--inject-livelock") {
-      options.inject_livelock = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--node-policy") {
-      const std::string entry = value();
-      const std::size_t eq = entry.find('=');
-      CoalescerPolicy parsed;
-      if (eq == std::string::npos || eq == 0 ||
-          !parse_policy(entry.substr(eq + 1), parsed)) {
-        std::fprintf(stderr,
-                     "bad --node-policy '%s' (want I=raw|mac|mshr|warp)\n",
-                     entry.c_str());
-        return std::nullopt;
-      }
-      options.node_policies.push_back(entry);
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      return std::nullopt;
-    }
-  }
-  return options;
+/// Stores `value` for `flag`, or throws ConfigError naming the flag and
+/// what it accepts.
+void set_flag(const Flag& flag, std::string_view value, CliOptions& options) {
+  const auto reject = [&](const std::string& want) {
+    throw ConfigError(std::string(flag.name) + " " + std::string(value) +
+                      ": want " + want);
+  };
+  std::visit(
+      [&](const auto& target) {
+        using Target = std::decay_t<decltype(target)>;
+        if constexpr (requires { target.range; }) {
+          if (!target.set(options, value)) reject(target.range.describe());
+        } else if constexpr (std::is_same_v<Target,
+                                            std::string CliOptions::*>) {
+          const std::vector<std::string> choices = split(flag.choices, '|');
+          const std::vector<std::string> items =
+              flag.list ? split(value, ',')
+                        : std::vector<std::string>{std::string(value)};
+          for (const std::string& item : items) {
+            if (!flag.choices.empty() &&
+                std::find(choices.begin(), choices.end(), item) ==
+                    choices.end()) {
+              reject(std::string(flag.choices) +
+                     (flag.list ? " (comma-separated)" : ""));
+            }
+          }
+          options.*target = std::string(value);
+        } else if constexpr (std::is_same_v<Target,
+                                            std::vector<std::string>
+                                                CliOptions::*>) {
+          (options.*target).emplace_back(value);
+        }
+      },
+      flag.target);
 }
 
 SimConfig make_config(const CliOptions& options) {
@@ -296,10 +311,13 @@ SimConfig make_config(const CliOptions& options) {
     // snapshot (and round-trips through MAC3D_CONFIG).
     std::string joined;
     for (const std::string& entry : options.node_policies) {
+      const std::size_t eq = entry.find('=');
+      if (eq == std::string::npos) {
+        throw ConfigError("--node-policy " + entry + ": want I=" +
+                          std::string(kPolicies));
+      }
       if (!joined.empty()) joined += ";";
-      std::string item = entry;
-      item[item.find('=')] = ':';
-      joined += item;
+      joined += entry.substr(0, eq) + ":" + entry.substr(eq + 1);
     }
     config.parse_overrides({{"node_policies", joined}});
   }
@@ -307,39 +325,26 @@ SimConfig make_config(const CliOptions& options) {
   return config;
 }
 
-/// --feed / --closed-loop -> driver feed mode.
 FeedMode drive_feed(const CliOptions& options) {
-  if (options.feed == "closed-loop" || options.closed_loop) {
-    return FeedMode::kClosedLoop;
-  }
+  if (options.feed == "closed-loop") return FeedMode::kClosedLoop;
   if (options.feed == "lane-group") return FeedMode::kLaneGroup;
   return FeedMode::kStreaming;
-}
-
-const char* feed_name(FeedMode mode) {
-  switch (mode) {
-    case FeedMode::kClosedLoop: return "closed_loop";
-    case FeedMode::kLaneGroup: return "lane_group";
-    case FeedMode::kStreaming: break;
-  }
-  return "streaming";
 }
 
 MemoryTrace make_trace(const CliOptions& options, const SimConfig& config) {
   if (!options.trace_path.empty()) {
     try {
-      return load_trace(options.trace_path);
+      MemoryTrace trace = load_trace(options.trace_path);
+      check_trace_addresses(trace, config);
+      return trace;
     } catch (const std::exception& error) {
-      std::fprintf(stderr, "mac3d: %s: %s\n", options.trace_path.c_str(),
-                   error.what());
-      std::exit(2);
+      throw ConfigError(options.trace_path + ": " + error.what());
     }
   }
   const Workload* workload = find_workload(options.workload);
   if (workload == nullptr) {
-    std::fprintf(stderr, "unknown workload '%s' (try `mac3d list`)\n",
-                 options.workload.c_str());
-    std::exit(2);
+    throw ConfigError("unknown workload '" + options.workload +
+                      "' (try `mac3d list`)");
   }
   WorkloadParams params;
   params.threads = options.threads == 0 ? config.cores : options.threads;
@@ -349,133 +354,311 @@ MemoryTrace make_trace(const CliOptions& options, const SimConfig& config) {
   return workload->trace(params);
 }
 
-/// --engine string -> driver engine for run/suite ("" = the event
-/// fast-forward default; all engines are bit-identical, so the default is
-/// purely a wall-clock choice).
+/// --engine name -> driver engine for run/suite. All engines are
+/// bit-identical, so the event default is purely a wall-clock choice.
 Engine drive_engine(const std::string& name) {
   if (name == "parallel") return Engine::kParallel;
   if (name == "serial") return Engine::kSerial;
   if (name == "event-parallel") return Engine::kEventParallel;
-  return Engine::kEvent;  // "event" and the run/suite default
+  return Engine::kEvent;
 }
 
-int cmd_run(const CliOptions& cli) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  // --policy narrows the default path list (an explicit --paths wins).
-  CliOptions options = cli;
-  if (!options.policy.empty() && cli.paths == CliOptions{}.paths) {
-    options.paths = {options.policy};
-  }
-  if (!options.node_policies.empty()) {
-    std::fprintf(stderr,
-                 "mac3d: --node-policy applies to the system command "
-                 "(run selects front-ends with --paths)\n");
-    return 2;
-  }
-  if (options.inject_livelock != 0 && !options.watchdog) {
-    std::fprintf(stderr,
-                 "mac3d: --inject-livelock requires --watchdog (the "
-                 "faulted run would never terminate)\n");
-    return 2;
-  }
-  const SimConfig config = make_config(options);
-  const std::uint32_t threads =
-      options.threads == 0 ? config.cores : options.threads;
-  const MemoryTrace trace = make_trace(options, config);
+// ---- Telemetry session -----------------------------------------------------
 
-  DriveOptions drive;
-  drive.mode = drive_feed(options);
-  drive.engine = drive_engine(options.engine);
-  drive.engine_threads = options.engine_threads;
-  drive.tag_pool = options.tag_pool;
-  CheckContext checks(CheckContext::FailMode::kCount);
-  if (options.checks) {
-#if !MAC3D_CHECKS_ENABLED
-    std::fprintf(stderr,
-                 "mac3d: warning: built with -DMAC3D_CHECKS=OFF; "
-                 "--checks will run no checks\n");
-#endif
-    drive.checks = &checks;
-  }
-
-  // Telemetry (docs/OBSERVABILITY.md). The run report needs the per-stage
-  // histograms, so --report enables the lifecycle tracer too.
-  const bool want_tracer =
-      !options.trace_events.empty() || !options.report_path.empty();
-  const bool want_sampler =
-      options.sample_every > 0 || !options.sample_out.empty();
-  const bool want_snapshot = options.snapshot_every > 0 ||
-                             !options.snapshot_out.empty() ||
-                             options.watchdog;
-#if !MAC3D_OBS_ENABLED
-  if (options.watchdog || options.inject_livelock != 0) {
-    // The drivers compile the snapshot serial points out under OBS=OFF:
-    // the watchdog would never observe a window (and an injected
-    // livelock would hang forever), so refuse instead of warning.
-    std::fprintf(stderr,
-                 "mac3d: --watchdog/--inject-livelock need a "
-                 "-DMAC3D_OBS=ON build\n");
-    return 2;
-  }
-  if (want_tracer || want_sampler || want_snapshot || options.profile) {
-    std::fprintf(stderr,
-                 "mac3d: warning: built with -DMAC3D_OBS=OFF; telemetry "
-                 "options will record nothing\n");
-  }
-#endif
-  LifecycleTracer tracer;
-  if (!options.trace_events.empty() &&
-      !tracer.open_trace(options.trace_events)) {
-    std::fprintf(stderr, "mac3d: cannot open %s for writing\n",
-                 options.trace_events.c_str());
-    return 2;
-  }
-  CycleSampler sampler(options.sample_every == 0 ? 64 : options.sample_every);
-  if (want_tracer) drive.sink = &tracer;
-  if (want_sampler) drive.sampler = &sampler;
-
-  // Streaming snapshots + stall watchdog (docs/OBSERVABILITY.md
-  // §streaming snapshots). --watchdog without --snapshot-every rides
-  // the default window.
-  SnapshotStreamer snapshot(options.snapshot_every == 0
-                                ? 1024
-                                : options.snapshot_every);
-  StallWatchdog watchdog(options.watchdog_windows);
-  if (want_snapshot) {
-    drive.snapshot = &snapshot;
-    drive.inject_livelock_at = options.inject_livelock;
-    if (options.watchdog) snapshot.attach_watchdog(&watchdog);
-  }
-
-  // --profile (docs/OBSERVABILITY.md §profiler): one census and one
-  // latency decomposer per path (the driver seals each census at the end
-  // of its run), one host profiler shared across the whole invocation.
-  // The decomposer tees every event into the tracer, so --profile and
-  // --trace-events/--report compose.
-  std::vector<ActivityCensus> censuses;
-  std::vector<std::unique_ptr<LatencyDecomposer>> decomposers;
-  HostProfiler profiler;
-  if (options.profile) {
-    censuses.resize(options.paths.size());
-    for (std::size_t i = 0; i < options.paths.size(); ++i) {
-      decomposers.push_back(std::make_unique<LatencyDecomposer>(
-          want_tracer ? &tracer : nullptr));
+/// The checks and telemetry `run` and `system` attach
+/// (docs/OBSERVABILITY.md), and what both do with them after the run: the
+/// sample and snapshot writes, the run report, the watchdog verdict, the
+/// --profile tables and the exit status. `paths` names the runs; the
+/// System is the one run "system".
+class Session {
+ public:
+  Session(const CliOptions& options, std::vector<std::string> paths,
+          bool system)
+      : options_(options),
+        paths_(std::move(paths)),
+        system_(system),
+        want_tracer_(!options.trace_events.empty() ||
+                     !options.report_path.empty()),
+        want_sampler_(options.sample_every > 0 || !options.sample_out.empty()),
+        want_snapshot_(options.snapshot_every > 0 ||
+                       !options.snapshot_out.empty() || options.watchdog),
+        sampler_(options.sample_every == 0 ? 64 : options.sample_every),
+        // --watchdog without --snapshot-every rides the default window.
+        snapshot_(options.snapshot_every == 0 ? 1024 : options.snapshot_every),
+        watchdog_(options.watchdog_windows) {
+    if (options.watchdog) snapshot_.attach_watchdog(&watchdog_);
+    if (!options.profile) return;
+    // One census and one latency decomposer per run, one host profiler for
+    // the invocation. The decomposer tees every event into the tracer, so
+    // --profile and --trace-events/--report compose.
+    censuses_.resize(paths_.size());
+    for (std::size_t i = 0; i < paths_.size(); ++i) {
+      decomposers_.push_back(std::make_unique<LatencyDecomposer>(
+          want_tracer_ ? &tracer_ : nullptr));
       if (!options.trace_events.empty()) {
-        decomposers.back()->attach_trace(&tracer);
+        decomposers_.back()->attach_trace(&tracer_);
       }
     }
-    drive.profiler = &profiler;
+  }
+  // The snapshot stream and the decomposers hold addresses of members.
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
+
+  /// Refuses what this build cannot honour and opens --trace-events;
+  /// false after printing one line.
+  [[nodiscard]] bool open() {
+#if !MAC3D_CHECKS_ENABLED
+    if (options_.checks) {
+      std::fprintf(stderr,
+                   "mac3d: warning: built with -DMAC3D_CHECKS=OFF; "
+                   "--checks will run no checks\n");
+    }
+#endif
+#if !MAC3D_OBS_ENABLED
+    if (options_.watchdog || options_.inject_livelock != 0) {
+      // The engines compile the snapshot serial points out under OBS=OFF:
+      // the watchdog would never observe a window (and an injected
+      // livelock would hang forever), so refuse instead of warning.
+      std::fprintf(stderr,
+                   "mac3d: --watchdog/--inject-livelock need a "
+                   "-DMAC3D_OBS=ON build\n");
+      return false;
+    }
+    if (hooks_attached()) {
+      std::fprintf(stderr,
+                   "mac3d: warning: built with -DMAC3D_OBS=OFF; telemetry "
+                   "options will record nothing\n");
+    }
+#endif
+    if (!options_.trace_events.empty() &&
+        !tracer_.open_trace(options_.trace_events)) {
+      std::fprintf(stderr, "mac3d: cannot open %s for writing\n",
+                   options_.trace_events.c_str());
+      return false;
+    }
+    return true;
   }
 
-  std::vector<CoalescerPolicy> policies(options.paths.size());
-  for (std::size_t i = 0; i < options.paths.size(); ++i) {
-    if (!parse_policy(options.paths[i], policies[i])) {
-      std::fprintf(stderr, "unknown path '%s' (raw|mac|mshr|warp)\n",
-                   options.paths[i].c_str());
-      return 2;
-    }
+  [[nodiscard]] bool hooks_attached() const {
+    return options_.checks || want_tracer_ || want_sampler_ ||
+           want_snapshot_ || options_.profile;
   }
-  std::vector<DriverResult> results(options.paths.size());
+  [[nodiscard]] CheckContext* checks() {
+    return options_.checks ? &checks_ : nullptr;
+  }
+  [[nodiscard]] CycleSampler* sampler() {
+    return want_sampler_ ? &sampler_ : nullptr;
+  }
+  [[nodiscard]] SnapshotStreamer* snapshot() {
+    return want_snapshot_ ? &snapshot_ : nullptr;
+  }
+  [[nodiscard]] HostProfiler* profiler() {
+    return options_.profile ? &profiler_ : nullptr;
+  }
+  [[nodiscard]] MetricsRegistry* registry() {
+    return options_.report_path.empty() ? nullptr : &registry_;
+  }
+  [[nodiscard]] ActivityCensus* census(std::size_t run) {
+    return options_.profile ? &censuses_[run] : nullptr;
+  }
+
+  /// Opens run `run`'s trace window and returns its event sink: the
+  /// decomposer under --profile (it tees into the tracer), the tracer, or
+  /// nullptr.
+  [[nodiscard]] EventSink* begin_run(std::size_t run) {
+    if (want_tracer_) tracer_.begin_path(paths_[run]);
+    if (options_.profile) return decomposers_[run].get();
+    return want_tracer_ ? &tracer_ : nullptr;
+  }
+
+  /// After the runs: --sample-out, --snapshot-out and --report. `stats`
+  /// holds each run's StatSet; `summary` is the System's (nullptr for
+  /// `run`). False after printing one line.
+  [[nodiscard]] bool write(const SimConfig& config, const MemoryTrace& trace,
+                           std::string_view feed, std::uint32_t threads,
+                           const std::vector<StatSet>& stats,
+                           const SystemRunSummary* summary) {
+    tracer_.finish();
+    if (!options_.sample_out.empty() &&
+        !sampler_.write_csv(options_.sample_out)) {
+      return cannot_write(options_.sample_out);
+    }
+    if (!options_.snapshot_out.empty() &&
+        !snapshot_.write(options_.snapshot_out)) {
+      return cannot_write(options_.snapshot_out);
+    }
+    if (options_.report_path.empty()) return true;
+    RunReport report;
+    report.set_string("workload", options_.trace_path.empty()
+                                      ? options_.workload
+                                      : options_.trace_path);
+    report.set_string("feed_mode", feed);
+    report.set_number("threads", static_cast<double>(threads));
+    if (summary != nullptr) {
+      report.set_number("nodes", static_cast<double>(config.nodes));
+    }
+    report.set_number("scale", options_.scale);
+    report.set_number("seed", static_cast<double>(options_.seed));
+    report.set_number("trace_records", static_cast<double>(trace.size()));
+    if (summary != nullptr) {
+      report.set_number("cycles", static_cast<double>(summary->cycles));
+      report.set_bool("completed", summary->completed);
+    }
+    report.set_number("wall_seconds",
+                      std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - wall_start_)
+                          .count());
+    report.set_number("telemetry_monotonicity_errors",
+                      static_cast<double>(tracer_.monotonicity_errors()));
+    report.set_number("telemetry_completeness_errors",
+                      static_cast<double>(tracer_.completeness_errors()));
+    report.set_number("telemetry_abandoned_records",
+                      static_cast<double>(tracer_.abandoned_records()));
+    report.set_number("telemetry_in_flight_at_end",
+                      static_cast<double>(tracer_.in_flight_at_end()));
+    if (summary != nullptr) {
+      report.set_number("telemetry_hop_events",
+                        static_cast<double>(tracer_.hop_events()));
+    }
+    if (options_.watchdog) report.set_raw("watchdog", watchdog_.to_json());
+    if (options_.checks) {
+      StatSet check_stats;
+      checks_.collect(check_stats, "checks");
+      report.set_raw("checks", check_stats.to_json());
+    }
+    report.set_config(config);
+    if (summary != nullptr) report.set_metrics(registry_);
+    for (std::size_t i = 0; i < paths_.size(); ++i) {
+      const std::string& path = paths_[i];
+      report.set_path_stats(path, stats[i]);
+      const LifecycleTracer::PathTelemetry* telemetry = tracer_.path(path);
+      if (telemetry == nullptr) continue;
+      report.set_path_request_latency(path, telemetry->request_latency);
+      for (std::size_t s = 0; s < kStageCount; ++s) {
+        if (telemetry->stage_latency[s].count() == 0) continue;
+        report.add_path_stage(path, to_string(static_cast<Stage>(s)),
+                              telemetry->stage_latency[s]);
+      }
+    }
+    if (options_.profile) {
+      // Keyed per run, like the "paths" section. The census export is
+      // printed (and traced) but not folded into the report: the `node0.*`
+      // namespaces of several runs would collide.
+      std::string latency_json = "{";
+      for (std::size_t i = 0; i < paths_.size(); ++i) {
+        if (i != 0) latency_json += ",";
+        latency_json += "\"" + paths_[i] + "\":" + decomposers_[i]->to_json();
+      }
+      report.set_latency(latency_json + "}");
+      report.set_host(profiler_.to_json());
+    }
+    return report.write(options_.report_path) ||
+           cannot_write(options_.report_path);
+  }
+
+  /// Prints the watchdog verdict, then `csv` under --csv, or `text`, the
+  /// --profile tables, `tail` and the checks report. Returns the exit
+  /// status: 1 on a violated check or a fired watchdog, else 0.
+  int finish(const StatSet& csv, const std::function<void()>& text,
+             const std::function<void()>& tail) {
+    const int watchdog_exit = options_.watchdog && watchdog_.fired() ? 1 : 0;
+    if (watchdog_exit != 0) {
+      std::fprintf(stderr,
+                   "mac3d: watchdog fired at cycle %llu (%llu consecutive "
+                   "windows with zero completions, work in flight)\n",
+                   static_cast<unsigned long long>(watchdog_.fired_at()),
+                   static_cast<unsigned long long>(
+                       watchdog_.stalled_windows()));
+    }
+    const bool violated = options_.checks && checks_.violations() != 0;
+    if (options_.csv) {
+      std::cout << csv.to_csv();
+      return violated ? 1 : watchdog_exit;
+    }
+    text();
+    if (options_.profile) {
+      for (std::size_t i = 0; i < paths_.size(); ++i) {
+        const std::string label = system_ ? "" : "[" + paths_[i] + "] ";
+        std::printf("\n%sidle-cycle census (dead time %.1f%%)\n%s",
+                    label.c_str(), 100.0 * censuses_[i].dead_time_fraction(),
+                    censuses_[i].to_table().c_str());
+        std::printf("\n%sper-stage residency\n%s", label.c_str(),
+                    decomposers_[i]->to_table().c_str());
+      }
+      std::printf("\nhost wall-clock attribution\n%s",
+                  profiler_.to_table().c_str());
+    }
+    tail();
+    if (!options_.checks) return watchdog_exit;
+    std::printf("\n%s", checks_.report().c_str());
+    return violated ? 1 : watchdog_exit;
+  }
+
+ private:
+  static bool cannot_write(const std::string& file) {
+    std::fprintf(stderr, "mac3d: cannot write %s\n", file.c_str());
+    return false;
+  }
+
+  const CliOptions& options_;
+  const std::vector<std::string> paths_;
+  const bool system_;
+  const bool want_tracer_;
+  const bool want_sampler_;
+  const bool want_snapshot_;
+  const std::chrono::steady_clock::time_point wall_start_ =
+      std::chrono::steady_clock::now();
+  CheckContext checks_{CheckContext::FailMode::kCount};
+  LifecycleTracer tracer_;
+  CycleSampler sampler_;
+  SnapshotStreamer snapshot_;
+  StallWatchdog watchdog_;
+  MetricsRegistry registry_;
+  HostProfiler profiler_;
+  std::vector<ActivityCensus> censuses_;
+  std::vector<std::unique_ptr<LatencyDecomposer>> decomposers_;
+};
+
+int cmd_run(const CliOptions& cli) {
+  // --policy narrows the default path list (an explicit --paths wins).
+  const std::vector<std::string> paths = split(
+      !cli.policy.empty() && cli.paths == CliOptions{}.paths ? cli.policy
+                                                             : cli.paths,
+      ',');
+  if (!cli.node_policies.empty()) {
+    throw ConfigError(
+        "--node-policy applies to the system command (run selects "
+        "front-ends with --paths)");
+  }
+  if (cli.inject_livelock != 0 && !cli.watchdog) {
+    throw ConfigError(
+        "--inject-livelock requires --watchdog (the faulted run would never "
+        "terminate)");
+  }
+  Session session(cli, paths, false);
+  std::string feed = cli.feed;  // "closed-loop" reports as "closed_loop"
+  std::replace(feed.begin(), feed.end(), '-', '_');
+  const SimConfig config = make_config(cli);
+  const std::uint32_t threads = cli.threads == 0 ? config.cores : cli.threads;
+  const MemoryTrace trace = make_trace(cli, config);
+  if (!session.open()) return 2;
+
+  DriveOptions drive;
+  drive.mode = drive_feed(cli);
+  drive.engine = drive_engine(cli.engine);
+  drive.engine_threads = cli.engine_threads;
+  drive.tag_pool = cli.tag_pool;
+  drive.checks = session.checks();
+  drive.sampler = session.sampler();
+  drive.snapshot = session.snapshot();
+  drive.inject_livelock_at = cli.inject_livelock;
+  drive.profiler = session.profiler();
+
+  std::vector<CoalescerPolicy> policies(paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    (void)parse_policy(paths[i], policies[i]);  // --paths checked the names
+  }
+  std::vector<DriverResult> results(paths.size());
   const auto run_path = [&](std::size_t index) {
     results[index] = run_policy(policies[index], trace, config, threads,
                                 drive);
@@ -484,169 +667,56 @@ int cmd_run(const CliOptions& cli) {
   // shards them across a worker pool — unless shared telemetry/check
   // state forces the one-at-a-time schedule (docs/PARALLELISM.md).
   const std::uint32_t jobs =
-      options.jobs == 0 ? ParallelStepper::env_jobs(1) : options.jobs;
-  const bool hooks_attached = options.checks || want_tracer ||
-                              want_sampler || want_snapshot ||
-                              options.profile;
-  if (jobs > 1 && !hooks_attached && options.paths.size() > 1) {
+      cli.jobs == 0 ? ParallelStepper::env_jobs(1) : cli.jobs;
+  if (jobs > 1 && !session.hooks_attached() && paths.size() > 1) {
     ParallelStepper stepper(jobs);
-    stepper.for_shards(options.paths.size(), run_path);
+    stepper.for_shards(paths.size(), run_path);
   } else {
-    for (std::size_t i = 0; i < options.paths.size(); ++i) {
-      if (want_tracer) tracer.begin_path(options.paths[i]);
-      if (options.profile) {
-        drive.sink = decomposers[i].get();
-        drive.census = &censuses[i];
-      }
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      drive.sink = session.begin_run(i);
+      drive.census = session.census(i);
       run_path(i);
     }
   }
-  tracer.finish();
 
-  if (!options.sample_out.empty() && !sampler.write_csv(options.sample_out)) {
-    std::fprintf(stderr, "mac3d: cannot write %s\n",
-                 options.sample_out.c_str());
+  std::vector<StatSet> stats(results.size());
+  StatSet csv;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    results[i].collect(stats[i], results[i].path);
+    results[i].collect(csv, results[i].path);
+  }
+  if (CheckContext* checks = session.checks()) checks->collect(csv, "checks");
+  if (!session.write(config, trace, feed, threads, stats, nullptr)) {
     return 2;
   }
-  if (!options.snapshot_out.empty() &&
-      !snapshot.write(options.snapshot_out)) {
-    std::fprintf(stderr, "mac3d: cannot write %s\n",
-                 options.snapshot_out.c_str());
-    return 2;
-  }
-
-  if (!options.report_path.empty()) {
-    const double wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
-    RunReport report;
-    report.set_string("workload", options.trace_path.empty()
-                                      ? options.workload
-                                      : options.trace_path);
-    report.set_string("feed_mode", feed_name(drive.mode));
-    report.set_number("threads", static_cast<double>(threads));
-    report.set_number("scale", options.scale);
-    report.set_number("seed", static_cast<double>(options.seed));
-    report.set_number("trace_records", static_cast<double>(trace.size()));
-    report.set_number("wall_seconds", wall_seconds);
-    report.set_number("telemetry_monotonicity_errors",
-                      static_cast<double>(tracer.monotonicity_errors()));
-    report.set_number("telemetry_completeness_errors",
-                      static_cast<double>(tracer.completeness_errors()));
-    report.set_number("telemetry_abandoned_records",
-                      static_cast<double>(tracer.abandoned_records()));
-    report.set_number("telemetry_in_flight_at_end",
-                      static_cast<double>(tracer.in_flight_at_end()));
-    if (options.watchdog) {
-      report.set_raw("watchdog", watchdog.to_json());
-    }
-    if (options.checks) {
-      StatSet check_stats;
-      checks.collect(check_stats, "checks");
-      report.set_raw("checks", check_stats.to_json());
-    }
-    report.set_config(config);
+  const auto text = [&] {
+    print_banner("mac3d run: " +
+                 (cli.trace_path.empty() ? cli.workload : cli.trace_path));
+    std::printf("%s records, %u threads, scale %.2f, %s feed\n\n",
+                Table::count(trace.size()).c_str(), threads, cli.scale,
+                feed.c_str());
+    Table table({"path", "packets", "coal. eff", "bw eff", "avg packet",
+                 "bank conflicts", "avg latency", "makespan"});
     for (const DriverResult& result : results) {
-      StatSet stats;
-      result.collect(stats, result.path);
-      report.set_path_stats(result.path, stats);
-      const LifecycleTracer::PathTelemetry* telemetry =
-          tracer.path(result.path);
-      if (telemetry == nullptr) continue;
-      report.set_path_request_latency(result.path,
-                                      telemetry->request_latency);
-      for (std::size_t s = 0; s < kStageCount; ++s) {
-        if (telemetry->stage_latency[s].count() == 0) continue;
-        report.add_path_stage(result.path,
-                              to_string(static_cast<Stage>(s)),
-                              telemetry->stage_latency[s]);
-      }
+      table.add_row(
+          {result.path, Table::count(result.packets),
+           Table::pct(result.coalescing_efficiency()),
+           Table::pct(result.bandwidth_efficiency()),
+           Table::bytes(static_cast<std::uint64_t>(result.avg_packet_bytes)),
+           Table::count(result.bank_conflicts),
+           Table::fmt(result.avg_latency_cycles, 0) + " cy",
+           Table::count(result.makespan) + " cy"});
     }
-    if (options.profile) {
-      // Keyed per path, like the "paths" section. The census export is
-      // printed (and traced) but deliberately not folded into the report:
-      // the `node0.*` namespaces from multiple paths would collide.
-      std::string latency_json = "{";
-      for (std::size_t i = 0; i < options.paths.size(); ++i) {
-        if (i != 0) latency_json += ",";
-        latency_json += "\"" + options.paths[i] +
-                        "\":" + decomposers[i]->to_json();
-      }
-      latency_json += "}";
-      report.set_latency(std::move(latency_json));
-      report.set_host(profiler.to_json());
-    }
-    if (!report.write(options.report_path)) {
-      std::fprintf(stderr, "mac3d: cannot write %s\n",
-                   options.report_path.c_str());
-      return 2;
-    }
-  }
-
-  const int watchdog_exit = options.watchdog && watchdog.fired() ? 1 : 0;
-  if (watchdog_exit != 0) {
-    std::fprintf(stderr,
-                 "mac3d: watchdog fired at cycle %llu (%llu consecutive "
-                 "windows with zero completions, work in flight)\n",
-                 static_cast<unsigned long long>(watchdog.fired_at()),
-                 static_cast<unsigned long long>(
-                     watchdog.stalled_windows()));
-  }
-
-  if (options.csv) {
-    StatSet stats;
-    for (const DriverResult& result : results) {
-      result.collect(stats, result.path);
-    }
-    if (options.checks) checks.collect(stats, "checks");
-    std::cout << stats.to_csv();
-    return options.checks && checks.violations() != 0 ? 1 : watchdog_exit;
-  }
-
-  print_banner("mac3d run: " +
-               (options.trace_path.empty() ? options.workload
-                                           : options.trace_path));
-  std::printf("%s records, %u threads, scale %.2f, %s feed\n\n",
-              Table::count(trace.size()).c_str(), threads, options.scale,
-              feed_name(drive.mode));
-  Table table({"path", "packets", "coal. eff", "bw eff", "avg packet",
-               "bank conflicts", "avg latency", "makespan"});
-  for (const DriverResult& result : results) {
-    table.add_row(
-        {result.path, Table::count(result.packets),
-         Table::pct(result.coalescing_efficiency()),
-         Table::pct(result.bandwidth_efficiency()),
-         Table::bytes(static_cast<std::uint64_t>(result.avg_packet_bytes)),
-         Table::count(result.bank_conflicts),
-         Table::fmt(result.avg_latency_cycles, 0) + " cy",
-         Table::count(result.makespan) + " cy"});
-  }
-  table.print();
-  if (options.profile) {
-    for (std::size_t i = 0; i < options.paths.size(); ++i) {
-      std::printf("\n[%s] idle-cycle census (dead time %.1f%%)\n%s",
-                  options.paths[i].c_str(),
-                  100.0 * censuses[i].dead_time_fraction(),
-                  censuses[i].to_table().c_str());
-      std::printf("\n[%s] per-stage residency\n%s", options.paths[i].c_str(),
-                  decomposers[i]->to_table().c_str());
-    }
-    std::printf("\nhost wall-clock attribution\n%s",
-                profiler.to_table().c_str());
-  }
-  if (results.size() >= 2 && results[0].path == "raw") {
+    table.print();
+  };
+  const auto speedups = [&] {
+    if (results.size() < 2 || results[0].path != "raw") return;
     for (std::size_t i = 1; i < results.size(); ++i) {
-      std::printf("memory speedup %s vs raw: %s\n",
-                  results[i].path.c_str(),
+      std::printf("memory speedup %s vs raw: %s\n", results[i].path.c_str(),
                   Table::pct(memory_speedup(results[0], results[i])).c_str());
     }
-  }
-  if (options.checks) {
-    std::printf("\n%s", checks.report().c_str());
-    return checks.violations() == 0 ? watchdog_exit : 1;
-  }
-  return watchdog_exit;
+  };
+  return session.finish(csv, text, speedups);
 }
 
 int cmd_suite(const CliOptions& options) {
@@ -694,82 +764,27 @@ int cmd_suite(const CliOptions& options) {
 // namespaces, fabric link counters, cross-node flow arrows and the /2
 // report's "metrics" section.
 int cmd_system(const CliOptions& options) {
-  const auto wall_start = std::chrono::steady_clock::now();
   if (options.inject_livelock != 0) {
-    std::fprintf(stderr,
-                 "mac3d: --inject-livelock applies to the run command\n");
-    return 2;
+    throw ConfigError("--inject-livelock applies to the run command");
   }
-  SimConfig config = make_config(options);  // applies --nodes pre-validate
+  Session session(options, {"system"}, true);
+  const SimConfig config = make_config(options);  // applies --nodes
   const MemoryTrace trace = make_trace(options, config);
+  if (!session.open()) return 2;
 
   System system(config);
   system.attach_trace(trace);
+  if (CheckContext* checks = session.checks()) system.attach_checks(checks);
+  if (EventSink* sink = session.begin_run(0)) system.attach_sink(sink);
+  system.attach_census(session.census(0));
+  system.attach_profiler(session.profiler());
+  system.attach_sampler(session.sampler());
+  if (MetricsRegistry* registry = session.registry()) {
+    system.attach_metrics(registry);
+  }
+  system.attach_snapshot(session.snapshot());
 
-  CheckContext checks(CheckContext::FailMode::kCount);
-  if (options.checks) system.attach_checks(&checks);
-
-  const bool want_tracer =
-      !options.trace_events.empty() || !options.report_path.empty();
-  const bool want_sampler =
-      options.sample_every > 0 || !options.sample_out.empty();
-  const bool want_snapshot = options.snapshot_every > 0 ||
-                             !options.snapshot_out.empty() ||
-                             options.watchdog;
-#if !MAC3D_OBS_ENABLED
-  if (options.watchdog) {
-    // The engines compile the snapshot serial points out under OBS=OFF:
-    // the watchdog would never observe a window, so refuse.
-    std::fprintf(stderr,
-                 "mac3d: --watchdog needs a -DMAC3D_OBS=ON build\n");
-    return 2;
-  }
-  if (want_tracer || want_sampler || want_snapshot || options.profile ||
-      !options.report_path.empty()) {
-    std::fprintf(stderr,
-                 "mac3d: warning: built with -DMAC3D_OBS=OFF; telemetry "
-                 "options will record nothing\n");
-  }
-#endif
-  LifecycleTracer tracer;
-  if (!options.trace_events.empty() &&
-      !tracer.open_trace(options.trace_events)) {
-    std::fprintf(stderr, "mac3d: cannot open %s for writing\n",
-                 options.trace_events.c_str());
-    return 2;
-  }
-  CycleSampler sampler(options.sample_every == 0 ? 64 : options.sample_every);
-  MetricsRegistry registry;
-  ActivityCensus census;
-  HostProfiler profiler;
-  LatencyDecomposer decomposer(want_tracer ? &tracer : nullptr);
-  if (want_tracer) {
-    tracer.begin_path("system");
-    system.attach_sink(&tracer);
-  }
-  if (options.profile) {
-    // The decomposer tees into the tracer, so it replaces it as the
-    // system sink. The census export lands in the metrics registry at
-    // end of run (System::finalize_metrics).
-    if (!options.trace_events.empty()) decomposer.attach_trace(&tracer);
-    system.attach_sink(&decomposer);
-    system.attach_census(&census);
-    system.attach_profiler(&profiler);
-  }
-  if (want_sampler) system.attach_sampler(&sampler);
-  if (!options.report_path.empty()) system.attach_metrics(&registry);
-
-  SnapshotStreamer snapshot(options.snapshot_every == 0
-                                ? 1024
-                                : options.snapshot_every);
-  StallWatchdog watchdog(options.watchdog_windows);
-  if (want_snapshot) {
-    if (options.watchdog) snapshot.attach_watchdog(&watchdog);
-    system.attach_snapshot(&snapshot);
-  }
-
-  // The system command defaults to the event engine, like run and suite;
-  // all four engines are bit-identical, and --engine serial is the strict
+  // All four engines are bit-identical; --engine serial is the strict
   // reference.
   const SystemRunSummary summary = [&] {
     if (options.engine == "serial") return system.run();
@@ -781,237 +796,68 @@ int cmd_system(const CliOptions& options) {
     }
     return system.run_event();
   }();
-  census.seal();  // probes reference nodes owned by `system`
-  tracer.finish();
-  if (options.checks) checks.finalize();
+  if (ActivityCensus* census = session.census(0)) {
+    census->seal();  // probes reference nodes owned by `system`
+  }
+  if (CheckContext* checks = session.checks()) checks->finalize();
 
-  if (!options.sample_out.empty() && !sampler.write_csv(options.sample_out)) {
-    std::fprintf(stderr, "mac3d: cannot write %s\n",
-                 options.sample_out.c_str());
+  if (!session.write(config, trace, "closed_loop", trace.threads(),
+                     {summary.stats}, &summary)) {
     return 2;
   }
-  if (!options.snapshot_out.empty() &&
-      !snapshot.write(options.snapshot_out)) {
-    std::fprintf(stderr, "mac3d: cannot write %s\n",
-                 options.snapshot_out.c_str());
-    return 2;
-  }
-
-  if (!options.report_path.empty()) {
-    const double wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
-    RunReport report;
-    report.set_string("workload", options.trace_path.empty()
-                                      ? options.workload
-                                      : options.trace_path);
-    report.set_string("feed_mode", "closed_loop");
-    report.set_number("threads", static_cast<double>(trace.threads()));
-    report.set_number("nodes", static_cast<double>(config.nodes));
-    report.set_number("scale", options.scale);
-    report.set_number("seed", static_cast<double>(options.seed));
-    report.set_number("trace_records", static_cast<double>(trace.size()));
-    report.set_number("cycles", static_cast<double>(summary.cycles));
-    report.set_bool("completed", summary.completed);
-    report.set_number("wall_seconds", wall_seconds);
-    report.set_number("telemetry_monotonicity_errors",
-                      static_cast<double>(tracer.monotonicity_errors()));
-    report.set_number("telemetry_completeness_errors",
-                      static_cast<double>(tracer.completeness_errors()));
-    report.set_number("telemetry_abandoned_records",
-                      static_cast<double>(tracer.abandoned_records()));
-    report.set_number("telemetry_in_flight_at_end",
-                      static_cast<double>(tracer.in_flight_at_end()));
-    report.set_number("telemetry_hop_events",
-                      static_cast<double>(tracer.hop_events()));
-    if (options.watchdog) {
-      report.set_raw("watchdog", watchdog.to_json());
-    }
-    if (options.checks) {
-      StatSet check_stats;
-      checks.collect(check_stats, "checks");
-      report.set_raw("checks", check_stats.to_json());
-    }
-    report.set_config(config);
-    report.set_metrics(registry);
-    report.set_path_stats("system", summary.stats);
-    const LifecycleTracer::PathTelemetry* telemetry = tracer.path("system");
-    if (telemetry != nullptr) {
-      report.set_path_request_latency("system", telemetry->request_latency);
-      for (std::size_t s = 0; s < kStageCount; ++s) {
-        if (telemetry->stage_latency[s].count() == 0) continue;
-        report.add_path_stage("system", to_string(static_cast<Stage>(s)),
-                              telemetry->stage_latency[s]);
-      }
-    }
-    if (options.profile) {
-      report.set_latency("{\"system\":" + decomposer.to_json() + "}");
-      report.set_host(profiler.to_json());
-    }
-    if (!report.write(options.report_path)) {
-      std::fprintf(stderr, "mac3d: cannot write %s\n",
-                   options.report_path.c_str());
-      return 2;
-    }
-  }
-
-  const int watchdog_exit = options.watchdog && watchdog.fired() ? 1 : 0;
-  if (watchdog_exit != 0) {
-    std::fprintf(stderr,
-                 "mac3d: watchdog fired at cycle %llu (%llu consecutive "
-                 "windows with zero completions, work in flight)\n",
-                 static_cast<unsigned long long>(watchdog.fired_at()),
-                 static_cast<unsigned long long>(
-                     watchdog.stalled_windows()));
-  }
-
-  if (options.csv) {
-    std::cout << summary.stats.to_csv();
-    return options.checks && checks.violations() != 0 ? 1 : watchdog_exit;
-  }
-
-  print_banner("mac3d system: " +
-               (options.trace_path.empty() ? options.workload
-                                           : options.trace_path));
-  std::printf(
-      "%u nodes, %u threads, %s records, %s engine\n"
-      "cycles %s%s, requests %s, completions %s, avg latency %.0f cy\n"
-      "visited cycles %s, node ticks %s\n",
-      config.nodes, trace.threads(), Table::count(trace.size()).c_str(),
-      options.engine.empty() ? "event" : options.engine.c_str(),
-      Table::count(summary.cycles).c_str(),
-      summary.completed ? "" : " (cycle limit hit)",
-      Table::count(summary.requests).c_str(),
-      Table::count(summary.completions).c_str(), summary.avg_latency_cycles,
-      Table::count(summary.visited_cycles).c_str(),
-      Table::count(summary.node_ticks).c_str());
-  if (options.profile) {
-    std::printf("\nidle-cycle census (dead time %.1f%%)\n%s",
-                100.0 * census.dead_time_fraction(),
-                census.to_table().c_str());
-    std::printf("\nper-stage residency\n%s", decomposer.to_table().c_str());
-    std::printf("\nhost wall-clock attribution\n%s",
-                profiler.to_table().c_str());
-  }
-  if (options.checks) {
-    std::printf("\n%s", checks.report().c_str());
-    return checks.violations() == 0 ? watchdog_exit : 1;
-  }
-  return watchdog_exit;
+  const auto text = [&] {
+    print_banner("mac3d system: " + (options.trace_path.empty()
+                                         ? options.workload
+                                         : options.trace_path));
+    std::printf(
+        "%u nodes, %u threads, %s records, %s engine\n"
+        "cycles %s%s, requests %s, completions %s, avg latency %.0f cy\n"
+        "visited cycles %s, node ticks %s\n",
+        config.nodes, trace.threads(), Table::count(trace.size()).c_str(),
+        options.engine.c_str(), Table::count(summary.cycles).c_str(),
+        summary.completed ? "" : " (cycle limit hit)",
+        Table::count(summary.requests).c_str(),
+        Table::count(summary.completions).c_str(), summary.avg_latency_cycles,
+        Table::count(summary.visited_cycles).c_str(),
+        Table::count(summary.node_ticks).c_str());
+  };
+  return session.finish(summary.stats, text, [] {});
 }
 
-/// `mac3d report-diff OLD NEW [--tolerance PCT] [--ignore PATH]
-/// [--allow-missing]`: its positional arguments don't fit the common
-/// flag-value parser, so it parses argv itself.
-int cmd_report_diff(int argc, char** argv) {
-  std::vector<std::string> files;
+/// Exit 0 when the reports agree, 1 on a difference, 2 on IO/parse trouble
+/// (docs/OBSERVABILITY.md §report-diff).
+int cmd_report_diff(const CliOptions& options) {
   DiffOptions diff;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--tolerance") {
-      diff.tolerance_pct = std::atof(value());
-    } else if (arg == "--ignore") {
-      diff.ignore.emplace_back(value());
-    } else if (arg == "--allow-missing") {
-      diff.fail_on_missing = false;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      return 2;
-    } else {
-      files.push_back(arg);
-    }
-  }
-  if (files.size() != 2) {
-    std::fprintf(stderr,
-                 "usage: mac3d report-diff OLD NEW [--tolerance PCT] "
-                 "[--ignore PATH] [--allow-missing]\n");
-    return 2;
-  }
-  return run_report_diff(files[0], files[1], diff);
+  diff.tolerance_pct = options.diff_tolerance;
+  diff.ignore.insert(diff.ignore.end(), options.ignore.begin(),
+                     options.ignore.end());
+  diff.fail_on_missing = !options.allow_missing;
+  return run_report_diff(options.operands[0], options.operands[1], diff);
 }
 
-/// `mac3d analyze REPORT --snapshots FILE [--json FILE]
-/// [--tolerance PCT]`: post-run bottleneck diagnosis over a run report
-/// plus its snapshot stream (docs/OBSERVABILITY.md §analyze). Positional
-/// REPORT, so it parses argv itself. Exit 0 clean, 1 when the watchdog
+/// Post-run bottleneck diagnosis over a run report plus its snapshot stream
+/// (docs/OBSERVABILITY.md §analyze). Exit 0 clean, 1 when the watchdog
 /// fired or a conservation audit fails, 2 on IO/parse/usage trouble.
-int cmd_analyze(int argc, char** argv) {
-  std::vector<std::string> files;
-  std::string snapshots;
-  std::string json_out;
+int cmd_analyze(const CliOptions& options) {
+  if (options.snapshots.empty()) {
+    throw ConfigError("analyze needs --snapshots FILE");
+  }
   AnalysisOptions analysis;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--snapshots") {
-      snapshots = value();
-    } else if (arg == "--json") {
-      json_out = value();
-    } else if (arg == "--tolerance") {
-      analysis.tolerance_pct = std::atof(value());
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      return 2;
-    } else {
-      files.push_back(arg);
-    }
-  }
-  if (files.size() != 1 || snapshots.empty()) {
-    std::fprintf(stderr,
-                 "usage: mac3d analyze REPORT --snapshots FILE "
-                 "[--json FILE] [--tolerance PCT]\n");
-    return 2;
-  }
-  return run_analyze(files[0], snapshots, json_out, analysis);
+  analysis.tolerance_pct = options.analyze_tolerance;
+  return run_analyze(options.operands[0], options.snapshots, options.json_out,
+                     analysis);
 }
 
-/// `mac3d lint [--root DIR] [--baseline FILE] [--sarif FILE]
-/// [--write-baseline FILE] [--list-rules]`: like report-diff, its flags
-/// don't fit the common parser, so it parses argv itself
-/// (docs/STATIC_ANALYSIS.md).
-int cmd_lint(int argc, char** argv) {
-  lint::LintCliOptions options;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--root") {
-      options.root = value();
-    } else if (arg == "--baseline") {
-      options.baseline = value();
-    } else if (arg == "--sarif") {
-      options.sarif = value();
-    } else if (arg == "--write-baseline") {
-      options.write_baseline = value();
-    } else if (arg == "--list-rules") {
-      options.list_rules = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: mac3d lint [--root DIR] [--baseline FILE] "
-                   "[--sarif FILE] [--write-baseline FILE] [--list-rules]\n");
-      return 2;
-    }
-  }
-  return lint::run_lint_cli(options);
+/// The repo's static analyzer (docs/STATIC_ANALYSIS.md); exit codes like
+/// report-diff.
+int cmd_lint(const CliOptions& options) {
+  lint::LintCliOptions lint;
+  lint.root = options.lint_root;
+  lint.baseline = options.baseline;
+  lint.sarif = options.sarif;
+  lint.write_baseline = options.write_baseline;
+  lint.list_rules = options.list_rules;
+  return lint::run_lint_cli(lint);
 }
 
 int cmd_trace(const CliOptions& options) {
@@ -1027,7 +873,7 @@ int cmd_trace(const CliOptions& options) {
   return 0;
 }
 
-int cmd_list() {
+int cmd_list(const CliOptions& /*options*/) {
   for (const Workload* workload : workload_registry()) {
     std::printf("%-10s %s\n", workload->name().c_str(),
                 workload->description().c_str());
@@ -1041,34 +887,125 @@ int cmd_config(const CliOptions& options) {
   return 0;
 }
 
+// ---- Command line ----------------------------------------------------------
+
+struct Command {
+  std::string_view name;
+  unsigned bit;
+  std::string_view operands;  ///< positional arguments, e.g. "OLD NEW"
+  std::size_t operand_count;
+  int (*run)(const CliOptions&);
+};
+
+constexpr Command kCommands[] = {
+    {"run", kRun, "", 0, cmd_run},
+    {"suite", kSuite, "", 0, cmd_suite},
+    {"system", kSystem, "", 0, cmd_system},
+    {"trace", kTrace, "", 0, cmd_trace},
+    {"list", kList, "", 0, cmd_list},
+    {"config", kConfig, "", 0, cmd_config},
+    {"report-diff", kReportDiff, "OLD NEW", 2, cmd_report_diff},
+    {"analyze", kAnalyze, "REPORT", 1, cmd_analyze},
+    {"lint", kLint, "", 0, cmd_lint},
+};
+
+/// The usage text, rendered from kCommands and kFlags.
+void usage() {
+  std::string text = "usage: mac3d <";
+  for (const Command& command : kCommands) {
+    if ((command.bit & kSim) == 0) continue;
+    if (command.bit != kRun) text += '|';
+    text += command.name;
+  }
+  text += "> [options]\n";
+  for (const Command& command : kCommands) {
+    if ((command.bit & kSim) != 0) continue;
+    text += "       mac3d " + std::string(command.name);
+    if (!command.operands.empty()) text += " " + std::string(command.operands);
+    for (const Flag& flag : kFlags) {
+      if ((flag.commands & command.bit) == 0) continue;
+      text += " [" + std::string(flag.name);
+      if (!flag.metavar.empty()) text += " " + std::string(flag.metavar);
+      text += "]";
+    }
+    text += "\n";
+  }
+  for (const Flag& flag : kFlags) {
+    std::string head = "  " + std::string(flag.name);
+    if (!flag.metavar.empty()) head += " " + std::string(flag.metavar);
+    head.resize(std::max<std::size_t>(head.size() + 1, 20), ' ');
+    std::string_view help = flag.help;
+    for (std::size_t nl; (nl = help.find('\n')) != std::string_view::npos;) {
+      text += head + std::string(help.substr(0, nl)) + "\n";
+      head.assign(20, ' ');
+      help.remove_prefix(nl + 1);
+    }
+    text += head + std::string(help) + "\n";
+  }
+  std::fputs(text.c_str(), stderr);
+}
+
+/// The one argv walker: every subcommand's flags come from kFlags. Throws
+/// ConfigError on an unknown option, a missing or malformed value, or the
+/// wrong number of operands; nullopt when there is no known command.
+std::optional<CliOptions> parse(int argc, char** argv) {
+  if (argc < 2) return std::nullopt;
+  CliOptions options;
+  for (const Command& command : kCommands) {
+    if (command.name == argv[1]) options.command = &command;
+  }
+  if (options.command == nullptr) return std::nullopt;
+  const Command& command = *options.command;
+  for (int i = 2; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.empty() || arg[0] != '-') {
+      options.operands.emplace_back(arg);
+      continue;
+    }
+    const auto flag = std::find_if(
+        std::begin(kFlags), std::end(kFlags), [&](const Flag& candidate) {
+          return candidate.name == arg && (candidate.commands & command.bit);
+        });
+    if (flag == std::end(kFlags)) {
+      throw ConfigError("unknown option " + std::string(arg) + " for " +
+                        std::string(command.name));
+    }
+    if (flag->metavar.empty()) {
+      options.*std::get<bool CliOptions::*>(flag->target) = true;
+      continue;
+    }
+    if (i + 1 >= argc) {
+      throw ConfigError("missing value for " + std::string(arg));
+    }
+    set_flag(*flag, argv[++i], options);
+  }
+  if (options.operands.size() != command.operand_count) {
+    throw ConfigError(std::string(command.name) + " takes " +
+                      (command.operands.empty()
+                           ? std::string("no operands")
+                           : std::string(command.operands)) +
+                      ", got " + std::to_string(options.operands.size()) +
+                      " (run mac3d without arguments for usage)");
+  }
+  return options;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::strcmp(argv[1], "report-diff") == 0) {
-    return cmd_report_diff(argc, argv);
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "analyze") == 0) {
-    return cmd_analyze(argc, argv);
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "lint") == 0) {
-    return cmd_lint(argc, argv);
-  }
-  const std::optional<CliOptions> options = parse(argc, argv);
-  if (!options) {
-    usage();
-    return 2;
-  }
   try {
-    if (options->command == "run") return cmd_run(*options);
-    if (options->command == "suite") return cmd_suite(*options);
-    if (options->command == "system") return cmd_system(*options);
-    if (options->command == "trace") return cmd_trace(*options);
-    if (options->command == "list") return cmd_list();
-    if (options->command == "config") return cmd_config(*options);
+    const std::optional<CliOptions> options = parse(argc, argv);
+    if (!options) {
+      usage();
+      return 2;
+    }
+    return options->command->run(*options);
+  } catch (const ConfigError& error) {
+    // Malformed input: a flag, a value, a config override, a trace file.
+    std::fprintf(stderr, "mac3d: %s\n", error.what());
+    return 2;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "mac3d: %s\n", error.what());
     return 1;
   }
-  usage();
-  return 2;
 }

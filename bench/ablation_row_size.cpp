@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
         Geometry{"HMC future (512B)", 512}, Geometry{"HBM (1KB page)", 1024}}) {
     SuiteOptions options = default_suite_options();
     options.config.row_bytes = geometry.row_bytes;
-    options.config.builder_max_bytes = geometry.row_bytes;
     options.run_raw = false;
     const auto runs = run_suite(options);
     double eff = 0.0;

@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
 
   SimConfig config;
   config.apply_env();
+  config.validate();
   WorkloadParams params;
   params.threads = config.cores;
   params.config = config;
@@ -43,6 +44,7 @@ int main(int argc, char** argv) {
               Table::count(trace.size()).c_str(), path.c_str());
 
   const MemoryTrace replay = load_trace(path);
+  check_trace_addresses(replay, config);
   std::printf("reloaded %s records, %u threads\n\n",
               Table::count(replay.size()).c_str(), replay.threads());
 

@@ -11,12 +11,6 @@
 
 namespace mac3d {
 
-/// SPM address windows live far above any 3D-stacked memory address
-/// (node address ranges stack from 0 upward; 2^48 is unreachable by any
-/// realistic node count), so scratchpad and main-memory addresses never
-/// collide.
-inline constexpr Address kSpmRegionBase = Address{1} << 48;
-
 /// First byte of the SPM window of (`node`, `core`).
 [[nodiscard]] inline Address spm_window_base(const SimConfig& config,
                                              NodeId node,

@@ -174,8 +174,12 @@ bool MshrCoalescer::idle() const noexcept {
 
 Cycle MshrCoalescer::next_event(Cycle now) const noexcept {
   if (idle()) return 0;
-  if (ledger_.fence_ready() || !dispatch_queue_.empty() ||
-      !fences_.empty()) {
+  // A pending fence retires on the first tick that finds the file empty
+  // and nothing in flight; until then it waits on the device's next
+  // completion like everything else.
+  const bool fence_retires = !fences_.empty() && file_.empty() &&
+                             ledger_.in_flight() == 0;
+  if (ledger_.fence_ready() || !dispatch_queue_.empty() || fence_retires) {
     return now + 1;
   }
   const Cycle completion = device_.next_completion();

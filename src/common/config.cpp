@@ -1,88 +1,150 @@
 #include "common/config.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
+#include <iterator>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
-#include "common/bitutil.hpp"
+#include "common/parse_number.hpp"
 
 namespace mac3d {
 namespace {
 
-std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t parsed = std::stoull(value, &pos, 0);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
-    throw ConfigError("invalid integer for " + key + ": '" + value + "'");
+using U32 = NumberField<SimConfig, std::uint32_t>;
+using U64 = NumberField<SimConfig, std::uint64_t>;
+using F64 = NumberField<SimConfig, double>;
+constexpr std::uint32_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+constexpr NumberRange<std::uint32_t> kAtLeastOne{1, kU32Max};
+
+/// One SimConfig key. kKeys lists each key once, with its member and the
+/// values it accepts; parse_overrides(), to_kv() and validate() all walk
+/// it. Checks that relate two keys live in validate().
+struct ConfigKey {
+  std::string_view name;
+  std::variant<U32, U64, F64, bool SimConfig::*, CoalescerPolicy SimConfig::*,
+               std::string SimConfig::*>
+      field;
+};
+
+constexpr ConfigKey kKeys[] = {
+    // CoreId is 8-bit: a larger count would wrap core ids, and two cores
+    // would share one SPM window.
+    {"cores", U32{&SimConfig::cores, {1, 256}}},
+    {"cpu_ghz", F64{&SimConfig::cpu_ghz, kPositive<double>}},
+    {"spm_bytes", U64{&SimConfig::spm_bytes}},
+    {"spm_latency_ns", F64{&SimConfig::spm_latency_ns, kNonNegative<double>}},
+    {"nodes", U32{&SimConfig::nodes, {1, 65536}}},  // NodeId is 16-bit
+    {"hmc_links", U32{&SimConfig::hmc_links, kAtLeastOne, true}},
+    {"hmc_capacity", U64{&SimConfig::hmc_capacity, {1}, true}},
+    {"row_bytes", U32{&SimConfig::row_bytes, {2 * kFlitBytes, 4096}, true}},
+    {"vaults", U32{&SimConfig::vaults, kAtLeastOne, true}},
+    {"banks_per_vault", U32{&SimConfig::banks_per_vault, kAtLeastOne, true}},
+    {"link_queue_depth", U32{&SimConfig::link_queue_depth, kAtLeastOne}},
+    {"t_link_flit", U32{&SimConfig::t_link_flit, kAtLeastOne}},
+    {"t_serdes", U32{&SimConfig::t_serdes}},
+    {"t_vault_ctrl", U32{&SimConfig::t_vault_ctrl}},
+    {"t_bank_access", U32{&SimConfig::t_bank_access}},
+    {"t_bank_precharge", U32{&SimConfig::t_bank_precharge}},
+    {"t_row_data_flit", U32{&SimConfig::t_row_data_flit}},
+    {"t_refi", U32{&SimConfig::t_refi}},
+    {"t_rfc", U32{&SimConfig::t_rfc}},
+    {"open_page", &SimConfig::open_page},
+    {"t_bank_activate", U32{&SimConfig::t_bank_activate}},
+    {"t_bank_cas", U32{&SimConfig::t_bank_cas}},
+    {"arq_entries", U32{&SimConfig::arq_entries, {2, kU32Max}}},
+    {"arq_entry_bytes", U32{&SimConfig::arq_entry_bytes, {16, kU32Max}}},
+    {"arq_pop_interval", U32{&SimConfig::arq_pop_interval, kAtLeastOne}},
+    {"builder_min_bytes",
+     U32{&SimConfig::builder_min_bytes, {kFlitBytes, kU32Max}, true}},
+    {"fill_fast_enabled", &SimConfig::fill_fast_enabled},
+    {"policy", &SimConfig::policy},
+    {"node_policies", &SimConfig::node_policies},
+    {"mshr_entries", U32{&SimConfig::mshr_entries, kAtLeastOne}},
+    {"mshr_block_bytes",
+     U32{&SimConfig::mshr_block_bytes, {kFlitBytes, kMaxPacketDataBytes},
+         true}},
+    {"warp_lanes", U32{&SimConfig::warp_lanes, {1, 64}}},
+    {"warp_block_bytes",
+     U32{&SimConfig::warp_block_bytes, {kFlitBytes, kMaxPacketDataBytes},
+         true}},
+    {"warp_window_cycles", U32{&SimConfig::warp_window_cycles, kAtLeastOne}},
+    {"remote_hop_cycles", U32{&SimConfig::remote_hop_cycles}},
+    {"queue_depth", U32{&SimConfig::queue_depth, kAtLeastOne}},
+};
+
+/// The to_kv() token of a number: integers in decimal, doubles at full
+/// precision.
+template <typename T>
+std::string render(T value) {
+  if constexpr (std::is_floating_point_v<T>) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return buf;
+  } else {
+    return std::to_string(value);
   }
 }
 
-double parse_f64(const std::string& key, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const double parsed = std::stod(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
-    throw ConfigError("invalid number for " + key + ": '" + value + "'");
-  }
+template <typename Field>
+[[noreturn]] void reject(std::string_view key, std::string_view value,
+                         const Field& field) {
+  throw ConfigError(std::string(key) + "=" + std::string(value) + ": want " +
+                    field.range.describe(field.pow2));
 }
 
-bool parse_bool(const std::string& key, const std::string& value) {
+/// to_kv() quotes its string tokens; accept that form back so the
+/// documented kv round-trip holds.
+std::string unquote(const std::string& value) {
+  if (value.size() >= 2 && value.front() == '"' && value.back() == '"') {
+    return value.substr(1, value.size() - 2);
+  }
+  return value;
+}
+
+bool parse_bool(std::string_view key, const std::string& value) {
   if (value == "1" || value == "true" || value == "on") return true;
   if (value == "0" || value == "false" || value == "off") return false;
-  throw ConfigError("invalid bool for " + key + ": '" + value + "'");
+  throw ConfigError(std::string(key) + "=" + value +
+                    ": want true|false|on|off|1|0");
 }
 
-CoalescerPolicy parse_policy_value(const std::string& key,
+CoalescerPolicy parse_policy_value(std::string_view key,
                                    const std::string& value) {
-  // to_kv() emits the policy as a quoted JSON string token; accept that
-  // form back so the documented kv round-trip holds.
-  std::string name = value;
-  if (name.size() >= 2 && name.front() == '"' && name.back() == '"') {
-    name = name.substr(1, name.size() - 2);
-  }
   CoalescerPolicy policy = CoalescerPolicy::kMac;
-  if (!parse_policy(name, policy)) {
-    throw ConfigError("invalid policy for " + key + ": '" + value +
-                      "' (want raw|mac|mshr|warp)");
+  if (!parse_policy(unquote(value), policy)) {
+    throw ConfigError(std::string(key) + "=" + value +
+                      ": want raw|mac|mshr|warp");
   }
   return policy;
 }
 
-/// Parse a "<i>:<policy>[;<i>:<policy>...]" node_policies string (the
-/// quoted to_kv form is accepted back, like parse_policy_value).
+/// Parse a "<i>:<policy>[;<i>:<policy>...]" node_policies string.
 std::vector<std::pair<std::uint32_t, CoalescerPolicy>> parse_node_policies(
-    const std::string& value) {
-  std::string text = value;
-  if (text.size() >= 2 && text.front() == '"' && text.back() == '"') {
-    text = text.substr(1, text.size() - 2);
-  }
+    const std::string& text) {
   std::vector<std::pair<std::uint32_t, CoalescerPolicy>> entries;
-  if (text.empty()) return entries;
   std::istringstream stream(text);
   std::string entry;
   while (std::getline(stream, entry, ';')) {
     const auto colon = entry.find(':');
-    if (colon == std::string::npos || colon == 0) {
-      throw ConfigError("invalid node_policies entry '" + entry +
-                        "' (want <node>:<raw|mac|mshr|warp>)");
-    }
-    const std::uint32_t node = static_cast<std::uint32_t>(
-        parse_u64("node_policies", entry.substr(0, colon)));
+    const std::optional<std::uint32_t> node =
+        colon == std::string::npos
+            ? std::nullopt
+            : parse_number<std::uint32_t>(entry.substr(0, colon), {0, 65535});
     CoalescerPolicy policy = CoalescerPolicy::kMac;
-    if (!parse_policy(entry.substr(colon + 1), policy)) {
-      throw ConfigError("invalid policy in node_policies entry '" + entry +
-                        "' (want raw|mac|mshr|warp)");
+    if (!node || !parse_policy(entry.substr(colon + 1), policy)) {
+      throw ConfigError("invalid node_policies entry '" + entry +
+                        "' (want <node>:<raw|mac|mshr|warp>, node in "
+                        "[0, 65535])");
     }
-    entries.emplace_back(node, policy);
+    entries.emplace_back(*node, policy);
   }
   return entries;
 }
@@ -116,216 +178,76 @@ double SimConfig::cycles_to_ns(Cycle cycles) const noexcept {
 }
 
 void SimConfig::validate() const {
-  auto require = [](bool ok, const std::string& message) {
+  for (const ConfigKey& key : kKeys) {
+    std::visit(
+        [&](const auto& field) {
+          if constexpr (requires { field.range; }) {
+            if (!field.accepts(this->*field.member)) {
+              reject(key.name, render(this->*field.member), field);
+            }
+          }
+        },
+        key.field);
+  }
+  auto require = [](bool ok, const char* message) {
     if (!ok) throw ConfigError(message);
   };
-  require(cores >= 1 && cores <= 1024, "cores must be in [1, 1024]");
-  require(cpu_ghz > 0, "cpu_ghz must be positive");
-  require(nodes >= 1, "nodes must be >= 1");
-  require(is_pow2(row_bytes) && row_bytes >= 2 * kFlitBytes,
-          "row_bytes must be a power of two >= 32");
-  require(row_bytes <= 4096, "row_bytes must be <= 4096");
-  require(is_pow2(vaults), "vaults must be a power of two");
-  require(is_pow2(banks_per_vault), "banks_per_vault must be a power of two");
-  require(is_pow2(hmc_capacity), "hmc_capacity must be a power of two");
-  require(hmc_capacity >= static_cast<std::uint64_t>(row_bytes) * total_banks(),
-          "hmc_capacity too small for vault/bank/row geometry");
-  require(hmc_links >= 1 && is_pow2(hmc_links),
-          "hmc_links must be a power of two >= 1");
+  require(
+      hmc_capacity >= static_cast<std::uint64_t>(row_bytes) * total_banks(),
+      "hmc_capacity too small for vault/bank/row geometry");
+  // SPM windows start at kSpmRegionBase (arch/spm.hpp); main memory must
+  // stay below it. nodes >= 1 here, so the division is safe.
+  require(hmc_capacity <= kSpmRegionBase / nodes,
+          "nodes x hmc_capacity must not exceed 2^48 B (the SPM region)");
   require(hmc_links <= vaults, "hmc_links must not exceed vaults");
-  require(arq_entries >= 2, "arq_entries must be >= 2");
-  require(arq_entry_bytes >= 16, "arq_entry_bytes must be >= 16");
-  require(arq_pop_interval >= 1, "arq_pop_interval must be >= 1");
-  require(is_pow2(builder_min_bytes) && builder_min_bytes >= kFlitBytes,
-          "builder_min_bytes must be a power of two >= 16");
-  require(builder_max_bytes == row_bytes,
-          "builder_max_bytes must equal row_bytes (one row per packet)");
-  require(builder_min_bytes <= builder_max_bytes,
-          "builder_min_bytes must be <= builder_max_bytes");
-  require(vault_queue_depth >= 1, "vault_queue_depth must be >= 1");
-  require(link_queue_depth >= 1, "link_queue_depth must be >= 1");
-  require(queue_depth >= 1, "queue_depth must be >= 1");
-  require(t_link_flit >= 1, "t_link_flit must be >= 1");
+  require(builder_min_bytes <= row_bytes,
+          "builder_min_bytes must be <= row_bytes");
   require(t_refi == 0 || t_rfc < t_refi,
           "t_rfc must be smaller than t_refi (or t_refi 0 to disable)");
-  require(mshr_entries >= 1, "mshr_entries must be >= 1");
-  require(is_pow2(mshr_block_bytes) && mshr_block_bytes >= kFlitBytes &&
-              mshr_block_bytes <= kMaxPacketDataBytes,
-          "mshr_block_bytes must be a power of two in [16, 256]");
-  require(warp_lanes >= 1 && warp_lanes <= 64,
-          "warp_lanes must be in [1, 64]");
-  require(is_pow2(warp_block_bytes) && warp_block_bytes >= kFlitBytes &&
-              warp_block_bytes <= kMaxPacketDataBytes,
-          "warp_block_bytes must be a power of two in [16, 256]");
   // Warp merges must stay inside one DRAM row (one packet == one row
   // visit, same contract the builder obeys), so blocks must nest in rows.
-  require(warp_block_bytes <= row_bytes &&
-              row_bytes % warp_block_bytes == 0,
+  require(warp_block_bytes <= row_bytes && row_bytes % warp_block_bytes == 0,
           "warp_block_bytes must divide row_bytes");
-  require(warp_window_cycles >= 1, "warp_window_cycles must be >= 1");
+  if (node_policies.empty()) return;
   // Parses or throws; every listed node must exist in this system.
   for (const auto& [index, entry] : parse_node_policies(node_policies)) {
     (void)entry;
-    require(index < nodes, "node_policies references node " +
-                               std::to_string(index) + " but nodes = " +
-                               std::to_string(nodes));
+    if (index >= nodes) {
+      throw ConfigError("node_policies references node " +
+                        std::to_string(index) + " but nodes = " +
+                        std::to_string(nodes));
+    }
   }
 }
 
 void SimConfig::parse_overrides(
     const std::map<std::string, std::string>& kv) {
-  const std::map<std::string, std::function<void(const std::string&)>>
-      setters = {
-          {"cores", [&](const std::string& v) {
-             cores = static_cast<std::uint32_t>(parse_u64("cores", v));
-           }},
-          {"cpu_ghz", [&](const std::string& v) {
-             cpu_ghz = parse_f64("cpu_ghz", v);
-           }},
-          {"spm_bytes", [&](const std::string& v) {
-             spm_bytes = parse_u64("spm_bytes", v);
-           }},
-          {"spm_latency_ns", [&](const std::string& v) {
-             spm_latency_ns = parse_f64("spm_latency_ns", v);
-           }},
-          {"nodes", [&](const std::string& v) {
-             nodes = static_cast<std::uint32_t>(parse_u64("nodes", v));
-           }},
-          {"hmc_links", [&](const std::string& v) {
-             hmc_links = static_cast<std::uint32_t>(parse_u64("hmc_links", v));
-           }},
-          {"hmc_capacity", [&](const std::string& v) {
-             hmc_capacity = parse_u64("hmc_capacity", v);
-           }},
-          {"row_bytes", [&](const std::string& v) {
-             row_bytes = static_cast<std::uint32_t>(parse_u64("row_bytes", v));
-             builder_max_bytes = row_bytes;
-           }},
-          {"vaults", [&](const std::string& v) {
-             vaults = static_cast<std::uint32_t>(parse_u64("vaults", v));
-           }},
-          {"banks_per_vault", [&](const std::string& v) {
-             banks_per_vault =
-                 static_cast<std::uint32_t>(parse_u64("banks_per_vault", v));
-           }},
-          {"vault_queue_depth", [&](const std::string& v) {
-             vault_queue_depth =
-                 static_cast<std::uint32_t>(parse_u64("vault_queue_depth", v));
-           }},
-          {"link_queue_depth", [&](const std::string& v) {
-             link_queue_depth =
-                 static_cast<std::uint32_t>(parse_u64("link_queue_depth", v));
-           }},
-          {"t_link_flit", [&](const std::string& v) {
-             t_link_flit =
-                 static_cast<std::uint32_t>(parse_u64("t_link_flit", v));
-           }},
-          {"t_serdes", [&](const std::string& v) {
-             t_serdes = static_cast<std::uint32_t>(parse_u64("t_serdes", v));
-           }},
-          {"t_vault_ctrl", [&](const std::string& v) {
-             t_vault_ctrl =
-                 static_cast<std::uint32_t>(parse_u64("t_vault_ctrl", v));
-           }},
-          {"t_bank_access", [&](const std::string& v) {
-             t_bank_access =
-                 static_cast<std::uint32_t>(parse_u64("t_bank_access", v));
-           }},
-          {"t_bank_precharge", [&](const std::string& v) {
-             t_bank_precharge =
-                 static_cast<std::uint32_t>(parse_u64("t_bank_precharge", v));
-           }},
-          {"t_row_data_flit", [&](const std::string& v) {
-             t_row_data_flit =
-                 static_cast<std::uint32_t>(parse_u64("t_row_data_flit", v));
-           }},
-          {"t_refi", [&](const std::string& v) {
-             t_refi = static_cast<std::uint32_t>(parse_u64("t_refi", v));
-           }},
-          {"t_rfc", [&](const std::string& v) {
-             t_rfc = static_cast<std::uint32_t>(parse_u64("t_rfc", v));
-           }},
-          {"open_page", [&](const std::string& v) {
-             open_page = parse_bool("open_page", v);
-           }},
-          {"t_bank_activate", [&](const std::string& v) {
-             t_bank_activate =
-                 static_cast<std::uint32_t>(parse_u64("t_bank_activate", v));
-           }},
-          {"t_bank_cas", [&](const std::string& v) {
-             t_bank_cas =
-                 static_cast<std::uint32_t>(parse_u64("t_bank_cas", v));
-           }},
-          {"arq_entries", [&](const std::string& v) {
-             arq_entries =
-                 static_cast<std::uint32_t>(parse_u64("arq_entries", v));
-           }},
-          {"arq_entry_bytes", [&](const std::string& v) {
-             arq_entry_bytes =
-                 static_cast<std::uint32_t>(parse_u64("arq_entry_bytes", v));
-           }},
-          {"arq_pop_interval", [&](const std::string& v) {
-             arq_pop_interval =
-                 static_cast<std::uint32_t>(parse_u64("arq_pop_interval", v));
-           }},
-          {"builder_min_bytes", [&](const std::string& v) {
-             builder_min_bytes =
-                 static_cast<std::uint32_t>(parse_u64("builder_min_bytes", v));
-           }},
-          {"fill_fast_enabled", [&](const std::string& v) {
-             fill_fast_enabled = parse_bool("fill_fast_enabled", v);
-           }},
-          {"mac_enabled", [&](const std::string& v) {
-             mac_enabled = parse_bool("mac_enabled", v);
-           }},
-          {"policy", [&](const std::string& v) {
-             policy = parse_policy_value("policy", v);
-           }},
-          {"node_policies", [&](const std::string& v) {
-             // Parse eagerly so malformed strings fail at the override
-             // site; quotes are stripped like parse_policy_value.
-             std::string text = v;
-             if (text.size() >= 2 && text.front() == '"' &&
-                 text.back() == '"') {
-               text = text.substr(1, text.size() - 2);
-             }
-             (void)parse_node_policies(text);
-             node_policies = text;
-           }},
-          {"mshr_entries", [&](const std::string& v) {
-             mshr_entries =
-                 static_cast<std::uint32_t>(parse_u64("mshr_entries", v));
-           }},
-          {"mshr_block_bytes", [&](const std::string& v) {
-             mshr_block_bytes =
-                 static_cast<std::uint32_t>(parse_u64("mshr_block_bytes", v));
-           }},
-          {"warp_lanes", [&](const std::string& v) {
-             warp_lanes =
-                 static_cast<std::uint32_t>(parse_u64("warp_lanes", v));
-           }},
-          {"warp_block_bytes", [&](const std::string& v) {
-             warp_block_bytes =
-                 static_cast<std::uint32_t>(parse_u64("warp_block_bytes", v));
-           }},
-          {"warp_window_cycles", [&](const std::string& v) {
-             warp_window_cycles = static_cast<std::uint32_t>(
-                 parse_u64("warp_window_cycles", v));
-           }},
-          {"remote_hop_cycles", [&](const std::string& v) {
-             remote_hop_cycles =
-                 static_cast<std::uint32_t>(parse_u64("remote_hop_cycles", v));
-           }},
-          {"queue_depth", [&](const std::string& v) {
-             queue_depth =
-                 static_cast<std::uint32_t>(parse_u64("queue_depth", v));
-           }},
-      };
-
-  for (const auto& [key, value] : kv) {
-    const auto it = setters.find(key);
-    if (it == setters.end()) throw ConfigError("unknown config key: " + key);
-    it->second(value);
+  for (const auto& [name, value] : kv) {
+    const auto key = std::find_if(
+        std::begin(kKeys), std::end(kKeys),
+        [&name = name](const ConfigKey& entry) { return entry.name == name; });
+    if (key == std::end(kKeys)) {
+      throw ConfigError("unknown config key: " + name);
+    }
+    std::visit(
+        [&](const auto& field) {
+          using Field = std::decay_t<decltype(field)>;
+          if constexpr (requires { field.range; }) {
+            if (!field.set(*this, value)) reject(key->name, value, field);
+          } else if constexpr (std::is_same_v<Field, bool SimConfig::*>) {
+            this->*field = parse_bool(key->name, value);
+          } else if constexpr (std::is_same_v<Field,
+                                              CoalescerPolicy SimConfig::*>) {
+            this->*field = parse_policy_value(key->name, value);
+          } else {
+            // node_policies: parse eagerly so a malformed string fails
+            // here, not at System construction.
+            const std::string text = unquote(value);
+            (void)parse_node_policies(text);
+            this->*field = text;
+          }
+        },
+        key->field);
   }
 }
 
@@ -355,55 +277,27 @@ void SimConfig::apply_env() {
 }
 
 std::map<std::string, std::string> SimConfig::to_kv() const {
-  auto u = [](std::uint64_t value) { return std::to_string(value); };
-  auto f = [](double value) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return std::string(buf);
-  };
-  auto b = [](bool value) { return std::string(value ? "true" : "false"); };
-  // Keep this list in lock-step with the parse_overrides() setters map.
-  return {
-      {"cores", u(cores)},
-      {"cpu_ghz", f(cpu_ghz)},
-      {"spm_bytes", u(spm_bytes)},
-      {"spm_latency_ns", f(spm_latency_ns)},
-      {"nodes", u(nodes)},
-      {"hmc_links", u(hmc_links)},
-      {"hmc_capacity", u(hmc_capacity)},
-      {"row_bytes", u(row_bytes)},
-      {"vaults", u(vaults)},
-      {"banks_per_vault", u(banks_per_vault)},
-      {"vault_queue_depth", u(vault_queue_depth)},
-      {"link_queue_depth", u(link_queue_depth)},
-      {"t_link_flit", u(t_link_flit)},
-      {"t_serdes", u(t_serdes)},
-      {"t_vault_ctrl", u(t_vault_ctrl)},
-      {"t_bank_access", u(t_bank_access)},
-      {"t_bank_precharge", u(t_bank_precharge)},
-      {"t_row_data_flit", u(t_row_data_flit)},
-      {"t_refi", u(t_refi)},
-      {"t_rfc", u(t_rfc)},
-      {"open_page", b(open_page)},
-      {"t_bank_activate", u(t_bank_activate)},
-      {"t_bank_cas", u(t_bank_cas)},
-      {"arq_entries", u(arq_entries)},
-      {"arq_entry_bytes", u(arq_entry_bytes)},
-      {"arq_pop_interval", u(arq_pop_interval)},
-      {"builder_min_bytes", u(builder_min_bytes)},
-      {"fill_fast_enabled", b(fill_fast_enabled)},
-      {"mac_enabled", b(mac_enabled)},
-      // Quoted: to_kv() values are JSON value tokens (see RunReport).
-      {"policy", '"' + std::string(to_string(policy)) + '"'},
-      {"node_policies", '"' + node_policies + '"'},
-      {"mshr_entries", u(mshr_entries)},
-      {"mshr_block_bytes", u(mshr_block_bytes)},
-      {"warp_lanes", u(warp_lanes)},
-      {"warp_block_bytes", u(warp_block_bytes)},
-      {"warp_window_cycles", u(warp_window_cycles)},
-      {"remote_hop_cycles", u(remote_hop_cycles)},
-      {"queue_depth", u(queue_depth)},
-  };
+  std::map<std::string, std::string> kv;
+  for (const ConfigKey& key : kKeys) {
+    std::visit(
+        [&](const auto& field) {
+          using Field = std::decay_t<decltype(field)>;
+          if constexpr (requires { field.range; }) {
+            kv.emplace(key.name, render(this->*field.member));
+          } else if constexpr (std::is_same_v<Field, bool SimConfig::*>) {
+            kv.emplace(key.name, this->*field ? "true" : "false");
+          } else if constexpr (std::is_same_v<Field,
+                                              CoalescerPolicy SimConfig::*>) {
+            // Quoted: to_kv() values are JSON value tokens (see RunReport).
+            kv.emplace(key.name, '"' + std::string(to_string(this->*field)) +
+                                     '"');
+          } else {
+            kv.emplace(key.name, '"' + this->*field + '"');
+          }
+        },
+        key.field);
+  }
+  return kv;
 }
 
 std::string SimConfig::to_table() const {
@@ -423,7 +317,7 @@ std::string SimConfig::to_table() const {
       << "ARQ                      | " << arq_entries << " entries, "
       << arq_entry_bytes << "B per entry\n"
       << "Builder packet sizes     | " << builder_min_bytes << "B - "
-      << builder_max_bytes << "B\n";
+      << row_bytes << "B\n";
   return out.str();
 }
 

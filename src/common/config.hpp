@@ -17,7 +17,9 @@ class ConfigError : public std::runtime_error {
 };
 
 /// All tunables of the simulated system. Defaults reproduce Table 1 of the
-/// paper. Use parse_overrides()/from_env() to adjust, then validate().
+/// paper. Use parse_overrides()/apply_env() to adjust, then validate().
+/// Every field is one config key: config.cpp's key table names it, gives
+/// its accepted range and drives parsing, to_kv() and validate().
 struct SimConfig {
   // ---- Node / cores (Table 1) -------------------------------------------
   std::uint32_t cores = 8;             ///< in-order cores per node
@@ -32,7 +34,6 @@ struct SimConfig {
   std::uint32_t row_bytes = 256;               ///< DRAM row (block) size
   std::uint32_t vaults = 32;                   ///< interleaved vaults
   std::uint32_t banks_per_vault = 16;          ///< 512 banks in an 8 GB cube
-  std::uint32_t vault_queue_depth = 32;        ///< per-vault request queue
   std::uint32_t link_queue_depth = 32;         ///< per-link injection queue
 
   // HMC timing (in CPU cycles). Calibrated so an isolated 16 B read takes
@@ -61,8 +62,8 @@ struct SimConfig {
   std::uint32_t arq_entries = 32;      ///< Aggregated Request Queue depth
   std::uint32_t arq_entry_bytes = 64;  ///< bytes of storage per ARQ entry
   std::uint32_t arq_pop_interval = 2;  ///< pop one entry every N cycles
-  std::uint32_t builder_min_bytes = 64;   ///< smallest coalesced packet
-  std::uint32_t builder_max_bytes = 256;  ///< largest coalesced packet
+  /// Smallest coalesced packet; the largest is one row (`row_bytes`).
+  std::uint32_t builder_min_bytes = 64;
   /// Sec. 4.1 latency-hiding bypass ("fill-fast"): when the free-entry
   /// counter rises above half the ARQ size, the next N requests skip the
   /// comparators. The paper pitches it for I/O-bound phases and program
@@ -70,7 +71,6 @@ struct SimConfig {
   /// occupancy and the mechanism would suppress aggregation entirely, so
   /// it defaults to off here (see the fill-fast ablation bench).
   bool fill_fast_enabled = false;
-  bool mac_enabled = true;        ///< false => raw 16 B requests pass through
 
   // ---- Coalescer policy (DESIGN.md §policy) ------------------------
   /// Which front-end a Node places between router and HMC device. The
@@ -119,17 +119,19 @@ struct SimConfig {
   /// Convert CPU cycles to nanoseconds.
   [[nodiscard]] double cycles_to_ns(Cycle cycles) const noexcept;
 
-  /// Throws ConfigError when any parameter combination is inconsistent.
+  /// Throws ConfigError when a key lies outside its accepted range or any
+  /// parameter combination is inconsistent.
   void validate() const;
 
-  /// Apply "key=value" overrides, e.g. {"arq_entries=64", "cores=4"}.
-  /// Unknown keys throw ConfigError.
+  /// Apply "key=value" overrides, e.g. {{"arq_entries", "64"}}. Unknown
+  /// keys, malformed values and values outside the key's accepted range
+  /// throw ConfigError (common/parse_number.hpp parses every number).
   void parse_overrides(const std::map<std::string, std::string>& kv);
 
   /// Parse a comma/space separated "k=v,k=v" override string.
   void parse_override_string(const std::string& text);
 
-  /// Read MAC3D_* environment overrides (e.g. MAC3D_ARQ_ENTRIES=64).
+  /// Apply the MAC3D_CONFIG override string, if set.
   void apply_env();
 
   /// Human-readable dump in Table 1 style.

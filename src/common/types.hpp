@@ -57,6 +57,12 @@ inline constexpr std::uint32_t kAccessOverheadBytes = 32;
 /// Largest request packet the HMC 2.1 protocol supports.
 inline constexpr std::uint32_t kMaxPacketDataBytes = 256;
 
+/// Scratchpad (SPM) address windows start here, above all main memory:
+/// node address ranges stack from 0 upward, and SimConfig::validate()
+/// keeps nodes x hmc_capacity at or below this base, so scratchpad and
+/// main-memory addresses never collide.
+inline constexpr Address kSpmRegionBase = Address{1} << 48;
+
 /// A raw, uncoalesced memory request as produced by a core / trace.
 ///
 /// Raw requests are FLIT-granular: the trace layer splits any access that

@@ -119,4 +119,22 @@ MemoryTrace load_trace(const std::string& path) {
   return trace;
 }
 
+void check_trace_addresses(const MemoryTrace& trace, const SimConfig& config) {
+  // validate() keeps the product at or below 2^48, so it cannot overflow.
+  const Address limit =
+      static_cast<Address>(config.nodes) * config.hmc_capacity;
+  for (std::uint32_t t = 0; t < trace.threads(); ++t) {
+    const auto& records = trace.thread(static_cast<ThreadId>(t));
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const MemRecord& record = records[i];
+      if (record.op == MemOp::kFence || record.addr < limit) continue;
+      std::ostringstream detail;
+      detail << "trace thread " << t << ", record " << i << ": address 0x"
+             << std::hex << record.addr << " is not below the 0x" << limit
+             << std::dec << " B of main memory (nodes x hmc_capacity)";
+      throw ConfigError(detail.str());
+    }
+  }
+}
+
 }  // namespace mac3d

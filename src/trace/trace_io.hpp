@@ -16,6 +16,7 @@
 
 #include <string>
 
+#include "common/config.hpp"
 #include "trace/trace.hpp"
 
 namespace mac3d {
@@ -27,5 +28,11 @@ void save_trace(const MemoryTrace& trace, const std::string& path);
 /// count larger than the bytes left, or a record the model would misread
 /// (size 0, over 16 B, or straddling a FLIT).
 [[nodiscard]] MemoryTrace load_trace(const std::string& path);
+
+/// Throws ConfigError, naming the thread, record, address and limit, when a
+/// load, store or atomic of `trace` lies at or above the run's main memory,
+/// nodes x hmc_capacity. Run it on every loaded trace before it reaches
+/// the model; generated traces allocate inside [0, hmc_capacity).
+void check_trace_addresses(const MemoryTrace& trace, const SimConfig& config);
 
 }  // namespace mac3d

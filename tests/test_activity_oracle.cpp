@@ -392,6 +392,36 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BusyUntilCache,
 
 // ------------------------------------------ drained units advertise zero
 
+TEST(MshrOracle, PendingFenceWakesAtTheNextCompletion) {
+  SimConfig config;
+  HmcDevice device(config, 0);
+  MshrCoalescer mshr(config, device, 32, 64);
+  RawRequest load;
+  load.addr = 0x1000;
+  load.tag = 1;
+  ASSERT_TRUE(mshr.try_accept(load, 0));
+  mshr.tick(0);  // dispatches the entry: one packet in flight
+  RawRequest fence;
+  fence.op = MemOp::kFence;
+  fence.tag = 2;
+  ASSERT_TRUE(mshr.try_accept(fence, 1));
+  // The fence waits only on the in-flight response, so nothing can happen
+  // before it lands.
+  const Cycle completion = device.next_completion();
+  ASSERT_GT(completion, 2u);
+  EXPECT_EQ(mshr.next_event(1), completion);
+
+  mshr.tick(completion);
+  ASSERT_EQ(mshr.drain(completion).size(), 1u);
+  // File empty, nothing in flight: the fence retires on the next tick.
+  EXPECT_EQ(mshr.next_event(completion), completion + 1);
+  mshr.tick(completion + 1);
+  const std::vector<CompletedAccess>& retired = mshr.drain(completion + 1);
+  ASSERT_EQ(retired.size(), 1u);
+  EXPECT_TRUE(retired[0].fence);
+  EXPECT_EQ(mshr.next_event(completion + 1), 0u);
+}
+
 TEST(DrainedOracle, FreshUnitsAdvertiseZeroAndStaySilent) {
   SimConfig config;
   HmcDevice mac_device(config, 0);

@@ -94,7 +94,6 @@ TEST(AddressMapCustom, HbmGeometryRow1K) {
   // Sec. 4.3: HBM has 1 KB pages — 64 FLITs per row.
   SimConfig config;
   config.row_bytes = 1024;
-  config.builder_max_bytes = 1024;
   AddressMap map(config);
   EXPECT_EQ(map.flits_per_row(), 64u);
   EXPECT_EQ(map.flit_of(1023), 63u);

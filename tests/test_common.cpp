@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
+#include <map>
 #include <set>
 #include <string>
 
@@ -10,6 +12,7 @@
 #include "common/config.hpp"
 #include "common/fixed_queue.hpp"
 #include "common/flat_cycle_map.hpp"
+#include "common/parse_number.hpp"
 #include "common/ring_queue.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -342,11 +345,119 @@ TEST(Config, ParseOverrides) {
   EXPECT_DOUBLE_EQ(config.cpu_ghz, 2.0);
 }
 
-TEST(Config, RowBytesOverrideAdjustsBuilderMax) {
+TEST(Config, RowBytesOverrideSetsTheLargestPacket) {
   SimConfig config;
   config.parse_override_string("row_bytes=1024");
-  EXPECT_EQ(config.builder_max_bytes, 1024u);
+  EXPECT_EQ(config.row_bytes, 1024u);
   EXPECT_NO_THROW(config.validate());
+  EXPECT_NE(config.to_table().find("64B - 1024B"), std::string::npos);
+}
+
+TEST(Config, KvRoundTripsEveryKey) {
+  SimConfig config;
+  config.parse_override_string(
+      "cores=4,cpu_ghz=2.5,spm_latency_ns=0.5,nodes=2,open_page=true,"
+      "policy=mshr,node_policies=1:raw,t_refi=12870,hmc_capacity=0x40000000");
+  config.validate();
+  const std::map<std::string, std::string> kv = config.to_kv();
+  EXPECT_EQ(kv.size(), 36u);
+  EXPECT_EQ(kv.count("mac_enabled"), 0u);
+  EXPECT_EQ(kv.count("vault_queue_depth"), 0u);
+  EXPECT_EQ(kv.at("hmc_capacity"), "1073741824");
+  SimConfig copy;
+  copy.parse_overrides(kv);
+  EXPECT_EQ(copy.to_kv(), kv);
+}
+
+TEST(Config, OverridesAreParsedStrictly) {
+  // Each of these used to be narrowed, wrapped or read as a prefix.
+  for (const char* text :
+       {"cores=4294967297", "arq_entries=-1", "cores=+4", "cores= 4",
+        "cores=4x", "cores=", "cpu_ghz=nan", "cpu_ghz=inf", "cpu_ghz=1e999",
+        "spm_bytes=-1", "row_bytes=100", "open_page=yes",
+        "node_policies=70000:raw", "node_policies=:raw"}) {
+    SimConfig config;
+    EXPECT_THROW(config.parse_override_string(text), ConfigError) << text;
+  }
+}
+
+TEST(Config, OverrideErrorsNameTheKeyAndRange) {
+  SimConfig config;
+  try {
+    config.parse_override_string("cores=257");
+    FAIL() << "cores=257 accepted";
+  } catch (const ConfigError& error) {
+    EXPECT_STREQ(error.what(), "cores=257: want an integer in [1, 256]");
+  }
+  config.cpu_ghz = -1.0;
+  try {
+    config.validate();
+    FAIL() << "cpu_ghz=-1 accepted";
+  } catch (const ConfigError& error) {
+    EXPECT_STREQ(error.what(), "cpu_ghz=-1: want a number in (0, inf)");
+  }
+}
+
+TEST(Config, CoresFitCoreId) {
+  // CoreId is 8-bit: core 256 would wrap to core 0 and share its SPM.
+  SimConfig config;
+  config.cores = 256;
+  EXPECT_NO_THROW(config.validate());
+  config.cores = 257;
+  EXPECT_THROW(config.validate(), ConfigError);
+}
+
+TEST(Config, NodesFitNodeIdAndStayBelowTheSpmRegion) {
+  SimConfig config;
+  config.nodes = 65537;
+  EXPECT_THROW(config.validate(), ConfigError);
+  // 256 x 1 TB = 2^48 B ends exactly at the SPM region; 512 x 1 TB would
+  // put main memory inside it.
+  config.hmc_capacity = 1ull << 40;
+  config.nodes = 256;
+  EXPECT_NO_THROW(config.validate());
+  config.nodes = 512;
+  EXPECT_THROW(config.validate(), ConfigError);
+  EXPECT_EQ(kSpmRegionBase, Address{1} << 48);
+}
+
+TEST(Config, TimesMustBeFinite) {
+  SimConfig config;
+  config.cpu_ghz = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(config.validate(), ConfigError);
+  config.cpu_ghz = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(config.validate(), ConfigError);
+  config = SimConfig{};
+  config.spm_latency_ns = -5.0;
+  EXPECT_THROW(config.validate(), ConfigError);
+  config.spm_latency_ns = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(config.validate(), ConfigError);
+  config.spm_latency_ns = 0.0;
+  EXPECT_NO_THROW(config.validate());
+}
+
+TEST(ParseNumber, AcceptsOnlyWholeInRangeNumbers) {
+  EXPECT_EQ(parse_number<std::uint32_t>("42"), 42u);
+  EXPECT_EQ(parse_number<std::uint64_t>("0x10"), 16u);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_number<double>("2.5e-1"), 0.25);
+  for (const char* text : {"", " 1", "1 ", "+1", "-1", "1x", "0x", "abc",
+                           "18446744073709551616"}) {
+    EXPECT_FALSE(parse_number<std::uint64_t>(text)) << text;
+  }
+  EXPECT_FALSE(parse_number<std::uint32_t>("4294967296"));
+  for (const char* text : {"nan", "inf", "-inf", "1e999", "1.0x", ""}) {
+    EXPECT_FALSE(parse_number<double>(text)) << text;
+  }
+  EXPECT_FALSE(parse_number<std::uint32_t>("0", {1, 8}));
+  EXPECT_FALSE(parse_number<std::uint32_t>("9", {1, 8}));
+  EXPECT_EQ(parse_number<std::uint32_t>("8", {1, 8}), 8u);
+  EXPECT_FALSE(parse_number<double>("0", kPositive<double>));
+  EXPECT_EQ(parse_number<double>("0", kNonNegative<double>), 0.0);
+  EXPECT_EQ(kPositive<double>.describe(), "a number in (0, inf)");
+  EXPECT_EQ((NumberRange<std::uint32_t>{1, 256}.describe(true)),
+            "a power of two in [1, 256]");
 }
 
 TEST(Config, RejectsUnknownKey) {

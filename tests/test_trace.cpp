@@ -225,6 +225,40 @@ TEST(TraceIo, GeneratedTraceRoundTrips) {
   std::remove(path.c_str());
 }
 
+TEST(TraceAddresses, RejectsAnAddressBeyondMainMemory) {
+  MemoryTrace trace(2);
+  trace.load(1, 0x1000, 8);
+  trace.load(1, Address{1} << 62, 8);
+  SimConfig config;
+  for (const std::uint32_t nodes : {1u, 4u}) {
+    config.nodes = nodes;
+    try {
+      check_trace_addresses(trace, config);
+      FAIL() << "2^62 accepted at " << nodes << " nodes";
+    } catch (const ConfigError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("thread 1, record 1"), std::string::npos) << what;
+      EXPECT_NE(what.find("0x4000000000000000"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(TraceAddresses, AcceptsTheLastFlitAndExemptsFences) {
+  SimConfig config;
+  config.nodes = 4;
+  const Address limit = Address{4} * config.hmc_capacity;
+  MemoryTrace trace(1);
+  trace.load(0, limit - kFlitBytes, kFlitBytes);
+  trace.append(0, MemRecord{Address{1} << 62, MemOp::kFence, 0, 0});
+  EXPECT_NO_THROW(check_trace_addresses(trace, config));
+  trace.store(0, limit, 8);
+  EXPECT_THROW(check_trace_addresses(trace, config), ConfigError);
+  config.nodes = 1;  // the same FLIT lies on node 3, beyond one node
+  MemoryTrace first(1);
+  first.load(0, limit - kFlitBytes, kFlitBytes);
+  EXPECT_THROW(check_trace_addresses(first, config), ConfigError);
+}
+
 // ------------------------------------------------------ InterleavedStream
 TEST(InterleavedStream, RoundRobinsThreads) {
   MemoryTrace trace(2);
