@@ -34,7 +34,6 @@
 #include "obs/latency.hpp"
 #include "obs/lifecycle.hpp"
 #include "obs/profiler.hpp"
-#include "obs/registry.hpp"
 #include "obs/report_diff.hpp"
 #include "obs/run_report.hpp"
 #include "obs/sampler.hpp"
@@ -125,6 +124,12 @@ enum : unsigned {
   kAnalyze = 1u << 7,
   kLint = 1u << 8,
   kSim = kRun | kSuite | kSystem | kTrace | kList | kConfig,
+  // The commands that read each kind of flag: the ones that build a
+  // SimConfig, generate traces, run an engine, or attach a Session.
+  kConfigured = kRun | kSuite | kSystem | kTrace | kConfig,
+  kTraced = kRun | kSuite | kSystem | kTrace,
+  kEngines = kRun | kSuite | kSystem,
+  kObserved = kRun | kSystem,
 };
 
 struct Flag {
@@ -140,85 +145,85 @@ struct Flag {
 };
 
 constexpr std::string_view kPolicies = "raw|mac|mshr|warp";
-// ThreadId and NodeId are 16-bit; 0 is the "use the config" default.
-constexpr NumberRange<std::uint32_t> kIdCount{1, 65536};
-// Each worker is an OS thread started up front; 0 = the documented default.
-constexpr NumberRange<std::uint32_t> kWorkers{0, 256};
 constexpr NumberRange<std::uint64_t> kAtLeastOne{1};
 
+// kIdCount, kWorkers and kScale (sim/experiment.hpp) also bound the
+// MAC3D_THREADS, MAC3D_JOBS and MAC3D_SCALE environment variables.
 const Flag kFlags[] = {
-    {"--workload", "NAME", "workload to trace (default sg)", kSim,
-     &CliOptions::workload},
-    {"--trace", "FILE", "replay a saved trace instead", kSim,
-     &CliOptions::trace_path},
-    {"--out", "FILE", "output trace file (trace command)", kSim,
+    {"--workload", "NAME", "workload to trace (default sg)",
+     kRun | kSystem | kTrace, &CliOptions::workload},
+    {"--trace", "FILE", "replay a saved trace instead",
+     kRun | kSystem | kTrace, &CliOptions::trace_path},
+    {"--out", "FILE", "output trace file", kTrace,
      &CliOptions::out_path},
-    {"--paths", "a,b,c", "raw | mac | mshr | warp (default raw,mac)", kSim,
+    {"--paths", "a,b,c", "raw | mac | mshr | warp (default raw,mac)", kRun,
      &CliOptions::paths, kPolicies, true},
     {"--policy", "P",
      "coalescer policy raw | mac | mshr | warp\n"
      "(sets config.policy; run: implies --paths P)",
-     kSim, &CliOptions::policy, kPolicies},
-    {"--threads", "N", "thread streams (default: cores)", kSim,
+     kRun | kSystem, &CliOptions::policy, kPolicies},
+    {"--threads", "N", "thread streams (default: cores)", kTraced,
      Number<std::uint32_t>{&CliOptions::threads, kIdCount}},
-    {"--nodes", "N", "NUMA nodes (system command; default: config)", kSim,
+    {"--nodes", "N", "NUMA nodes (default: config)", kSystem | kConfig,
      Number<std::uint32_t>{&CliOptions::nodes, kIdCount}},
-    {"--scale", "X", "dataset scale (default 1.0)", kSim,
-     Number<double>{&CliOptions::scale, kPositive<double>}},
-    {"--seed", "N", "workload seed (default 42)", kSim,
+    {"--scale", "X", "dataset scale (default 1.0)", kTraced,
+     Number<double>{&CliOptions::scale, kScale}},
+    {"--seed", "N", "workload seed (default 42)", kTraced,
      Number<std::uint64_t>{&CliOptions::seed}},
-    {"--set", "key=value", "config override (repeatable)", kSim,
+    {"--set", "key=value", "config override (repeatable)", kConfigured,
      &CliOptions::overrides},
     {"--feed", "MODE",
      "streaming | closed-loop | lane-group (SIMT lockstep\n"
      "groups of config.warp_lanes threads)",
-     kSim, &CliOptions::feed, "streaming|closed-loop|lane-group"},
+     kRun, &CliOptions::feed, "streaming|closed-loop|lane-group"},
     {"--engine", "E",
      "serial | parallel | event | event-parallel (docs/PARALLELISM.md;\n"
      "default: event; serial is the reference)",
-     kSim, &CliOptions::engine, "serial|parallel|event|event-parallel"},
+     kEngines, &CliOptions::engine, "serial|parallel|event|event-parallel"},
     {"--engine-threads", "N", "workers for the parallel engines (0 = hardware)",
-     kSim, Number<std::uint32_t>{&CliOptions::engine_threads, kWorkers}},
+     kEngines, Number<std::uint32_t>{&CliOptions::engine_threads, kWorkers}},
     {"--jobs", "N", "run paths (run) / workloads (suite) as N parallel tasks",
-     kSim, Number<std::uint32_t>{&CliOptions::jobs, kWorkers}},
+     kRun | kSuite, Number<std::uint32_t>{&CliOptions::jobs, kWorkers}},
     {"--tag-pool", "N",
-     "streaming feeder: outstanding tags per thread (0 = 64 K)", kSim,
-     Number<std::uint32_t>{&CliOptions::tag_pool, {0, 65536}}},
-    {"--checks", "", "run model-invariant checks (docs/INVARIANTS.md)", kSim,
-     &CliOptions::checks},
+     "streaming feeder: outstanding tags per thread (0 = 64 K)",
+     kRun | kSuite, Number<std::uint32_t>{&CliOptions::tag_pool, {0, 65536}}},
+    {"--checks", "", "run model-invariant checks (docs/INVARIANTS.md)",
+     kObserved, &CliOptions::checks},
     {"--profile", "",
-     "idle-cycle census, per-stage residency and host wall-clock", kSim,
+     "idle-cycle census, per-stage residency and host wall-clock", kObserved,
      &CliOptions::profile},
-    {"--csv", "", "machine-readable output", kSim, &CliOptions::csv},
+    {"--csv", "", "machine-readable output", kEngines, &CliOptions::csv},
     {"--trace-events", "F",
-     "write Chrome/Perfetto trace-event JSON (docs/OBSERVABILITY.md)", kSim,
-     &CliOptions::trace_events},
-    {"--sample-every", "N", "sample occupancy probes every N cycles", kSim,
+     "write Chrome/Perfetto trace-event JSON (docs/OBSERVABILITY.md)",
+     kObserved, &CliOptions::trace_events},
+    {"--sample-every", "N", "sample occupancy probes every N cycles",
+     kObserved,
      Number<std::uint64_t>{&CliOptions::sample_every, kAtLeastOne}},
-    {"--sample-out", "F", "write the sampled time series as CSV", kSim,
+    {"--sample-out", "F", "write the sampled time series as CSV", kObserved,
      &CliOptions::sample_out},
-    {"--report", "F", "write a machine-readable run report (JSON)", kSim,
-     &CliOptions::report_path},
+    {"--report", "F", "write a machine-readable run report (JSON)",
+     kObserved, &CliOptions::report_path},
     {"--snapshot-every", "N",
-     "stream windowed telemetry snapshots every N cycles", kSim,
+     "stream windowed telemetry snapshots every N cycles", kObserved,
      Number<std::uint64_t>{&CliOptions::snapshot_every, kAtLeastOne}},
     {"--snapshot-out", "F",
-     "write the snapshot stream (mac3d-snapshot/1 JSONL)", kSim,
+     "write the snapshot stream (mac3d-snapshot/1 JSONL)", kObserved,
      &CliOptions::snapshot_out},
     {"--watchdog", "",
      "abandon the run (exit 1) after N observed windows\n"
      "with zero completions while work is in flight",
-     kSim, &CliOptions::watchdog},
+     kObserved, &CliOptions::watchdog},
     {"--watchdog-windows", "N", "stalled windows before firing (default 3)",
-     kSim, Number<std::uint64_t>{&CliOptions::watchdog_windows, kAtLeastOne}},
+     kObserved,
+     Number<std::uint64_t>{&CliOptions::watchdog_windows, kAtLeastOne}},
     {"--inject-livelock", "C",
      "fault injection: stop draining completions at\n"
-     "cycle C (run command; requires --watchdog)",
-     kSim, Number<std::uint64_t>{&CliOptions::inject_livelock, kAtLeastOne}},
+     "cycle C (requires --watchdog)",
+     kRun, Number<std::uint64_t>{&CliOptions::inject_livelock, kAtLeastOne}},
     {"--node-policy", "I=P",
-     "heterogeneous nodes: node I runs policy P (system\n"
-     "command, repeatable; others use --policy)",
-     kSim, &CliOptions::node_policies},
+     "heterogeneous nodes: node I runs policy P\n"
+     "(repeatable; others use --policy)",
+     kSystem | kConfig, &CliOptions::node_policies},
     {"--tolerance", "PCT", "report-diff: relative tolerance in % (default 0)",
      kReportDiff,
      Number<double>{&CliOptions::diff_tolerance, kNonNegative<double>}},
@@ -455,9 +460,6 @@ class Session {
   [[nodiscard]] HostProfiler* profiler() {
     return options_.profile ? &profiler_ : nullptr;
   }
-  [[nodiscard]] MetricsRegistry* registry() {
-    return options_.report_path.empty() ? nullptr : &registry_;
-  }
   [[nodiscard]] ActivityCensus* census(std::size_t run) {
     return options_.profile ? &censuses_[run] : nullptr;
   }
@@ -472,11 +474,12 @@ class Session {
   }
 
   /// After the runs: --sample-out, --snapshot-out and --report. `stats`
-  /// holds each run's StatSet; `summary` is the System's (nullptr for
-  /// `run`). False after printing one line.
+  /// holds each run's StatSet; `system` and `summary` are the System and
+  /// its run (nullptr for `run`). False after printing one line.
   [[nodiscard]] bool write(const SimConfig& config, const MemoryTrace& trace,
                            std::string_view feed, std::uint32_t threads,
                            const std::vector<StatSet>& stats,
+                           const System* system,
                            const SystemRunSummary* summary) {
     tracer_.finish();
     if (!options_.sample_out.empty() &&
@@ -527,7 +530,11 @@ class Session {
       report.set_raw("checks", check_stats.to_json());
     }
     report.set_config(config);
-    if (summary != nullptr) report.set_metrics(registry_);
+    if (system != nullptr) {
+      StatSet metrics;
+      system->collect_metrics(*summary, metrics);
+      report.set_metrics(metrics);
+    }
     for (std::size_t i = 0; i < paths_.size(); ++i) {
       const std::string& path = paths_[i];
       report.set_path_stats(path, stats[i]);
@@ -613,7 +620,6 @@ class Session {
   CycleSampler sampler_;
   SnapshotStreamer snapshot_;
   StallWatchdog watchdog_;
-  MetricsRegistry registry_;
   HostProfiler profiler_;
   std::vector<ActivityCensus> censuses_;
   std::vector<std::unique_ptr<LatencyDecomposer>> decomposers_;
@@ -625,11 +631,6 @@ int cmd_run(const CliOptions& cli) {
       !cli.policy.empty() && cli.paths == CliOptions{}.paths ? cli.policy
                                                              : cli.paths,
       ',');
-  if (!cli.node_policies.empty()) {
-    throw ConfigError(
-        "--node-policy applies to the system command (run selects "
-        "front-ends with --paths)");
-  }
   if (cli.inject_livelock != 0 && !cli.watchdog) {
     throw ConfigError(
         "--inject-livelock requires --watchdog (the faulted run would never "
@@ -666,8 +667,7 @@ int cmd_run(const CliOptions& cli) {
   // Paths are independent runs over the same (immutable) trace, so --jobs
   // shards them across a worker pool — unless shared telemetry/check
   // state forces the one-at-a-time schedule (docs/PARALLELISM.md).
-  const std::uint32_t jobs =
-      cli.jobs == 0 ? ParallelStepper::env_jobs(1) : cli.jobs;
+  const std::uint32_t jobs = cli.jobs == 0 ? env_jobs(1) : cli.jobs;
   if (jobs > 1 && !session.hooks_attached() && paths.size() > 1) {
     ParallelStepper stepper(jobs);
     stepper.for_shards(paths.size(), run_path);
@@ -686,7 +686,7 @@ int cmd_run(const CliOptions& cli) {
     results[i].collect(csv, results[i].path);
   }
   if (CheckContext* checks = session.checks()) checks->collect(csv, "checks");
-  if (!session.write(config, trace, feed, threads, stats, nullptr)) {
+  if (!session.write(config, trace, feed, threads, stats, nullptr, nullptr)) {
     return 2;
   }
   const auto text = [&] {
@@ -764,9 +764,6 @@ int cmd_suite(const CliOptions& options) {
 // namespaces, fabric link counters, cross-node flow arrows and the /2
 // report's "metrics" section.
 int cmd_system(const CliOptions& options) {
-  if (options.inject_livelock != 0) {
-    throw ConfigError("--inject-livelock applies to the run command");
-  }
   Session session(options, {"system"}, true);
   const SimConfig config = make_config(options);  // applies --nodes
   const MemoryTrace trace = make_trace(options, config);
@@ -779,9 +776,6 @@ int cmd_system(const CliOptions& options) {
   system.attach_census(session.census(0));
   system.attach_profiler(session.profiler());
   system.attach_sampler(session.sampler());
-  if (MetricsRegistry* registry = session.registry()) {
-    system.attach_metrics(registry);
-  }
   system.attach_snapshot(session.snapshot());
 
   // All four engines are bit-identical; --engine serial is the strict
@@ -802,7 +796,7 @@ int cmd_system(const CliOptions& options) {
   if (CheckContext* checks = session.checks()) checks->finalize();
 
   if (!session.write(config, trace, "closed_loop", trace.threads(),
-                     {summary.stats}, &summary)) {
+                     {summary.stats}, &system, &summary)) {
     return 2;
   }
   const auto text = [&] {
@@ -940,7 +934,13 @@ void usage() {
       head.assign(20, ' ');
       help.remove_prefix(nl + 1);
     }
-    text += head + std::string(help) + "\n";
+    // A simulation flag names the commands that take it.
+    std::string takers;
+    for (const Command& command : kCommands) {
+      if ((command.bit & kSim & flag.commands) == 0) continue;
+      takers += (takers.empty() ? " [" : "|") + std::string(command.name);
+    }
+    text += head + std::string(help) + takers + (takers.empty() ? "\n" : "]\n");
   }
   std::fputs(text.c_str(), stderr);
 }

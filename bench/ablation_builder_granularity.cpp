@@ -7,7 +7,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "ablation_builder_granularity");
   print_banner("Ablation: Request Builder minimum packet granularity");

@@ -9,7 +9,7 @@
 #include "bench_common.hpp"
 #include "sim/driver.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "ablation_feed_mode");
   print_banner("Ablation: trace streaming vs execution-driven closed loop");

@@ -7,7 +7,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "ablation_fill_fast");
   print_banner("Ablation: fill-fast latency hiding (Sec. 4.1)");

@@ -8,7 +8,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "ablation_mshr_vs_mac");
   print_banner("Ablation: MAC vs MSHR-64B vs raw");

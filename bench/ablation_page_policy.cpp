@@ -12,7 +12,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "ablation_page_policy");
   print_banner("Ablation: page policy (Sec. 2.2.1)");

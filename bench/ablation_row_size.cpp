@@ -6,7 +6,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "ablation_row_size");
   print_banner("Ablation: row/page size (HMC 1.0 / HMC 2.1 / HBM)");

@@ -4,17 +4,23 @@
 // workloads with MAC3D_SCALE (default 1.0 ~ a few hundred thousand memory
 // operations per workload; the paper's full-size runs are proportionally
 // larger but every reported ratio is scale-free — see DESIGN.md §4).
+//
+// Each binary defines bench_main(); the main() at the end of this header
+// runs it, so malformed input (MAC3D_CONFIG, MAC3D_SCALE, MAC3D_THREADS,
+// MAC3D_JOBS or a --tolerance value) prints one line and exits 2.
 #pragma once
 
+#include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/parse_number.hpp"
 #include "common/stats.hpp"
 #include "obs/report_diff.hpp"
 #include "obs/run_report.hpp"
@@ -37,6 +43,8 @@ namespace mac3d::bench {
 /// moved past the tolerance — `return session.finish();` from main() makes
 /// every figure binary a regression gate. Without the flags every call is
 /// a cheap no-op, so instrumenting a figure binary costs one declaration.
+/// The constructor throws ConfigError on a malformed --tolerance or
+/// MAC3D_CONFIG.
 class Session {
  public:
   Session(int argc, char** argv, std::string name)
@@ -48,9 +56,17 @@ class Session {
       } else if (arg == "--baseline" && i + 1 < argc) {
         baseline_path_ = argv[++i];
       } else if (arg == "--tolerance" && i + 1 < argc) {
-        tolerance_pct_ = std::atof(argv[++i]);
+        const std::string_view value = argv[++i];
+        const std::optional<double> tolerance =
+            parse_number(value, kNonNegative<double>);
+        if (!tolerance) {
+          throw ConfigError("--tolerance " + std::string(value) + ": want " +
+                            kNonNegative<double>.describe());
+        }
+        tolerance_pct_ = *tolerance;
       }
     }
+    config_.apply_env();
     report_.set_string("bench", name_);
   }
 
@@ -110,9 +126,7 @@ class Session {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start_)
             .count());
-    SimConfig config;
-    config.apply_env();
-    report_.set_config(config);
+    report_.set_config(config_);
     if (report_path_.empty()) return;
     if (!report_.write(report_path_)) {
       std::fprintf(stderr, "%s: cannot write %s\n", name_.c_str(),
@@ -124,6 +138,7 @@ class Session {
   std::string report_path_;
   std::string baseline_path_;
   double tolerance_pct_ = 0.0;
+  SimConfig config_;  ///< MAC3D_CONFIG applied, as the report records it
   bool finished_ = false;
   std::chrono::steady_clock::time_point start_;
   RunReport report_;
@@ -194,3 +209,14 @@ inline SuiteSpeedup measure_suite_speedup(SuiteOptions options,
 }
 
 }  // namespace mac3d::bench
+
+int bench_main(int argc, char** argv);
+
+int main(int argc, char** argv) {
+  try {
+    return bench_main(argc, argv);
+  } catch (const mac3d::ConfigError& error) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
+    return 2;
+  }
+}

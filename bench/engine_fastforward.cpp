@@ -43,7 +43,7 @@ TimedRun timed(const mac3d::SimConfig& config, const mac3d::MemoryTrace& trace,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "engine_fastforward");
   print_banner(

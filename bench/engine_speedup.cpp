@@ -8,7 +8,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "engine_speedup");
   print_banner("Engine scaling: serial vs jobs-parallel suite wall clock");

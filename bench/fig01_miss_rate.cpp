@@ -98,7 +98,7 @@ void right_side() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   bench::Session session(argc, argv, "fig01_miss_rate");
   left_side();
   right_side();

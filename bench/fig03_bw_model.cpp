@@ -6,7 +6,7 @@
 #include "bench_common.hpp"
 #include "mem/packet.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig03_bw_model");
   print_banner("Figure 3: bandwidth efficiency and overhead vs request size");

@@ -7,7 +7,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig09_rpc");
   print_banner("Figure 9: raw requests per cycle (Eq. 2)");

@@ -5,7 +5,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig10_coalescing_efficiency");
   print_banner("Figure 10: coalescing efficiency vs thread count");

@@ -6,7 +6,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig11_arq_sweep");
   print_banner("Figure 11: coalescing efficiency vs ARQ entries");

@@ -6,7 +6,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig13_bw_efficiency");
   print_banner("Figure 13: bandwidth efficiency, MAC vs raw");

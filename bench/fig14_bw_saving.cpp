@@ -7,7 +7,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig14_bw_saving");
   print_banner("Figure 14: bandwidth saving");

@@ -5,7 +5,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig15_targets_per_entry");
   print_banner("Figure 15: average targets per ARQ entry");

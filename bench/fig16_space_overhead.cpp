@@ -8,7 +8,7 @@
 #include "mac/coalescer.hpp"
 #include "mem/hmc_device.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig16_space_overhead");
   print_banner("Figure 16: MAC space overhead");

@@ -7,7 +7,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig17_speedup");
   print_banner("Figure 17: memory system speedup");

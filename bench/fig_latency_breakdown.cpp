@@ -12,7 +12,7 @@
 #include "obs/latency.hpp"
 #include "sim/driver.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig_latency_breakdown");
   print_banner("Per-stage latency decomposition: raw vs MAC");

@@ -9,7 +9,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig_policy_compare");
   print_banner("Policy comparison: raw vs MSHR vs warp vs MAC");

@@ -19,7 +19,7 @@
 #include "obs/profiler.hpp"
 #include "obs/snapshot.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig_window_timeline");
   std::string snapshot_out;

@@ -14,7 +14,7 @@
 #include "bench_common.hpp"
 #include "obs/profiler.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "idle_census");
   std::string census_out;

@@ -25,7 +25,6 @@
 #include "common/types.hpp"
 #include "mem/request_ledger.hpp"
 #include "obs/obs.hpp"
-#include "obs/registry.hpp"
 
 namespace mac3d {
 
@@ -36,7 +35,9 @@ class Interconnect {
         request_lanes_(nodes),
         completion_lanes_(nodes),
         next_due_(nodes, 0),
-        outboxes_(nodes) {}
+        outboxes_(nodes),
+        link_requests_(std::size_t{nodes} * nodes, 0),
+        link_completions_(std::size_t{nodes} * nodes, 0) {}
 
   /// `src` is the sending node — serial delivery order is node-tick order,
   /// and the staged engine reproduces it by committing outboxes in source
@@ -162,31 +163,18 @@ class Interconnect {
     return completion_lanes_.at(dest).queue.size();
   }
 
-  /// Register per-directed-link counters ("<prefix>.link<S><D>.requests" /
-  /// ".completions") for every src != dest pair. Increments happen as a
-  /// message enters a delivery lane: at send() in serial mode and at
-  /// commit_staged() (a serial point) in staged mode, so totals are
-  /// engine-invariant. Pass nullptr to detach; the registry must outlive
-  /// the interconnect.
-  void attach_metrics(MetricsRegistry* registry,
-                      const std::string& prefix = "fabric") {
-    link_requests_.clear();
-    link_completions_.clear();
-    if (registry == nullptr) return;
-    const std::size_t nodes = request_lanes_.size();
-    link_requests_.assign(nodes * nodes, nullptr);
-    link_completions_.assign(nodes * nodes, nullptr);
-    for (std::size_t src = 0; src < nodes; ++src) {
-      for (std::size_t dest = 0; dest < nodes; ++dest) {
-        if (src == dest) continue;
-        const std::string link = prefix + ".link" + std::to_string(src) +
-                                 std::to_string(dest);
-        link_requests_[src * nodes + dest] =
-            &registry->counter(link + ".requests");
-        link_completions_[src * nodes + dest] =
-            &registry->counter(link + ".completions");
-      }
-    }
+  /// Requests / completions that entered a delivery lane over the
+  /// directed link src -> dest. Counted as a message enters its lane: at
+  /// send() in serial mode and at commit_staged() (a serial point) in
+  /// staged mode, so the counts are engine-invariant. A dropped message
+  /// is not counted.
+  [[nodiscard]] std::uint64_t link_requests(NodeId src,
+                                            NodeId dest) const noexcept {
+    return link_requests_[std::size_t{src} * request_lanes_.size() + dest];
+  }
+  [[nodiscard]] std::uint64_t link_completions(NodeId src,
+                                               NodeId dest) const noexcept {
+    return link_completions_[std::size_t{src} * request_lanes_.size() + dest];
   }
   [[nodiscard]] std::uint64_t sends() const noexcept { return sends_; }
   [[nodiscard]] std::uint64_t deliveries() const noexcept {
@@ -254,15 +242,13 @@ class Interconnect {
   /// (constant hop latency), so the new message can lower `dest`'s next
   /// due cycle only when its lane was empty.
   template <typename T>
-  void enqueue(std::vector<Lane<T>>& lanes,
-               [[maybe_unused]] const std::vector<MetricCounter*>& links,
-               [[maybe_unused]] NodeId src, NodeId dest, Cycle due,
-               T payload) {
+  void enqueue(std::vector<Lane<T>>& lanes, std::vector<std::uint64_t>& links,
+               NodeId src, NodeId dest, Cycle due, T payload) {
     lanes.at(dest).queue.push_back({due, std::move(payload)});
     if (next_due_[dest] == 0 || due < next_due_[dest]) next_due_[dest] = due;
     ++messages_;
     ++sends_;
-    MAC3D_OBS_COUNT(link_metric(links, src, dest));
+    ++links[std::size_t{src} * lanes.size() + dest];
   }
 
   /// Pop every message due at or before `now` from `dest`'s lane in
@@ -300,14 +286,6 @@ class Interconnect {
     return true;
   }
 
-  [[nodiscard]] MetricCounter* link_metric(
-      const std::vector<MetricCounter*>& links, NodeId src,
-      NodeId dest) const noexcept {
-    const std::size_t index =
-        static_cast<std::size_t>(src) * request_lanes_.size() + dest;
-    return index < links.size() ? links[index] : nullptr;
-  }
-
   Cycle hop_cycles_;
   std::uint64_t messages_ = 0;
   std::uint64_t sends_ = 0;
@@ -321,8 +299,9 @@ class Interconnect {
   bool drop_next_ = false;
   std::atomic<Cycle> last_work_{~Cycle{0}};  ///< census slot (see oracle)
   CheckContext* checks_ = nullptr;
-  std::vector<MetricCounter*> link_requests_;
-  std::vector<MetricCounter*> link_completions_;
+  /// Per directed link, indexed src * nodes + dest (link_requests()).
+  std::vector<std::uint64_t> link_requests_;
+  std::vector<std::uint64_t> link_completions_;
 };
 
 }  // namespace mac3d

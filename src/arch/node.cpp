@@ -46,14 +46,6 @@ void Node::attach_sink(EventSink* sink) {
   device_->attach_sink(sink);
 }
 
-void Node::attach_metrics(MetricsRegistry* registry) {
-  const std::string prefix = "node" + std::to_string(id_);
-  router_->attach_metrics(registry, prefix + ".router");
-  m_completions_ =
-      registry == nullptr ? nullptr : &registry->counter(prefix +
-                                                         ".completions");
-}
-
 void Node::attach_census(ActivityCensus& census) {
   const std::string prefix = "node" + std::to_string(id_) + ".";
   census.add_component(prefix + "router", *router_);
@@ -131,7 +123,6 @@ void Node::dispatch_completion(const CompletedAccess& completion, Cycle now,
   MAC3D_OBS_STAMP(sink_, Stage::kCoreComplete, completion.target.tid,
                   completion.target.tag, now);
   ++completions_delivered_;
-  MAC3D_OBS_COUNT(m_completions_);
   request_latency_.add(static_cast<double>(completion.completed -
                                            completion.accepted));
 }

@@ -93,11 +93,6 @@ class Node {
   /// pass nullptr to detach.
   void attach_sink(EventSink* sink);
 
-  /// Register this node's metrics under the "node<id>." namespace
-  /// (router counters plus delivered completions). The registry must
-  /// outlive the node; pass nullptr to detach.
-  void attach_metrics(MetricsRegistry* registry);
-
   /// Register this node's idle-cycle census rows under "node<id>."
   /// (router, mac, arq, builder, flit_table, plus the device's banks /
   /// vault<V> / link<L> units — docs/OBSERVABILITY.md §profiler). Probes
@@ -121,7 +116,6 @@ class Node {
   std::uint64_t completions_delivered_ = 0;
   RunningStat request_latency_;
   EventSink* sink_ = nullptr;
-  MetricCounter* m_completions_ = nullptr;
 };
 
 }  // namespace mac3d

@@ -33,12 +33,6 @@ void System::attach_sink(EventSink* sink) {
   for (const auto& node : nodes_) node->attach_sink(sink);
 }
 
-void System::attach_metrics(MetricsRegistry* registry) {
-  registry_ = registry;
-  for (const auto& node : nodes_) node->attach_metrics(registry);
-  fabric_->attach_metrics(registry);
-}
-
 void System::attach_census(ActivityCensus* census) {
   census_ = census;
   if (census == nullptr) return;
@@ -106,13 +100,45 @@ void System::register_probes() {
   }
 }
 
-void System::finalize_metrics(const SystemRunSummary& summary) {
-  if (registry_ == nullptr) return;
-  registry_->gauge("system.cycles").set(static_cast<double>(summary.cycles));
-  registry_->gauge("system.avg_request_latency_cycles")
-      .set(summary.avg_latency_cycles);
-  if (census_ != nullptr) census_->export_metrics(*registry_);
-  if (snapshot_ != nullptr) snapshot_->export_metrics(*registry_);
+void System::collect_metrics(const SystemRunSummary& summary,
+                             StatSet& out) const {
+  for (const auto& node : nodes_) {
+    const std::string name = "node" + std::to_string(node->id());
+    const RequestRouter& router = node->router();
+    out.set(name + ".router.routed", static_cast<double>(router.routed()));
+    out.set(name + ".router.remote_out",
+            static_cast<double>(router.remote_out()));
+    out.set(name + ".router.remote_in",
+            static_cast<double>(router.remote_in()));
+    out.set(name + ".router.popped", static_cast<double>(router.popped()));
+    out.set(name + ".completions",
+            static_cast<double>(node->completions_delivered()));
+  }
+  // Node ids in link names are zero-padded to the width of the largest
+  // id, so every directed link gets its own name: of 12 nodes, 1 -> 10 is
+  // link0110 and 11 -> 0 is link1100.
+  const std::size_t nodes = nodes_.size();
+  const std::size_t width = std::to_string(nodes - 1).size();
+  const auto id = [width](std::size_t node) {
+    const std::string digits = std::to_string(node);
+    return std::string(width - digits.size(), '0') + digits;
+  };
+  for (std::size_t src = 0; src < nodes; ++src) {
+    for (std::size_t dest = 0; dest < nodes; ++dest) {
+      if (src == dest) continue;
+      const std::string link = "fabric.link" + id(src) + id(dest);
+      const auto from = static_cast<NodeId>(src);
+      const auto to = static_cast<NodeId>(dest);
+      out.set(link + ".requests",
+              static_cast<double>(fabric_->link_requests(from, to)));
+      out.set(link + ".completions",
+              static_cast<double>(fabric_->link_completions(from, to)));
+    }
+  }
+  out.set("system.cycles", static_cast<double>(summary.cycles));
+  out.set("system.avg_request_latency_cycles", summary.avg_latency_cycles);
+  if (census_ != nullptr) census_->export_metrics(out);
+  if (snapshot_ != nullptr) snapshot_->export_metrics(out);
 }
 
 void System::attach_trace(const MemoryTrace& trace) {
@@ -316,7 +342,6 @@ SystemRunSummary System::run_engine(std::uint32_t threads, Cycle max_cycles) {
     summary.visited_cycles = visited;
     summary.node_ticks = wakes.ticks();
   }
-  finalize_metrics(summary);
   return summary;
 }
 

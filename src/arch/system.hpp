@@ -12,7 +12,6 @@
 #include "arch/node.hpp"
 #include "common/config.hpp"
 #include "common/stats.hpp"
-#include "obs/registry.hpp"
 #include "obs/sampler.hpp"
 #include "trace/trace.hpp"
 
@@ -103,14 +102,6 @@ class System {
   /// sink itself needs no thread safety.
   void attach_sink(EventSink* sink);
 
-  /// Register per-node ("node<i>.router.*", "node<i>.completions") and
-  /// fabric ("fabric.link<S><D>.*") metrics in `registry`
-  /// (docs/OBSERVABILITY.md §multi-node). Counter updates are relaxed-
-  /// atomic and namespace-confined to one shard, gauges are written only
-  /// at end-of-run, so serial and run_parallel exports are byte-identical.
-  /// The registry must outlive the system; pass nullptr to detach.
-  void attach_metrics(MetricsRegistry* registry);
-
   /// Attach a periodic sampler: run()/run_parallel() register per-node
   /// router-occupancy and fabric-backlog probes and advance it at serial
   /// points (after every full-system cycle — post-barrier under
@@ -121,11 +112,11 @@ class System {
   /// Attach an idle-cycle census (docs/OBSERVABILITY.md §profiler):
   /// registers every node's components plus the fabric, and both engines
   /// observe it once per cycle at the same serial point (post-barrier
-  /// under run_parallel), so census exports are engine-invariant. At
-  /// end-of-run the counts are exported into the attached metrics
-  /// registry. The census must outlive the system (its probes capture
-  /// components by reference — seal before teardown); pass nullptr to
-  /// detach future runs (registrations are not undone).
+  /// under run_parallel), so census exports are engine-invariant, and
+  /// collect_metrics() exports its counts. The census must outlive the
+  /// system (its probes capture components by reference — seal before
+  /// teardown); pass nullptr to detach future runs (registrations are not
+  /// undone).
   void attach_census(ActivityCensus* census);
 
   /// Attach a windowed snapshot streamer (docs/OBSERVABILITY.md
@@ -151,6 +142,12 @@ class System {
     profiler_ = profiler;
   }
 
+  /// The run report's `metrics` section (docs/OBSERVABILITY.md §Metric
+  /// namespaces), read after the run that returned `summary` from the
+  /// counters the routers, nodes and fabric keep anyway, plus the
+  /// attached census rows and snapshot window gauges.
+  void collect_metrics(const SystemRunSummary& summary, StatSet& out) const;
+
  private:
   class NodeWakes;
   class Stepping;
@@ -170,8 +167,6 @@ class System {
   /// Per-node/fabric probe registration for the open run (no-op when
   /// detached).
   void register_probes();
-  /// End-of-run gauge writes (serial point; see attach_metrics).
-  void finalize_metrics(const SystemRunSummary& summary);
 
   SimConfig config_;
   std::vector<NodeId> thread_owner_;
@@ -179,7 +174,6 @@ class System {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unique_ptr<Interconnect> fabric_;
   EventSink* sink_ = nullptr;
-  MetricsRegistry* registry_ = nullptr;
   CycleSampler* sampler_ = nullptr;
   ActivityCensus* census_ = nullptr;
   HostProfiler* profiler_ = nullptr;

@@ -23,6 +23,8 @@ using U64 = NumberField<SimConfig, std::uint64_t>;
 using F64 = NumberField<SimConfig, double>;
 constexpr std::uint32_t kU32Max = std::numeric_limits<std::uint32_t>::max();
 constexpr NumberRange<std::uint32_t> kAtLeastOne{1, kU32Max};
+/// Banks per cube, 128x Table 1's 512: each bank is modelled state.
+constexpr std::uint64_t kMaxBanks = 1u << 16;
 
 /// One SimConfig key. kKeys lists each key once, with its member and the
 /// values it accepts; parse_overrides(), to_kv() and validate() all walk
@@ -192,9 +194,10 @@ void SimConfig::validate() const {
   auto require = [](bool ok, const char* message) {
     if (!ok) throw ConfigError(message);
   };
-  require(
-      hmc_capacity >= static_cast<std::uint64_t>(row_bytes) * total_banks(),
-      "hmc_capacity too small for vault/bank/row geometry");
+  require(total_banks() <= kMaxBanks,
+          "vaults x banks_per_vault must not exceed 65536 banks");
+  require(hmc_capacity >= row_bytes * total_banks(),
+          "hmc_capacity too small for vault/bank/row geometry");
   // SPM windows start at kSpmRegionBase (arch/spm.hpp); main memory must
   // stay below it. nodes >= 1 here, so the division is safe.
   require(hmc_capacity <= kSpmRegionBase / nodes,

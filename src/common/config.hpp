@@ -105,8 +105,8 @@ struct SimConfig {
   [[nodiscard]] std::uint32_t flits_per_group() const noexcept {
     return builder_min_bytes / kFlitBytes;
   }
-  [[nodiscard]] std::uint32_t total_banks() const noexcept {
-    return vaults * banks_per_vault;
+  [[nodiscard]] std::uint64_t total_banks() const noexcept {
+    return std::uint64_t{vaults} * banks_per_vault;
   }
   /// Max merged targets per ARQ entry (Sec. 5.3.3: (64 − 10) / 4.5 = 12).
   [[nodiscard]] std::uint32_t max_targets_per_entry() const noexcept;

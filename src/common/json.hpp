@@ -1,6 +1,6 @@
-// Minimal JSON emission helpers shared by StatSet::to_json, the
-// observability layer (src/obs/) and the bench report emitter. Writing
-// only — the simulator never parses JSON.
+// The one JSON writer and the one JSON reader. The writer helpers serve
+// StatSet::to_json, the observability layer (src/obs/) and the bench
+// report emitter; the reader backs report-diff, analyze and lint.
 #pragma once
 
 #include <cinttypes>
@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 namespace mac3d {
 
@@ -65,5 +67,56 @@ inline std::string json_number(std::uint64_t value) {
   std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
   return buf;
 }
+
+/// One parsed JSON value; object members keep document order.
+struct JsonValue {
+  enum class Kind : std::uint8_t {
+    kNull,
+    kBool,
+    kNumber,
+    kString,
+    kArray,
+    kObject,
+  };
+
+  Kind kind = Kind::kNull;
+  bool boolean = false;
+  double number = 0.0;
+  std::string string;
+  std::vector<JsonValue> items;  ///< kArray elements
+  std::vector<std::pair<std::string, JsonValue>> members;  ///< kObject
+
+  /// Object member lookup (nullptr when absent or not an object).
+  [[nodiscard]] const JsonValue* find(std::string_view key) const noexcept {
+    if (kind != Kind::kObject) return nullptr;
+    for (const auto& [name, value] : members) {
+      if (name == key) return &value;
+    }
+    return nullptr;
+  }
+
+  /// Convenience accessors that tolerate absent/mistyped members.
+  [[nodiscard]] std::string string_or(std::string_view key,
+                                      std::string fallback = "") const {
+    const JsonValue* value = find(key);
+    return value != nullptr && value->kind == Kind::kString ? value->string
+                                                            : fallback;
+  }
+  [[nodiscard]] double number_or(std::string_view key,
+                                 double fallback = 0.0) const noexcept {
+    const JsonValue* value = find(key);
+    return value != nullptr && value->kind == Kind::kNumber ? value->number
+                                                            : fallback;
+  }
+};
+
+/// Parses all of `text` as one RFC 8259 document into `out`, nesting at
+/// most 64 deep. Returns false with a one-line "... at byte N" `error` on
+/// anything else: a '+' sign, a leading '.' or zero, a \u escape without
+/// four hex digits, a raw control character in a string, trailing
+/// content. A \u escape below 0x80 decodes to that byte (json_escape's
+/// \u00XX round-trips); any other code point decodes to '?'.
+[[nodiscard]] bool parse_json(std::string_view text, JsonValue& out,
+                              std::string& error);
 
 }  // namespace mac3d

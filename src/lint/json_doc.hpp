@@ -1,65 +1,13 @@
-// Small DOM-style JSON reader for the lint subsystem.
-//
-// The observability layer's FlattenParser (src/obs/report_diff.*) parses
-// straight into flat path->leaf maps, which is right for report diffing
-// but loses the structure the linter needs: baseline entry objects,
-// metric-schema family arrays, and (in tests) the SARIF document the
-// emitter produced. This reader builds the tree; it is small, strict
-// (no comments, no trailing commas) and depth-bounded.
+// perf/src/main.cpp reads its fingerprint file through these two names.
+// The reader itself is common/json.hpp; this header exists only for perf/
+// and goes when perf/ moves onto it (ROADMAP item 1).
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
+#include "common/json.hpp"
 
 namespace mac3d::lint {
 
-struct JsonValue {
-  enum class Kind : std::uint8_t {
-    kNull,
-    kBool,
-    kNumber,
-    kString,
-    kArray,
-    kObject,
-  };
-
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> items;  ///< kArray elements
-  std::vector<std::pair<std::string, JsonValue>> members;  ///< kObject
-
-  /// Object member lookup (nullptr when absent or not an object).
-  [[nodiscard]] const JsonValue* find(std::string_view key) const noexcept {
-    if (kind != Kind::kObject) return nullptr;
-    for (const auto& [name, value] : members) {
-      if (name == key) return &value;
-    }
-    return nullptr;
-  }
-
-  /// Convenience accessors that tolerate absent/mistyped members.
-  [[nodiscard]] std::string string_or(std::string_view key,
-                                      std::string fallback = "") const {
-    const JsonValue* value = find(key);
-    return value != nullptr && value->kind == Kind::kString ? value->string
-                                                            : fallback;
-  }
-  [[nodiscard]] double number_or(std::string_view key,
-                                 double fallback = 0.0) const noexcept {
-    const JsonValue* value = find(key);
-    return value != nullptr && value->kind == Kind::kNumber ? value->number
-                                                            : fallback;
-  }
-};
-
-/// Parse `text` into `out`. Returns false with a one-line `error`
-/// (including a byte offset) on malformed input.
-[[nodiscard]] bool parse_json(std::string_view text, JsonValue& out,
-                              std::string& error);
+using mac3d::JsonValue;
+using mac3d::parse_json;
 
 }  // namespace mac3d::lint

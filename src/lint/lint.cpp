@@ -12,7 +12,7 @@
 #include <tuple>
 #include <utility>
 
-#include "lint/json_doc.hpp"
+#include "common/json.hpp"
 #include "lint/lexer.hpp"
 #include "lint/rules.hpp"
 

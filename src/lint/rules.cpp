@@ -11,7 +11,7 @@
 #include <set>
 #include <sstream>
 
-#include "lint/json_doc.hpp"
+#include "common/json.hpp"
 
 namespace mac3d::lint {
 namespace {
@@ -41,7 +41,7 @@ const std::vector<RuleInfo> kCatalog = {
      "wall-clock time sources in simulation code leak host timing into "
      "results; simulated time comes from the cycle counter"},
     {"obs.metric_name_grammar", "OBS",
-     "metric-name string literals at registry call sites must parse "
+     "metric-name string literals in a collect_metrics body must parse "
      "against the namespace grammar in docs/metrics_schema.json"},
     {"obs.naked_check_site", "OBS",
      "CheckContext calls outside #if MAC3D_CHECKS_ENABLED regions defeat "
@@ -92,13 +92,16 @@ const std::vector<RuleInfo> kCatalog = {
   return is_punct(prev, ".") || is_punct(prev, "->");
 }
 
-/// Index just past the ')' matching the '(' at `open` (or tokens.size()).
-[[nodiscard]] std::size_t skip_parens(const std::vector<Token>& tokens,
-                                      std::size_t open) {
+/// Index just past the ')' or '}' matching the '(' or '{' at `open` (or
+/// tokens.size()).
+[[nodiscard]] std::size_t skip_group(const std::vector<Token>& tokens,
+                                     std::size_t open) {
+  const std::string_view opener = tokens[open].text;
+  const std::string_view closer = opener == "(" ? ")" : "}";
   int depth = 0;
   for (std::size_t i = open; i < tokens.size(); ++i) {
-    if (is_punct(tokens[i], "(")) ++depth;
-    if (is_punct(tokens[i], ")") && --depth == 0) return i + 1;
+    if (is_punct(tokens[i], opener)) ++depth;
+    if (is_punct(tokens[i], closer) && --depth == 0) return i + 1;
   }
   return tokens.size();
 }
@@ -232,7 +235,7 @@ void det_unordered_iteration(const FileTokens& file,
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     // Range-for whose sequence expression mentions an unordered name.
     if (is_ident(tokens[i], "for") && next_is_call(tokens, i)) {
-      const std::size_t close = skip_parens(tokens, i + 1);
+      const std::size_t close = skip_group(tokens, i + 1);
       std::size_t colon = 0;
       int depth = 0;
       for (std::size_t j = i + 1; j < close; ++j) {
@@ -448,46 +451,50 @@ void obs_zero_cost_sites(const FileTokens& file, std::vector<Finding>& out) {
 
 // ---- OBS: obs.metric_name_grammar ----------------------------------------
 
+/// Whether the metric-name literal `literal` parses against `patterns`:
+/// a concatenation tail (`name + ".routed"`) must end some concrete
+/// pattern, a concatenation head (`"node" + id`) must begin one, and any
+/// other literal must match one whole.
+[[nodiscard]] bool metric_literal_ok(const std::vector<std::string>& patterns,
+                                     const std::string& literal, bool head) {
+  for (const std::string& pattern : patterns) {
+    if (literal.front() == '.') {
+      if (pattern.size() >= literal.size() &&
+          pattern.compare(pattern.size() - literal.size(), literal.size(),
+                          literal) == 0) {
+        return true;
+      }
+    } else if (head ? path_starts_with(pattern, literal)
+                    : pattern_match(pattern, literal)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void obs_metric_name_grammar(const RepoModel& model, const FileTokens& file,
                              std::vector<Finding>& out) {
   if (!model.schema.valid) return;  // sync.metrics_schema reports instead
   const std::vector<std::string> patterns = model.schema.patterns();
-  const std::set<std::string, std::less<>> kRegistrars = {
-      "counter", "gauge", "histogram"};
   const auto& tokens = file.tokens;
   for (std::size_t i = 0; i < tokens.size(); ++i) {
-    const Token& token = tokens[i];
-    if (token.kind != Tok::kIdent || kRegistrars.count(token.text) == 0 ||
-        !prev_is_member_access(tokens, i) || !next_is_call(tokens, i)) {
+    // A collect_metrics definition: the name, its parameters, any
+    // qualifiers (const, noexcept), then the body.
+    if (!is_ident(tokens[i], "collect_metrics") || !next_is_call(tokens, i)) {
       continue;
     }
-    const std::size_t close = skip_parens(tokens, i + 1);
-    for (std::size_t j = i + 2; j + 1 < close + 1 && j < close; ++j) {
+    std::size_t open = skip_group(tokens, i + 1);
+    while (open < tokens.size() && tokens[open].kind == Tok::kIdent) ++open;
+    if (open >= tokens.size() || !is_punct(tokens[open], "{")) continue;
+    const std::size_t close = skip_group(tokens, open);
+    for (std::size_t j = open + 1; j < close; ++j) {
       if (tokens[j].kind != Tok::kString || tokens[j].text.empty()) {
         continue;
       }
       const std::string& literal = tokens[j].text;
-      bool ok = false;
-      if (literal.front() == '.') {
-        // Concatenation tail: `prefix + ".routed"` — some concrete
-        // pattern must end with exactly this suffix.
-        for (const std::string& pattern : patterns) {
-          if (pattern.size() >= literal.size() &&
-              pattern.compare(pattern.size() - literal.size(),
-                              literal.size(), literal) == 0) {
-            ok = true;
-            break;
-          }
-        }
-      } else {
-        for (const std::string& pattern : patterns) {
-          if (pattern_match(pattern, literal)) {
-            ok = true;
-            break;
-          }
-        }
-      }
-      if (!ok) {
+      const Token* next = at(tokens, j + 1);
+      const bool head = next != nullptr && is_punct(*next, "+");
+      if (!metric_literal_ok(patterns, literal, head)) {
         add_finding(out, "obs.metric_name_grammar", file.path,
                     tokens[j].line, tokens[j].col,
                     "metric name '" + literal +
@@ -510,7 +517,7 @@ void obs_stage_taxonomy(const RepoModel& model, const FileTokens& file,
     const Token& token = tokens[i];
     if (token.kind != Tok::kIdent || !next_is_call(tokens, i)) continue;
     if (lower(token.text).find("stage") == std::string::npos) continue;
-    const std::size_t close = skip_parens(tokens, i + 1);
+    const std::size_t close = skip_group(tokens, i + 1);
     for (std::size_t j = i + 2; j < close; ++j) {
       if (tokens[j].kind != Tok::kString) continue;
       if (canonical.count(tokens[j].text) == 0) {

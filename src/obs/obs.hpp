@@ -220,18 +220,6 @@ class BufferedSink final : public EventSink {
       (sink)->on_hop((hop), (tid), (tag), (src), (dest), (cycle));      \
     }                                                                   \
   } while (0)
-#define MAC3D_OBS_COUNT(counter)       \
-  do {                                 \
-    if ((counter) != nullptr) {        \
-      (counter)->add();                \
-    }                                  \
-  } while (0)
-#define MAC3D_OBS_COUNT_N(counter, n)  \
-  do {                                 \
-    if ((counter) != nullptr) {        \
-      (counter)->add((n));             \
-    }                                  \
-  } while (0)
 // Activity stamp for the idle-cycle census (src/obs/profiler.hpp): record
 // that a component sub-unit did useful work this cycle by storing the
 // cycle into its `last_work` slot. One store when ON, nothing when OFF.
@@ -248,12 +236,6 @@ class BufferedSink final : public EventSink {
   } while (0)
 #define MAC3D_OBS_HOP(sink, hop, tid, tag, src, dest, cycle) \
   do {                                                       \
-  } while (0)
-#define MAC3D_OBS_COUNT(counter) \
-  do {                           \
-  } while (0)
-#define MAC3D_OBS_COUNT_N(counter, n) \
-  do {                                \
   } while (0)
 #define MAC3D_OBS_ACTIVITY(slot, cycle) \
   do {                                  \

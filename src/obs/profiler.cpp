@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "common/json.hpp"
-#include "obs/registry.hpp"
+#include "common/stats.hpp"
 
 namespace mac3d {
 
@@ -116,10 +116,11 @@ void ActivityCensus::seal() {
   for (std::size_t row = 0; row < rows_.size(); ++row) add_idle_row(row);
 }
 
-void ActivityCensus::export_metrics(MetricsRegistry& registry) const {
+void ActivityCensus::export_metrics(StatSet& out) const {
   for (const Row& row : rows_) {
-    registry.counter(row.name + ".active_cycles").add(row.active_cycles);
-    registry.counter(row.name + ".idle_cycles").add(row.idle_cycles);
+    out.set(row.name + ".active_cycles",
+            static_cast<double>(row.active_cycles));
+    out.set(row.name + ".idle_cycles", static_cast<double>(row.idle_cycles));
   }
 }
 

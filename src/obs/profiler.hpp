@@ -28,7 +28,7 @@
 
 namespace mac3d {
 
-class MetricsRegistry;
+class StatSet;
 
 /// Monotonic host wall clock in seconds. This is the only sanctioned
 /// clock read in src/ (defined in profiler.cpp; det.wall_clock exempts
@@ -117,8 +117,8 @@ class ActivityCensus {
   /// the sampler's probe hazard: rows reference components).
   void seal();
 
-  /// Export `<name>.active_cycles` / `<name>.idle_cycles` counters.
-  void export_metrics(MetricsRegistry& registry) const;
+  /// Export `<name>.active_cycles` / `<name>.idle_cycles` into `out`.
+  void export_metrics(StatSet& out) const;
 
   [[nodiscard]] const std::vector<Row>& rows() const noexcept {
     return rows_;

@@ -1,10 +1,8 @@
 #include "obs/report_diff.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -12,215 +10,40 @@
 #include <string_view>
 #include <utility>
 
+#include "common/json.hpp"
+
 namespace mac3d {
 namespace {
 
-/// Recursive-descent reader that flattens as it parses; no DOM. Depth is
-/// bounded (run reports nest ~4 deep) to keep malformed input from
-/// recursing unboundedly.
-class FlattenParser {
- public:
-  FlattenParser(const std::string& text, FlatReport& out)
-      : text_(text), out_(out) {}
-
-  bool parse(std::string& error) {
-    skip_ws();
-    if (!parse_value("", 0)) {
-      if (error_.empty()) fail("invalid JSON");
-      error = error_;
-      return false;
-    }
-    skip_ws();
-    if (pos_ != text_.size()) {
-      fail("trailing content after document");
-      error = error_;
-      return false;
-    }
-    return true;
-  }
-
- private:
-  static constexpr int kMaxDepth = 32;
-
-  void fail(const std::string& what) {
-    std::ostringstream msg;
-    msg << what << " at byte " << pos_;
-    error_ = msg.str();
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  [[nodiscard]] bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool parse_value(const std::string& path, int depth) {
-    if (depth > kMaxDepth) {
-      fail("nesting too deep");
-      return false;
-    }
-    skip_ws();
-    if (pos_ >= text_.size()) {
-      fail("unexpected end of input");
-      return false;
-    }
-    const char c = text_[pos_];
-    if (c == '{') return parse_object(path, depth);
-    if (c == '[') return parse_array(path, depth);
-    if (c == '"') {
-      std::string value;
-      if (!parse_string(value)) return false;
-      out_.strings[path] = std::move(value);
-      return true;
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      out_.numbers[path] = 1.0;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      out_.numbers[path] = 0.0;
-      return true;
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      out_.strings[path] = "null";
-      return true;
-    }
-    double number = 0.0;
-    if (!parse_number(number)) return false;
-    out_.numbers[path] = number;
-    return true;
-  }
-
-  bool parse_object(const std::string& path, int depth) {
-    ++pos_;  // '{'
-    if (consume('}')) return true;
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(key)) return false;
-      if (!consume(':')) {
-        fail("expected ':' after object key");
-        return false;
+/// Flattens `value` under `path`: numbers (true/false as 1/0) into
+/// `numbers`, strings (null as "null") into `strings`, object members as
+/// "path.key" and array elements as "path.<i>". Members are visited in
+/// document order, so a duplicate key keeps its last value. Object-valued
+/// top-level keys are recorded as sections.
+void flatten(const JsonValue& value, const std::string& path,
+             FlatReport& out) {
+  switch (value.kind) {
+    case JsonValue::Kind::kNull: out.strings[path] = "null"; return;
+    case JsonValue::Kind::kBool:
+      out.numbers[path] = value.boolean ? 1.0 : 0.0;
+      return;
+    case JsonValue::Kind::kNumber: out.numbers[path] = value.number; return;
+    case JsonValue::Kind::kString: out.strings[path] = value.string; return;
+    case JsonValue::Kind::kArray:
+      for (std::size_t i = 0; i < value.items.size(); ++i) {
+        flatten(value.items[i], path + "." + std::to_string(i), out);
       }
-      const std::string child = path.empty() ? key : path + "." + key;
-      if (path.empty()) {
-        skip_ws();
-        if (pos_ < text_.size() && text_[pos_] == '{') {
-          out_.sections.push_back(key);
+      return;
+    case JsonValue::Kind::kObject:
+      for (const auto& [key, member] : value.members) {
+        if (path.empty() && member.kind == JsonValue::Kind::kObject) {
+          out.sections.push_back(key);
         }
+        flatten(member, path.empty() ? key : path + "." + key, out);
       }
-      if (!parse_value(child, depth + 1)) return false;
-      if (consume(',')) continue;
-      if (consume('}')) return true;
-      fail("expected ',' or '}' in object");
-      return false;
-    }
+      return;
   }
-
-  bool parse_array(const std::string& path, int depth) {
-    ++pos_;  // '['
-    if (consume(']')) return true;
-    std::size_t index = 0;
-    while (true) {
-      const std::string child = path + "." + std::to_string(index++);
-      if (!parse_value(child, depth + 1)) return false;
-      if (consume(',')) continue;
-      if (consume(']')) return true;
-      fail("expected ',' or ']' in array");
-      return false;
-    }
-  }
-
-  bool parse_string(std::string& out) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      fail("expected string");
-      return false;
-    }
-    ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          // Reports only escape control characters; decode the BMP code
-          // point as a raw byte when it fits, '?' otherwise.
-          if (pos_ + 4 > text_.size()) {
-            fail("truncated \\u escape");
-            return false;
-          }
-          const unsigned long code =
-              std::strtoul(text_.substr(pos_, 4).c_str(), nullptr, 16);
-          pos_ += 4;
-          out += code < 0x80 ? static_cast<char>(code) : '?';
-          break;
-        }
-        default:
-          fail("unknown escape");
-          return false;
-      }
-    }
-    fail("unterminated string");
-    return false;
-  }
-
-  bool parse_number(double& out) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      fail("expected value");
-      return false;
-    }
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    out = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      fail("malformed number");
-      return false;
-    }
-    return true;
-  }
-
-  const std::string& text_;
-  FlatReport& out_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
+}
 
 [[nodiscard]] std::string format_value(double value) {
   char buf[48];
@@ -271,15 +94,11 @@ class FlattenParser {
 
 bool parse_report(const std::string& json, FlatReport& out,
                   std::string& error) {
-  out = FlatReport{};
-  FlattenParser parser(json, out);
-  if (!parser.parse(error)) return false;
-  const auto schema = out.strings.find("schema");
-  if (schema == out.strings.end()) {
+  if (!flatten_json(json, out, error)) return false;
+  if (out.strings.count("schema") == 0) {
     error = "report has no \"schema\" field";
     return false;
   }
-  out.schema = schema->second;
   if (out.schema != "mac3d-run-report/1" &&
       out.schema != "mac3d-run-report/2" &&
       out.schema != "mac3d-run-report/3" &&
@@ -293,8 +112,9 @@ bool parse_report(const std::string& json, FlatReport& out,
 bool flatten_json(const std::string& json, FlatReport& out,
                   std::string& error) {
   out = FlatReport{};
-  FlattenParser parser(json, out);
-  if (!parser.parse(error)) return false;
+  JsonValue document;
+  if (!parse_json(json, document, error)) return false;
+  flatten(document, "", out);
   const auto schema = out.strings.find("schema");
   if (schema != out.strings.end()) out.schema = schema->second;
   return true;

@@ -20,9 +20,8 @@
 
 namespace mac3d {
 
-/// Minimal recursive-descent JSON reader for run reports: objects, arrays,
-/// strings (with escapes), numbers, bools, null. No DOM — parse_report
-/// flattens directly into path -> leaf maps.
+/// A report flattened to path -> leaf maps: parse_report reads the
+/// document with common/json.hpp's parse_json and walks the tree.
 struct FlatReport {
   std::string schema;
   std::map<std::string, double> numbers;  ///< dotted path -> numeric leaf

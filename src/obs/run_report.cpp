@@ -4,7 +4,6 @@
 #include <fstream>
 
 #include "common/json.hpp"
-#include "obs/registry.hpp"
 
 namespace mac3d {
 
@@ -46,8 +45,13 @@ void RunReport::set_config(const SimConfig& config) {
   config_json_ = std::move(out);
 }
 
-void RunReport::set_metrics(const MetricsRegistry& registry) {
-  metrics_json_ = registry.to_json();
+void RunReport::set_metrics(const StatSet& metrics) {
+  std::string out = "{";
+  for (const auto& [name, value] : metrics.values()) {
+    out += out.size() == 1 ? "\n    " : ",\n    ";
+    out += json_quote(name) + ": " + json_number(value);
+  }
+  metrics_json_ = out + (out.size() == 1 ? "}" : "\n  }");
 }
 
 RunReport::PathEntry& RunReport::path_entry(const std::string& name) {

@@ -15,12 +15,10 @@
 
 namespace mac3d {
 
-class MetricsRegistry;
-
 class RunReport {
  public:
   /// Schema identity stamped into every report. /2 added the optional
-  /// "metrics" section (MetricsRegistry export); /3 added the optional
+  /// "metrics" section (System::collect_metrics); /3 added the optional
   /// "latency" (per-stage residency decomposition) and "host" (wall-clock
   /// attribution, exempt from diffing) sections; /4 added the optional
   /// "watchdog" section (stall-watchdog verdict) and the node_policies
@@ -42,9 +40,9 @@ class RunReport {
   /// Full config snapshot under "config" (SimConfig::to_kv round-trip).
   void set_config(const SimConfig& config);
 
-  /// Snapshot a MetricsRegistry under "metrics" (sorted, deterministic —
-  /// the /2 schema addition).
-  void set_metrics(const MetricsRegistry& registry);
+  /// Render `metrics` under "metrics", one name per line in sorted order
+  /// (the /2 schema addition).
+  void set_metrics(const StatSet& metrics);
 
   /// Pre-rendered JSON object for the "latency" section (the /3 addition:
   /// LatencyDecomposer::to_json, or a {"<path>": {...}} wrapper of them).

@@ -5,7 +5,7 @@
 #include <fstream>
 
 #include "obs/profiler.hpp"
-#include "obs/registry.hpp"
+#include "common/stats.hpp"
 
 namespace mac3d {
 
@@ -225,18 +225,17 @@ void SnapshotStreamer::sample_boundary(Cycle boundary) {
   }
 }
 
-void SnapshotStreamer::export_metrics(MetricsRegistry& registry) const {
-  registry.gauge("window.count").set(static_cast<double>(windows_));
-  registry.gauge("window.period_cycles").set(static_cast<double>(period_));
-  if (watchdog_ != nullptr) {
-    registry.gauge("watchdog.fired").set(watchdog_->fired() ? 1.0 : 0.0);
-    registry.gauge("watchdog.stalled_windows")
-        .set(static_cast<double>(watchdog_->stalled_windows()));
-    registry.gauge("watchdog.threshold_windows")
-        .set(static_cast<double>(watchdog_->threshold()));
-    registry.gauge("watchdog.windows_observed")
-        .set(static_cast<double>(watchdog_->windows_observed()));
-  }
+void SnapshotStreamer::export_metrics(StatSet& out) const {
+  out.set("window.count", static_cast<double>(windows_));
+  out.set("window.period_cycles", static_cast<double>(period_));
+  if (watchdog_ == nullptr) return;
+  out.set("watchdog.fired", watchdog_->fired() ? 1.0 : 0.0);
+  out.set("watchdog.stalled_windows",
+          static_cast<double>(watchdog_->stalled_windows()));
+  out.set("watchdog.threshold_windows",
+          static_cast<double>(watchdog_->threshold()));
+  out.set("watchdog.windows_observed",
+          static_cast<double>(watchdog_->windows_observed()));
 }
 
 bool SnapshotStreamer::write(const std::string& file) const {

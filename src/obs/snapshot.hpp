@@ -32,7 +32,7 @@
 namespace mac3d {
 
 class ActivityCensus;
-class MetricsRegistry;
+class StatSet;
 
 /// No-progress detector over snapshot windows: a streak of `threshold`
 /// consecutive observed windows with zero completions while requests are
@@ -144,9 +144,9 @@ class SnapshotStreamer {
     return windows_;
   }
 
-  /// Export `window.*` / `watchdog.*` metric families (counts only —
-  /// the time series itself lives in the JSONL document).
-  void export_metrics(MetricsRegistry& registry) const;
+  /// Export the `window.*` / `watchdog.*` metric families into `out`
+  /// (counts only — the time series itself lives in the JSONL document).
+  void export_metrics(StatSet& out) const;
 
   /// The accumulated JSONL document (schema `mac3d-snapshot/1`).
   [[nodiscard]] const std::string& str() const noexcept { return out_; }

@@ -2,10 +2,27 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 
 #include "sim/parallel.hpp"
 
 namespace mac3d {
+namespace {
+
+/// `name`'s value inside `range`; nullopt when unset or empty.
+template <typename T>
+std::optional<T> env_number(const char* name, const NumberRange<T>& range) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return std::nullopt;
+  const std::optional<T> value = parse_number<T>(raw, range);
+  if (!value) {
+    throw ConfigError(std::string(name) + "=" + raw + ": want " +
+                      range.describe());
+  }
+  return value;
+}
+
+}  // namespace
 
 std::vector<WorkloadRun> run_suite(const SuiteOptions& options) {
   std::vector<const Workload*> selected;
@@ -65,24 +82,15 @@ std::vector<WorkloadRun> run_suite(const SuiteOptions& options) {
   return runs;
 }
 
-double env_scale() {
-  if (const char* raw = std::getenv("MAC3D_SCALE")) {
-    const double scale = std::atof(raw);
-    if (scale > 0.0) return scale;
-  }
-  return 1.0;
-}
+double env_scale() { return env_number("MAC3D_SCALE", kScale).value_or(1.0); }
 
 std::uint32_t env_threads(std::uint32_t fallback) {
-  if (const char* raw = std::getenv("MAC3D_THREADS")) {
-    const int threads = std::atoi(raw);
-    if (threads > 0) return static_cast<std::uint32_t>(threads);
-  }
-  return fallback;
+  return env_number("MAC3D_THREADS", kIdCount).value_or(fallback);
 }
 
 std::uint32_t env_jobs(std::uint32_t fallback) {
-  return ParallelStepper::env_jobs(fallback);
+  const std::uint32_t jobs = env_number("MAC3D_JOBS", kWorkers).value_or(0);
+  return jobs == 0 ? fallback : jobs;
 }
 
 SuiteOptions default_suite_options() {

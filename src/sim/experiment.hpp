@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/parse_number.hpp"
 #include "sim/driver.hpp"
 #include "workloads/workload.hpp"
 
@@ -71,14 +72,29 @@ struct WorkloadRun {
 /// paths. Workloads run in registry (figure) order.
 [[nodiscard]] std::vector<WorkloadRun> run_suite(const SuiteOptions& options);
 
-/// Workload scale from MAC3D_SCALE (default 1.0; the benches honour it so
-/// users can approach paper-sized runs).
+/// What the run-size inputs accept; each environment variable below and
+/// its CLI flag share one range. Thread streams and nodes: ThreadId and
+/// NodeId are 16-bit.
+inline constexpr NumberRange<std::uint32_t> kIdCount{1, 65536};
+/// Workers: each is an OS thread started up front; 0 = the default.
+inline constexpr NumberRange<std::uint32_t> kWorkers{0, 256};
+/// Dataset scale: positive, and bounded so that every workload's scaled
+/// element count (WorkloadParams::scaled; bases stay below 2^23) fits in
+/// 64 bits with room to spare.
+inline constexpr NumberRange<double> kScale{0.0, 1e6, true};
+
+// The readers below return the default when the variable is unset or
+// empty, and throw ConfigError naming the variable when its value is
+// malformed or outside the range above.
+
+/// Workload scale from MAC3D_SCALE in kScale (default 1.0; the benches
+/// honour it so users can approach paper-sized runs).
 [[nodiscard]] double env_scale();
 
-/// Thread count from MAC3D_THREADS (default = `fallback`).
+/// Thread count from MAC3D_THREADS in kIdCount (default = `fallback`).
 [[nodiscard]] std::uint32_t env_threads(std::uint32_t fallback = 8);
 
-/// Suite worker count from MAC3D_JOBS (default = `fallback`).
+/// Worker count from MAC3D_JOBS in kWorkers (0 or unset = `fallback`).
 [[nodiscard]] std::uint32_t env_jobs(std::uint32_t fallback = 1);
 
 /// Default suite options: Table 1 config + env overrides applied.

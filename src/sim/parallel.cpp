@@ -1,8 +1,5 @@
 #include "sim/parallel.hpp"
 
-#include <cstdlib>
-#include <string>
-
 #include "obs/profiler.hpp"
 
 namespace mac3d {
@@ -67,14 +64,6 @@ void ParallelStepper::for_shards(std::size_t count,
 
 void ParallelStepper::run_tasks(const std::vector<std::function<void()>>& tasks) {
   for_shards(tasks.size(), [&tasks](std::size_t index) { tasks[index](); });
-}
-
-std::uint32_t ParallelStepper::env_jobs(std::uint32_t fallback) {
-  const char* raw = std::getenv("MAC3D_JOBS");
-  if (raw == nullptr || *raw == '\0') return fallback;
-  const long parsed = std::strtol(raw, nullptr, 10);
-  if (parsed <= 0) return fallback;
-  return static_cast<std::uint32_t>(parsed);
 }
 
 void ParallelStepper::work(std::size_t worker_index) {

@@ -61,9 +61,6 @@ class ParallelStepper {
   /// the task list.
   void run_tasks(const std::vector<std::function<void()>>& tasks);
 
-  /// Worker count the environment asks for (MAC3D_JOBS, else `fallback`).
-  [[nodiscard]] static std::uint32_t env_jobs(std::uint32_t fallback = 1);
-
   /// Attach host wall-clock attribution (docs/OBSERVABILITY.md §profiler):
   /// each shard execution adds to its worker's busy time (calling thread
   /// = worker 0, pool thread i = worker i + 1; each slot has exactly one

@@ -1,16 +1,17 @@
-// Conforming counterpart to bad_metric: full names and concatenation
-// fragments that parse against docs/metrics_schema.json.
+// Conforming counterpart to bad_metric: a whole name, a concatenation head
+// and a concatenation tail that parse against docs/metrics_schema.json.
+#include <map>
 #include <string>
 
 namespace mini {
 
-struct Registry {
-  long& counter(const std::string& name);
+struct Metrics {
+  void collect_metrics(std::map<std::string, double>& out,
+                       const std::string& prefix) const {
+    out["system.cycles"] = 1;
+    out["system" + prefix] = 1;
+    out[prefix + ".cycles"] = 1;
+  }
 };
-
-void meter(Registry& registry, const std::string& prefix) {
-  registry.counter("system.cycles") += 1;
-  registry.counter(prefix + ".cycles") += 1;
-}
 
 }  // namespace mini

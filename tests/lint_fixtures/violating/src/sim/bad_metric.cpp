@@ -1,17 +1,16 @@
-// obs.metric_name_grammar: literals that do not parse against the
-// fixture's docs/metrics_schema.json.
+// obs.metric_name_grammar: literals in a collect_metrics body that do not
+// parse against the fixture's docs/metrics_schema.json.
+#include <map>
 #include <string>
 
 namespace mini {
 
-struct Registry {
-  long& counter(const std::string& name);
-  long& gauge(const std::string& name);
+struct Metrics {
+  void collect_metrics(std::map<std::string, double>& out,
+                       const std::string& prefix) const {
+    out["system.unknown_counter"] = 1;
+    out[prefix + ".bogus"] = 1;
+  }
 };
-
-void meter(Registry& registry, const std::string& prefix) {
-  registry.counter("system.unknown_counter") += 1;
-  registry.gauge(prefix + ".bogus") += 1;
-}
 
 }  // namespace mini

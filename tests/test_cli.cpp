@@ -38,11 +38,13 @@ class Cli : public ::testing::Test {
     std::string err;
   };
 
-  /// Runs `mac3d <args>` in the scratch directory; stdout is discarded.
-  Outcome mac3d(const std::string& args) const {
+  /// Runs `mac3d <args>` in the scratch directory with the `env`
+  /// assignments ("NAME=value ...") in its environment; stdout is
+  /// discarded.
+  Outcome mac3d(const std::string& args, const std::string& env = "") const {
     const fs::path err = dir_ / "stderr.txt";
-    const std::string command = "cd '" + dir_.string() + "' && '" +
-                                std::string(MAC3D_CLI) + "' " + args +
+    const std::string command = "cd '" + dir_.string() + "' && " + env +
+                                " '" + std::string(MAC3D_CLI) + "' " + args +
                                 " > /dev/null 2> '" + err.string() + "'";
     const int status = std::system(command.c_str());
     Outcome outcome;
@@ -57,8 +59,9 @@ class Cli : public ::testing::Test {
   }
 
   /// Malformed input: exactly one stderr line and exit 2.
-  void expect_rejected(const std::string& args) const {
-    const Outcome outcome = mac3d(args);
+  void expect_rejected(const std::string& args,
+                       const std::string& env = "") const {
+    const Outcome outcome = mac3d(args, env);
     EXPECT_EQ(outcome.exit_code, 2) << args << "\n" << outcome.err;
     EXPECT_EQ(std::count(outcome.err.begin(), outcome.err.end(), '\n'), 1)
         << args << "\n" << outcome.err;
@@ -101,11 +104,31 @@ TEST_F(Cli, BadConfigValuesExit2) {
 TEST_F(Cli, OutOfRangeBoundsExit2) {
   expect_rejected("config --nodes 0");
   expect_rejected("config --nodes 65537");
-  expect_rejected("config --threads 65537");
-  expect_rejected("config --engine-threads 257");
-  expect_rejected("config --jobs 257");
-  expect_rejected("config --tag-pool 65537");
+  // The flag walk rejects these before `run` simulates anything.
+  const std::string run = "run --scale 0.01 --paths raw ";
+  expect_rejected(run + "--threads 65537");
+  expect_rejected(run + "--engine-threads 257");
+  expect_rejected(run + "--jobs 257");
+  expect_rejected(run + "--tag-pool 65537");
+  expect_rejected("run --workload sg --scale 1e30 --threads 4 --paths raw");
   expect_rejected("config --nodes 512 --set hmc_capacity=1099511627776");
+  expect_rejected("config --set vaults=65536 --set banks_per_vault=65536");
+}
+
+TEST_F(Cli, MalformedEnvironmentExits2) {
+  // suite falls back to MAC3D_JOBS without --jobs; its cap is --jobs's.
+  expect_rejected("suite --scale 0.01", "MAC3D_JOBS=257");
+  expect_rejected("suite --scale 0.01", "MAC3D_JOBS=abc MAC3D_SCALE=garbage");
+  expect_rejected(std::string("run ") + kSmall + " --paths raw,mac",
+                  "MAC3D_JOBS=-1");
+}
+
+TEST_F(Cli, FlagsACommandIgnoresExit2) {
+  expect_rejected("suite --scale 0.01 --checks");
+  expect_rejected("config --report r.json --profile");
+  expect_rejected("list --checks --engine serial");
+  expect_rejected(std::string("run ") + kSmall + " --node-policy 1=raw");
+  expect_rejected(std::string("system ") + kSmall + " --inject-livelock 9");
 }
 
 TEST_F(Cli, PostRunToolsExit2OnMalformedInput) {

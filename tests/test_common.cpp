@@ -494,6 +494,23 @@ TEST(Config, ValidateCatchesBadGeometry) {
   EXPECT_THROW(config.validate(), ConfigError);
 }
 
+TEST(Config, BankCountIsCappedJointly) {
+  // The product of two 32-bit fields needs 64 bits; validate() caps it
+  // at 65536 banks per cube.
+  SimConfig config;
+  config.vaults = 65536;
+  config.banks_per_vault = 65536;
+  EXPECT_EQ(config.total_banks(), std::uint64_t{1} << 32);
+  EXPECT_THROW(config.validate(), ConfigError);
+
+  config = SimConfig{};
+  config.vaults = 64;
+  config.banks_per_vault = 1024;  // 65536 banks: the cap
+  EXPECT_NO_THROW(config.validate());
+  config.banks_per_vault = 2048;  // the next power-of-two product
+  EXPECT_THROW(config.validate(), ConfigError);
+}
+
 TEST(Config, TableRenderMentionsKeyParameters) {
   SimConfig config;
   const std::string table = config.to_table();

@@ -18,7 +18,7 @@
 #include <sstream>
 #include <string>
 
-#include "lint/json_doc.hpp"
+#include "common/json.hpp"
 #include "lint/lexer.hpp"
 #include "lint/lint.hpp"
 #include "lint/rules.hpp"

@@ -20,7 +20,7 @@
 #include "common/rng.hpp"
 #include "obs/lifecycle.hpp"
 #include "obs/obs.hpp"
-#include "obs/registry.hpp"
+#include "obs/report_diff.hpp"
 #include "obs/run_report.hpp"
 #include "obs/sampler.hpp"
 #include "sim/driver.hpp"
@@ -268,81 +268,83 @@ TEST(Lifecycle, SystemRunParallelStampStreamMatchesSerial) {
   EXPECT_NE(serial_log.str().find("\nh "), std::string::npos);
 }
 
-TEST(Registry, CountersGaugesAndHistogramsExportSortedJson) {
-  MetricsRegistry registry;
-  registry.counter("node1.router.routed").add(3);
-  registry.counter("node0.router.routed").add();
-  registry.gauge("system.cycles").set(42.0);
-  registry.histogram("node0.latency").add(7);
-  EXPECT_EQ(registry.size(), 4u);
-  // find-or-register: same name returns the same metric.
-  registry.counter("node0.router.routed").add(4);
-  EXPECT_EQ(registry.size(), 4u);
-  EXPECT_EQ(registry.counter("node0.router.routed").get(), 5u);
-
-  const std::string json = registry.to_json();
-  // Dotted names sort lexicographically: node0.* before node1.* before
-  // system.*, regardless of registration order.
-  const std::size_t n0 = json.find("node0.latency");
-  const std::size_t n0r = json.find("node0.router.routed");
-  const std::size_t n1 = json.find("node1.router.routed");
-  const std::size_t sys = json.find("system.cycles");
-  ASSERT_NE(n0, std::string::npos);
-  ASSERT_NE(sys, std::string::npos);
-  EXPECT_LT(n0, n0r);
-  EXPECT_LT(n0r, n1);
-  EXPECT_LT(n1, sys);
-  EXPECT_NE(json.find("\"node1.router.routed\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"system.cycles\": 42"), std::string::npos);
-}
-
-TEST(Registry, MergeFoldsShardsCommutatively) {
-  MetricsRegistry a;
-  MetricsRegistry b;
-  a.counter("x").add(10);
-  b.counter("x").add(5);
-  b.counter("y").add(1);
-  a.histogram("h").add(3);
-  b.histogram("h").add(9);
-
-  MetricsRegistry merged;
-  merged.merge(a);
-  merged.merge(b);
-  EXPECT_EQ(merged.counter("x").get(), 15u);
-  EXPECT_EQ(merged.counter("y").get(), 1u);
-
-  MetricsRegistry reversed;
-  reversed.merge(b);
-  reversed.merge(a);
-  EXPECT_EQ(merged.to_json(), reversed.to_json());
-}
-
-TEST(Registry, SystemRunPopulatesPerNodeAndFabricNamespaces) {
+TEST(Metrics, SystemRunPopulatesPerNodeAndFabricNamespaces) {
   SimConfig config;
   config.nodes = 2;
   config.cores = 2;
   const MemoryTrace trace = random_trace(17, 4, 150);
-  MetricsRegistry registry;
   System system(config);
-  system.attach_metrics(&registry);
   system.attach_trace(trace);
-  ASSERT_TRUE(system.run().completed);
+  const SystemRunSummary summary = system.run();
+  ASSERT_TRUE(summary.completed);
+  StatSet metrics;
+  system.collect_metrics(summary, metrics);
+  RunReport report;
+  report.set_metrics(metrics);
+  const std::string json = report.to_json();
+  EXPECT_NE(json.find("\"metrics\": {\n    \"fabric.link01.completions\": "),
+            std::string::npos)
+      << json;
 
-  EXPECT_GT(registry.counter("node0.router.routed").get(), 0u);
-  EXPECT_GT(registry.counter("node1.router.routed").get(), 0u);
-  EXPECT_GT(registry.counter("node0.completions").get(), 0u);
+  FlatReport flat;
+  std::string error;
+  ASSERT_TRUE(parse_report(json, flat, error)) << error;
+  const auto metric = [&flat](const std::string& name) {
+    const auto it = flat.numbers.find("metrics." + name);
+    return it == flat.numbers.end() ? -1.0 : it->second;
+  };
+  EXPECT_GT(metric("node0.router.routed"), 0.0);
+  EXPECT_GT(metric("node1.router.routed"), 0.0);
+  EXPECT_GT(metric("node0.completions"), 0.0);
   // random_trace touches a small range homed on node 0, so node 1's
   // threads send requests over link 1->0 and completions return 0->1.
-  EXPECT_GT(registry.counter("fabric.link10.requests").get(), 0u);
-  EXPECT_GT(registry.counter("fabric.link01.completions").get(), 0u);
-  EXPECT_GT(registry.gauge("system.cycles").get(), 0.0);
+  EXPECT_GT(metric("fabric.link10.requests"), 0.0);
+  EXPECT_GT(metric("fabric.link01.completions"), 0.0);
+  EXPECT_EQ(metric("system.cycles"), static_cast<double>(summary.cycles));
+  // Every request routed toward node 0's MAC was popped by it.
+  EXPECT_EQ(metric("node0.router.popped"),
+            metric("node0.router.routed") - metric("node0.router.remote_out") +
+                metric("node0.router.remote_in"));
+}
 
-  RunReport report;
-  report.set_metrics(registry);
-  const std::string json = report.to_json();
-  EXPECT_NE(json.find("\"metrics\": {"), std::string::npos);
-  EXPECT_NE(json.find("\"node0.router.routed\":"), std::string::npos);
-  EXPECT_NE(json.find("\"fabric.link10.requests\":"), std::string::npos);
+TEST(Metrics, EveryFabricLinkOfTwelveNodesHasItsOwnName) {
+  SimConfig config;
+  config.nodes = 12;
+  config.cores = 2;
+  // Thread t lives on node t % 12 and reads one row on every node, so
+  // each of the 132 directed links carries two requests (from threads t
+  // and t + 12) and their two completions.
+  MemoryTrace trace(24);
+  for (std::uint32_t t = 0; t < 24; ++t) {
+    for (std::uint64_t home = 0; home < config.nodes; ++home) {
+      trace.load(static_cast<ThreadId>(t),
+                 home * config.hmc_capacity + t * config.row_bytes);
+    }
+  }
+  System system(config);
+  system.attach_trace(trace);
+  const SystemRunSummary summary = system.run_event();
+  ASSERT_TRUE(summary.completed);
+  StatSet metrics;
+  system.collect_metrics(summary, metrics);
+
+  std::size_t requests = 0;
+  std::size_t completions = 0;
+  double messages = 0.0;
+  for (const auto& [name, value] : metrics.values()) {
+    if (name.rfind("fabric.link", 0) != 0) continue;
+    const bool request = name.find(".requests") != std::string::npos;
+    ++(request ? requests : completions);
+    messages += value;
+  }
+  EXPECT_EQ(requests, 132u);
+  EXPECT_EQ(completions, 132u);
+  EXPECT_EQ(messages, static_cast<double>(system.fabric().sends()));
+  // Ids are padded to two digits, so 1 -> 10 and 11 -> 0, which would
+  // both read "link110" unpadded, get names of their own.
+  EXPECT_EQ(metrics.get("fabric.link0110.requests"), 2.0);
+  EXPECT_EQ(metrics.get("fabric.link1100.completions"), 2.0);
+  EXPECT_FALSE(metrics.contains("fabric.link110.requests"));
 }
 
 TEST(Sampler, ParallelEngineRowsAndCsvMatchSerial) {
@@ -557,9 +559,6 @@ TEST(Lifecycle, DisabledBuildCompilesStampsToNothing) {
   MAC3D_OBS_STAMP(sink, Stage::kCoreIssue, 0, 0, 0);
   MAC3D_OBS_MERGE(sink, 0, 0, 0, 0, 0);
   MAC3D_OBS_HOP(sink, Hop::kRequestSend, 0, 0, 0, 1, 0);
-  [[maybe_unused]] MetricCounter* counter = nullptr;
-  MAC3D_OBS_COUNT(counter);
-  MAC3D_OBS_COUNT_N(counter, 7);
   SUCCEED();
 }
 

@@ -21,7 +21,6 @@
 #include "common/rng.hpp"
 #include "obs/lifecycle.hpp"
 #include "obs/profiler.hpp"
-#include "obs/registry.hpp"
 #include "obs/run_report.hpp"
 #include "obs/sampler.hpp"
 #include "obs/snapshot.hpp"
@@ -307,9 +306,7 @@ TEST(SystemEquivalence, CensusAndMetricsMatchAcrossAllFourSystemEngines) {
   // 0 = run, 1 = run_parallel, 2 = run_event, 3 = run_event_parallel.
   const auto fingerprint = [&](int engine) {
     System system(config);
-    MetricsRegistry registry;
     ActivityCensus census;
-    system.attach_metrics(&registry);
     system.attach_census(&census);
     system.attach_trace(trace);
     SystemRunSummary summary;
@@ -321,7 +318,9 @@ TEST(SystemEquivalence, CensusAndMetricsMatchAcrossAllFourSystemEngines) {
     }
     EXPECT_TRUE(summary.completed);
     census.seal();
-    return census.to_json() + "\n" + registry.to_json();
+    StatSet metrics;
+    system.collect_metrics(summary, metrics);
+    return census.to_json() + "\n" + metrics.to_json();
   };
 
   const std::string reference = fingerprint(0);
@@ -330,7 +329,7 @@ TEST(SystemEquivalence, CensusAndMetricsMatchAcrossAllFourSystemEngines) {
   EXPECT_EQ(reference, fingerprint(3));
 }
 
-TEST(SystemEquivalence, MetricsRegistryExportsAreByteIdentical) {
+TEST(SystemEquivalence, MetricsSectionsAreByteIdentical) {
   SimConfig config;
   config.nodes = 4;
   config.cores = 2;
@@ -338,13 +337,15 @@ TEST(SystemEquivalence, MetricsRegistryExportsAreByteIdentical) {
 
   const auto export_metrics = [&](bool parallel) {
     System system(config);
-    MetricsRegistry registry;
-    system.attach_metrics(&registry);
     system.attach_trace(trace);
     const SystemRunSummary summary =
         parallel ? system.run_parallel(4) : system.run();
     EXPECT_TRUE(summary.completed);
-    return registry.to_json();
+    StatSet metrics;
+    system.collect_metrics(summary, metrics);
+    RunReport report;
+    report.set_metrics(metrics);
+    return report.to_json();
   };
 
   const std::string serial = export_metrics(false);
@@ -467,12 +468,10 @@ ObservedSystemRun observed_system_run(
     const SimConfig& config, const MemoryTrace& trace, SystemEngine engine,
     std::uint32_t threads = 2, Cycle max_cycles = 2'000'000'000ULL) {
   System system(config);
-  MetricsRegistry registry;
   ActivityCensus census;
   CycleSampler sampler(97);
   SnapshotStreamer snapshot(251);
   CheckContext checks(CheckContext::FailMode::kCount);
-  system.attach_metrics(&registry);
   system.attach_census(&census);
   system.attach_sampler(&sampler);
   system.attach_snapshot(&snapshot);
@@ -493,8 +492,10 @@ ObservedSystemRun observed_system_run(
   }
   census.seal();
   checks.finalize();
+  StatSet metrics;
+  system.collect_metrics(out.summary, metrics);
   out.exports = out.summary.stats.to_json() + "\n" + census.to_json() +
-                "\n" + registry.to_json() + "\n" + sampler.to_csv() + "\n" +
+                "\n" + metrics.to_json() + "\n" + sampler.to_csv() + "\n" +
                 snapshot.str();
   out.checks_run = checks.checks_run();
   out.violations = checks.violations();

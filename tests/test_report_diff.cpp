@@ -12,9 +12,11 @@
 //    on mismatched schemas and unknown top-level sections.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/stats.hpp"
@@ -102,6 +104,41 @@ TEST(ReportParse, RejectsUnknownSchemaAndMalformedJson) {
   error.clear();
   EXPECT_FALSE(parse_report("{\"cycles\": 1}", flat, error));  // no schema
   EXPECT_FALSE(error.empty());
+}
+
+TEST(ReportParse, RejectsWhatRfc8259Rejects) {
+  const std::string head = "{\"schema\": \"mac3d-run-report/4\", \"x\": ";
+  for (const char* bad : {"+1", ".5", "01", "\"a\\uzzzzb\"", "\"\\u12\"",
+                          "1.", "-", "1e+", "\"tab\there\""}) {
+    FlatReport flat;
+    std::string error;
+    EXPECT_FALSE(parse_report(head + bad + "}", flat, error)) << bad;
+    EXPECT_NE(error.find(" at byte "), std::string::npos) << bad << error;
+  }
+  // \u0000-\u007f decode to that byte, which round-trips json_escape's
+  // \u00XX; any other code point decodes to '?'.
+  FlatReport flat;
+  std::string error;
+  ASSERT_TRUE(parse_report(head + "\"a\\u0001b\\u00E9\"}", flat, error))
+      << error;
+  EXPECT_EQ(flat.strings["x"], std::string("a\x01") + "b?");
+}
+
+TEST(ReportParse, FlattensEveryLeafKindLikeTheDocumentReads) {
+  FlatReport flat;
+  std::string error;
+  ASSERT_TRUE(flatten_json(
+      R"({"a": {"b": [1, true, null, "s"]}, "c": false, "a": {"d": 2}})",
+      flat, error))
+      << error;
+  EXPECT_EQ(flat.numbers["a.b.0"], 1.0);
+  EXPECT_EQ(flat.numbers["a.b.1"], 1.0);
+  EXPECT_EQ(flat.strings["a.b.2"], "null");
+  EXPECT_EQ(flat.strings["a.b.3"], "s");
+  EXPECT_EQ(flat.numbers["c"], 0.0);
+  EXPECT_EQ(flat.numbers["a.d"], 2.0);  // a duplicate key: both walked
+  EXPECT_EQ(flat.sections, (std::vector<std::string>{"a", "a"}));
+  EXPECT_TRUE(flat.schema.empty());
 }
 
 TEST(ReportDiff, SelfDiffIsCleanAndIgnoresWallSeconds) {
@@ -268,6 +305,21 @@ TEST(ReportDiffCli, ExitCodesMatchTheContract) {
             2);
   const std::string junk_path = write_temp("rd_junk.json", "not json");
   EXPECT_EQ(run_report_diff(old_path, junk_path, DiffOptions{}), 2);
+
+  // Non-RFC 8259 number and escape forms: each is one stderr line and
+  // exit 2 (read leniently, "a\uzzzzb" would diff equal to "a\u0000b").
+  for (const char* bad : {"+1", ".5", "01", "\"a\\uzzzzb\""}) {
+    const std::string bad_json =
+        "{\"schema\": \"mac3d-run-report/4\", \"x\": " + std::string(bad) +
+        "}";
+    const std::string lenient_path = write_temp("rd_lenient.json", bad_json);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(run_report_diff(lenient_path, lenient_path, DiffOptions{}), 2)
+        << bad;
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+    std::remove(lenient_path.c_str());
+  }
 
   // Mismatched schema versions: silently diffing a /2 baseline against a
   // /3 run would hide every new section, so the CLI refuses (exit 2,

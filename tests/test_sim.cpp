@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
@@ -110,24 +111,54 @@ TEST(Experiment, SuiteTakesTheMshrGeometryFromTheConfig) {
   EXPECT_EQ(runs[0].mshr.packets_by_size.begin()->first, 128u);
 }
 
-TEST(Experiment, EnvScaleParsesAndDefaults) {
+TEST(Experiment, EnvScaleParsesDefaultsAndRejects) {
   ::unsetenv("MAC3D_SCALE");
+  EXPECT_DOUBLE_EQ(env_scale(), 1.0);
+  ::setenv("MAC3D_SCALE", "", 1);
   EXPECT_DOUBLE_EQ(env_scale(), 1.0);
   ::setenv("MAC3D_SCALE", "0.25", 1);
   EXPECT_DOUBLE_EQ(env_scale(), 0.25);
-  ::setenv("MAC3D_SCALE", "garbage", 1);
-  EXPECT_DOUBLE_EQ(env_scale(), 1.0);
+  ::setenv("MAC3D_SCALE", "1e6", 1);
+  EXPECT_DOUBLE_EQ(env_scale(), 1e6);
+  // Malformed or out-of-range text is an error naming the variable, not
+  // the default; 1000000.0000000001 is the first double past the cap.
+  for (const char* bad : {"garbage", "0", "-1", "nan", "1000000.0000000001"}) {
+    ::setenv("MAC3D_SCALE", bad, 1);
+    try {
+      (void)env_scale();
+      ADD_FAILURE() << bad;
+    } catch (const ConfigError& error) {
+      EXPECT_NE(std::string(error.what()).find("MAC3D_SCALE"),
+                std::string::npos);
+    }
+  }
   ::unsetenv("MAC3D_SCALE");
 }
 
-TEST(Experiment, EnvThreadsParsesAndDefaults) {
+TEST(Experiment, EnvThreadsAndJobsParseDefaultsAndReject) {
   ::unsetenv("MAC3D_THREADS");
   EXPECT_EQ(env_threads(8), 8u);
   ::setenv("MAC3D_THREADS", "4", 1);
   EXPECT_EQ(env_threads(8), 4u);
-  ::setenv("MAC3D_THREADS", "-1", 1);
-  EXPECT_EQ(env_threads(8), 8u);
+  ::setenv("MAC3D_THREADS", "65536", 1);
+  EXPECT_EQ(env_threads(8), 65536u);
+  for (const char* bad : {"-1", "0", "4x", "65537"}) {
+    ::setenv("MAC3D_THREADS", bad, 1);
+    EXPECT_THROW((void)env_threads(8), ConfigError) << bad;
+  }
   ::unsetenv("MAC3D_THREADS");
+
+  ::unsetenv("MAC3D_JOBS");
+  EXPECT_EQ(env_jobs(1), 1u);
+  ::setenv("MAC3D_JOBS", "0", 1);  // 0 = the default, as with --jobs
+  EXPECT_EQ(env_jobs(1), 1u);
+  ::setenv("MAC3D_JOBS", "256", 1);
+  EXPECT_EQ(env_jobs(1), 256u);
+  for (const char* bad : {"abc", "-2", "257"}) {
+    ::setenv("MAC3D_JOBS", bad, 1);
+    EXPECT_THROW((void)env_jobs(1), ConfigError) << bad;
+  }
+  ::unsetenv("MAC3D_JOBS");
 }
 
 TEST(Experiment, DefaultOptionsAreValid) {

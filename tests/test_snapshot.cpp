@@ -18,7 +18,6 @@
 #include "obs/analysis.hpp"
 #include "obs/obs.hpp"
 #include "obs/profiler.hpp"
-#include "obs/registry.hpp"
 #include "obs/snapshot.hpp"
 #include "sim/driver.hpp"
 #include "trace/trace.hpp"
@@ -137,11 +136,12 @@ TEST(SnapshotStreamer, ExportsWindowAndWatchdogMetricFamilies) {
   snapshot.begin_run("unit");
   snapshot.advance_to(150);
   snapshot.end_run(150);
-  MetricsRegistry registry;
-  snapshot.export_metrics(registry);
-  const std::string json = registry.to_json();
-  EXPECT_NE(json.find("window.count"), std::string::npos);
-  EXPECT_NE(json.find("watchdog.fired"), std::string::npos);
+  StatSet metrics;
+  snapshot.export_metrics(metrics);
+  EXPECT_EQ(metrics.get("window.count"), 3.0);
+  EXPECT_EQ(metrics.get("window.period_cycles"), 50.0);
+  EXPECT_TRUE(metrics.contains("watchdog.fired"));
+  EXPECT_TRUE(metrics.contains("watchdog.windows_observed"));
 }
 
 // ---- Engine byte-equality --------------------------------------------------
