@@ -41,7 +41,6 @@
 #include "sim/driver.hpp"
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
-#include "sim/parallel.hpp"
 #include "sim/report.hpp"
 #include "trace/trace_io.hpp"
 #include "workloads/workload.hpp"
@@ -71,7 +70,6 @@ struct CliOptions {
   bool checks = false;
   bool profile = false;
   std::string engine = "event";
-  std::uint32_t engine_threads = 0;
   std::uint32_t jobs = 0;
   std::uint32_t tag_pool = 0;
   std::string trace_events;
@@ -177,11 +175,9 @@ const Flag kFlags[] = {
      "groups of config.warp_lanes threads)",
      kRun, &CliOptions::feed, "streaming|closed-loop|lane-group"},
     {"--engine", "E",
-     "serial | parallel | event | event-parallel (docs/PARALLELISM.md;\n"
-     "default: event; serial is the reference)",
-     kEngines, &CliOptions::engine, "serial|parallel|event|event-parallel"},
-    {"--engine-threads", "N", "workers for the parallel engines (0 = hardware)",
-     kEngines, Number<std::uint32_t>{&CliOptions::engine_threads, kWorkers}},
+     "serial | event (default: event; serial is the reference;\n"
+     "--jobs runs independent runs in parallel)",
+     kEngines, &CliOptions::engine, "serial|event"},
     {"--jobs", "N", "run paths (run) / workloads (suite) as N parallel tasks",
      kRun | kSuite, Number<std::uint32_t>{&CliOptions::jobs, kWorkers}},
     {"--tag-pool", "N",
@@ -359,13 +355,10 @@ MemoryTrace make_trace(const CliOptions& options, const SimConfig& config) {
   return workload->trace(params);
 }
 
-/// --engine name -> driver engine for run/suite. All engines are
+/// --engine name -> driver engine for run/suite. Both engines are
 /// bit-identical, so the event default is purely a wall-clock choice.
 Engine drive_engine(const std::string& name) {
-  if (name == "parallel") return Engine::kParallel;
-  if (name == "serial") return Engine::kSerial;
-  if (name == "event-parallel") return Engine::kEventParallel;
-  return Engine::kEvent;
+  return name == "serial" ? Engine::kSerial : Engine::kEvent;
 }
 
 // ---- Telemetry session -----------------------------------------------------
@@ -647,7 +640,6 @@ int cmd_run(const CliOptions& cli) {
   DriveOptions drive;
   drive.mode = drive_feed(cli);
   drive.engine = drive_engine(cli.engine);
-  drive.engine_threads = cli.engine_threads;
   drive.tag_pool = cli.tag_pool;
   drive.checks = session.checks();
   drive.sampler = session.sampler();
@@ -660,24 +652,19 @@ int cmd_run(const CliOptions& cli) {
     (void)parse_policy(paths[i], policies[i]);  // --paths checked the names
   }
   std::vector<DriverResult> results(paths.size());
-  const auto run_path = [&](std::size_t index) {
-    results[index] = run_policy(policies[index], trace, config, threads,
-                                drive);
-  };
   // Paths are independent runs over the same (immutable) trace, so --jobs
-  // shards them across a worker pool — unless shared telemetry/check
-  // state forces the one-at-a-time schedule (docs/PARALLELISM.md).
+  // runs them concurrently — unless checks or telemetry are attached,
+  // which force one run at a time (docs/PARALLELISM.md). Without them,
+  // begin_run and census return nullptr and touch nothing.
   const std::uint32_t jobs = cli.jobs == 0 ? env_jobs(1) : cli.jobs;
-  if (jobs > 1 && !session.hooks_attached() && paths.size() > 1) {
-    ParallelStepper stepper(jobs);
-    stepper.for_shards(paths.size(), run_path);
-  } else {
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-      drive.sink = session.begin_run(i);
-      drive.census = session.census(i);
-      run_path(i);
-    }
-  }
+  run_jobs(paths.size(), session.hooks_attached() ? 1 : jobs,
+           [&](std::size_t i) {
+             DriveOptions options = drive;
+             options.sink = session.begin_run(i);
+             options.census = session.census(i);
+             results[i] = run_policy(policies[i], trace, config, threads,
+                                     options);
+           });
 
   std::vector<StatSet> stats(results.size());
   StatSet csv;
@@ -727,7 +714,6 @@ int cmd_suite(const CliOptions& options) {
   suite.seed = options.seed;
   suite.jobs = options.jobs == 0 ? env_jobs(1) : options.jobs;
   suite.drive.engine = drive_engine(options.engine);
-  suite.drive.engine_threads = options.engine_threads;
   suite.drive.tag_pool = options.tag_pool;
   const auto runs = run_suite(suite);
   if (options.csv) {
@@ -778,18 +764,10 @@ int cmd_system(const CliOptions& options) {
   system.attach_sampler(session.sampler());
   system.attach_snapshot(session.snapshot());
 
-  // All four engines are bit-identical; --engine serial is the strict
+  // Both engines are bit-identical; --engine serial is the strict
   // reference.
-  const SystemRunSummary summary = [&] {
-    if (options.engine == "serial") return system.run();
-    if (options.engine == "parallel") {
-      return system.run_parallel(options.engine_threads);
-    }
-    if (options.engine == "event-parallel") {
-      return system.run_event_parallel(options.engine_threads);
-    }
-    return system.run_event();
-  }();
+  const SystemRunSummary summary =
+      options.engine == "serial" ? system.run() : system.run_event();
   if (ActivityCensus* census = session.census(0)) {
     census->seal();  // probes reference nodes owned by `system`
   }

@@ -5,10 +5,12 @@
 // analyzer.
 //
 // Usage: graph_analytics [scale] [threads]
+//   scale in (0, 1e6] (default 0.5), threads in [1, 65536] (default:
+//   cores); a malformed argument or MAC3D_CONFIG exits 2.
 #include <cstdio>
-#include <cstdlib>
 
 #include "sim/driver.hpp"
+#include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/report.hpp"
 #include "trace/analyzer.hpp"
@@ -16,15 +18,13 @@
 
 using namespace mac3d;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   SimConfig config;
   config.apply_env();
 
   WorkloadParams params;
-  params.scale = argc > 1 ? std::atof(argv[1]) : 0.5;
-  params.threads = argc > 2
-                       ? static_cast<std::uint32_t>(std::atoi(argv[2]))
-                       : config.cores;
+  params.scale = argc > 1 ? parse_arg(argv[1], kScale) : 0.5;
+  params.threads = argc > 2 ? parse_arg(argv[2], kIdCount) : config.cores;
   params.config = config;
 
   print_banner("Graph analytics through the MAC");
@@ -53,4 +53,7 @@ int main(int argc, char** argv) {
       "coalescer over the same window); the MAC column is what the real\n"
       "dual-ported, 32-entry pipeline achieves.\n");
   return 0;
+} catch (const ConfigError& error) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
+  return 2;
 }

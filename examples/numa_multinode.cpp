@@ -5,26 +5,33 @@
 // and remote responses travel back through the fabric.
 //
 // Usage: numa_multinode [nodes] [elements-per-thread]
+//   nodes in [1, 16384] (default 2), elements-per-thread in [1, 1000000]
+//   (default 2000); a malformed argument or MAC3D_CONFIG exits 2.
 #include <cstdio>
-#include <cstdlib>
 
 #include "arch/system.hpp"
 #include "common/rng.hpp"
 #include "mac/coalescer.hpp"
+#include "sim/experiment.hpp"
 #include "sim/report.hpp"
 
 using namespace mac3d;
 
-int main(int argc, char** argv) {
+namespace {
+constexpr std::uint32_t kCores = 4;
+/// nodes x kCores thread streams must fit the 16-bit ThreadId.
+constexpr NumberRange<std::uint32_t> kNodes{1, kIdCount.hi / kCores};
+constexpr NumberRange<std::uint64_t> kElements{1, 1'000'000};
+}  // namespace
+
+int main(int argc, char** argv) try {
   SimConfig config;
   config.apply_env();
-  config.nodes = argc > 1
-                     ? static_cast<std::uint32_t>(std::atoi(argv[1]))
-                     : 2;
-  config.cores = 4;
+  config.nodes = argc > 1 ? parse_arg(argv[1], kNodes) : 2;
+  config.cores = kCores;
   config.validate();
   const std::uint64_t per_thread =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2000;
+      argc > 2 ? parse_arg(argv[2], kElements) : 2000;
 
   print_banner("NUMA system: " + std::to_string(config.nodes) +
                " nodes x " + std::to_string(config.cores) + " cores");
@@ -83,4 +90,7 @@ int main(int argc, char** argv) {
   std::printf("interconnect messages: %s\n",
               Table::count(system.fabric().messages()).c_str());
   return summary.completed ? 0 : 1;
+} catch (const ConfigError& error) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
+  return 2;
 }

@@ -4,25 +4,28 @@
 // a StatSet for external tooling (CSV on stdout with --csv).
 //
 // Usage: spmv_hpcg [--csv] [scale]
+//   scale in (0, 1e6] (default 1.0); a malformed argument or MAC3D_CONFIG
+//   exits 2.
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 
 #include "sim/driver.hpp"
+#include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/report.hpp"
 #include "workloads/all.hpp"
 
 using namespace mac3d;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bool csv = false;
   double scale = 1.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--csv") == 0) {
       csv = true;
     } else {
-      scale = std::atof(argv[i]);
+      scale = parse_arg(argv[i], kScale);
     }
   }
 
@@ -79,4 +82,7 @@ int main(int argc, char** argv) {
   std::printf("\nmemory-system speedup: %s\n",
               Table::pct(memory_speedup(raw, mac)).c_str());
   return 0;
+} catch (const ConfigError& error) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
+  return 2;
 }

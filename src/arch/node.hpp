@@ -47,7 +47,7 @@ class Node {
   /// jump covers via Interconnect::next_delivery). Ask only after
   /// tick(now) — the answer reflects post-tick state and stays valid until
   /// the node's next tick or a delivery into its fabric lanes, which is
-  /// what lets the event engines cache it per node.
+  /// what lets the event engine cache it per node.
   [[nodiscard]] Cycle next_activity_cycle(Cycle now) const noexcept;
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }

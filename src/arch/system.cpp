@@ -1,15 +1,12 @@
 #include "arch/system.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
 #include "obs/obs.hpp"
 #include "obs/serial_point.hpp"
 #include "sim/driver.hpp"
-#include "sim/parallel.hpp"
 
 namespace mac3d {
 
@@ -29,7 +26,6 @@ void System::attach_checks(CheckContext* context) {
 }
 
 void System::attach_sink(EventSink* sink) {
-  sink_ = sink;
   for (const auto& node : nodes_) node->attach_sink(sink);
 }
 
@@ -190,10 +186,9 @@ class System::NodeWakes {
     return due_;
   }
 
-  /// After the tick at `now` (and any staged commit): re-ask the nodes
-  /// that ticked, fold each node's next delivery into its due cycle, and
-  /// return the earliest due cycle over all nodes (kNever when nothing is
-  /// pending anywhere).
+  /// After the tick at `now`: re-ask the nodes that ticked, fold each
+  /// node's next delivery into its due cycle, and return the earliest due
+  /// cycle over all nodes (kNever when nothing is pending anywhere).
   Cycle rearm(Cycle now, const std::vector<std::unique_ptr<Node>>& nodes,
               const Interconnect* fabric) {
     for (const std::size_t i : due_) {
@@ -221,94 +216,19 @@ class System::NodeWakes {
   std::uint64_t ticks_ = 0;
 };
 
-/// How one run ticks its nodes (docs/PARALLELISM.md). The inline engines
-/// tick them in node order. The parallel engines tick them as shards on a
-/// worker pool: each node stamps into its own mailbox and the fabric
-/// buffers sends in per-source outboxes, and the barrier commits both in
-/// node order — the inline engines' exact delivery and stamp order. The
-/// staging is undone when the run ends, on either exit.
-class System::Stepping {
- public:
-  /// Ticks the nodes listed in `ticking` (a vector the caller refills
-  /// before each tick).
-  Stepping(System& system, Interconnect* fabric,
-           const std::vector<std::size_t>& ticking, bool parallel,
-           std::uint32_t threads)
-      : system_(system),
-        fabric_(fabric),
-        ticking_(ticking),
-        mailboxes_(parallel && system.sink_ != nullptr ? system.nodes_.size()
-                                                       : 0) {
-    if (!parallel) return;
-    pool_ = std::make_unique<ParallelStepper>(threads);
-    pool_->attach_profiler(system.profiler_);
-    if (system.profiler_ != nullptr) {
-      system.profiler_->set_worker_count(pool_->thread_count());
-    }
-    for (std::size_t i = 0; i < mailboxes_.size(); ++i) {
-      system.nodes_[i]->attach_sink(&mailboxes_[i]);
-    }
-    if (fabric_ != nullptr) fabric_->begin_staged();
-    shard_ = [this](std::size_t k) {
-      system_.nodes_[ticking_[k]]->tick(now_, fabric_);
-    };
-  }
-  Stepping(const Stepping&) = delete;
-  Stepping& operator=(const Stepping&) = delete;
-  ~Stepping() {
-    if (pool_ == nullptr) return;
-    for (std::size_t i = 0; i < mailboxes_.size(); ++i) {
-      system_.nodes_[i]->attach_sink(system_.sink_);
-    }
-    if (fabric_ != nullptr) fabric_->end_staged();
-  }
-
-  void tick(Cycle now) {
-    if (pool_ == nullptr) {
-      for (const std::size_t i : ticking_) {
-        system_.nodes_[i]->tick(now, fabric_);
-      }
-      return;
-    }
-    now_ = now;
-    pool_->for_shards(ticking_.size(), shard_);
-    lap(system_.profiler_, HostPhase::kTick);
-    // Barrier: cross-shard effects apply in canonical order.
-    if (fabric_ != nullptr) fabric_->commit_staged();
-    if (!mailboxes_.empty()) {
-      for (const std::size_t i : ticking_) mailboxes_[i].flush(*system_.sink_);
-    }
-    lap(system_.profiler_, HostPhase::kCommit);
-  }
-
- private:
-  System& system_;
-  Interconnect* fabric_;
-  const std::vector<std::size_t>& ticking_;
-  std::vector<BufferedSink> mailboxes_;
-  std::function<void(std::size_t)> shard_;
-  Cycle now_ = 0;
-  std::unique_ptr<ParallelStepper> pool_;  ///< joins before the above die
-};
-
 template <Engine kEngine>
-SystemRunSummary System::run_engine(std::uint32_t threads, Cycle max_cycles) {
+SystemRunSummary System::run_engine(Cycle max_cycles) {
   if (nodes_.size() > 1 && config_.remote_hop_cycles == 0) {
-    // A zero-hop fabric lets an inline engine deliver a message to a
-    // later-ticking node within the sending cycle — unreproducible under
-    // any barrier schedule, so every engine refuses it uniformly (the
-    // equivalence grid relies on identical accept/reject).
+    // A zero-hop fabric delivers a message to a later-ticking node within
+    // the sending cycle, after the event engine chose which nodes tick:
+    // per-node wake needs every hop to take at least one cycle. Both
+    // engines refuse it, so they accept and reject the same configs.
     throw std::invalid_argument(
         "System requires remote_hop_cycles >= 1 with several nodes (got 0)");
   }
-  constexpr bool event = engine_is_event(kEngine);
+  constexpr bool event = kEngine == Engine::kEvent;
   Interconnect* fabric = nodes_.size() > 1 ? fabric_.get() : nullptr;
-  // The step clock ticks every node; the event clock only the due ones.
-  std::vector<std::size_t> every_node(nodes_.size());
-  std::iota(every_node.begin(), every_node.end(), std::size_t{0});
   NodeWakes wakes(nodes_.size());
-  Stepping stepping(*this, fabric, event ? wakes.due() : every_node,
-                    engine_is_parallel(kEngine), threads);
   SerialPoint serial(census_, sampler_, snapshot_, profiler_, "system");
   register_probes();
 
@@ -318,10 +238,14 @@ SystemRunSummary System::run_engine(std::uint32_t threads, Cycle max_cycles) {
   serial.start_laps();
   while (now < max_cycles) {
     ++visited;
-    // The due set is read from the lanes after the previous barrier's
-    // commit, so it is the one the inline engine computes.
-    if constexpr (event) wakes.collect_due(now);
-    stepping.tick(now);
+    // The step clock ticks every node; the event clock only the due ones.
+    // Either way in node order, so deliveries and stamps keep one order.
+    if constexpr (event) {
+      wakes.collect_due(now);
+      for (const std::size_t i : wakes.due()) nodes_[i]->tick(now, fabric);
+    } else {
+      for (const auto& node : nodes_) node->tick(now, fabric);
+    }
     // A fired watchdog abandons the run (summary.completed stays false) —
     // the only exit a stalled system has short of max_cycles.
     if (serial.observe(now)) break;
@@ -346,21 +270,11 @@ SystemRunSummary System::run_engine(std::uint32_t threads, Cycle max_cycles) {
 }
 
 SystemRunSummary System::run(Cycle max_cycles) {
-  return run_engine<Engine::kSerial>(1, max_cycles);
-}
-
-SystemRunSummary System::run_parallel(std::uint32_t threads,
-                                      Cycle max_cycles) {
-  return run_engine<Engine::kParallel>(threads, max_cycles);
+  return run_engine<Engine::kSerial>(max_cycles);
 }
 
 SystemRunSummary System::run_event(Cycle max_cycles) {
-  return run_engine<Engine::kEvent>(1, max_cycles);
-}
-
-SystemRunSummary System::run_event_parallel(std::uint32_t threads,
-                                            Cycle max_cycles) {
-  return run_engine<Engine::kEventParallel>(threads, max_cycles);
+  return run_engine<Engine::kEvent>(max_cycles);
 }
 
 SystemRunSummary System::summarize(Cycle cycles, bool completed) const {

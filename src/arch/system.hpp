@@ -28,12 +28,12 @@ struct SystemRunSummary {
   std::uint64_t requests = 0;   ///< core-issued main-memory references
   std::uint64_t completions = 0;
   double avg_latency_cycles = 0.0;
-  /// Cycles the engine actually ticked (== cycles for the strict cycle
-  /// engines; the event engines' skip ratio is cycles / visited_cycles).
+  /// Cycles the engine actually ticked (== cycles for the strict engine;
+  /// the event engine's skip ratio is cycles / visited_cycles).
   /// Deliberately NOT in `stats`, so exports stay engine-invariant.
   std::uint64_t visited_cycles = 0;
-  /// Node::tick calls (cycles x nodes for the strict engines; the event
-  /// engines tick only the nodes due at each visited cycle). Kept out of
+  /// Node::tick calls (cycles x nodes for the strict engine; the event
+  /// engine ticks only the nodes due at each visited cycle). Kept out of
   /// `stats` like visited_cycles.
   std::uint64_t node_ticks = 0;
   StatSet stats;
@@ -48,22 +48,12 @@ class System {
   /// The trace must outlive the system.
   void attach_trace(const MemoryTrace& trace);
 
-  /// Run until every thread drains (or `max_cycles`). Multi-node configs
-  /// require remote_hop_cycles >= 1 — enforced uniformly across all four
-  /// engines (a zero-hop fabric delivers within the sending cycle, which
-  /// the staged engines cannot reproduce, so no engine may accept it).
+  /// Run until every thread drains (or `max_cycles`) on the strict cycle
+  /// engine, the reference: every node ticks every cycle. Multi-node
+  /// configs require remote_hop_cycles >= 1, on both engines: run_event's
+  /// per-node wake relies on every hop taking at least one cycle, and
+  /// run() refuses what run_event cannot reproduce.
   SystemRunSummary run(Cycle max_cycles = 2'000'000'000ULL);
-
-  /// Node-sharded parallel run (docs/PARALLELISM.md): all nodes advance
-  /// concurrently inside each cycle on a ParallelStepper worker pool; the
-  /// fabric runs staged (per-source outboxes committed in node order at
-  /// the barrier) and telemetry stamps flush through per-node
-  /// BufferedSinks in node order. Bit-identical to run() for any
-  /// `threads` (0 = hardware concurrency). Requires remote_hop_cycles
-  /// >= 1 in multi-node configs: a zero-hop fabric can deliver within
-  /// the sending cycle, which no barrier schedule reproduces.
-  SystemRunSummary run_parallel(std::uint32_t threads,
-                                Cycle max_cycles = 2'000'000'000ULL);
 
   /// Event-driven fast-forward run (docs/PARALLELISM.md §event-driven
   /// engine): after each visited cycle the clock jumps to the minimum of
@@ -75,13 +65,12 @@ class System {
   /// enforced by tests/test_parallel_equivalence.cpp.
   SystemRunSummary run_event(Cycle max_cycles = 2'000'000'000ULL);
 
-  /// Event-driven fast-forward over the node-sharded parallel engine
-  /// (staged fabric + worker pool sharding the due nodes, same jump and
-  /// wake rules as run_event).
-  /// Bit-identical to run() for any `threads`; same zero-hop restriction
-  /// as run_parallel.
-  SystemRunSummary run_event_parallel(std::uint32_t threads,
-                                      Cycle max_cycles = 2'000'000'000ULL);
+  /// perf/ only: a forward to run_event, which the retired event-parallel
+  /// engine's name now runs. ROADMAP item 1 deletes it.
+  SystemRunSummary run_event_parallel(std::uint32_t /*threads*/,
+                                      Cycle max_cycles = 2'000'000'000ULL) {
+    return run_event(max_cycles);
+  }
 
   [[nodiscard]] Node& node(std::size_t i) { return *nodes_.at(i); }
   [[nodiscard]] std::size_t node_count() const noexcept {
@@ -97,46 +86,42 @@ class System {
 
   /// Enable request-lifecycle telemetry on every node
   /// (docs/OBSERVABILITY.md). The sink must outlive the system; pass
-  /// nullptr to detach. run_parallel() interposes per-node buffers and
-  /// flushes them to this sink in canonical node order each cycle, so the
-  /// sink itself needs no thread safety.
+  /// nullptr to detach.
   void attach_sink(EventSink* sink);
 
-  /// Attach a periodic sampler: run()/run_parallel() register per-node
-  /// router-occupancy and fabric-backlog probes and advance it at serial
-  /// points (after every full-system cycle — post-barrier under
-  /// run_parallel), so the CSV is engine-invariant. The sampler must
-  /// outlive the system; pass nullptr to detach.
+  /// Attach a periodic sampler: both engines register per-node
+  /// router-occupancy and fabric-backlog probes and advance it at the
+  /// serial point after every visited cycle, so the CSV is
+  /// engine-invariant. The sampler must outlive the system; pass nullptr
+  /// to detach.
   void attach_sampler(CycleSampler* sampler) noexcept { sampler_ = sampler; }
 
   /// Attach an idle-cycle census (docs/OBSERVABILITY.md §profiler):
   /// registers every node's components plus the fabric, and both engines
-  /// observe it once per cycle at the same serial point (post-barrier
-  /// under run_parallel), so census exports are engine-invariant, and
-  /// collect_metrics() exports its counts. The census must outlive the
-  /// system (its probes capture components by reference — seal before
-  /// teardown); pass nullptr to detach future runs (registrations are not
-  /// undone).
+  /// observe it once per cycle at the same serial point, so census
+  /// exports are engine-invariant, and collect_metrics() exports its
+  /// counts. The census must outlive the system (its probes capture
+  /// components by reference — seal before teardown); pass nullptr to
+  /// detach future runs (registrations are not undone).
   void attach_census(ActivityCensus* census);
 
   /// Attach a windowed snapshot streamer (docs/OBSERVABILITY.md
-  /// §streaming snapshots): every engine opens a "system" run, registers
+  /// §streaming snapshots): both engines open a "system" run, register
   /// the reserved injected/completions counters (aggregated over nodes)
-  /// plus a router-backlog gauge, advances the streamer at the common
-  /// serial point and treats window boundaries as mandatory landing
-  /// cycles for the event engines — the JSONL stream is byte-identical
-  /// across all four engines. A StallWatchdog attached to the streamer
-  /// abandons the run the window it fires (summary.completed == false).
-  /// The streamer must outlive the system; pass nullptr to detach.
+  /// plus a router-backlog gauge, advance the streamer at the common
+  /// serial point, and the event engine treats window boundaries as
+  /// mandatory landing cycles — the JSONL stream is byte-identical under
+  /// both engines. A StallWatchdog attached to the streamer abandons the
+  /// run the window it fires (summary.completed == false). The streamer
+  /// must outlive the system; pass nullptr to detach.
   void attach_snapshot(SnapshotStreamer* snapshot) noexcept {
     snapshot_ = snapshot;
   }
 
-  /// Attach host wall-clock attribution: every engine laps its tick /
-  /// commit / telemetry / sampler phases (one clock read per boundary, so
-  /// the phases partition the loop's wall time), and the parallel engines
-  /// additionally record per-worker busy time. Host time never feeds
-  /// back into simulated time — simulated results are identical with or
+  /// Attach host wall-clock attribution: both engines lap their tick /
+  /// telemetry / sampler phases (one clock read per boundary, so the
+  /// phases partition the loop's wall time). Host time never feeds back
+  /// into simulated time — simulated results are identical with or
   /// without a profiler. Pass nullptr to detach.
   void attach_profiler(HostProfiler* profiler) noexcept {
     profiler_ = profiler;
@@ -150,17 +135,14 @@ class System {
 
  private:
   class NodeWakes;
-  class Stepping;
 
-  /// The one cycle loop behind the four public engines
-  /// (docs/PARALLELISM.md): engine_is_event(kEngine) picks the clock (step
-  /// by one, or jump to the next wake) and engine_is_parallel(kEngine) how
-  /// the nodes tick (inline, or sharded over `threads` workers with a
-  /// barrier). The engine is a template argument so that the clock costs
-  /// no branch per visited cycle.
+  /// The one cycle loop behind both engines (docs/PARALLELISM.md): kEngine
+  /// picks the clock (step by one and tick every node, or jump to the next
+  /// wake and tick the due nodes). The engine is a template argument so
+  /// that the clock costs no branch per visited cycle.
   template <Engine kEngine>
-  SystemRunSummary run_engine(std::uint32_t threads, Cycle max_cycles);
-  /// Shared end-of-run accounting (node order, every engine).
+  SystemRunSummary run_engine(Cycle max_cycles);
+  /// Shared end-of-run accounting (node order, both engines).
   SystemRunSummary summarize(Cycle cycles, bool completed) const;
   /// The fabric (when present) and every node hold no work.
   [[nodiscard]] bool drained(const Interconnect* fabric) const;
@@ -173,7 +155,6 @@ class System {
   std::vector<CoreId> thread_core_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unique_ptr<Interconnect> fabric_;
-  EventSink* sink_ = nullptr;
   CycleSampler* sampler_ = nullptr;
   ActivityCensus* census_ = nullptr;
   HostProfiler* profiler_ = nullptr;

@@ -18,23 +18,16 @@ std::string Violation::to_string() const {
 
 void CheckContext::fail(const Invariant& invariant, Cycle cycle,
                         std::string detail) {
-  violations_.fetch_add(1, std::memory_order_relaxed);
+  ++violations_;
+  ++by_id_[std::string(invariant.id)];
   Violation violation{&invariant, cycle, std::move(detail)};
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++by_id_[std::string(invariant.id)];
-    if (mode_ != FailMode::kThrow &&
-        first_failures_.size() < kMaxStoredFailures) {
-      first_failures_.push_back(violation);
-    }
-  }
-  // Thrown outside the lock: the parallel engine catches breaches from
-  // worker shards and rethrows at its barrier.
   if (mode_ == FailMode::kThrow) throw InvariantViolation(violation);
+  if (first_failures_.size() < kMaxStoredFailures) {
+    first_failures_.push_back(std::move(violation));
+  }
 }
 
 void CheckContext::on_finalize(std::function<void(CheckContext&)> hook) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   finalizers_.push_back(std::move(hook));
 }
 
@@ -42,15 +35,11 @@ void CheckContext::finalize() {
   // Clear first: a finalizer may throw (kThrow mode) and the hooks capture
   // components that will be gone by the time the context is reused.
   std::vector<std::function<void(CheckContext&)>> hooks;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    hooks.swap(finalizers_);
-  }
+  hooks.swap(finalizers_);
   for (const auto& hook : hooks) hook(*this);
 }
 
 std::uint64_t CheckContext::violations(std::string_view id) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = by_id_.find(id);
   return it == by_id_.end() ? 0 : it->second;
 }

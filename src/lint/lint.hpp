@@ -1,6 +1,6 @@
 // mac3d lint — repo-specific static analysis (docs/STATIC_ANALYSIS.md).
 //
-// The repo's two hardest-won guarantees — bit-identical serial/parallel
+// The repo's two hardest-won guarantees — bit-identical serial/event
 // execution (docs/PARALLELISM.md) and zero-cost observability under
 // MAC3D_OBS=OFF (docs/OBSERVABILITY.md) — are enforced dynamically by the
 // equivalence suite and byte-diff tests, which catch a violation long

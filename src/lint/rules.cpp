@@ -35,7 +35,7 @@ const std::vector<RuleInfo> kCatalog = {
      "survives between simulations sharing a process"},
     {"det.unordered_iteration", "DET",
      "iterating a std::unordered_{map,set} visits hash order, which "
-     "breaks the serial/parallel bit-identity contract "
+     "breaks the serial/event bit-identity contract "
      "(docs/PARALLELISM.md); iterate a sorted view or use std::map"},
     {"det.wall_clock", "DET",
      "wall-clock time sources in simulation code leak host timing into "
@@ -255,7 +255,7 @@ void det_unordered_iteration(const FileTokens& file,
                 tokens[i].col,
                 "range-for over unordered container '" + tokens[j].text +
                     "' visits hash order; iterate a sorted view or use "
-                    "std::map (serial/parallel bit-identity contract)");
+                    "std::map (serial/event bit-identity contract)");
             break;
           }
         }
@@ -273,7 +273,7 @@ void det_unordered_iteration(const FileTokens& file,
                   "iterator walk over unordered container '" +
                       tokens[i].text +
                       "' visits hash order; iterate a sorted view or use "
-                      "std::map (serial/parallel bit-identity contract)");
+                      "std::map (serial/event bit-identity contract)");
     }
   }
 }

@@ -148,7 +148,7 @@ bool WarpCoalescer::issue_iteration(Cycle now) {
   if (!device_.can_accept(request, now)) return false;
 
   // Stamp the builder stages before submit(), which stamps the device
-  // stages at once on an unstaged device: lifecycle stamps in stage order.
+  // stages at once: lifecycle stamps in stage order.
   [[maybe_unused]] EventSink* const sink = ledger_.sink();
   MAC3D_OBS_STAMP(sink, Stage::kBuilderPick, lead.tid, lead.tag, now);
   for (std::size_t m = 1; m < merged.size(); ++m) {

@@ -80,9 +80,7 @@ Cycle HmcDevice::submit(HmcRequest request, Cycle now) {
     throw std::invalid_argument("HmcDevice: packet crosses a row boundary");
   }
 
-  // Deliberate one-shot model bugs for the invariant test suite. Faults
-  // are consumed at submit time in both modes, so the armed request is
-  // the same one regardless of engine.
+  // Deliberate one-shot model bugs for the invariant test suite.
   if (fault_ == Fault::kDropTarget && !request.targets.empty()) {
     request.targets.pop_back();
     fault_ = Fault::kNone;
@@ -92,36 +90,12 @@ Cycle HmcDevice::submit(HmcRequest request, Cycle now) {
     ++req_flits;
     fault_ = Fault::kNone;
   }
-
-  StagedSubmit entry;
-  entry.now = now;
-  entry.req_flits = req_flits;
-  entry.local = local;
-  entry.row = row;
-  entry.vault = map_.vault_of(row);
-  entry.request = std::move(request);
-
-  if (staged_mode_) {
-    // Buffered in submission order; timed and committed at the next
-    // step_staged() barrier. Callers ignore the returned cycle.
-    staged_.push_back(std::move(entry));
-    return 0;
-  }
-
-  time_staged(entry);
-  const Cycle completed = entry.completed;
-  commit_staged(entry);
-  return completed;
-}
-
-void HmcDevice::time_staged(StagedSubmit& entry) {
-  Link& link = links_[link_of(entry.vault)];
-  const HmcRequest& request = entry.request;
+  const std::uint32_t vault = map_.vault_of(row);
+  Link& link = links_[link_of(vault)];
 
   // Request path: link serialization -> SerDes -> vault controller.
-  const Cycle at_device =
-      link.send_request(entry.now, entry.req_flits) + config_.t_serdes;
-  entry.at_bank = at_device + config_.t_vault_ctrl;
+  const Cycle at_device = link.send_request(now, req_flits) + config_.t_serdes;
+  const Cycle at_bank = at_device + config_.t_vault_ctrl;
 
   // Bank access. Atomics hold the bank slightly longer for the
   // read-modify-write in the logic layer.
@@ -129,41 +103,34 @@ void HmcDevice::time_staged(StagedSubmit& entry) {
       static_cast<Cycle>(data_flits(request.data_bytes)) *
           config_.t_row_data_flit +
       (request.atomic ? 8 : 0);
-  Bank& bank = banks_[map_.global_bank(entry.row)];
-  entry.sched =
+  Bank& bank = banks_[map_.global_bank(row)];
+  const Bank::Schedule sched =
       config_.open_page
-          ? bank.access_open_page(entry.at_bank, entry.row,
-                                  config_.t_bank_activate,
+          ? bank.access_open_page(at_bank, row, config_.t_bank_activate,
                                   config_.t_bank_cas + data_cycles,
                                   config_.t_bank_precharge)
-          : bank.access(entry.at_bank, config_.t_bank_access + data_cycles,
+          : bank.access(at_bank, config_.t_bank_access + data_cycles,
                         config_.t_bank_precharge);
-  entry.bank_free_at = bank.free_at();
+  const Cycle bank_free_at = bank.free_at();
+  // Busy-until thresholds: their one update site.
+  vault_until_[vault] = std::max(vault_until_[vault], bank_free_at);
+  banks_until_ = std::max(banks_until_, bank_free_at);
 
   // Response path: vault controller -> link serialization -> SerDes.
-  entry.resp_flits = response_flits(request.data_bytes, request.write);
-  const Cycle resp_ready = entry.sched.data_ready + config_.t_vault_ctrl;
-  entry.completed =
-      link.send_response(resp_ready, entry.resp_flits) + config_.t_serdes;
-}
-
-void HmcDevice::commit_staged(StagedSubmit& entry) {
-  HmcRequest& request = entry.request;
-  const Bank::Schedule& sched = entry.sched;
-  stats_.row_hits += sched.row_hit ? 1 : 0;
-  // Busy-until thresholds: commit is serial in both modes, so the
-  // sharded time_staged phase never writes them.
-  Cycle& vault_until = vault_until_[entry.vault];
-  vault_until = std::max(vault_until, entry.bank_free_at);
-  banks_until_ = std::max(banks_until_, entry.bank_free_at);
+  const std::uint32_t resp_flits =
+      response_flits(request.data_bytes, request.write);
+  const Cycle resp_ready = sched.data_ready + config_.t_vault_ctrl;
+  const Cycle completed =
+      link.send_response(resp_ready, resp_flits) + config_.t_serdes;
+  const std::uint64_t wire =
+      static_cast<std::uint64_t>(req_flits + resp_flits) * kFlitBytes;
 
 #if MAC3D_OBS_ENABLED
   if (sink_ != nullptr) {
     // Raw-path and MAC packets carry the merged target identities; stamp
     // each one at link handoff and at the scheduled bank-access start.
     for (const Target& target : request.targets) {
-      sink_->on_stage(Stage::kLinkSerialize, target.tid, target.tag,
-                      entry.now);
+      sink_->on_stage(Stage::kLinkSerialize, target.tid, target.tag, now);
       sink_->on_stage(Stage::kBankAccess, target.tid, target.tag, sched.start);
     }
   }
@@ -171,39 +138,32 @@ void HmcDevice::commit_staged(StagedSubmit& entry) {
 
 #if MAC3D_CHECKS_ENABLED
   if (checker_ != nullptr) {
-    checker_->on_bank_access(map_.global_bank(entry.row), entry.at_bank,
-                             sched.start, sched.data_ready, entry.bank_free_at,
-                             sched.conflict, entry.now);
-    checker_->on_packet(request.data_bytes, request.write, entry.req_flits,
-                        entry.resp_flits,
-                        static_cast<std::uint64_t>(entry.req_flits +
-                                                   entry.resp_flits) *
-                            kFlitBytes,
-                        entry.now, sched.data_ready, entry.completed);
+    checker_->on_bank_access(map_.global_bank(row), at_bank, sched.start,
+                             sched.data_ready, bank_free_at, sched.conflict,
+                             now);
+    checker_->on_packet(request.data_bytes, request.write, req_flits,
+                        resp_flits, wire, now, sched.data_ready, completed);
     const auto row_offset =
-        static_cast<std::uint32_t>(entry.local - map_.row_base(entry.row));
+        static_cast<std::uint32_t>(local - map_.row_base(row));
     for (const Target& target : request.targets) {
-      checker_->on_target(target.flit, row_offset, request.data_bytes,
-                          entry.now);
+      checker_->on_target(target.flit, row_offset, request.data_bytes, now);
     }
   }
 #endif
 
   // Accounting.
   ++stats_.requests;
+  stats_.row_hits += sched.row_hit ? 1 : 0;
   stats_.reads += (!request.write && !request.atomic) ? 1 : 0;
   stats_.writes += request.write ? 1 : 0;
   stats_.atomics += request.atomic ? 1 : 0;
   stats_.bank_conflicts += sched.conflict ? 1 : 0;
   stats_.refresh_stalls += sched.refresh_stall ? 1 : 0;
   stats_.data_bytes += request.data_bytes;
-  const std::uint64_t wire =
-      static_cast<std::uint64_t>(entry.req_flits + entry.resp_flits) *
-      kFlitBytes;
   stats_.link_bytes += wire;
   stats_.overhead_bytes += wire - request.data_bytes;
-  stats_.latency_cycles.add(static_cast<double>(entry.completed - entry.now));
-  stats_.latency_hist.add(entry.completed - entry.now);
+  stats_.latency_cycles.add(static_cast<double>(completed - now));
+  stats_.latency_hist.add(completed - now);
   stats_.packet_data_bytes.add(static_cast<double>(request.data_bytes));
 
   HmcResponse response;
@@ -212,10 +172,11 @@ void HmcDevice::commit_staged(StagedSubmit& entry) {
   response.data_bytes = request.data_bytes;
   response.write = request.write;
   response.atomic = request.atomic;
-  response.completed = entry.completed;
+  response.completed = completed;
   response.targets = std::move(request.targets);
   pending_.push_back(std::move(response));
   std::push_heap(pending_.begin(), pending_.end(), PendingGreater{});
+  return completed;
 }
 
 const std::vector<HmcResponse>& HmcDevice::drain(Cycle now) {
@@ -264,7 +225,6 @@ void HmcDevice::reset() {
   banks_until_ = 0;
   pending_.clear();
   drained_.clear();
-  staged_.clear();
   stats_ = {};
   fault_ = Fault::kNone;
   if (checks_ != nullptr) attach_checks(checks_);  // clear bank history

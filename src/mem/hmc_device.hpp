@@ -70,50 +70,7 @@ class HmcDevice {
 
   /// Schedule a request submitted at `now`. Returns the completion cycle.
   /// The response is retrievable via drain() once `now >= completion`.
-  /// In staged mode (docs/PARALLELISM.md) the request is validated and
-  /// buffered instead and 0 is returned; timing and accounting happen at
-  /// the next step_staged() barrier. All in-tree paths dispatch at most
-  /// one packet per cycle and ignore the return value, so the two modes
-  /// are observably identical.
   Cycle submit(HmcRequest request, Cycle now);
-
-  // ---- Staged (parallel-engine) stepping — docs/PARALLELISM.md -----------
-  /// Enter staged mode: submit() buffers requests into per-link-quadrant
-  /// inboxes instead of timing them inline. Each quadrant (one external
-  /// link plus the banks of the vaults it serves) has fully disjoint
-  /// mutable state, so quadrants are the device's shard unit.
-  void begin_staged() noexcept { staged_mode_ = true; }
-  [[nodiscard]] bool staged() const noexcept { return staged_mode_; }
-
-  /// Barrier step: phase A times all staged requests, sharded by link
-  /// quadrant across `stepper` (each shard mutates only its own Link and
-  /// Banks, in staging order); phase B then commits stats, telemetry,
-  /// checker hooks and responses serially in global staging order —
-  /// reproducing the exact serial interleaving, so results are
-  /// bit-identical to unstaged submit() for any thread count.
-  ///
-  /// Templated on the stepper (normally sim's ParallelStepper — mem cannot
-  /// link sim) — anything with for_shards(count, fn) works.
-  template <typename Stepper>
-  void step_staged(Stepper& stepper) {
-    if (staged_.empty()) return;
-    std::vector<std::vector<std::size_t>> by_shard(links_.size());
-    for (std::size_t i = 0; i < staged_.size(); ++i) {
-      by_shard[link_of(staged_[i].vault)].push_back(i);
-    }
-    std::vector<std::size_t> active;
-    for (std::size_t shard = 0; shard < by_shard.size(); ++shard) {
-      if (!by_shard[shard].empty()) active.push_back(shard);
-    }
-    stepper.for_shards(active.size(), [this, &by_shard,
-                                      &active](std::size_t index) {
-      for (const std::size_t entry : by_shard[active[index]]) {
-        time_staged(staged_[entry]);
-      }
-    });
-    for (StagedSubmit& entry : staged_) commit_staged(entry);
-    staged_.clear();
-  }
 
   /// Pop all responses completed at or before `now`, in (completed, id)
   /// order. They move into a buffer the device reuses, valid until the
@@ -179,12 +136,12 @@ class HmcDevice {
   // ---- Busy-until thresholds (census threshold rows) ---------------------
   // Every device activity row has the form "active iff now < threshold".
   // A bank's free_at never decreases (an access starts at
-  // max(arrival, free_at)), so the largest free_at ever committed in a
+  // max(arrival, free_at)), so the largest free_at ever scheduled in a
   // vault is exactly "any bank in the vault is busy before this cycle";
-  // commit_staged keeps these maxima as banks are scheduled. Thresholds
+  // submit() keeps these maxima as banks are scheduled. Thresholds
   // are frozen while the event engine fast-forwards (no submits happen
   // mid-span), so skipped spans credit exactly — that is what keeps the
-  // census byte-identical between the cycle and event engines.
+  // census byte-identical between the serial and event engines.
   /// Cycle the last busy bank frees (0 = no access since construction or
   /// reset).
   [[nodiscard]] Cycle banks_busy_until() const noexcept { return banks_until_; }
@@ -196,8 +153,8 @@ class HmcDevice {
   /// Register this device's idle-cycle census rows under `prefix`
   /// (e.g. "node0."): `<prefix>banks`, `<prefix>vault<V>` and
   /// `<prefix>link<L>`, each a threshold row over the matching busy-until
-  /// cycle. Templated on the census (normally obs's ActivityCensus — mem
-  /// avoids the link dependency the same way step_staged avoids sim's).
+  /// cycle. Templated on the census (normally obs's ActivityCensus), so
+  /// mem need not link obs.
   /// The device must outlive the census's observed run; seal the census
   /// before tearing the device down.
   template <typename Census>
@@ -235,30 +192,6 @@ class HmcDevice {
   void attach_sink(EventSink* sink) noexcept { sink_ = sink; }
 
  private:
-  /// One validated submission awaiting the staged barrier. Timing fields
-  /// are filled by phase A (parallel, shard-local); phase B reads them.
-  struct StagedSubmit {
-    HmcRequest request;  ///< after one-shot fault application
-    Cycle now = 0;
-    std::uint32_t req_flits = 0;
-    std::uint32_t vault = 0;
-    Address local = 0;
-    std::uint64_t row = 0;
-    // -- phase A results --
-    Bank::Schedule sched;
-    Cycle at_bank = 0;
-    Cycle completed = 0;
-    Cycle bank_free_at = 0;
-    std::uint32_t resp_flits = 0;
-  };
-
-  /// Time one staged submission against its quadrant's link and bank
-  /// (phase A work — touches only shard-local state).
-  void time_staged(StagedSubmit& entry);
-  /// Commit one timed submission: stats, telemetry, checker hooks,
-  /// response enqueue (phase B work — serial, global staging order).
-  void commit_staged(StagedSubmit& entry);
-
   /// Min-heap order of pending_: earliest completion, then lowest id.
   struct PendingGreater {
     bool operator()(const HmcResponse& a, const HmcResponse& b) const {
@@ -288,8 +221,6 @@ class HmcDevice {
   EventSink* sink_ = nullptr;
   std::unique_ptr<HmcChecker> checker_;
   Fault fault_ = Fault::kNone;
-  bool staged_mode_ = false;
-  std::vector<StagedSubmit> staged_;  ///< global staging order (= seq order)
 };
 
 }  // namespace mac3d

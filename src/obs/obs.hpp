@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -130,73 +129,6 @@ class EventSink {
     (void)dest;
     (void)cycle;
   }
-};
-
-/// Per-shard mailbox for the parallel engine (docs/PARALLELISM.md): each
-/// shard stamps into its own BufferedSink during the concurrent phase (no
-/// cross-thread access), and the engine flushes the buffers to the real
-/// sink *after* the barrier, one shard at a time in canonical shard order.
-/// Stage/merge interleaving within a shard is preserved verbatim, so
-/// downstream consumers (lifecycle tracer, event traces) see exactly the
-/// stamp stream the serial engine would have produced.
-class BufferedSink final : public EventSink {
- public:
-  void on_stage(Stage stage, ThreadId tid, Tag tag, Cycle cycle) override {
-    events_.push_back({Event::kStage, stage, Hop{}, tid, tag, 0, 0, cycle});
-  }
-
-  void on_merge(ThreadId tid, Tag tag, ThreadId leader_tid, Tag leader_tag,
-                Cycle cycle) override {
-    events_.push_back({Event::kMerge, Stage::kMerge, Hop{}, tid, tag,
-                       leader_tid, leader_tag, cycle});
-  }
-
-  void on_hop(Hop hop, ThreadId tid, Tag tag, NodeId src, NodeId dest,
-              Cycle cycle) override {
-    events_.push_back(
-        {Event::kHop, Stage{}, hop, tid, tag, src, dest, cycle});
-  }
-
-  /// Replay all buffered events into `downstream` in stamp order, then
-  /// clear the buffer. Callers serialize flushes across shards.
-  void flush(EventSink& downstream) {
-    for (const Event& event : events_) {
-      switch (event.kind) {
-        case Event::kStage:
-          downstream.on_stage(event.stage, event.tid, event.tag, event.cycle);
-          break;
-        case Event::kMerge:
-          downstream.on_merge(event.tid, event.tag,
-                              static_cast<ThreadId>(event.a),
-                              static_cast<Tag>(event.b), event.cycle);
-          break;
-        case Event::kHop:
-          downstream.on_hop(event.hop, event.tid, event.tag,
-                            static_cast<NodeId>(event.a),
-                            static_cast<NodeId>(event.b), event.cycle);
-          break;
-      }
-    }
-    events_.clear();
-  }
-
-  [[nodiscard]] std::size_t buffered() const noexcept {
-    return events_.size();
-  }
-
- private:
-  struct Event {
-    enum Kind : std::uint8_t { kStage, kMerge, kHop };
-    Kind kind;
-    Stage stage;
-    Hop hop;
-    ThreadId tid;
-    Tag tag;
-    std::uint16_t a;  ///< merge: leader tid; hop: src node
-    std::uint16_t b;  ///< merge: leader tag; hop: dest node
-    Cycle cycle;
-  };
-  std::vector<Event> events_;
 };
 
 }  // namespace mac3d

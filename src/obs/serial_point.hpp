@@ -1,12 +1,12 @@
 // The serial point every cycle loop shares (docs/PARALLELISM.md): once a
-// visited cycle's work is done — on the parallel engines, once its barrier
-// has committed — the loop observes the idle-cycle census, advances the
-// cycle sampler and the snapshot streamer, and polls the stall watchdog.
+// visited cycle's work is done, the loop observes the idle-cycle census,
+// advances the cycle sampler and the snapshot streamer, and polls the
+// stall watchdog.
 // On the event clock it then jumps to the next wake, landing on every
 // snapshot boundary and crediting the skipped span before the landing
 // tick. The streaming driver (src/sim/driver.cpp) and the multi-node
-// System (src/arch/system.cpp) both run through it, so every engine
-// evaluates every probe at the same simulated cycles with the same state.
+// System (src/arch/system.cpp) both run through it, so both engines
+// evaluate every probe at the same simulated cycles with the same state.
 #pragma once
 
 #include <algorithm>
@@ -55,7 +55,6 @@ class SerialPoint {
   }
 
   void start_laps() const noexcept { mac3d::start_laps(profiler_); }
-  void lap(HostPhase phase) const noexcept { mac3d::lap(profiler_, phase); }
   void mark_feeder(Cycle now) const noexcept {
     if (census_ != nullptr) census_->mark_feeder(now);
   }
@@ -103,6 +102,8 @@ class SerialPoint {
   }
 
  private:
+  void lap(HostPhase phase) const noexcept { mac3d::lap(profiler_, phase); }
+
   ActivityCensus* census_;
   CycleSampler* sampler_;
   SnapshotStreamer* snapshot_;

@@ -5,14 +5,13 @@
 // elapsed window — the in-run view the end-of-run exports cannot give.
 //
 // Determinism contract: snapshot boundaries are mandatory landing cycles
-// for the event engines. Engines clamp their fast-forward target with
+// for the event engine. It clamps its fast-forward target with
 // next_boundary(now) so no boundary ever falls inside a skipped span,
 // then credit the skip to the census/samplers as usual; the streamer is
-// advanced at the same serial point as the CycleSampler. Because every
-// engine therefore evaluates every probe at exactly the same cycles with
+// advanced at the same serial point as the CycleSampler. Because both
+// engines therefore evaluate every probe at exactly the same cycles with
 // exactly the same component state, the JSONL stream is byte-identical
-// across serial/parallel/event/event-parallel — tests/test_snapshot.cpp
-// enforces the 4-way equality.
+// under serial and event — tests/test_snapshot.cpp enforces it.
 //
 // The StallWatchdog rides the same windows: it watches the reserved
 // `completions` counter and the derived in-flight count, and fires after
@@ -115,7 +114,7 @@ class SnapshotStreamer {
   /// watchdog_fired() at serial points to abandon the run.
   void attach_watchdog(StallWatchdog* watchdog) { watchdog_ = watchdog; }
 
-  /// First unsampled boundary strictly after `now` — the event engines'
+  /// First unsampled boundary strictly after `now` — the event engine's
   /// mandatory landing cycle (clamp the fast-forward target to this so a
   /// boundary never falls inside a skipped span).
   [[nodiscard]] Cycle next_boundary(Cycle now) const noexcept {

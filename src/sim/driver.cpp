@@ -1,14 +1,12 @@
 #include "sim/driver.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "check/check.hpp"
 #include "mem/hmc_device.hpp"
 #include "obs/obs.hpp"
 #include "obs/serial_point.hpp"
-#include "sim/parallel.hpp"
 #include "sim/path_adapters.hpp"
 #include "sim/tag_allocator.hpp"
 
@@ -453,30 +451,20 @@ class LaneGroupFeed : public Feed {
 };
 
 /// The driver's one cycle loop (docs/PARALLELISM.md). Each visited cycle
-/// the feed presents requests, the path ticks, the parallel engines'
-/// barrier commits the device's staged work, completions drain back to
+/// the feed presents requests, the path ticks, completions drain back to
 /// the feed, and the serial point observes the cycle. The step clock then
 /// moves on one cycle; the event clock jumps to the earlier of the feed's
 /// next arrival and the path's next event.
 template <typename Path, typename FeedT>
-void run_loop(Path& path, FeedT feed, HmcDevice& device,
-              const DriveOptions& options, const SerialPoint& serial,
-              LoopResult& result) {
-  std::unique_ptr<ParallelStepper> pool;
-  if (engine_is_parallel(options.engine)) {
-    pool = std::make_unique<ParallelStepper>(options.engine_threads);
-    device.begin_staged();
-  }
-  const bool event = engine_is_event(options.engine);
+void run_loop(Path& path, FeedT feed, const DriveOptions& options,
+              const SerialPoint& serial, LoopResult& result) {
+  const bool event = options.engine == Engine::kEvent;
   const Cycle livelock_at = options.inject_livelock_at;
   Cycle now = 0;
   serial.start_laps();
   while (feed.pending() || !path.idle()) {
     feed.intake(path, now);
     path.tick(now);
-    serial.lap(HostPhase::kTick);
-    if (pool != nullptr) device.step_staged(*pool);
-    serial.lap(HostPhase::kCommit);
     // Livelock fault injection (watchdog testing): past the trigger cycle
     // completions are left undelivered in the path.
     if (livelock_at == 0 || now < livelock_at) {
@@ -651,15 +639,15 @@ DriverResult drive(const MemoryTrace& trace, const SimConfig& config,
   switch (options.mode) {
     case FeedMode::kClosedLoop:
       run_loop(path, ClosedLoopFeed(trace, config, threads, options, serial),
-               device, options, serial, loop);
+               options, serial, loop);
       break;
     case FeedMode::kLaneGroup:
       run_loop(path, LaneGroupFeed(trace, config, threads, options, serial),
-               device, options, serial, loop);
+               options, serial, loop);
       break;
     case FeedMode::kStreaming:
       run_loop(path, StreamingFeed(trace, config, threads, options, serial),
-               device, options, serial, loop);
+               options, serial, loop);
       break;
   }
   serial.finish(loop.makespan);

@@ -53,50 +53,32 @@ enum class FeedMode {
 };
 
 /// Which execution engine steps the memory pipeline (docs/PARALLELISM.md).
-/// All four produce bit-identical results — the cycle engines are the
-/// reference semantics, the event engines are the fast path, and
-/// tests/test_parallel_equivalence.cpp enforces the 4-way equality.
+/// Both produce bit-identical results — tests/test_parallel_equivalence.cpp
+/// enforces it. Independent runs go parallel through `--jobs` (run_jobs,
+/// src/sim/experiment.hpp), never inside one run.
 enum class Engine {
-  /// Strict cycle loop, single-threaded: ticks every component every
-  /// cycle. The reference scheduler the differential suite compares
-  /// everything else against.
+  /// Strict cycle loop: ticks every component every cycle. The reference
+  /// scheduler the differential suite compares the event engine against.
   kSerial,
-  /// Strict cycle loop, deterministic parallel: the device runs in staged
-  /// mode and a ParallelStepper times link-quadrant shards concurrently
-  /// between per-cycle barriers. Bit-identical to kSerial for any thread
-  /// count.
-  kParallel,
-  /// Event-driven fast-forward, single-threaded (the default): the
-  /// Activity oracle (`next_activity_cycle`, src/obs/profiler.hpp) is the
-  /// scheduling contract — the driver jumps the clock to the minimum
-  /// next-activity cycle instead of ticking dead cycles, crediting the
-  /// skipped span to the census/sampler before the landing tick so every
-  /// export stays byte-identical to kSerial.
+  /// Event-driven fast-forward (the default): the Activity oracle
+  /// (`next_activity_cycle`, src/obs/profiler.hpp) is the scheduling
+  /// contract — the driver jumps the clock to the minimum next-activity
+  /// cycle instead of ticking dead cycles, crediting the skipped span to
+  /// the census/sampler before the landing tick so every export stays
+  /// byte-identical to kSerial.
   kEvent,
-  /// Event-driven fast-forward over the staged parallel engine.
-  kEventParallel,
+  /// perf/ only: it still names the retired event-parallel engine, which
+  /// now runs kEvent. ROADMAP item 1 deletes it with perf's speedup rows.
+  kEventParallel = kEvent,
 };
-
-/// True for the engines that fast-forward over provably-dead cycles.
-[[nodiscard]] constexpr bool engine_is_event(Engine engine) noexcept {
-  return engine == Engine::kEvent || engine == Engine::kEventParallel;
-}
-
-/// True for the engines that run the staged parallel pipeline.
-[[nodiscard]] constexpr bool engine_is_parallel(Engine engine) noexcept {
-  return engine == Engine::kParallel || engine == Engine::kEventParallel;
-}
 
 struct DriveOptions {
   FeedMode mode = FeedMode::kStreaming;
-  /// Execution engine for the run. All engines produce bit-identical
-  /// results (tests/test_parallel_equivalence.cpp enforces the 4-way
-  /// matrix); kEvent is the fast default.
+  /// Execution engine for the run. Both engines produce bit-identical
+  /// results (tests/test_parallel_equivalence.cpp); kEvent is the fast
+  /// default.
   Engine engine = Engine::kEvent;
-  /// Worker threads for the parallel engines (0 = hardware concurrency,
-  /// 1 = the parallel code path with inline execution). Ignored by the
-  /// serial engines. The thread count never changes results, only
-  /// wall-clock.
+  /// perf/ only: nothing reads it. ROADMAP item 1 deletes it.
   std::uint32_t engine_threads = 0;
   /// Streaming feeder: per-thread MSHR-style tag pool size (simultaneously
   /// outstanding requests per thread). 0 = the full 2 B tag space, which
@@ -132,8 +114,8 @@ struct DriveOptions {
   /// when the build disables MAC3D_OBS.
   ActivityCensus* census = nullptr;
   /// Host wall-clock attribution: when non-null, the driver laps its
-  /// tick / commit / telemetry / sampler phases, which partition the feed
-  /// loop's wall time. Host time never feeds back into simulated results.
+  /// tick / telemetry / sampler phases, which partition the feed loop's
+  /// wall time. Host time never feeds back into simulated results.
   /// Ignored when the build disables MAC3D_OBS.
   HostProfiler* profiler = nullptr;
   /// Windowed snapshot streaming (docs/OBSERVABILITY.md §streaming
@@ -141,8 +123,8 @@ struct DriveOptions {
   /// after the path, registers the reserved injected/completions counters
   /// plus byte counters and occupancy gauges, advances the streamer at
   /// every serial point, and makes every window boundary a mandatory
-  /// landing cycle for the event engines (so the JSONL stream is
-  /// byte-identical across all four engines). If the streamer carries a
+  /// landing cycle for the event engine (so the JSONL stream is
+  /// byte-identical under both engines). If the streamer carries a
   /// StallWatchdog, the driver abandons the run the window it fires.
   /// Ignored when the build disables MAC3D_OBS.
   SnapshotStreamer* snapshot = nullptr;
@@ -151,6 +133,13 @@ struct DriveOptions {
   /// flight forever and the run can only end through a fired watchdog.
   /// 0 = disabled. Requires an attached snapshot streamer + watchdog.
   Cycle inject_livelock_at = 0;
+
+  /// Any check or telemetry hook is attached. Each one captures per-run
+  /// state, so runs sharing these options must go one at a time.
+  [[nodiscard]] bool hooks_attached() const noexcept {
+    return checks != nullptr || sink != nullptr || sampler != nullptr ||
+           census != nullptr || profiler != nullptr || snapshot != nullptr;
+  }
 };
 
 struct DriverResult {

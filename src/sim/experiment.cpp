@@ -1,10 +1,12 @@
 #include "sim/experiment.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
 #include <optional>
-
-#include "sim/parallel.hpp"
+#include <thread>
 
 namespace mac3d {
 namespace {
@@ -68,18 +70,37 @@ std::vector<WorkloadRun> run_suite(const SuiteOptions& options) {
     if (options.run_warp) run.warp = drive(CoalescerPolicy::kWarp);
   };
 
-  // Shared telemetry/check hooks capture per-run state (probe windows,
-  // stamp streams), so they force the one-run-at-a-time schedule.
-  const bool hooks_attached = options.drive.checks != nullptr ||
-                              options.drive.sink != nullptr ||
-                              options.drive.sampler != nullptr;
-  if (options.jobs == 1 || hooks_attached || selected.size() <= 1) {
-    for (std::size_t i = 0; i < selected.size(); ++i) run_one(i);
-  } else {
-    ParallelStepper stepper(options.jobs);
-    stepper.for_shards(selected.size(), run_one);
-  }
+  // Shared check and telemetry hooks capture per-run state (probe rows,
+  // windows, stamp streams), so they force one run at a time.
+  run_jobs(selected.size(), options.drive.hooks_attached() ? 1 : options.jobs,
+           run_one);
   return runs;
+}
+
+void run_jobs(std::size_t count, std::uint32_t jobs,
+              const std::function<void(std::size_t)>& task) {
+  if (jobs == 0) jobs = std::max(1u, std::thread::hardware_concurrency());
+  std::atomic<std::size_t> next{0};
+  std::mutex mutex;
+  std::exception_ptr error;  // guarded by mutex
+  const auto work = [&] {
+    for (std::size_t i = next++; i < count; i = next++) {
+      try {
+        task(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        if (error == nullptr) error = std::current_exception();
+      }
+    }
+  };
+  {
+    std::vector<std::jthread> helpers;
+    for (std::size_t t = 1; t < std::min<std::size_t>(jobs, count); ++t) {
+      helpers.emplace_back(work);
+    }
+    work();
+  }  // the helpers join here
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 double env_scale() { return env_number("MAC3D_SCALE", kScale).value_or(1.0); }

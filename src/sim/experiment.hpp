@@ -3,8 +3,12 @@
 // every metric the paper's figures report.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/config.hpp"
@@ -25,11 +29,10 @@ struct SuiteOptions {
   bool run_warp = false;
   std::vector<std::string> only;  ///< restrict to these workloads if set
   /// Worker threads for the suite (docs/PARALLELISM.md): workloads are
-  /// independent runs, so they execute as parallel tasks with results
-  /// committed into registry-order slots — output is identical for any
-  /// jobs value. 0 = hardware concurrency; 1 = serial. Falls back to
-  /// serial when `drive` carries shared telemetry/check hooks (those
-  /// capture per-run state and must observe runs one at a time).
+  /// independent runs, so run_jobs runs them concurrently and each writes
+  /// its registry-order slot — output is identical for any jobs value.
+  /// 0 = hardware concurrency; 1 = one at a time, as whenever `drive`
+  /// carries a check or telemetry hook (DriveOptions::hooks_attached).
   std::uint32_t jobs = 1;
   /// Per-run driver options (engine, feed mode, tag pool, hooks). The
   /// suite forwards it to every run_policy call; each path's geometry
@@ -69,14 +72,22 @@ struct WorkloadRun {
 };
 
 /// Generate each workload's trace once and run it through the requested
-/// paths. Workloads run in registry (figure) order.
+/// paths. Results come back in registry (figure) order.
 [[nodiscard]] std::vector<WorkloadRun> run_suite(const SuiteOptions& options);
+
+/// Run task(0) .. task(count - 1) on at most min(jobs, count) threads, the
+/// caller's included; each thread takes the next index until none is
+/// left. jobs == 0 means the hardware concurrency. Every thread is joined
+/// before the first exception a task threw is rethrown, so every other
+/// task has run by then.
+void run_jobs(std::size_t count, std::uint32_t jobs,
+              const std::function<void(std::size_t)>& task);
 
 /// What the run-size inputs accept; each environment variable below and
 /// its CLI flag share one range. Thread streams and nodes: ThreadId and
 /// NodeId are 16-bit.
 inline constexpr NumberRange<std::uint32_t> kIdCount{1, 65536};
-/// Workers: each is an OS thread started up front; 0 = the default.
+/// Workers: at most one OS thread per run; 0 = the default.
 inline constexpr NumberRange<std::uint32_t> kWorkers{0, 256};
 /// Dataset scale: positive, and bounded so that every workload's scaled
 /// element count (WorkloadParams::scaled; bases stay below 2^23) fits in
@@ -96,6 +107,17 @@ inline constexpr NumberRange<double> kScale{0.0, 1e6, true};
 
 /// Worker count from MAC3D_JOBS in kWorkers (0 or unset = `fallback`).
 [[nodiscard]] std::uint32_t env_jobs(std::uint32_t fallback = 1);
+
+/// A command-line argument inside `range`; throws ConfigError naming the
+/// argument and what is accepted otherwise (the examples' argv reader).
+template <typename T>
+[[nodiscard]] T parse_arg(std::string_view text, const NumberRange<T>& range) {
+  const std::optional<T> value = parse_number<T>(text, range);
+  if (!value) {
+    throw ConfigError(std::string(text) + ": want " + range.describe());
+  }
+  return *value;
+}
 
 /// Default suite options: Table 1 config + env overrides applied.
 [[nodiscard]] SuiteOptions default_suite_options();

@@ -28,7 +28,6 @@
 #include "common/types.hpp"
 #include "mac/coalescer.hpp"
 #include "mem/hmc_device.hpp"
-#include "sim/parallel.hpp"
 #include "sim/raw_path.hpp"
 
 namespace mac3d {
@@ -304,13 +303,10 @@ TEST(DeviceOracle, NextCompletionIsExactNotJustConservative) {
 
 // ------------------------------------ device busy-until thresholds (cache)
 
-/// Drive a seeded random submit stream through `device` — inline, or
-/// staged with a step_staged barrier per cycle when `stepper` is given —
-/// and check, for every cycle up to the last completion, that the cached
-/// O(1) thresholds agree with a scan of every bank.
-void expect_thresholds_match_bank_scan(HmcDevice& device,
-                                       ParallelStepper* stepper,
-                                       std::uint64_t seed,
+/// Drive a seeded random submit stream through `device` and check, for
+/// every cycle up to the last completion, that the cached O(1) thresholds
+/// agree with a scan of every bank.
+void expect_thresholds_match_bank_scan(HmcDevice& device, std::uint64_t seed,
                                        const SimConfig& config) {
   Xoshiro256 rng(seed);
   constexpr std::uint32_t kRequests = 600;
@@ -338,7 +334,6 @@ void expect_thresholds_match_bank_scan(HmcDevice& device,
       device.submit(std::move(request), now);
       ++submitted;
     }
-    if (stepper != nullptr) device.step_staged(*stepper);
     completed += static_cast<std::uint32_t>(device.drain(now).size());
 
     EXPECT_EQ(device.did_work_this_cycle(now),
@@ -366,24 +361,14 @@ TEST_P(BusyUntilCache, ThresholdsMatchTheBankScan) {
     config.open_page = open_page;
     config.t_refi = 3000;  // refresh on, dense enough to stall accesses
     config.t_rfc = 200;
-    ParallelStepper one(1);
-    ParallelStepper four(4);
-    for (ParallelStepper* stepper : {static_cast<ParallelStepper*>(nullptr),
-                                     &one, &four}) {
-      SCOPED_TRACE(stepper == nullptr ? "inline"
-                   : stepper == &one  ? "staged, 1 shard thread"
-                                      : "staged, 4 shard threads");
-      HmcDevice device(config, 0);
-      if (stepper != nullptr) device.begin_staged();
-      expect_thresholds_match_bank_scan(device, stepper, GetParam(), config);
-      // reset() clears the thresholds in place; a second stream from
-      // cycle 0 must agree again.
-      device.reset();
-      EXPECT_EQ(device.banks_busy_until(), 0u);
-      expect_thresholds_match_bank_scan(device, stepper, GetParam() + 1,
-                                        config);
-      if (::testing::Test::HasFailure()) return;
-    }
+    HmcDevice device(config, 0);
+    expect_thresholds_match_bank_scan(device, GetParam(), config);
+    // reset() clears the thresholds in place; a second stream from cycle 0
+    // must agree again.
+    device.reset();
+    EXPECT_EQ(device.banks_busy_until(), 0u);
+    expect_thresholds_match_bank_scan(device, GetParam() + 1, config);
+    if (::testing::Test::HasFailure()) return;
   }
 }
 

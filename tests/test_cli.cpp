@@ -1,9 +1,10 @@
 // CLI contract: the built `mac3d` binary stops malformed input at the
 // boundary with one stderr line and exit 2, and still runs well-formed
-// command lines. Caps are probed through `mac3d config`, which validates
-// without building a System, and only with the first value past each cap,
-// so a missed check can never start thousands of threads or nodes. Every
-// simulating run stays at --scale 0.01 --threads 4.
+// command lines; so do the examples that read numbers from argv. Caps are
+// probed through `mac3d config`, which validates without building a
+// System, or through the argv walk, and only with the first value past
+// each cap, so a missed check can never start thousands of threads or
+// nodes. Every simulating run stays at --scale 0.01 --threads 4.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -38,13 +39,14 @@ class Cli : public ::testing::Test {
     std::string err;
   };
 
-  /// Runs `mac3d <args>` in the scratch directory with the `env`
+  /// Runs `<binary> <args>` in the scratch directory with the `env`
   /// assignments ("NAME=value ...") in its environment; stdout is
   /// discarded.
-  Outcome mac3d(const std::string& args, const std::string& env = "") const {
+  Outcome exec(const std::string& binary, const std::string& args,
+               const std::string& env = "") const {
     const fs::path err = dir_ / "stderr.txt";
     const std::string command = "cd '" + dir_.string() + "' && " + env +
-                                " '" + std::string(MAC3D_CLI) + "' " + args +
+                                " '" + binary + "' " + args +
                                 " > /dev/null 2> '" + err.string() + "'";
     const int status = std::system(command.c_str());
     Outcome outcome;
@@ -57,14 +59,22 @@ class Cli : public ::testing::Test {
     outcome.err = text.str();
     return outcome;
   }
+  Outcome mac3d(const std::string& args, const std::string& env = "") const {
+    return exec(MAC3D_CLI, args, env);
+  }
 
   /// Malformed input: exactly one stderr line and exit 2.
+  void expect_rejected_by(const std::string& binary, const std::string& args,
+                          const std::string& env = "") const {
+    const Outcome outcome = exec(binary, args, env);
+    EXPECT_EQ(outcome.exit_code, 2) << binary << " " << args << "\n"
+                                    << outcome.err;
+    EXPECT_EQ(std::count(outcome.err.begin(), outcome.err.end(), '\n'), 1)
+        << binary << " " << args << "\n" << outcome.err;
+  }
   void expect_rejected(const std::string& args,
                        const std::string& env = "") const {
-    const Outcome outcome = mac3d(args, env);
-    EXPECT_EQ(outcome.exit_code, 2) << args << "\n" << outcome.err;
-    EXPECT_EQ(std::count(outcome.err.begin(), outcome.err.end(), '\n'), 1)
-        << args << "\n" << outcome.err;
+    expect_rejected_by(MAC3D_CLI, args, env);
   }
 
   fs::path dir_;
@@ -88,6 +98,13 @@ TEST_F(Cli, RemovedSpellingsExit2) {
   expect_rejected(run + "--closed-loop");
   expect_rejected(run + "--engine cycle");
   expect_rejected(run + "--engine cycle-parallel");
+  // The in-cycle parallel engines are retired; --jobs is the parallelism.
+  for (const std::string command : {"run ", "suite ", "system "}) {
+    const std::string small = command + kSmall + " ";
+    expect_rejected(small + "--engine parallel");
+    expect_rejected(small + "--engine event-parallel");
+    expect_rejected(small + "--engine-threads 2");
+  }
 }
 
 TEST_F(Cli, BadConfigValuesExit2) {
@@ -107,7 +124,6 @@ TEST_F(Cli, OutOfRangeBoundsExit2) {
   // The flag walk rejects these before `run` simulates anything.
   const std::string run = "run --scale 0.01 --paths raw ";
   expect_rejected(run + "--threads 65537");
-  expect_rejected(run + "--engine-threads 257");
   expect_rejected(run + "--jobs 257");
   expect_rejected(run + "--tag-pool 65537");
   expect_rejected("run --workload sg --scale 1e30 --threads 4 --paths raw");
@@ -151,6 +167,26 @@ TEST_F(Cli, TraceBeyondMainMemoryExits2) {
   expect_rejected(std::string("system ") + kSmall +
                   " --nodes 4 --trace far.trace");
 }
+
+#ifdef MAC3D_EXAMPLES_DIR
+TEST_F(Cli, ExamplesRejectMalformedArgumentsWithExit2) {
+  const std::string dir = MAC3D_EXAMPLES_DIR "/";
+  const std::string numa = dir + "numa_multinode";
+  const std::string graph = dir + "graph_analytics";
+  const std::string spmv = dir + "spmv_hpcg";
+  expect_rejected_by(numa, "0");
+  expect_rejected_by(numa, "16385");  // 16385 x 4 cores > 65536 threads
+  expect_rejected_by(numa, "2 1000001");
+  expect_rejected_by(numa, "", "MAC3D_CONFIG=vaults=3");
+  expect_rejected_by(graph, "0");
+  expect_rejected_by(graph, "1000001");
+  expect_rejected_by(graph, "0.01 65537");
+  expect_rejected_by(graph, "0.01 4", "MAC3D_CONFIG=vaults=3");
+  expect_rejected_by(spmv, "abc");
+  expect_rejected_by(spmv, "--csv 1000001");
+  EXPECT_EQ(exec(spmv, "--csv 0.01").exit_code, 0);
+}
+#endif
 
 TEST_F(Cli, WellFormedRunsExit0) {
   EXPECT_EQ(mac3d(std::string("run ") + kSmall +

@@ -1,16 +1,19 @@
-// Differential equivalence suite for the deterministic engines
-// (docs/PARALLELISM.md): every engine — Engine::kParallel (node-sharded),
-// Engine::kEvent (fast-forward) and Engine::kEventParallel — must be
-// bit-identical to Engine::kSerial: same StatSets (compared as
-// full-precision JSON), same run reports, same invariant-check counters,
-// same idle-census exports — for every path, feed mode and worker count.
-// System::run_parallel / run_event / run_event_parallel must likewise
-// match System::run. Randomized-config fuzz loops (streaming paths and
-// multi-node Systems) widen the net beyond the hand-picked grid, and the
-// unwind tests throw out of every engine's loop mid-run.
+// Differential equivalence suite for the two engines (docs/PARALLELISM.md):
+// Engine::kEvent (fast-forward) must be bit-identical to Engine::kSerial:
+// same StatSets (compared as full-precision JSON), same run reports, same
+// invariant-check counters, same idle-census exports — for every path and
+// feed mode. System::run_event must likewise match System::run.
+// Randomized-config fuzz loops (streaming paths and multi-node Systems)
+// widen the net beyond the hand-picked grid, and the unwind tests throw
+// out of both engines' loops mid-run. The run-level `--jobs` fan-out
+// (run_jobs) must leave every result identical for any jobs value.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <fstream>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,6 +28,7 @@
 #include "obs/sampler.hpp"
 #include "obs/snapshot.hpp"
 #include "sim/driver.hpp"
+#include "sim/experiment.hpp"
 #include "trace/trace.hpp"
 
 namespace mac3d {
@@ -91,38 +95,28 @@ std::string run_fingerprint(const std::string& path, const MemoryTrace& trace,
 }
 
 const char* engine_name(Engine engine) {
-  switch (engine) {
-    case Engine::kSerial: return "serial";
-    case Engine::kParallel: return "parallel";
-    case Engine::kEvent: return "event";
-    case Engine::kEventParallel: return "eventparallel";
-  }
-  return "unknown";
+  return engine == Engine::kSerial ? "serial" : "event";
 }
 
 struct GridCase {
   const char* path;
   FeedMode mode;
-  Engine engine;
-  std::uint32_t engine_threads;
 };
 
 const char* mode_name(FeedMode mode) {
   switch (mode) {
-    case FeedMode::kStreaming: return "_streaming_";
-    case FeedMode::kClosedLoop: return "_closedloop_";
-    case FeedMode::kLaneGroup: return "_lanegroup_";
+    case FeedMode::kStreaming: return "_streaming";
+    case FeedMode::kClosedLoop: return "_closedloop";
+    case FeedMode::kLaneGroup: return "_lanegroup";
   }
-  return "_unknown_";
+  return "_unknown";
 }
 
 std::string case_name(const ::testing::TestParamInfo<GridCase>& info) {
-  const GridCase& c = info.param;
-  return std::string(c.path) + mode_name(c.mode) + engine_name(c.engine) +
-         "_" + std::to_string(c.engine_threads) + "t";
+  return std::string(info.param.path) + mode_name(info.param.mode);
 }
 
-// ------------- paths x feed modes x engines x worker counts, full grid
+// ------------------------------------------- paths x feed modes, full grid
 class EngineGrid : public ::testing::TestWithParam<GridCase> {};
 
 TEST_P(EngineGrid, EngineMatchesSerialBitForBit) {
@@ -136,11 +130,9 @@ TEST_P(EngineGrid, EngineMatchesSerialBitForBit) {
   const std::string expected =
       run_fingerprint(c.path, trace, config, 8, serial);
 
-  DriveOptions candidate = serial;
-  candidate.engine = c.engine;
-  candidate.engine_threads = c.engine_threads;
-  const std::string actual =
-      run_fingerprint(c.path, trace, config, 8, candidate);
+  DriveOptions event = serial;
+  event.engine = Engine::kEvent;
+  const std::string actual = run_fingerprint(c.path, trace, config, 8, event);
 
   EXPECT_EQ(expected, actual);
 }
@@ -148,29 +140,21 @@ TEST_P(EngineGrid, EngineMatchesSerialBitForBit) {
 std::vector<GridCase> grid_cases() {
   std::vector<GridCase> cases;
   for (const char* path : {"mac", "raw", "mshr", "warp"}) {
-    for (const FeedMode mode : {FeedMode::kStreaming, FeedMode::kClosedLoop}) {
-      // The event engine is single-threaded; the staged engines sweep
-      // worker counts.
-      cases.push_back({path, mode, Engine::kEvent, 1});
-      for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-        cases.push_back({path, mode, Engine::kParallel, threads});
-        cases.push_back({path, mode, Engine::kEventParallel, threads});
-      }
-    }
     // The SIMT lockstep feed (a warp scheduler's issue pattern) must be
     // engine-invariant for every policy, not just the warp coalescer.
-    cases.push_back({path, FeedMode::kLaneGroup, Engine::kEvent, 1});
-    cases.push_back({path, FeedMode::kLaneGroup, Engine::kParallel, 4});
-    cases.push_back({path, FeedMode::kLaneGroup, Engine::kEventParallel, 4});
+    for (const FeedMode mode : {FeedMode::kStreaming, FeedMode::kClosedLoop,
+                                FeedMode::kLaneGroup}) {
+      cases.push_back({path, mode});
+    }
   }
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPathsModesEnginesThreads, EngineGrid,
+INSTANTIATE_TEST_SUITE_P(AllPathsAndFeeds, EngineGrid,
                          ::testing::ValuesIn(grid_cases()), case_name);
 
 // ----------------------------------------------------- run-report parity
-TEST(ReportEquivalence, SerialAndParallelReportsRenderIdentically) {
+TEST(ReportEquivalence, SerialAndEventReportsRenderIdentically) {
   SimConfig config;
   const MemoryTrace trace = locality_trace(0.5, 8, 250, 29);
 
@@ -181,7 +165,6 @@ TEST(ReportEquivalence, SerialAndParallelReportsRenderIdentically) {
     LifecycleTracer tracer;
     DriveOptions options;
     options.engine = engine;
-    options.engine_threads = 4;
     options.sink = &tracer;
     std::vector<DriverResult> results;
     for (const char* path : {"raw", "mac", "mshr", "warp"}) {
@@ -210,41 +193,12 @@ TEST(ReportEquivalence, SerialAndParallelReportsRenderIdentically) {
   };
 
   // The report deliberately carries no engine marker (apps/mac3d_cli.cpp),
-  // so reports of the same run under any engine are the same bytes — the
-  // CI equivalence jobs diff them as artifacts.
-  const std::string reference = render(Engine::kSerial);
-  EXPECT_EQ(reference, render(Engine::kParallel));
-  EXPECT_EQ(reference, render(Engine::kEvent));
-  EXPECT_EQ(reference, render(Engine::kEventParallel));
+  // so reports of the same run under either engine are the same bytes —
+  // the CI equivalence job diffs them as artifacts.
+  EXPECT_EQ(render(Engine::kSerial), render(Engine::kEvent));
 }
 
 // ---------------------------------- closed-loop System engine equivalence
-TEST(SystemEquivalence, RunParallelMatchesRunAcrossThreadCounts) {
-  SimConfig config;
-  config.nodes = 2;
-  config.cores = 2;
-  ASSERT_GE(config.remote_hop_cycles, 1u);
-  const MemoryTrace trace = locality_trace(0.5, 8, 200, 41);
-
-  System reference(config);
-  reference.attach_trace(trace);
-  const SystemRunSummary expected = reference.run();
-  ASSERT_TRUE(expected.completed);
-
-  for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-    System system(config);
-    system.attach_trace(trace);
-    const SystemRunSummary actual = system.run_parallel(threads);
-    EXPECT_TRUE(actual.completed) << threads << " threads";
-    EXPECT_EQ(expected.cycles, actual.cycles) << threads << " threads";
-    EXPECT_EQ(expected.requests, actual.requests) << threads << " threads";
-    EXPECT_EQ(expected.completions, actual.completions)
-        << threads << " threads";
-    EXPECT_EQ(expected.stats.to_json(), actual.stats.to_json())
-        << threads << " threads";
-  }
-}
-
 TEST(SystemEquivalence, RunEventMatchesRunAndSkipsCycles) {
   SimConfig config;
   config.nodes = 2;
@@ -271,51 +225,18 @@ TEST(SystemEquivalence, RunEventMatchesRunAndSkipsCycles) {
   EXPECT_GT(actual.visited_cycles, 0u);
 }
 
-TEST(SystemEquivalence, RunEventParallelMatchesRunAcrossThreadCounts) {
-  SimConfig config;
-  config.nodes = 2;
-  config.cores = 2;
-  const MemoryTrace trace = locality_trace(0.5, 8, 200, 41);
-
-  System reference(config);
-  reference.attach_trace(trace);
-  const SystemRunSummary expected = reference.run();
-  ASSERT_TRUE(expected.completed);
-
-  for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-    System system(config);
-    system.attach_trace(trace);
-    const SystemRunSummary actual = system.run_event_parallel(threads);
-    EXPECT_TRUE(actual.completed) << threads << " threads";
-    EXPECT_EQ(expected.cycles, actual.cycles) << threads << " threads";
-    EXPECT_EQ(expected.requests, actual.requests) << threads << " threads";
-    EXPECT_EQ(expected.completions, actual.completions)
-        << threads << " threads";
-    EXPECT_EQ(expected.stats.to_json(), actual.stats.to_json())
-        << threads << " threads";
-    EXPECT_LT(actual.visited_cycles, actual.cycles) << threads << " threads";
-  }
-}
-
-TEST(SystemEquivalence, CensusAndMetricsMatchAcrossAllFourSystemEngines) {
+TEST(SystemEquivalence, CensusAndMetricsMatchUnderBothSystemEngines) {
   SimConfig config;
   config.nodes = 2;
   config.cores = 2;
   const MemoryTrace trace = locality_trace(0.5, 8, 150, 59);
 
-  // 0 = run, 1 = run_parallel, 2 = run_event, 3 = run_event_parallel.
-  const auto fingerprint = [&](int engine) {
+  const auto fingerprint = [&](bool event) {
     System system(config);
     ActivityCensus census;
     system.attach_census(&census);
     system.attach_trace(trace);
-    SystemRunSummary summary;
-    switch (engine) {
-      case 0: summary = system.run(); break;
-      case 1: summary = system.run_parallel(4); break;
-      case 2: summary = system.run_event(); break;
-      default: summary = system.run_event_parallel(4); break;
-    }
+    const SystemRunSummary summary = event ? system.run_event() : system.run();
     EXPECT_TRUE(summary.completed);
     census.seal();
     StatSet metrics;
@@ -323,10 +244,7 @@ TEST(SystemEquivalence, CensusAndMetricsMatchAcrossAllFourSystemEngines) {
     return census.to_json() + "\n" + metrics.to_json();
   };
 
-  const std::string reference = fingerprint(0);
-  EXPECT_EQ(reference, fingerprint(1));
-  EXPECT_EQ(reference, fingerprint(2));
-  EXPECT_EQ(reference, fingerprint(3));
+  EXPECT_EQ(fingerprint(false), fingerprint(true));
 }
 
 TEST(SystemEquivalence, MetricsSectionsAreByteIdentical) {
@@ -335,11 +253,10 @@ TEST(SystemEquivalence, MetricsSectionsAreByteIdentical) {
   config.cores = 2;
   const MemoryTrace trace = locality_trace(0.5, 8, 200, 61);
 
-  const auto export_metrics = [&](bool parallel) {
+  const auto export_metrics = [&](bool event) {
     System system(config);
     system.attach_trace(trace);
-    const SystemRunSummary summary =
-        parallel ? system.run_parallel(4) : system.run();
+    const SystemRunSummary summary = event ? system.run_event() : system.run();
     EXPECT_TRUE(summary.completed);
     StatSet metrics;
     system.collect_metrics(summary, metrics);
@@ -349,8 +266,7 @@ TEST(SystemEquivalence, MetricsSectionsAreByteIdentical) {
   };
 
   const std::string serial = export_metrics(false);
-  const std::string parallel = export_metrics(true);
-  EXPECT_EQ(serial, parallel);
+  EXPECT_EQ(serial, export_metrics(true));
   // Non-trivial export: per-node and fabric namespaces are populated.
   EXPECT_NE(serial.find("node3.router.routed"), std::string::npos);
   EXPECT_NE(serial.find("fabric.link01.requests"), std::string::npos);
@@ -358,7 +274,7 @@ TEST(SystemEquivalence, MetricsSectionsAreByteIdentical) {
 }
 
 TEST(SystemEquivalence, SingleNodeNeedsNoFabricAndStillMatches) {
-  SimConfig config;  // nodes = 1: no fabric, node shard count is 1
+  SimConfig config;  // nodes = 1: no fabric
   const MemoryTrace trace = locality_trace(0.7, 4, 200, 43);
 
   System reference(config);
@@ -367,39 +283,28 @@ TEST(SystemEquivalence, SingleNodeNeedsNoFabricAndStillMatches) {
 
   System system(config);
   system.attach_trace(trace);
-  const SystemRunSummary actual = system.run_parallel(4);
+  const SystemRunSummary actual = system.run_event();
   EXPECT_EQ(expected.stats.to_json(), actual.stats.to_json());
 }
 
 TEST(SystemEquivalence, ZeroHopFabricIsRejectedByEveryEngine) {
-  // A zero-hop fabric is unreproducible under the staged schedule, so all
-  // four engines must refuse it identically — the serial engines accepting
-  // what the staged ones reject would silently break the equivalence
-  // contract (the historical behavior this pins down).
+  // A zero-hop fabric delivers within the sending cycle, which per-node
+  // wake cannot reproduce, so both engines must refuse it identically —
+  // run() accepting what run_event() rejects would silently break the
+  // equivalence contract.
   SimConfig config;
   config.nodes = 2;
   config.remote_hop_cycles = 0;
   const MemoryTrace trace = locality_trace(0.5, 4, 50, 47);
-  for (int engine = 0; engine < 4; ++engine) {
+  {
     System system(config);
     system.attach_trace(trace);
-    switch (engine) {
-      case 0:
-        EXPECT_THROW(system.run(), std::invalid_argument) << "run";
-        break;
-      case 1:
-        EXPECT_THROW(system.run_parallel(2), std::invalid_argument)
-            << "run_parallel";
-        break;
-      case 2:
-        EXPECT_THROW(system.run_event(), std::invalid_argument)
-            << "run_event";
-        break;
-      default:
-        EXPECT_THROW(system.run_event_parallel(2), std::invalid_argument)
-            << "run_event_parallel";
-        break;
-    }
+    EXPECT_THROW(system.run(), std::invalid_argument) << "run";
+  }
+  {
+    System system(config);
+    system.attach_trace(trace);
+    EXPECT_THROW(system.run_event(), std::invalid_argument) << "run_event";
   }
   // A single node never crosses the fabric, so zero hops stays legal there.
   SimConfig single = config;
@@ -414,13 +319,12 @@ TEST(SystemEquivalence, ChecksMatchUnderBothEngines) {
   config.nodes = 2;
   const MemoryTrace trace = locality_trace(0.6, 8, 150, 53);
 
-  const auto counters = [&](bool parallel) {
+  const auto counters = [&](bool event) {
     System system(config);
     system.attach_trace(trace);
     CheckContext checks(CheckContext::FailMode::kCount);
     system.attach_checks(&checks);
-    const SystemRunSummary summary =
-        parallel ? system.run_parallel(4) : system.run();
+    const SystemRunSummary summary = event ? system.run_event() : system.run();
     EXPECT_TRUE(summary.completed);
     checks.finalize();
     return std::pair<std::uint64_t, std::uint64_t>(checks.checks_run(),
@@ -428,10 +332,10 @@ TEST(SystemEquivalence, ChecksMatchUnderBothEngines) {
   };
 
   const auto serial = counters(false);
-  const auto parallel = counters(true);
-  EXPECT_EQ(serial.first, parallel.first);
-  EXPECT_EQ(serial.second, parallel.second);
-  EXPECT_EQ(parallel.second, 0u);
+  const auto event = counters(true);
+  EXPECT_EQ(serial.first, event.first);
+  EXPECT_EQ(serial.second, event.second);
+  EXPECT_EQ(event.second, 0u);
 }
 
 // ------------------------------------ per-node wake in the System engines
@@ -462,11 +366,9 @@ struct ObservedSystemRun {
   std::uint64_t violations = 0;
 };
 
-enum class SystemEngine { kRun, kParallel, kEvent, kEventParallel };
-
-ObservedSystemRun observed_system_run(
-    const SimConfig& config, const MemoryTrace& trace, SystemEngine engine,
-    std::uint32_t threads = 2, Cycle max_cycles = 2'000'000'000ULL) {
+ObservedSystemRun observed_system_run(const SimConfig& config,
+                                      const MemoryTrace& trace, Engine engine,
+                                      Cycle max_cycles = 2'000'000'000ULL) {
   System system(config);
   ActivityCensus census;
   CycleSampler sampler(97);
@@ -478,18 +380,8 @@ ObservedSystemRun observed_system_run(
   system.attach_checks(&checks);
   system.attach_trace(trace);
   ObservedSystemRun out;
-  switch (engine) {
-    case SystemEngine::kRun: out.summary = system.run(max_cycles); break;
-    case SystemEngine::kParallel:
-      out.summary = system.run_parallel(threads, max_cycles);
-      break;
-    case SystemEngine::kEvent:
-      out.summary = system.run_event(max_cycles);
-      break;
-    case SystemEngine::kEventParallel:
-      out.summary = system.run_event_parallel(threads, max_cycles);
-      break;
-  }
+  out.summary = engine == Engine::kSerial ? system.run(max_cycles)
+                                          : system.run_event(max_cycles);
   census.seal();
   checks.finalize();
   StatSet metrics;
@@ -502,17 +394,16 @@ ObservedSystemRun observed_system_run(
   return out;
 }
 
-/// The other three engines against run(): byte-equal exports and check
-/// counters, the same visited cycles and node ticks from both event
-/// engines, and both strict engines ticking every node every cycle. The
-/// runs are capped at run()'s cycle count, so an engine that misses work
-/// fails instead of hanging. Returns run_event()'s summary.
+/// run_event() against run(): byte-equal exports and check counters, the
+/// strict engine ticking every node every cycle and the event engine no
+/// more than every node per visited cycle. The event run is capped at
+/// run()'s cycle count, so an engine that misses work fails instead of
+/// hanging. Returns run_event()'s summary.
 SystemRunSummary expect_system_engines_agree(const SimConfig& config,
                                              const MemoryTrace& trace,
-                                             std::uint32_t threads,
                                              const std::string& label) {
   const ObservedSystemRun reference =
-      observed_system_run(config, trace, SystemEngine::kRun);
+      observed_system_run(config, trace, Engine::kSerial);
   if (!reference.summary.completed) {
     ADD_FAILURE() << label << ": run() did not complete";
     return reference.summary;
@@ -521,35 +412,14 @@ SystemRunSummary expect_system_engines_agree(const SimConfig& config,
   EXPECT_EQ(reference.summary.node_ticks,
             reference.summary.cycles * config.nodes)
       << label;
-  const Cycle cap = reference.summary.cycles;
-  const ObservedSystemRun parallel = observed_system_run(
-      config, trace, SystemEngine::kParallel, threads, cap);
-  const ObservedSystemRun event =
-      observed_system_run(config, trace, SystemEngine::kEvent, threads, cap);
-  const ObservedSystemRun event_parallel = observed_system_run(
-      config, trace, SystemEngine::kEventParallel, threads, cap);
-  EXPECT_EQ(parallel.summary.node_ticks,
-            parallel.summary.cycles * config.nodes)
-      << label << " run_parallel";
-  for (const ObservedSystemRun* run : {&parallel, &event, &event_parallel}) {
-    const char* engine = run == &parallel ? "run_parallel"
-                         : run == &event  ? "run_event"
-                                          : "run_event_parallel";
-    EXPECT_EQ(reference.summary.cycles, run->summary.cycles)
-        << label << " " << engine;
-    EXPECT_EQ(reference.exports, run->exports) << label << " " << engine;
-    EXPECT_EQ(reference.checks_run, run->checks_run)
-        << label << " " << engine;
-    EXPECT_EQ(reference.violations, run->violations)
-        << label << " " << engine;
-    EXPECT_LE(run->summary.node_ticks,
-              run->summary.visited_cycles * config.nodes)
-        << label << " " << engine;
-  }
-  EXPECT_EQ(event.summary.visited_cycles,
-            event_parallel.summary.visited_cycles)
-      << label;
-  EXPECT_EQ(event.summary.node_ticks, event_parallel.summary.node_ticks)
+  const ObservedSystemRun event = observed_system_run(
+      config, trace, Engine::kEvent, reference.summary.cycles);
+  EXPECT_EQ(reference.summary.cycles, event.summary.cycles) << label;
+  EXPECT_EQ(reference.exports, event.exports) << label;
+  EXPECT_EQ(reference.checks_run, event.checks_run) << label;
+  EXPECT_EQ(reference.violations, event.violations) << label;
+  EXPECT_LE(event.summary.node_ticks,
+            event.summary.visited_cycles * config.nodes)
       << label;
   return event.summary;
 }
@@ -567,7 +437,7 @@ TEST(SystemWake, ThreadlessNodeWakesOnlyForItsRemoteRequests) {
                                      config.hmc_capacity, 71);
     const std::string label = "hop " + std::to_string(hop);
     const SystemRunSummary event =
-        expect_system_engines_agree(config, trace, 2, label);
+        expect_system_engines_agree(config, trace, label);
     EXPECT_GT(event.completions, 0u) << label;
     EXPECT_LT(event.node_ticks, event.visited_cycles * 2) << label;
   }
@@ -579,7 +449,7 @@ TEST(SystemWake, ThreadlessNodeWakesOnlyForItsRemoteRequests) {
 // of them). Seeds are fixed so failures replay deterministically.
 class SystemFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(SystemFuzz, EventEnginesMatchRunWithEveryLayerAttached) {
+TEST_P(SystemFuzz, EventEngineMatchesRunWithEveryLayerAttached) {
   Xoshiro256 rng(GetParam());
   SimConfig config;
   const std::uint32_t node_choices[] = {1, 2, 4, 8, 16};
@@ -614,10 +484,8 @@ TEST_P(SystemFuzz, EventEnginesMatchRunWithEveryLayerAttached) {
                             60 + static_cast<std::uint32_t>(rng.below(140)),
                             GetParam() * 131 + 7),
              first_home, homes, config.hmc_capacity, GetParam());
-  const std::uint32_t engine_threads =
-      1u + static_cast<std::uint32_t>(rng.below(4));
   expect_system_engines_agree(
-      config, trace, engine_threads,
+      config, trace,
       "seed " + std::to_string(GetParam()) + " (" +
           std::to_string(config.nodes) + " nodes, " +
           std::to_string(threads) + " threads, hop " +
@@ -649,13 +517,11 @@ TEST(EngineUnwind, DriverAbortsItsTelemetryRunsUnderEveryEngine) {
   const MemoryTrace trace = locality_trace(0.5, 4, 200, 73);
   CycleSampler sampler(64);
   SnapshotStreamer snapshot(256);
-  for (const Engine engine : {Engine::kSerial, Engine::kParallel,
-                              Engine::kEvent, Engine::kEventParallel}) {
+  for (const Engine engine : {Engine::kSerial, Engine::kEvent}) {
     ActivityCensus census;
     add_throwing_probe(census);
     DriveOptions options;
     options.engine = engine;
-    options.engine_threads = 2;
     options.census = &census;
     options.sampler = &sampler;
     options.snapshot = &snapshot;
@@ -686,12 +552,12 @@ TEST(EngineUnwind, DriverAbortsItsTelemetryRunsUnderEveryEngine) {
             std::string::npos);
 }
 
-TEST(EngineUnwind, SystemRestoresItsStagingUnderEveryEngine) {
+TEST(EngineUnwind, SystemAbortsItsTelemetryRunsUnderEveryEngine) {
   SimConfig config;
   config.nodes = 2;
   config.cores = 2;
   const MemoryTrace trace = locality_trace(0.5, 8, 200, 79);
-  for (int engine = 0; engine < 4; ++engine) {
+  for (const bool event : {false, true}) {
     System system(config);
     ActivityCensus census;
     CycleSampler sampler(64);
@@ -703,31 +569,25 @@ TEST(EngineUnwind, SystemRestoresItsStagingUnderEveryEngine) {
     system.attach_snapshot(&snapshot);
     system.attach_sink(&sink);
     system.attach_trace(trace);
-    switch (engine) {
-      case 0: EXPECT_THROW(system.run(), std::runtime_error); break;
-      case 1:
-        EXPECT_THROW(system.run_parallel(2), std::runtime_error);
-        break;
-      case 2: EXPECT_THROW(system.run_event(), std::runtime_error); break;
-      default:
-        EXPECT_THROW(system.run_event_parallel(2), std::runtime_error);
-        break;
+    if (event) {
+      EXPECT_THROW(system.run_event(), std::runtime_error);
+    } else {
+      EXPECT_THROW(system.run(), std::runtime_error);
     }
-    EXPECT_FALSE(system.fabric().staged()) << engine;
     const std::size_t rows = sampler.row_count();
     const std::string stream = snapshot.str();
     sampler.advance_to(1'000'000);
     snapshot.advance_to(1'000'000);
-    EXPECT_EQ(sampler.row_count(), rows) << engine;
-    EXPECT_EQ(snapshot.str(), stream) << engine;
+    EXPECT_EQ(sampler.row_count(), rows) << event;
+    EXPECT_EQ(snapshot.str(), stream) << event;
     census.seal();
   }
 }
 
 // --------------------------------------------------- randomized-config fuzz
-// Random geometry / timing / feeder knobs, random trace shape, random
-// worker count: serial and parallel must agree bit-for-bit on all three
-// paths every time. Seeds are fixed so failures replay deterministically.
+// Random geometry / timing / feeder knobs, random trace shape: serial and
+// event must agree bit-for-bit on all four paths every time. Seeds are
+// fixed so failures replay deterministically.
 class EquivalenceFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EquivalenceFuzz, RandomConfigsStayBitIdentical) {
@@ -759,23 +619,12 @@ TEST_P(EquivalenceFuzz, RandomConfigsStayBitIdentical) {
   serial.tag_pool = serial.mode == FeedMode::kStreaming
                         ? static_cast<std::uint32_t>(rng.below(3)) * 8
                         : 0;  // 0 (full space), 8 or 16 outstanding tags
-  DriveOptions parallel = serial;
-  parallel.engine = Engine::kParallel;
-  parallel.engine_threads = 1u + static_cast<std::uint32_t>(rng.below(8));
   DriveOptions event = serial;
   event.engine = Engine::kEvent;
-  DriveOptions event_parallel = parallel;
-  event_parallel.engine = Engine::kEventParallel;
 
   for (const char* path : {"mac", "raw", "mshr", "warp"}) {
-    const std::string expected =
-        run_fingerprint(path, trace, config, threads, serial);
-    EXPECT_EQ(expected, run_fingerprint(path, trace, config, threads, parallel))
-        << path << " seed " << GetParam();
-    EXPECT_EQ(expected, run_fingerprint(path, trace, config, threads, event))
-        << path << " seed " << GetParam();
-    EXPECT_EQ(expected,
-              run_fingerprint(path, trace, config, threads, event_parallel))
+    EXPECT_EQ(run_fingerprint(path, trace, config, threads, serial),
+              run_fingerprint(path, trace, config, threads, event))
         << path << " seed " << GetParam();
   }
 }
@@ -783,6 +632,100 @@ TEST_P(EquivalenceFuzz, RandomConfigsStayBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceFuzz,
                          ::testing::Values(1ull, 2ull, 3ull, 5ull, 8ull, 13ull,
                                            21ull, 34ull, 55ull, 89ull));
+
+// ------------------------------------------------------ --jobs fan-out
+/// Four quick workloads through all four policies.
+SuiteOptions small_suite(std::uint32_t jobs) {
+  SuiteOptions options;
+  options.threads = 4;
+  options.scale = 0.05;
+  options.run_mshr = true;
+  options.run_warp = true;
+  options.only = {"mg", "sg", "sp", "sort"};
+  options.jobs = jobs;
+  return options;
+}
+
+TEST(Jobs, SuiteResultsAreTheSameAtEveryJobsValue) {
+  const auto csv = [](std::uint32_t jobs) {
+    StatSet stats;
+    const std::vector<WorkloadRun> runs = run_suite(small_suite(jobs));
+    EXPECT_EQ(runs.size(), 4u);
+    for (const WorkloadRun& run : runs) {
+      for (const CoalescerPolicy policy :
+           {CoalescerPolicy::kRaw, CoalescerPolicy::kMac,
+            CoalescerPolicy::kMshr, CoalescerPolicy::kWarp}) {
+        run.result(policy).collect(
+            stats, run.name + "." + std::string(to_string(policy)));
+      }
+    }
+    return stats.to_csv();
+  };
+  const std::string one = csv(1);
+  EXPECT_NE(one.find("sort.warp.packets"), std::string::npos);
+  EXPECT_EQ(one, csv(4));
+  EXPECT_EQ(one, csv(0));  // hardware concurrency
+}
+
+TEST(Jobs, SuiteWithACensusAttachedRunsOneJobAtATime) {
+  // Every run registers census rows and observes the shared census, so
+  // run_suite must not run two of them at once.
+  const auto census_json = [](std::uint32_t jobs) {
+    ActivityCensus census;
+    SuiteOptions options = small_suite(jobs);
+    options.drive.census = &census;
+    (void)run_suite(options);
+    return census.to_json();
+  };
+  EXPECT_EQ(census_json(1), census_json(4));
+}
+
+TEST(Jobs, EachTaskRunsExactlyOnce) {
+  std::vector<std::atomic<int>> runs(8);
+  run_jobs(runs.size(), 3, [&runs](std::size_t i) { ++runs[i]; });
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "task " << i;
+  }
+}
+
+TEST(Jobs, AThrowingTaskReachesTheCallerAfterTheOthersFinish) {
+  for (const std::uint32_t jobs : {1u, 3u}) {
+    std::atomic<int> finished{0};
+    try {
+      run_jobs(8, jobs, [&finished](std::size_t i) {
+        if (i == 2) throw std::runtime_error("task 2");
+        ++finished;
+      });
+      ADD_FAILURE() << "run_jobs swallowed the exception";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "task 2");
+    }
+    EXPECT_EQ(finished.load(), 7) << jobs << " jobs";
+  }
+}
+
+/// The process's thread count from /proc (0 where it cannot be read).
+std::size_t process_threads() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
+}
+
+TEST(Jobs, StartsNoMoreThreadsThanTasks) {
+  const std::size_t before = process_threads();
+  ASSERT_NE(before, 0u);
+  std::mutex mutex;
+  std::size_t most = 0;
+  run_jobs(2, 8, [&](std::size_t) {
+    const std::size_t now = process_threads();
+    const std::lock_guard<std::mutex> lock(mutex);
+    most = std::max(most, now);
+  });
+  // The caller runs tasks too, so two tasks need one more thread at most.
+  EXPECT_LE(most, before + 1);
+}
 
 }  // namespace
 }  // namespace mac3d

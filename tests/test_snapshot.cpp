@@ -1,8 +1,8 @@
 // Streaming-telemetry suite (docs/OBSERVABILITY.md §streaming snapshots):
 // the SnapshotStreamer's delta-encoded JSONL, the StallWatchdog's
-// no-progress latch, the 4-way engine byte-equality of the stream (the
+// no-progress latch, the serial/event byte-equality of the stream (the
 // determinism contract: window boundaries are mandatory landing cycles
-// for the event engines), the injectable livelock fault, heterogeneous
+// for the event engine), the injectable livelock fault, heterogeneous
 // per-node policies, and the `mac3d analyze` math — Little's law, the
 // conservation audits and the exit contract — over hand-built analytic
 // streams.
@@ -184,7 +184,6 @@ std::string driver_stream(CoalescerPolicy policy, Engine engine,
   ActivityCensus census;
   DriveOptions options;
   options.engine = engine;
-  options.engine_threads = 2;
   options.snapshot = &snapshot;
   options.census = &census;
   const DriverResult result = run_policy(policy, trace, config, 4, options);
@@ -205,28 +204,18 @@ TEST(SnapshotEquivalence, DriverStreamByteIdenticalAcrossEngines) {
     const std::string reference =
         driver_stream(policy, Engine::kSerial, trace, config);
     EXPECT_FALSE(reference.empty());
-    for (const Engine engine :
-         {Engine::kParallel, Engine::kEvent, Engine::kEventParallel}) {
-      EXPECT_EQ(driver_stream(policy, engine, trace, config), reference)
-          << "policy " << to_string(policy) << " engine "
-          << static_cast<int>(engine);
-    }
+    EXPECT_EQ(driver_stream(policy, Engine::kEvent, trace, config), reference)
+        << "policy " << to_string(policy);
   }
 }
 
-std::string system_stream(int engine, const MemoryTrace& trace,
+std::string system_stream(bool event, const MemoryTrace& trace,
                           const SimConfig& config) {
   System system(config);
   system.attach_trace(trace);
   SnapshotStreamer snapshot(64);
   system.attach_snapshot(&snapshot);
-  SystemRunSummary summary;
-  switch (engine) {
-    case 0: summary = system.run(); break;
-    case 1: summary = system.run_parallel(2); break;
-    case 2: summary = system.run_event(); break;
-    default: summary = system.run_event_parallel(2); break;
-  }
+  const SystemRunSummary summary = event ? system.run_event() : system.run();
   EXPECT_TRUE(summary.completed);
   return snapshot.str();
 }
@@ -236,12 +225,9 @@ TEST(SnapshotEquivalence, SystemStreamByteIdenticalAcrossEngines) {
   config.nodes = 2;
   config.validate();
   const MemoryTrace trace = locality_trace(0.5, 4, 120, 7);
-  const std::string reference = system_stream(0, trace, config);
+  const std::string reference = system_stream(false, trace, config);
   EXPECT_FALSE(reference.empty());
-  for (int engine = 1; engine < 4; ++engine) {
-    EXPECT_EQ(system_stream(engine, trace, config), reference)
-        << "engine " << engine;
-  }
+  EXPECT_EQ(system_stream(true, trace, config), reference);
 }
 
 // ---- Livelock fault + watchdog end-to-end ----------------------------------
