@@ -402,32 +402,8 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Refuses what this build cannot honour and opens --trace-events;
-  /// false after printing one line.
+  /// Opens --trace-events; false after printing one line.
   [[nodiscard]] bool open() {
-#if !MAC3D_CHECKS_ENABLED
-    if (options_.checks) {
-      std::fprintf(stderr,
-                   "mac3d: warning: built with -DMAC3D_CHECKS=OFF; "
-                   "--checks will run no checks\n");
-    }
-#endif
-#if !MAC3D_OBS_ENABLED
-    if (options_.watchdog || options_.inject_livelock != 0) {
-      // The engines compile the snapshot serial points out under OBS=OFF:
-      // the watchdog would never observe a window (and an injected
-      // livelock would hang forever), so refuse instead of warning.
-      std::fprintf(stderr,
-                   "mac3d: --watchdog/--inject-livelock need a "
-                   "-DMAC3D_OBS=ON build\n");
-      return false;
-    }
-    if (hooks_attached()) {
-      std::fprintf(stderr,
-                   "mac3d: warning: built with -DMAC3D_OBS=OFF; telemetry "
-                   "options will record nothing\n");
-    }
-#endif
     if (!options_.trace_events.empty() &&
         !tracer_.open_trace(options_.trace_events)) {
       std::fprintf(stderr, "mac3d: cannot open %s for writing\n",

@@ -32,7 +32,7 @@ class Interconnect {
   /// node-tick order within a cycle.
   void send_request(const RawRequest& request, NodeId dest, Cycle now,
                     NodeId src = 0) {
-    MAC3D_OBS_ACTIVITY(last_work_, now);
+    last_work_ = now;
     if (consume_drop_fault()) return;
     enqueue(request_lanes_, link_requests_, src, dest, now + hop_cycles_,
             request);
@@ -40,7 +40,7 @@ class Interconnect {
 
   void send_completion(const CompletedAccess& completion, NodeId dest,
                        Cycle now, NodeId src = 0) {
-    MAC3D_OBS_ACTIVITY(last_work_, now);
+    last_work_ = now;
     if (consume_drop_fault()) return;
     enqueue(completion_lanes_, link_completions_, src, dest,
             now + hop_cycles_, completion);
@@ -187,7 +187,7 @@ class Interconnect {
     }
     if (out.empty()) return out;
     deliveries_ += out.size();
-    MAC3D_OBS_ACTIVITY(last_work_, now);
+    last_work_ = now;
     const auto& requests = request_lanes_[dest];
     const auto& completions = completion_lanes_[dest];
     const Cycle request = requests.empty() ? 0 : requests.front().due;

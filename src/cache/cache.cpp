@@ -46,9 +46,7 @@ bool Cache::access(Address addr, bool write) {
       line.lru = touch_stamp();
       line.dirty = line.dirty || write;
       ++stats_.hits;
-#if MAC3D_CHECKS_ENABLED
       if (checks_ != nullptr) check_lru_stack(set, &line);
-#endif
       return true;
     }
     if (!line.valid) {
@@ -70,17 +68,11 @@ bool Cache::access(Address addr, bool write) {
   victim->tag = tag;
   victim->lru = touch_stamp();
   victim->dirty = write;
-#if MAC3D_CHECKS_ENABLED
   if (checks_ != nullptr) check_lru_stack(set, victim);
-#endif
   return false;
 }
 
 void Cache::check_lru_stack(std::uint64_t set, const Line* touched) {
-#if !MAC3D_CHECKS_ENABLED
-  (void)set;
-  (void)touched;
-#else
   const Line* base = &lines_[set * config_.ways];
   bool mru_unique = true;
   bool stamps_distinct = true;
@@ -100,7 +92,6 @@ void Cache::check_lru_stack(std::uint64_t set, const Line* touched) {
                   ": touched line (stamp " + std::to_string(touched->lru) +
                   ") is not the unique MRU after access " +
                   std::to_string(tick_));
-#endif
 }
 
 bool Cache::contains(Address addr) const noexcept {

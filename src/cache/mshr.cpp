@@ -42,7 +42,7 @@ bool MshrCoalescer::try_accept(const RawRequest& request, Cycle now) {
     if (!alloc_free) return false;
     fences_.push_back(Target{request.tid, request.tag, 0});
     alloc_port_used_at_ = now;
-    MAC3D_OBS_ACTIVITY(last_work_, now);
+    last_work_ = now;
     ledger_.accept(request, now);
     return true;
   }
@@ -65,7 +65,7 @@ bool MshrCoalescer::try_accept(const RawRequest& request, Cycle now) {
     dispatch_queue_.push_back(key);
     atomic_keys_.insert(key);
     alloc_port_used_at_ = now;
-    MAC3D_OBS_ACTIVITY(last_work_, now);
+    last_work_ = now;
     ledger_.accept(request, now);
     return true;
   }
@@ -77,17 +77,15 @@ bool MshrCoalescer::try_accept(const RawRequest& request, Cycle now) {
     if (!merge_free) return false;
     it->second.targets.push_back(target);
     merge_port_used_at_ = now;
-    MAC3D_OBS_ACTIVITY(last_work_, now);
+    last_work_ = now;
     ++stats_.merged;
     ledger_.accept(request, now);
-    [[maybe_unused]] EventSink* const sink = ledger_.sink();
+    EventSink* const sink = ledger_.sink();
     MAC3D_OBS_STAMP(sink, Stage::kMerge, request.tid, request.tag, now);
-#if MAC3D_OBS_ENABLED
     if (sink != nullptr) {
       const Target& leader = it->second.targets.front();
       sink->on_merge(request.tid, request.tag, leader.tid, leader.tag, now);
     }
-#endif
     return true;
   }
 
@@ -104,7 +102,7 @@ bool MshrCoalescer::try_accept(const RawRequest& request, Cycle now) {
   file_.emplace(key, std::move(entry));
   dispatch_queue_.push_back(key);
   alloc_port_used_at_ = now;
-  MAC3D_OBS_ACTIVITY(last_work_, now);
+  last_work_ = now;
   MAC3D_CHECK(ledger_.checks(), inv::kMshrOccupancy,
               file_.size() <= entries_, now,
               "MSHR file occupancy " + std::to_string(file_.size()) +
@@ -126,7 +124,7 @@ void MshrCoalescer::tick(Cycle now) {
       ledger_.in_flight() == 0) {
     ledger_.retire_fence(fences_.front(), now);
     fences_.pop_front();
-    MAC3D_OBS_ACTIVITY(last_work_, now);
+    last_work_ = now;
   }
 
   // Dispatch one transaction per cycle.
@@ -145,7 +143,7 @@ void MshrCoalescer::tick(Cycle now) {
   if (!device_.can_accept(request, now)) return;
   in_flight_.emplace(ledger_.submit(std::move(request), now), key);
   dispatch_queue_.pop_front();
-  MAC3D_OBS_ACTIVITY(last_work_, now);
+  last_work_ = now;
 }
 
 const std::vector<CompletedAccess>& MshrCoalescer::drain(Cycle now) {
@@ -163,7 +161,7 @@ const std::vector<CompletedAccess>& MshrCoalescer::drain(Cycle now) {
         in_flight_.erase(flight);
         return retired_targets_;
       });
-  if (!done.empty()) MAC3D_OBS_ACTIVITY(last_work_, now);
+  if (!done.empty()) last_work_ = now;
   return done;
 }
 

@@ -110,7 +110,7 @@ class MshrCoalescer {
   std::uint64_t next_unique_ = 0;
   Cycle merge_port_used_at_ = ~Cycle{0};
   Cycle alloc_port_used_at_ = ~Cycle{0};
-  Cycle last_work_ = ~Cycle{0};  ///< census slot (MAC3D_OBS_ACTIVITY)
+  Cycle last_work_ = ~Cycle{0};  ///< census slot
   MshrStats stats_;
   RequestLedger ledger_;
   std::uint32_t inject_overrun_ = 0;

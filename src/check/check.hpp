@@ -10,8 +10,7 @@
 //
 // Cost model: a component holds a `CheckContext*` that is null unless a
 // harness attached one, so the hot path pays one predictable branch per
-// check site. Configuring CMake with -DMAC3D_CHECKS=OFF compiles every
-// check site out entirely (MAC3D_CHECK expands to nothing).
+// check site.
 #pragma once
 
 #include <cstdint>
@@ -151,7 +150,6 @@ class CheckContext {
 // Check-site macro: no-op unless a context is attached; the condition and
 // the detail expression are only evaluated when a context is present (the
 // detail only when the condition fails).
-#if MAC3D_CHECKS_ENABLED
 #define MAC3D_CHECK(ctx, invariant, cond, cycle, detail) \
   do {                                                   \
     if ((ctx) != nullptr) {                              \
@@ -159,8 +157,3 @@ class CheckContext {
       if (!(cond)) (ctx)->fail((invariant), (cycle), (detail)); \
     }                                                    \
   } while (0)
-#else
-#define MAC3D_CHECK(ctx, invariant, cond, cycle, detail) \
-  do {                                                   \
-  } while (0)
-#endif

@@ -275,7 +275,11 @@ void SimConfig::parse_override_string(const std::string& text) {
 
 void SimConfig::apply_env() {
   if (const char* overrides = std::getenv("MAC3D_CONFIG")) {
-    parse_override_string(overrides);
+    try {
+      parse_override_string(overrides);
+    } catch (const ConfigError& error) {
+      throw ConfigError(std::string("MAC3D_CONFIG: ") + error.what());
+    }
   }
 }
 

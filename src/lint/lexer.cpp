@@ -14,45 +14,6 @@ namespace {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
-/// One `#if`-family frame. `mentions` records that the condition names the
-/// macro at all; `active` tracks whether the *current* branch is the one
-/// the macro enables (the `#else` of `#if MAC3D_OBS_ENABLED` compiles only
-/// when telemetry is off, so it is not a guarded region).
-struct GuardFrame {
-  bool obs_mentions = false;
-  bool obs_initial = false;
-  bool obs_active = false;
-  bool checks_mentions = false;
-  bool checks_initial = false;
-  bool checks_active = false;
-};
-
-/// Does `condition` enable code when `macro` is nonzero? Detects the
-/// macro's presence and a leading `!` (or an `#ifndef` directive, handled
-/// by the caller flipping `positive`).
-void classify(std::string_view condition, std::string_view macro,
-              bool ifndef, bool& mentions, bool& positive) {
-  const std::size_t at = condition.find(macro);
-  if (at == std::string_view::npos) {
-    mentions = false;
-    positive = false;
-    return;
-  }
-  mentions = true;
-  positive = !ifndef;
-  // Scan backwards over whitespace/parens for a negation.
-  std::size_t i = at;
-  while (i > 0) {
-    const char c = condition[i - 1];
-    if (c == ' ' || c == '\t' || c == '(') {
-      --i;
-      continue;
-    }
-    if (c == '!') positive = !positive;
-    break;
-  }
-}
-
 class Lexer {
  public:
   explicit Lexer(std::string_view source) : src_(source) {}
@@ -143,71 +104,17 @@ class Lexer {
 
   void emit(Tok kind, std::string text, std::uint32_t line,
             std::uint32_t col) {
-    bool obs = false;
-    bool checks = false;
-    for (const GuardFrame& frame : guards_) {
-      obs = obs || (frame.obs_mentions && frame.obs_active);
-      checks = checks || (frame.checks_mentions && frame.checks_active);
-    }
-    tokens_.push_back({kind, std::move(text), line, col, obs, checks});
+    tokens_.push_back({kind, std::move(text), line, col});
   }
 
-  /// Consume a full logical preprocessor line (joining `\`-continuations)
-  /// and update the guard stack. Directives emit no tokens.
+  /// Skip a full logical preprocessor line (joining `\`-continuations).
+  /// Directives emit no tokens.
   void directive() {
-    std::string text;
-    while (pos_ < src_.size()) {
-      const char c = src_[pos_];
-      if (c == '\\' && peek(1) == '\n') {
-        advance();
-        advance();
-        text += ' ';
-        continue;
-      }
-      if (c == '\n') break;
-      text += c;
+    while (pos_ < src_.size() && src_[pos_] != '\n') {
+      if (src_[pos_] == '\\' && peek(1) == '\n') advance();
       advance();
     }
     at_line_start_ = true;
-
-    // Normalize "#  ifdef" -> directive word + condition remainder.
-    std::size_t i = 1;
-    while (i < text.size() &&
-           (text[i] == ' ' || text[i] == '\t')) {
-      ++i;
-    }
-    std::size_t end = i;
-    while (end < text.size() && is_ident_char(text[end])) ++end;
-    const std::string_view word = std::string_view(text).substr(i, end - i);
-    const std::string_view rest = std::string_view(text).substr(end);
-
-    if (word == "if" || word == "ifdef" || word == "ifndef") {
-      GuardFrame frame;
-      const bool ifndef = word == "ifndef";
-      classify(rest, "MAC3D_OBS_ENABLED", ifndef, frame.obs_mentions,
-               frame.obs_initial);
-      classify(rest, "MAC3D_CHECKS_ENABLED", ifndef, frame.checks_mentions,
-               frame.checks_initial);
-      frame.obs_active = frame.obs_initial;
-      frame.checks_active = frame.checks_initial;
-      guards_.push_back(frame);
-    } else if (word == "elif") {
-      if (!guards_.empty()) {
-        GuardFrame& frame = guards_.back();
-        classify(rest, "MAC3D_OBS_ENABLED", false, frame.obs_mentions,
-                 frame.obs_active);
-        classify(rest, "MAC3D_CHECKS_ENABLED", false, frame.checks_mentions,
-                 frame.checks_active);
-      }
-    } else if (word == "else") {
-      if (!guards_.empty()) {
-        GuardFrame& frame = guards_.back();
-        frame.obs_active = frame.obs_mentions && !frame.obs_initial;
-        frame.checks_active = frame.checks_mentions && !frame.checks_initial;
-      }
-    } else if (word == "endif") {
-      if (!guards_.empty()) guards_.pop_back();
-    }
   }
 
   void identifier() {
@@ -334,7 +241,6 @@ class Lexer {
   std::uint32_t line_ = 1;
   std::uint32_t col_ = 1;
   bool at_line_start_ = true;
-  std::vector<GuardFrame> guards_;
   std::vector<Token> tokens_;
 };
 

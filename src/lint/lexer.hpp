@@ -1,10 +1,8 @@
 // Lightweight C++ lexer for the repo-specific static analyzer
 // (docs/STATIC_ANALYSIS.md). Not a compiler front end: it produces a flat
 // token stream good enough for the lint rule catalog — identifiers,
-// literals and punctuation with source positions, comments stripped, and
-// every token annotated with whether it sits inside an
-// `#if MAC3D_OBS_ENABLED` / `#if MAC3D_CHECKS_ENABLED` preprocessor
-// region (the zero-cost-discipline rules key off those flags).
+// literals and punctuation with source positions, comments and
+// preprocessor directives stripped.
 #pragma once
 
 #include <cstdint>
@@ -27,18 +25,12 @@ struct Token {
   std::string text;
   std::uint32_t line = 0;  ///< 1-based
   std::uint32_t col = 0;   ///< 1-based
-  /// Token is compiled only when the observability stamp sites are
-  /// compiled in (inside an `#if MAC3D_OBS_ENABLED` region, outside its
-  /// `#else`). Direct EventSink calls are legal only here.
-  bool obs_guarded = false;
-  /// Same, for `#if MAC3D_CHECKS_ENABLED` regions.
-  bool checks_guarded = false;
 };
 
 /// Tokenize a C++ translation unit. Comments and preprocessor directives
-/// produce no tokens (directives only update the guard flags); string and
-/// character literals keep escape sequences verbatim in `text`. The lexer
-/// never fails — unexpected bytes lex as single-character punctuation.
+/// produce no tokens; string and character literals keep escape sequences
+/// verbatim in `text`. The lexer never fails — unexpected bytes lex as
+/// single-character punctuation.
 [[nodiscard]] std::vector<Token> lex_cpp(std::string_view source);
 
 }  // namespace mac3d::lint

@@ -104,30 +104,6 @@ namespace fs = std::filesystem;
   return model;
 }
 
-[[nodiscard]] std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xf];
-          out += kHex[static_cast<unsigned char>(c) & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Findings grouped per (rule, file) in sorted order, with counts.
 [[nodiscard]] std::map<std::pair<std::string, std::string>, std::uint64_t>
 group_findings(const LintReport& report) {

@@ -1,18 +1,18 @@
 // mac3d lint — repo-specific static analysis (docs/STATIC_ANALYSIS.md).
 //
-// The repo's two hardest-won guarantees — bit-identical serial/event
-// execution (docs/PARALLELISM.md) and zero-cost observability under
-// MAC3D_OBS=OFF (docs/OBSERVABILITY.md) — are enforced dynamically by the
-// equivalence suite and byte-diff tests, which catch a violation long
-// after the offending line lands. This subsystem makes the contracts
+// The repo's hardest-won guarantee — bit-identical serial/event
+// execution (docs/PARALLELISM.md) — and its observability vocabulary
+// (docs/OBSERVABILITY.md) are enforced dynamically by the equivalence
+// suite and byte-diff tests, which catch a violation long after the
+// offending line lands. This subsystem makes the contracts
 // machine-checkable at review time: a lightweight tokenizer
 // (lint/lexer.hpp) feeds a rule catalog in three families —
 //
 //   DET   determinism: no ambient randomness, wall clocks, hash-order
 //         iteration or hidden static state in simulation code;
-//   OBS   zero-cost discipline: telemetry/check sites compile out, metric
-//         names parse against docs/metrics_schema.json, stage names are
-//         members of the 10-stage taxonomy;
+//   OBS   observability vocabulary: metric names parse against
+//         docs/metrics_schema.json, stage names are members of the
+//         10-stage taxonomy;
 //   SYNC  docs/code coherence: the invariant catalog, stage taxonomy and
 //         metric grammar each live in two places that must agree.
 //

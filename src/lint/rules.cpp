@@ -43,13 +43,6 @@ const std::vector<RuleInfo> kCatalog = {
     {"obs.metric_name_grammar", "OBS",
      "metric-name string literals in a collect_metrics body must parse "
      "against the namespace grammar in docs/metrics_schema.json"},
-    {"obs.naked_check_site", "OBS",
-     "CheckContext calls outside #if MAC3D_CHECKS_ENABLED regions defeat "
-     "the zero-cost contract; use MAC3D_CHECK (docs/INVARIANTS.md)"},
-    {"obs.raw_stamp_call", "OBS",
-     "EventSink calls outside #if MAC3D_OBS_ENABLED regions defeat the "
-     "zero-cost contract; use MAC3D_OBS_STAMP/MERGE/HOP "
-     "(docs/OBSERVABILITY.md)"},
     {"obs.stage_taxonomy", "OBS",
      "lifecycle stage-name literals must be members of the 10-stage "
      "taxonomy in src/obs/obs.hpp"},
@@ -394,58 +387,6 @@ void det_static_mutable_local(const FileTokens& file,
       }
     }
     prev = &token;
-  }
-}
-
-// ---- OBS: obs.raw_stamp_call / obs.naked_check_site ----------------------
-
-void obs_zero_cost_sites(const FileTokens& file, std::vector<Finding>& out) {
-  const bool in_obs = path_starts_with(file.path, "src/obs/");
-  const bool in_check = path_starts_with(file.path, "src/check/");
-  const auto& tokens = file.tokens;
-  const std::set<std::string, std::less<>> kStamps = {"on_stage", "on_merge",
-                                                      "on_hop"};
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    const Token& token = tokens[i];
-    if (token.kind != Tok::kIdent || !prev_is_member_access(tokens, i) ||
-        !next_is_call(tokens, i)) {
-      continue;
-    }
-    if (!in_obs && kStamps.count(token.text) != 0 && !token.obs_guarded) {
-      add_finding(out, "obs.raw_stamp_call", file.path, token.line,
-                  token.col,
-                  "direct EventSink call '" + token.text +
-                      "' outside an #if MAC3D_OBS_ENABLED region; use "
-                      "MAC3D_OBS_STAMP/MERGE/HOP so the site compiles out");
-      continue;
-    }
-    if (in_check || token.checks_guarded) continue;
-    if (token.text == "count_check") {
-      add_finding(out, "obs.naked_check_site", file.path, token.line,
-                  token.col,
-                  "direct CheckContext call 'count_check' outside an #if "
-                  "MAC3D_CHECKS_ENABLED region; use MAC3D_CHECK so the "
-                  "site compiles out");
-      continue;
-    }
-    if (token.text == "fail") {
-      // CheckContext::fail takes (invariant, cycle, detail); stream
-      // .fail() takes none — use the arity to tell them apart.
-      int depth = 0;
-      std::size_t commas = 0;
-      for (std::size_t j = i + 1; j < tokens.size(); ++j) {
-        if (is_punct(tokens[j], "(")) ++depth;
-        if (is_punct(tokens[j], ")") && --depth == 0) break;
-        if (depth == 1 && is_punct(tokens[j], ",")) ++commas;
-      }
-      if (commas >= 2) {
-        add_finding(out, "obs.naked_check_site", file.path, token.line,
-                    token.col,
-                    "direct CheckContext call 'fail' outside an #if "
-                    "MAC3D_CHECKS_ENABLED region; use MAC3D_CHECK so the "
-                    "site compiles out");
-      }
-    }
   }
 }
 
@@ -902,7 +843,6 @@ void run_file_rules(const RepoModel& model, const FileTokens& file,
     det_unordered_iteration(file, out);
     det_static_mutable_local(file, out);
     det_activity_oracle(file, out);
-    obs_zero_cost_sites(file, out);
   }
   // Grammar/taxonomy rules also cover the CLI, which registers metrics
   // and renders stage names; the obs subsystem itself is exempt (it

@@ -10,7 +10,7 @@ namespace mac3d {
 
 namespace {
 
-[[maybe_unused]] std::string describe_entry(const ArqEntry& entry) {
+std::string describe_entry(const ArqEntry& entry) {
   std::ostringstream out;
   out << "entry row=" << entry.row << " store=" << entry.is_store
       << " fence=" << entry.is_fence << " atomic=" << entry.is_atomic
@@ -167,15 +167,12 @@ ArqEntry Arq::pop() {
   } else {
     stats_.targets_per_entry.add(static_cast<double>(entry.targets.size()));
     stats_.popped_bypass += entry.bypass ? 1 : 0;
-#if MAC3D_CHECKS_ENABLED
     if (checks_ != nullptr) check_popped_entry(entry);
-#endif
   }
   ++stats_.popped;
   return entry;
 }
 
-#if MAC3D_CHECKS_ENABLED
 // B-bit and FLIT-map legality of a non-fence entry leaving the queue
 // (docs/INVARIANTS.md §arq).
 void Arq::check_popped_entry(const ArqEntry& entry) {
@@ -193,6 +190,5 @@ void Arq::check_popped_entry(const ArqEntry& entry) {
   MAC3D_CHECK(checks_, inv::kArqFlitMapConsistent, map_consistent,
               entry.allocated_at, describe_entry(entry));
 }
-#endif
 
 }  // namespace mac3d

@@ -50,23 +50,21 @@ bool MacCoalescer::try_accept(const RawRequest& request, Cycle now) {
   const Arq::InsertResult result =
       arq_.insert(request, now, merge_free, alloc_free, &merged_into);
   if (result == Arq::InsertResult::kRejected) return false;
-  MAC3D_OBS_ACTIVITY(arq_last_work_, now);
-  MAC3D_OBS_ACTIVITY(last_work_, now);
+  arq_last_work_ = now;
+  last_work_ = now;
   ledger_.accept(request, now);
   if (result == Arq::InsertResult::kAllocated) {
     alloc_port_used_at_ = now;
     return true;
   }
   merge_port_used_at_ = now;
-  [[maybe_unused]] EventSink* const sink = ledger_.sink();
+  EventSink* const sink = ledger_.sink();
   MAC3D_OBS_STAMP(sink, Stage::kMerge, request.tid, request.tag, now);
-#if MAC3D_OBS_ENABLED
   if (sink != nullptr && merged_into != nullptr &&
       !merged_into->targets.empty()) {
     const Target& leader = merged_into->targets.front();
     sink->on_merge(request.tid, request.tag, leader.tid, leader.tag, now);
   }
-#endif
   return true;
 }
 
@@ -97,8 +95,8 @@ void MacCoalescer::pop_stage(Cycle now) {
     if (builder_.empty() && issue_queue_.empty() &&
         ledger_.in_flight() == 0) {
       ledger_.retire_fence(arq_.pop().targets.front(), now);
-      MAC3D_OBS_ACTIVITY(arq_last_work_, now);
-      MAC3D_OBS_ACTIVITY(last_work_, now);
+      arq_last_work_ = now;
+      last_work_ = now;
     }
     return;
   }
@@ -120,25 +118,23 @@ void MacCoalescer::pop_stage(Cycle now) {
     item.atomic = entry.is_atomic;
     item.bypass = !entry.is_atomic;
     issue_queue_.push_back(std::move(item));
-    MAC3D_OBS_ACTIVITY(arq_last_work_, now);
-    MAC3D_OBS_ACTIVITY(last_work_, now);
+    arq_last_work_ = now;
+    last_work_ = now;
     return;
   }
 
   if (builder_.can_accept(now)) {
     ArqEntry entry = arq_.pop();
-#if MAC3D_OBS_ENABLED
     if (EventSink* const sink = ledger_.sink(); sink != nullptr) {
       for (const Target& target : entry.targets) {
         sink->on_stage(Stage::kBuilderPick, target.tid, target.tag, now);
       }
     }
-#endif
     builder_.accept(std::move(entry), now);
     next_pop_at_ = now + config_.arq_pop_interval;
-    MAC3D_OBS_ACTIVITY(arq_last_work_, now);
-    MAC3D_OBS_ACTIVITY(builder_last_work_, now);
-    MAC3D_OBS_ACTIVITY(last_work_, now);
+    arq_last_work_ = now;
+    builder_last_work_ = now;
+    last_work_ = now;
   }
 }
 
@@ -148,17 +144,15 @@ void MacCoalescer::issue_stage(Cycle now) {
     IssueItem item;
     item.request = builder_.pop_output(now);
     item.ready_at = now;
-#if MAC3D_OBS_ENABLED
     if (EventSink* const sink = ledger_.sink(); sink != nullptr) {
       for (const Target& target : item.request.targets) {
         sink->on_stage(Stage::kFlitAlloc, target.tid, target.tag, now);
       }
     }
-#endif
     issue_queue_.push_back(std::move(item));
-    MAC3D_OBS_ACTIVITY(builder_last_work_, now);
-    MAC3D_OBS_ACTIVITY(flit_last_work_, now);
-    MAC3D_OBS_ACTIVITY(last_work_, now);
+    builder_last_work_ = now;
+    flit_last_work_ = now;
+    last_work_ = now;
   }
 
   // Dispatch at most one packet per cycle, subject to link back-pressure.
@@ -177,8 +171,8 @@ void MacCoalescer::issue_stage(Cycle now) {
     ++stats_.built_out;
   }
   issue_queue_.pop_front();
-  MAC3D_OBS_ACTIVITY(flit_last_work_, now);
-  MAC3D_OBS_ACTIVITY(last_work_, now);
+  flit_last_work_ = now;
+  last_work_ = now;
 }
 
 void MacCoalescer::tick(Cycle now) {
@@ -190,7 +184,7 @@ void MacCoalescer::tick(Cycle now) {
 const std::vector<CompletedAccess>& MacCoalescer::drain(Cycle now) {
   const std::vector<CompletedAccess>& done = ledger_.drain(now);
   stats_.completions += done.size();
-  if (!done.empty()) MAC3D_OBS_ACTIVITY(last_work_, now);
+  if (!done.empty()) last_work_ = now;
   return done;
 }
 

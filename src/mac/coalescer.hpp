@@ -176,7 +176,7 @@ class MacCoalescer {
   Cycle next_pop_at_ = 0;
   Cycle merge_port_used_at_ = ~Cycle{0};  ///< dual-port intake bookkeeping
   Cycle alloc_port_used_at_ = ~Cycle{0};
-  Cycle last_work_ = ~Cycle{0};  ///< census slots (MAC3D_OBS_ACTIVITY)
+  Cycle last_work_ = ~Cycle{0};  ///< census slots
   Cycle arq_last_work_ = ~Cycle{0};
   Cycle builder_last_work_ = ~Cycle{0};
   Cycle flit_last_work_ = ~Cycle{0};

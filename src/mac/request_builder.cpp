@@ -16,14 +16,12 @@ RequestBuilder::RequestBuilder(const SimConfig& config, const AddressMap& map)
 
 void RequestBuilder::attach_checks(CheckContext* context) {
   checks_ = context;
-#if MAC3D_CHECKS_ENABLED
   if (checks_ != nullptr) {
     // The table is immutable; validate its 2^groups capacity and every
     // entry's shape/coverage once at attach time.
     const std::uint32_t row_bytes = flits_per_row_ * kFlitBytes;
     check_flit_table(table_, row_bytes, row_bytes / groups_, *checks_);
   }
-#endif
 }
 
 void RequestBuilder::accept(ArqEntry entry, Cycle now) {
@@ -47,13 +45,10 @@ void RequestBuilder::accept(ArqEntry entry, Cycle now) {
   request.home_node = entry.home_node;
   request.targets = std::move(entry.targets);
 
-#if MAC3D_CHECKS_ENABLED
   if (checks_ != nullptr) {
     check_built_packet(entry.flits, entry.row, entry_targets, request,
                        shape.offset_bytes, now, *checks_);
   }
-#endif
-  (void)entry_targets;
 
   Built built;
   built.request = std::move(request);

@@ -137,7 +137,7 @@ class WarpCoalescer {
   RingQueue<Lane> pending_;
   std::vector<Lane> window_;
   std::size_t window_served_ = 0;
-  Cycle last_work_ = ~Cycle{0};  ///< census slot (MAC3D_OBS_ACTIVITY)
+  Cycle last_work_ = ~Cycle{0};  ///< census slot
   WarpStats stats_;
   RequestLedger ledger_;
 };

@@ -125,7 +125,6 @@ Cycle HmcDevice::submit(HmcRequest request, Cycle now) {
   const std::uint64_t wire =
       static_cast<std::uint64_t>(req_flits + resp_flits) * kFlitBytes;
 
-#if MAC3D_OBS_ENABLED
   if (sink_ != nullptr) {
     // Raw-path and MAC packets carry the merged target identities; stamp
     // each one at link handoff and at the scheduled bank-access start.
@@ -134,9 +133,7 @@ Cycle HmcDevice::submit(HmcRequest request, Cycle now) {
       sink_->on_stage(Stage::kBankAccess, target.tid, target.tag, sched.start);
     }
   }
-#endif
 
-#if MAC3D_CHECKS_ENABLED
   if (checker_ != nullptr) {
     checker_->on_bank_access(map_.global_bank(row), at_bank, sched.start,
                              sched.data_ready, bank_free_at, sched.conflict,
@@ -149,7 +146,6 @@ Cycle HmcDevice::submit(HmcRequest request, Cycle now) {
       checker_->on_target(target.flit, row_offset, request.data_bytes, now);
     }
   }
-#endif
 
   // Accounting.
   ++stats_.requests;

@@ -15,23 +15,19 @@ void RequestLedger::attach_checks(CheckContext* context,
   });
 }
 
-void RequestLedger::audit_drain([[maybe_unused]] Cycle now) {
-#if MAC3D_OBS_ENABLED
+void RequestLedger::audit_drain(Cycle now) {
   if (sink_ != nullptr) {
     for (const CompletedAccess& done : done_) {
       sink_->on_stage(Stage::kResponseMatch, done.target.tid, done.target.tag,
                       done.completed);
     }
   }
-#endif
-#if MAC3D_CHECKS_ENABLED
   if (conservation_ != nullptr) {
     for (const CompletedAccess& done : done_) {
       conservation_->on_complete(done.target.tid, done.target.tag, done.fence,
                                  now);
     }
   }
-#endif
 }
 
 }  // namespace mac3d

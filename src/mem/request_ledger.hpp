@@ -75,11 +75,9 @@ class RequestLedger {
     ++(request.op == MemOp::kFence ? counts_.fences_in : counts_.raw_in);
     MAC3D_OBS_STAMP(sink_, Stage::kQueueInsert, request.tid, request.tag,
                     now);
-#if MAC3D_CHECKS_ENABLED
     if (conservation_ != nullptr) {
       conservation_->on_accept(request.tid, request.tag, request.op, now);
     }
-#endif
   }
 
   /// The policy's tick(now) began: the conservation audit runs at the last

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <string_view>
 
+#include "common/json.hpp"
+
 namespace mac3d {
 namespace {
 
@@ -26,28 +28,6 @@ constexpr std::string_view kStreamSchema = "mac3d-snapshot/1";
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.10g", value);
   return buf;
-}
-
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Pull every `prefix.<rest>` numeric leaf of a flattened line into a
@@ -472,7 +452,7 @@ std::string analysis_json(const AnalysisResult& result,
   for (std::size_t i = 0; i < result.runs.size(); ++i) {
     const RunAnalysis& ra = result.runs[i];
     if (i != 0) out += ",";
-    out += "{\"label\":\"" + escape(ra.label) + "\"";
+    out += "{\"label\":" + json_quote(ra.label);
     out += ",\"end_cycle\":" + std::to_string(ra.end_cycle);
     out += ",\"window_count\":" + std::to_string(ra.windows.size());
     out += ",\"throughput_per_cycle\":" + format_double(ra.throughput);
@@ -490,16 +470,14 @@ std::string analysis_json(const AnalysisResult& result,
     out += ",\"conservation\":{\"stream_ok\":";
     out += ra.stream_conserved ? "true" : "false";
     if (!ra.stream_conserved) {
-      out += ",\"stream_error\":\"" + escape(ra.stream_conservation_error) +
-             "\"";
+      out += ",\"stream_error\":" + json_quote(ra.stream_conservation_error);
     }
     out += ",\"cross_checked\":";
     out += ra.cross_checked ? "true" : "false";
     out += ",\"cross_ok\":";
     out += ra.cross_conserved ? "true" : "false";
     if (!ra.cross_conserved) {
-      out += ",\"cross_error\":\"" + escape(ra.cross_conservation_error) +
-             "\"";
+      out += ",\"cross_error\":" + json_quote(ra.cross_conservation_error);
     }
     out += "}";
     out += ",\"watchdog\":{\"fired\":";
@@ -509,9 +487,9 @@ std::string analysis_json(const AnalysisResult& result,
     }
     out += "}";
     if (!ra.critical_component.empty()) {
-      out += ",\"critical\":{\"component\":\"" +
-             escape(ra.critical_component) +
-             "\",\"windows\":" + std::to_string(ra.critical_windows) + "}";
+      out += ",\"critical\":{\"component\":" +
+             json_quote(ra.critical_component) +
+             ",\"windows\":" + std::to_string(ra.critical_windows) + "}";
     }
     out += ",\"windows\":[";
     for (std::size_t w = 0; w < ra.windows.size(); ++w) {
@@ -527,7 +505,7 @@ std::string analysis_json(const AnalysisResult& result,
                format_double(win.bandwidth_efficiency);
       }
       if (!win.critical_stage.empty()) {
-        out += ",\"critical_stage\":\"" + escape(win.critical_stage) + "\"";
+        out += ",\"critical_stage\":" + json_quote(win.critical_stage);
         out += ",\"critical_utilization\":" +
                format_double(win.critical_utilization);
       }

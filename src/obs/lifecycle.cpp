@@ -11,12 +11,6 @@ namespace {
 
 constexpr std::uint32_t kMaxLanesPerThread = 256;
 
-[[nodiscard]] std::uint32_t record_key(ThreadId tid, Tag tag) noexcept {
-  static_assert(sizeof(ThreadId) * 8 <= 16 && sizeof(Tag) * 8 <= 16,
-                "record_key packs (tid, tag) into 16-bit lanes");
-  return (static_cast<std::uint32_t>(tid) << 16) | tag;
-}
-
 [[nodiscard]] bool is_entry_stage(Stage stage) noexcept {
   return stage == Stage::kCoreIssue || stage == Stage::kRouterEnqueue;
 }
@@ -96,7 +90,7 @@ void LifecycleTracer::finish() {
 void LifecycleTracer::on_stage(Stage stage, ThreadId tid, Tag tag,
                                Cycle cycle) {
   ensure_path();
-  const std::uint32_t key = record_key(tid, tag);
+  const RequestGid key = request_gid(tid, tag);
   auto it = open_.find(key);
   if (it == open_.end()) {
     Record record;
@@ -120,8 +114,8 @@ void LifecycleTracer::on_merge(ThreadId tid, Tag tag, ThreadId leader_tid,
   ensure_path();
   ++current_->merges;
   if (!trace_open_) return;
-  const auto merged = open_.find(record_key(tid, tag));
-  const auto leader = open_.find(record_key(leader_tid, leader_tag));
+  const auto merged = open_.find(request_gid(tid, tag));
+  const auto leader = open_.find(request_gid(leader_tid, leader_tag));
   if (merged == open_.end() || leader == open_.end()) return;
   if (!merged->second.has_lane || !leader->second.has_lane) return;
   const std::uint64_t id = ++flow_ids_;

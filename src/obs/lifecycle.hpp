@@ -143,7 +143,7 @@ class LifecycleTracer final : public EventSink {
 
   std::deque<PathTelemetry> paths_;
   PathTelemetry* current_ = nullptr;
-  std::unordered_map<std::uint32_t, Record> open_;
+  std::unordered_map<RequestGid, Record> open_;
   std::unordered_map<ThreadId, LaneAlloc> lanes_;
   /// Flow ids for in-flight fabric legs, keyed by (gid << 1) | leg so a
   /// send and its matching recv share one arrow even across tag reuse.

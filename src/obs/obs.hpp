@@ -3,9 +3,9 @@
 //
 // Contract (mirrors src/check/): every instrumented component holds an
 // `EventSink* sink_` that is null unless a sink is attached for the run.
-// Stamp sites go through MAC3D_OBS_STAMP / MAC3D_OBS_MERGE, which reduce
-// to a single null-pointer test when no sink is attached and compile to
-// nothing under -DMAC3D_OBS=OFF. See docs/OBSERVABILITY.md.
+// Stamp sites go through MAC3D_OBS_STAMP / MAC3D_OBS_MERGE / MAC3D_OBS_HOP,
+// which reduce to a single null-pointer test when no sink is attached. See
+// docs/OBSERVABILITY.md.
 #pragma once
 
 #include <cstddef>
@@ -133,7 +133,6 @@ class EventSink {
 
 }  // namespace mac3d
 
-#if MAC3D_OBS_ENABLED
 #define MAC3D_OBS_STAMP(sink, stage, tid, tag, cycle)  \
   do {                                                 \
     if ((sink) != nullptr) {                           \
@@ -152,24 +151,3 @@ class EventSink {
       (sink)->on_hop((hop), (tid), (tag), (src), (dest), (cycle));      \
     }                                                                   \
   } while (0)
-// Activity stamp for the idle-cycle census (src/obs/profiler.hpp): record
-// that a component sub-unit did useful work this cycle by storing the
-// cycle into its `last_work` slot. One store when ON, nothing when OFF.
-#define MAC3D_OBS_ACTIVITY(slot, cycle) \
-  do {                                  \
-    (slot) = (cycle);                   \
-  } while (0)
-#else
-#define MAC3D_OBS_STAMP(sink, stage, tid, tag, cycle) \
-  do {                                                \
-  } while (0)
-#define MAC3D_OBS_MERGE(sink, tid, tag, leader_tid, leader_tag, cycle) \
-  do {                                                                 \
-  } while (0)
-#define MAC3D_OBS_HOP(sink, hop, tid, tag, src, dest, cycle) \
-  do {                                                       \
-  } while (0)
-#define MAC3D_OBS_ACTIVITY(slot, cycle) \
-  do {                                  \
-  } while (0)
-#endif

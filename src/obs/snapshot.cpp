@@ -4,36 +4,13 @@
 #include <cstdio>
 #include <fstream>
 
-#include "obs/profiler.hpp"
+#include "common/json.hpp"
 #include "common/stats.hpp"
+#include "obs/profiler.hpp"
 
 namespace mac3d {
 
 namespace {
-
-/// Minimal JSON string escape — labels are path/engine names, but keep
-/// the document well-formed for any input.
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Shortest round-trip-ish float rendering, matching the sampler's CSV.
 std::string format_double(double value) {
@@ -79,7 +56,7 @@ void SnapshotStreamer::begin_run(std::string label) {
     header_written_ = true;
   }
   run_label_ = std::move(label);
-  out_ += "{\"run\":\"" + escape(run_label_) + "\"}\n";
+  out_ += "{\"run\":" + json_quote(run_label_) + "}\n";
   counters_.clear();
   gauges_.clear();
   census_ = nullptr;
@@ -127,8 +104,8 @@ void SnapshotStreamer::end_run(Cycle makespan) {
       injected_total_ > completions_total_
           ? injected_total_ - completions_total_
           : 0;
-  out_ += "{\"end\":\"" + escape(run_label_) +
-          "\",\"cycle\":" + std::to_string(makespan) +
+  out_ += "{\"end\":" + json_quote(run_label_) +
+          ",\"cycle\":" + std::to_string(makespan) +
           ",\"windows\":" + std::to_string(run_windows_) +
           ",\"injected\":" + std::to_string(injected_total_) +
           ",\"completions\":" + std::to_string(completions_total_) +
@@ -161,8 +138,7 @@ void SnapshotStreamer::sample_boundary(Cycle boundary) {
     }
     if (delta == 0) continue;  // delta encoding: quiet counters are omitted
     if (!counters_json.empty()) counters_json += ",";
-    counters_json +=
-        "\"" + escape(counter.name) + "\":" + std::to_string(delta);
+    counters_json += json_quote(counter.name) + ":" + std::to_string(delta);
   }
   if (!counters_json.empty()) {
     line += ",\"counters\":{" + counters_json + "}";
@@ -180,8 +156,7 @@ void SnapshotStreamer::sample_boundary(Cycle boundary) {
     for (const Gauge& gauge : gauges_) {
       if (!first) line += ",";
       first = false;
-      line += "\"" + escape(gauge.name) +
-              "\":" + format_double(gauge.probe());
+      line += json_quote(gauge.name) + ":" + format_double(gauge.probe());
     }
     line += "}";
   }
@@ -199,8 +174,7 @@ void SnapshotStreamer::sample_boundary(Cycle boundary) {
       census_last_[i] = active;
       if (delta == 0) continue;
       if (!census_json.empty()) census_json += ",";
-      census_json +=
-          "\"" + escape(rows[i].name) + "\":" + std::to_string(delta);
+      census_json += json_quote(rows[i].name) + ":" + std::to_string(delta);
     }
     if (!census_json.empty()) {
       line += ",\"census\":{" + census_json + "}";

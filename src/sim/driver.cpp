@@ -622,20 +622,16 @@ DriverResult drive(const MemoryTrace& trace, const SimConfig& config,
     device.attach_checks(options.checks);
     path.attach_checks(options.checks, "");
   }
-  // Telemetry compiles out under MAC3D_OBS=OFF: the hooks stay untouched.
-  constexpr bool kObserved = MAC3D_OBS_ENABLED != 0;
-  ActivityCensus* const census = kObserved ? options.census : nullptr;
-  CycleSampler* const sampler = kObserved ? options.sampler : nullptr;
-  SnapshotStreamer* const snapshot = kObserved ? options.snapshot : nullptr;
-  if (kObserved && options.sink != nullptr) {
+  if (options.sink != nullptr) {
     path.attach_sink(options.sink);
     device.attach_sink(options.sink);
   }
   LoopResult loop;
-  const CensusSeal seal(census);
-  SerialPoint serial(census, sampler, snapshot,
-                     kObserved ? options.profiler : nullptr, path.name());
-  register_telemetry(path, device, loop, census, sampler, snapshot);
+  const CensusSeal seal(options.census);
+  SerialPoint serial(options.census, options.sampler, options.snapshot,
+                     options.profiler, path.name());
+  register_telemetry(path, device, loop, options.census, options.sampler,
+                     options.snapshot);
   switch (options.mode) {
     case FeedMode::kClosedLoop:
       run_loop(path, ClosedLoopFeed(trace, config, threads, options, serial),

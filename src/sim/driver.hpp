@@ -97,26 +97,23 @@ struct DriveOptions {
   /// Request-lifecycle telemetry (docs/OBSERVABILITY.md): when non-null,
   /// the driver attaches the sink to the path and stamps core_issue (at a
   /// record's first presentation attempt) and core_complete (at delivery)
-  /// itself. Ignored when the build disables MAC3D_OBS.
+  /// itself.
   EventSink* sink = nullptr;
   /// Periodic occupancy/utilization sampling: when non-null, the driver
   /// registers the path's probe set, samples every window boundary during
   /// the run and flushes the tail at the makespan. The sampler may be
-  /// shared across runs (rows are labeled with the path name). Ignored
-  /// when the build disables MAC3D_OBS.
+  /// shared across runs (rows are labeled with the path name).
   CycleSampler* sampler = nullptr;
   /// Idle-cycle census (docs/OBSERVABILITY.md §profiler): when non-null,
   /// the driver registers the run's components (node0.feeder, the path's
   /// units, the device's banks/vaults/links), marks the feeder on every
   /// accepted request and observes the census once per simulated cycle at
   /// a serial point. The census may be shared across runs (counts
-  /// accumulate); its probes are sealed before the pipeline dies. Ignored
-  /// when the build disables MAC3D_OBS.
+  /// accumulate); its probes are sealed before the pipeline dies.
   ActivityCensus* census = nullptr;
   /// Host wall-clock attribution: when non-null, the driver laps its
   /// tick / telemetry / sampler phases, which partition the feed loop's
   /// wall time. Host time never feeds back into simulated results.
-  /// Ignored when the build disables MAC3D_OBS.
   HostProfiler* profiler = nullptr;
   /// Windowed snapshot streaming (docs/OBSERVABILITY.md §streaming
   /// snapshots): when non-null, the driver opens a snapshot run named
@@ -126,7 +123,6 @@ struct DriveOptions {
   /// landing cycle for the event engine (so the JSONL stream is
   /// byte-identical under both engines). If the streamer carries a
   /// StallWatchdog, the driver abandons the run the window it fires.
-  /// Ignored when the build disables MAC3D_OBS.
   SnapshotStreamer* snapshot = nullptr;
   /// Livelock fault injection (watchdog testing only): from this cycle on
   /// the driver stops draining completions, so accepted work stays in

@@ -41,7 +41,7 @@ class RawPath {
     }
     ++accepts_this_cycle_;
     queue_.push_back(request);
-    MAC3D_OBS_ACTIVITY(last_work_, now);
+    last_work_ = now;
     ledger_.accept(request, now);
     return true;
   }
@@ -60,7 +60,7 @@ class RawPath {
       if (ledger_.in_flight() == 0) {
         ledger_.retire_fence(Target{head.tid, head.tag, 0}, now);
         queue_.pop_front();
-        MAC3D_OBS_ACTIVITY(last_work_, now);
+        last_work_ = now;
       }
       return;
     }
@@ -77,14 +77,14 @@ class RawPath {
     if (!device_.can_accept(request, now)) return;
     ledger_.submit(std::move(request), now);
     queue_.pop_front();
-    MAC3D_OBS_ACTIVITY(last_work_, now);
+    last_work_ = now;
   }
 
   /// Completions at or before `now` (RequestLedger::drain); valid until
   /// the next drain.
   const std::vector<CompletedAccess>& drain(Cycle now) {
     const std::vector<CompletedAccess>& done = ledger_.drain(now);
-    if (!done.empty()) MAC3D_OBS_ACTIVITY(last_work_, now);
+    if (!done.empty()) last_work_ = now;
     return done;
   }
 
@@ -132,7 +132,7 @@ class RawPath {
   RingQueue<RawRequest> queue_;
   AccessCounts stats_;
   RequestLedger ledger_;
-  Cycle last_work_ = ~Cycle{0};  ///< census slot (MAC3D_OBS_ACTIVITY)
+  Cycle last_work_ = ~Cycle{0};  ///< census slot
 };
 
 }  // namespace mac3d

@@ -125,11 +125,7 @@ void run_strict(Path& path, const std::vector<FeedItem>& feed,
     path.tick(now);
     const std::vector<CompletedAccess> done = path.drain(now);
     log_completions(done, now, log);
-#if MAC3D_OBS_ENABLED
     const bool work = path.did_work_this_cycle(now) || !done.empty();
-#else
-    const bool work = !done.empty();
-#endif
     if (work && !fed) {
       EXPECT_GE(now, promise)
           << "observable work at cycle " << now
@@ -198,9 +194,7 @@ void expect_silent(Path& path, Cycle from) {
     const Cycle now = from + ahead;
     path.tick(now);
     EXPECT_TRUE(path.drain(now).empty());
-#if MAC3D_OBS_ENABLED
     EXPECT_FALSE(path.did_work_this_cycle(now));
-#endif
     EXPECT_EQ(path.next_event(now), 0u);
     EXPECT_TRUE(path.idle());
   }

@@ -64,17 +64,19 @@ class Cli : public ::testing::Test {
   }
 
   /// Malformed input: exactly one stderr line and exit 2.
-  void expect_rejected_by(const std::string& binary, const std::string& args,
-                          const std::string& env = "") const {
-    const Outcome outcome = exec(binary, args, env);
+  Outcome expect_rejected_by(const std::string& binary,
+                             const std::string& args,
+                             const std::string& env = "") const {
+    Outcome outcome = exec(binary, args, env);
     EXPECT_EQ(outcome.exit_code, 2) << binary << " " << args << "\n"
                                     << outcome.err;
     EXPECT_EQ(std::count(outcome.err.begin(), outcome.err.end(), '\n'), 1)
         << binary << " " << args << "\n" << outcome.err;
+    return outcome;
   }
-  void expect_rejected(const std::string& args,
-                       const std::string& env = "") const {
-    expect_rejected_by(MAC3D_CLI, args, env);
+  Outcome expect_rejected(const std::string& args,
+                          const std::string& env = "") const {
+    return expect_rejected_by(MAC3D_CLI, args, env);
   }
 
   fs::path dir_;
@@ -137,6 +139,13 @@ TEST_F(Cli, MalformedEnvironmentExits2) {
   expect_rejected("suite --scale 0.01", "MAC3D_JOBS=abc MAC3D_SCALE=garbage");
   expect_rejected(std::string("run ") + kSmall + " --paths raw,mac",
                   "MAC3D_JOBS=-1");
+  // A bad MAC3D_CONFIG entry names the variable, as the others do.
+  for (const std::string env :
+       {"MAC3D_CONFIG=vaults=3", "MAC3D_CONFIG=nosuch=1"}) {
+    EXPECT_NE(expect_rejected("config", env).err.find("MAC3D_CONFIG"),
+              std::string::npos)
+        << env;
+  }
 }
 
 TEST_F(Cli, FlagsACommandIgnoresExit2) {

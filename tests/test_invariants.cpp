@@ -6,10 +6,6 @@
 //    truncated packet) are caught by the matching invariant;
 //  * targeted regressions for fence ordering and FLIT-byte conservation;
 //  * FailMode::kThrow fails loudly on the first breach.
-// A MAC3D_CHECKS=OFF build compiles the model's check sites out, so the
-// cases that assert a check ran or fired are compiled out with them; the
-// checker units tested directly (ConservationChecker, throw-mode plumbing)
-// still run.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -30,7 +26,6 @@
 namespace mac3d {
 namespace {
 
-#if MAC3D_CHECKS_ENABLED
 WorkloadParams small_params(std::uint32_t threads = 4) {
   WorkloadParams params;
   params.threads = threads;
@@ -64,7 +59,6 @@ MemoryTrace random_trace(std::uint64_t seed, std::uint32_t threads,
   }
   return trace;
 }
-#endif  // MAC3D_CHECKS_ENABLED
 
 /// Manual MAC pipeline driven to completion (fault-injection tests).
 class CheckedMac : public ::testing::Test {
@@ -98,7 +92,6 @@ class CheckedMac : public ::testing::Test {
   MacCoalescer mac_{config_, device_};
 };
 
-#if MAC3D_CHECKS_ENABLED
 // ------------------------------------------------------- clean replays
 
 TEST(InvariantReplay, EveryWorkloadReplaysCleanThroughTheCheckedMac) {
@@ -232,8 +225,6 @@ TEST_F(CheckedMac, ThrowModeFailsLoudlyOnTheFirstBreach) {
   EXPECT_THROW(settle(now), InvariantViolation);
 }
 
-#endif  // MAC3D_CHECKS_ENABLED
-
 TEST_F(CheckedMac, CleanPipelineSatisfiesThrowMode) {
   CheckContext context(CheckContext::FailMode::kThrow);
   attach(context);
@@ -248,7 +239,6 @@ TEST_F(CheckedMac, CleanPipelineSatisfiesThrowMode) {
   EXPECT_EQ(context.violations(), 0u);
 }
 
-#if MAC3D_CHECKS_ENABLED
 // ------------------------------------------------- fabric credit checks
 
 RawRequest remote_load(Address addr, ThreadId tid, Tag tag) {
@@ -393,8 +383,6 @@ TEST(CacheInvariants, InjectedCapacityOverrunFiresTheOccupancyBound) {
   EXPECT_GT(context.violations(inv::kMshrOccupancy.id), 0u)
       << context.report();
 }
-
-#endif  // MAC3D_CHECKS_ENABLED
 
 // ------------------------------------------------- targeted regressions
 

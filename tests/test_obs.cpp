@@ -29,8 +29,6 @@
 namespace mac3d {
 namespace {
 
-#if MAC3D_OBS_ENABLED
-
 /// Mixed random stream (loads/stores/atomics, compute gaps, fences) over a
 /// small row range so every lifecycle shape appears, merges included.
 MemoryTrace random_trace(std::uint64_t seed, std::uint32_t threads,
@@ -549,19 +547,6 @@ TEST(Tracer, AuditFlagsBackwardCycleAndStageOrder)
   EXPECT_GT(tracer.monotonicity_errors(), 0u);
   EXPECT_GT(tracer.completeness_errors(), 0u);
 }
-
-#else  // MAC3D_OBS_ENABLED
-
-TEST(Lifecycle, DisabledBuildCompilesStampsToNothing) {
-  // The macros must expand to no-ops without evaluating the sink.
-  [[maybe_unused]] LifecycleTracer* sink = nullptr;
-  MAC3D_OBS_STAMP(sink, Stage::kCoreIssue, 0, 0, 0);
-  MAC3D_OBS_MERGE(sink, 0, 0, 0, 0, 0);
-  MAC3D_OBS_HOP(sink, Hop::kRequestSend, 0, 0, 0, 1, 0);
-  SUCCEED();
-}
-
-#endif  // MAC3D_OBS_ENABLED
 
 TEST(RunReportJson, RendersSchemaConfigAndPerPathSections) {
   RunReport report;

@@ -510,9 +510,6 @@ void add_throwing_probe(ActivityCensus& census) {
 }
 
 TEST(EngineUnwind, DriverAbortsItsTelemetryRunsUnderEveryEngine) {
-#if !MAC3D_OBS_ENABLED
-  GTEST_SKIP() << "the driver's telemetry hooks compile out";
-#endif
   SimConfig config;
   const MemoryTrace trace = locality_trace(0.5, 4, 200, 73);
   CycleSampler sampler(64);

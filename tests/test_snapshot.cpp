@@ -14,6 +14,7 @@
 
 #include "arch/system.hpp"
 #include "common/config.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "obs/analysis.hpp"
 #include "obs/obs.hpp"
@@ -177,7 +178,6 @@ MemoryTrace locality_trace(double locality, std::uint32_t threads,
   return trace;
 }
 
-#if MAC3D_OBS_ENABLED
 std::string driver_stream(CoalescerPolicy policy, Engine engine,
                           const MemoryTrace& trace, const SimConfig& config) {
   SnapshotStreamer snapshot(64);
@@ -269,21 +269,6 @@ TEST(SnapshotWatchdog, SilentOnCleanRun) {
   EXPECT_EQ(snapshot.str().find("\"watchdog\""), std::string::npos);
   EXPECT_GT(dog.windows_observed(), 0u);
 }
-#else   // !MAC3D_OBS_ENABLED
-TEST(SnapshotObsOff, StreamerStaysInertThroughDriver) {
-  const MemoryTrace trace = locality_trace(0.6, 2, 100, 11);
-  SimConfig config;
-  config.validate();
-  SnapshotStreamer snapshot(32);
-  DriveOptions options;
-  options.snapshot = &snapshot;  // driver must ignore it entirely
-  const DriverResult result =
-      run_policy(CoalescerPolicy::kMac, trace, config, 2, options);
-  EXPECT_GE(result.completions, result.raw_requests);
-  EXPECT_TRUE(snapshot.str().empty());
-  EXPECT_EQ(snapshot.window_count(), 0u);
-}
-#endif  // MAC3D_OBS_ENABLED
 
 // ---- Heterogeneous per-node policies ---------------------------------------
 
@@ -474,6 +459,38 @@ TEST(Analyze, CriticalStageRankedFromCensusDeltas) {
   EXPECT_EQ(run.critical_component, "node0.arq");
   EXPECT_EQ(run.critical_windows, 2u);
   EXPECT_DOUBLE_EQ(run.windows[0].critical_utilization, 0.9);
+}
+
+TEST(Analyze, EscapedLabelsRoundTripThroughStreamAndVerdict) {
+  // A run label holding every character class JSON escapes reads back
+  // unchanged from the snapshot stream and from the analysis JSON.
+  const std::string label = "q\"b\\n\nt\tr\r" "\x01" "end";
+  SnapshotStreamer snapshot(10);
+  std::uint64_t moved = 0;
+  snapshot.begin_run(label);
+  snapshot.add_counter(SnapshotStreamer::kInjectedCounter,
+                       [&] { return moved; });
+  snapshot.add_counter(SnapshotStreamer::kCompletionsCounter,
+                       [&] { return moved; });
+  moved = 4;
+  snapshot.advance_to(10);
+  snapshot.end_run(15);
+
+  SnapshotStream stream;
+  std::string error;
+  ASSERT_TRUE(parse_snapshot_stream(snapshot.str(), stream, error)) << error;
+  ASSERT_EQ(stream.runs.size(), 1u);
+  EXPECT_EQ(stream.runs[0].label, label);
+
+  const AnalysisResult result =
+      analyze_stream(FlatReport{}, stream, AnalysisOptions{});
+  JsonValue doc;
+  ASSERT_TRUE(parse_json(analysis_json(result, AnalysisOptions{}), doc, error))
+      << error;
+  const JsonValue* runs = doc.find("runs");
+  ASSERT_NE(runs, nullptr);
+  ASSERT_EQ(runs->items.size(), 1u);
+  EXPECT_EQ(runs->items[0].string_or("label"), label);
 }
 
 TEST(Analyze, ParserRejectsMalformedStreams) {
