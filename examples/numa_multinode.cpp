@@ -8,10 +8,10 @@
 //   nodes in [1, 16384] (default 2), elements-per-thread in [1, 1000000]
 //   (default 2000); a malformed argument or MAC3D_CONFIG exits 2.
 #include <cstdio>
+#include <string>
 
 #include "arch/system.hpp"
 #include "common/rng.hpp"
-#include "mac/coalescer.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
 
@@ -78,9 +78,15 @@ int main(int argc, char** argv) try {
                "bank conflicts", "remote msgs in"});
   for (std::size_t n = 0; n < system.node_count(); ++n) {
     Node& node = system.node(n);
+    // Every policy's path reports node<n>.<path>.{raw_in,packets_out}.
+    const std::string path =
+        "node" + std::to_string(n) + "." + node.memory_path().name();
+    const double raw_in = summary.stats.get(path + ".raw_in");
+    const double packets_out = summary.stats.get(path + ".packets_out");
     table.add_row({std::to_string(n),
                    Table::count(node.device().stats().requests),
-                   Table::pct(node.mac().stats().coalescing_efficiency()),
+                   Table::pct(raw_in == 0.0 ? 0.0
+                                            : 1.0 - packets_out / raw_in),
                    Table::pct(
                        node.device().stats().measured_bandwidth_efficiency()),
                    Table::count(node.device().stats().bank_conflicts),

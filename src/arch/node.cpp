@@ -46,9 +46,9 @@ void Node::attach_sink(EventSink* sink) {
   device_->attach_sink(sink);
 }
 
-void Node::attach_census(ActivityCensus& census) {
+void Node::register_census(ActivityCensus& census) const {
   const std::string prefix = "node" + std::to_string(id_) + ".";
-  census.add_component(prefix + "router", *router_);
+  router_->register_census(census, prefix);
   path_->register_census(census, prefix);
   device_->register_census(census, prefix);
 }
@@ -94,9 +94,9 @@ void Node::tick(Cycle now, Interconnect* fabric) {
   }
 
   // 4. Memory-path intake: one raw request per cycle.
-  if (router_->has_mac_request() && path_->can_accept()) {
-    path_->accept(router_->pop_mac_request(), now);
-    router_->note_work(now);  // census: pop_mac_request has no cycle param
+  if (router_->has_path_request() && path_->can_accept()) {
+    path_->accept(router_->pop_path_request(), now);
+    router_->note_work(now);  // census: pop_path_request has no cycle param
   }
 
   // 5. Advance the memory path / device.
@@ -135,13 +135,8 @@ bool Node::finished() const noexcept {
 }
 
 bool Node::drained() const noexcept {
-  return finished() && path_->idle() && !router_->has_mac_request() &&
+  return finished() && path_->idle() && !router_->has_path_request() &&
          router_->global_queue().empty() && pending_remote_.empty();
-}
-
-bool Node::did_work_this_cycle(Cycle now) const noexcept {
-  return router_->did_work_this_cycle(now) ||
-         path_->did_work_this_cycle(now);
 }
 
 Cycle Node::next_activity_cycle(Cycle now) const noexcept {
@@ -154,7 +149,7 @@ Cycle Node::next_activity_cycle(Cycle now) const noexcept {
   // Remote requests the router refused retry every cycle until routed.
   if (!pending_remote_.empty()) merge(now + 1);
   // Queued router work (MAC intake, outbound fabric forwarding).
-  merge(router_->next_activity_cycle(now));
+  merge(router_->next_event(now));
   // The memory path's own oracle covers the device: its next_event folds
   // in the earliest in-flight device completion.
   merge(path_->next_event(now));

@@ -4,7 +4,6 @@
 // device. Remote traffic flows through the system interconnect.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -39,9 +38,7 @@ class Node {
   [[nodiscard]] bool finished() const noexcept;
   [[nodiscard]] bool drained() const noexcept;
 
-  // ---- Activity oracle (docs/PARALLELISM.md §event-driven engine) --------
-  /// Any of this node's units did useful work at `now`.
-  [[nodiscard]] bool did_work_this_cycle(Cycle now) const noexcept;
+  // ---- Wake oracle (docs/PARALLELISM.md §event-driven engine) ------------
   /// Earliest cycle > `now` at which any unit of this node could do work
   /// (0 = drained forever barring fabric arrivals, which the System-level
   /// jump covers via Interconnect::next_delivery). Ask only after
@@ -57,13 +54,6 @@ class Node {
   [[nodiscard]] MemoryPath& memory_path() noexcept { return *path_; }
   [[nodiscard]] const MemoryPath& memory_path() const noexcept {
     return *path_;
-  }
-  /// The MAC coalescer — only valid under the default kMac policy
-  /// (asserts otherwise; prefer memory_path() in policy-generic code).
-  [[nodiscard]] MacCoalescer& mac() noexcept {
-    MacCoalescer* mac = path_->as_mac();
-    assert(mac != nullptr && "node.mac() requires policy=mac");
-    return *mac;
   }
   [[nodiscard]] RequestRouter& router() noexcept { return *router_; }
   [[nodiscard]] CoreModel& core(std::size_t i) { return cores_.at(i); }
@@ -94,11 +84,10 @@ class Node {
   void attach_sink(EventSink* sink);
 
   /// Register this node's idle-cycle census rows under "node<id>."
-  /// (router, mac, arq, builder, flit_table, plus the device's banks /
-  /// vault<V> / link<L> units — docs/OBSERVABILITY.md §profiler). Probes
-  /// capture this node by reference: seal the census before the node is
-  /// destroyed.
-  void attach_census(ActivityCensus& census);
+  /// (router, the memory path's units, plus the device's banks /
+  /// vault<V> / link<L> units — docs/OBSERVABILITY.md §profiler). Rows
+  /// point into this node: seal the census before the node is destroyed.
+  void register_census(ActivityCensus& census) const;
 
  private:
   void dispatch_completion(const CompletedAccess& completion, Cycle now,

@@ -32,8 +32,8 @@ void System::attach_sink(EventSink* sink) {
 void System::attach_census(ActivityCensus* census) {
   census_ = census;
   if (census == nullptr) return;
-  for (const auto& node : nodes_) node->attach_census(*census);
-  if (nodes_.size() > 1) census->add_component("fabric", *fabric_);
+  for (const auto& node : nodes_) node->register_census(*census);
+  if (nodes_.size() > 1) fabric_->register_census(*census);
 }
 
 void System::register_probes() {

@@ -69,12 +69,13 @@ class MshrCoalescer {
   /// must outlive the coalescer; pass nullptr to detach.
   void attach_sink(EventSink* sink) noexcept { ledger_.attach_sink(sink); }
 
-  // ---- Activity oracle (idle-cycle census, docs/OBSERVABILITY.md) --------
-  [[nodiscard]] bool did_work_this_cycle(Cycle now) const noexcept {
-    return last_work_ == now;
-  }
-  [[nodiscard]] Cycle next_activity_cycle(Cycle now) const noexcept {
-    return next_event(now);
+  /// Register the idle-cycle census row `<prefix>mshr`: a threshold row
+  /// over a slot set to `now + 1` whenever the file accepts, dispatches,
+  /// retires a fence or completes (docs/OBSERVABILITY.md). Same contract
+  /// as MacCoalescer::register_census.
+  template <typename Census>
+  void register_census(Census& census, const std::string& prefix) const {
+    census.add_threshold(prefix + "mshr", &work_until_);
   }
 
   /// Deliberate model bug for the invariant test suite: let the next
@@ -110,7 +111,7 @@ class MshrCoalescer {
   std::uint64_t next_unique_ = 0;
   Cycle merge_port_used_at_ = ~Cycle{0};
   Cycle alloc_port_used_at_ = ~Cycle{0};
-  Cycle last_work_ = ~Cycle{0};  ///< census slot
+  Cycle work_until_ = 0;  ///< census slot (register_census)
   MshrStats stats_;
   RequestLedger ledger_;
   std::uint32_t inject_overrun_ = 0;

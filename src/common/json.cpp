@@ -1,5 +1,6 @@
 #include "common/json.hpp"
 
+#include <cmath>
 #include <cstdlib>
 
 namespace mac3d {
@@ -180,6 +181,11 @@ class Reader {
     const std::string token(text_.substr(start, pos_ - start));
     out.kind = JsonValue::Kind::kNumber;
     out.number = std::strtod(token.c_str(), nullptr);
+    // strtod answers an overflow with +-HUGE_VAL: no double holds it.
+    if (std::isinf(out.number)) {
+      pos_ = start;
+      return fail("number out of range");
+    }
     return true;
   }
 

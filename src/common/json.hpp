@@ -44,13 +44,17 @@ inline std::string json_quote(std::string_view text) {
   return '"' + json_escape(text) + '"';
 }
 
+/// 2^53: every whole number up to it is a double exactly, so it is the
+/// largest count a JSON number can carry.
+inline constexpr double kJsonMaxCount = 9007199254740992.0;
+
 /// Format a double as a JSON number token at full round-trip precision.
 /// Integral values print without an exponent/fraction; non-finite values
 /// (illegal in JSON) degrade to null.
 inline std::string json_number(double value) {
   if (!std::isfinite(value)) return "null";
   // Integers up to 2^53 round-trip exactly and read better than 1e+06.
-  if (value == std::floor(value) && std::fabs(value) < 9.007199254740992e15) {
+  if (value == std::floor(value) && std::fabs(value) < kJsonMaxCount) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%" PRId64,
                   static_cast<std::int64_t>(value));
@@ -66,6 +70,20 @@ inline std::string json_number(std::uint64_t value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
   return buf;
+}
+
+/// Read a parsed JSON number as a count. True, with `out` set, when
+/// `value` is finite, whole and in [0, 2^53]; false otherwise, and
+/// nothing is cast: a float-to-integer conversion out of range is
+/// undefined behaviour.
+[[nodiscard]] inline bool json_count(double value,
+                                     std::uint64_t& out) noexcept {
+  if (!(value >= 0.0 && value <= kJsonMaxCount) ||
+      value != std::floor(value)) {
+    return false;
+  }
+  out = static_cast<std::uint64_t>(value);
+  return true;
 }
 
 /// One parsed JSON value; object members keep document order.
@@ -112,10 +130,11 @@ struct JsonValue {
 
 /// Parses all of `text` as one RFC 8259 document into `out`, nesting at
 /// most 64 deep. Returns false with a one-line "... at byte N" `error` on
-/// anything else: a '+' sign, a leading '.' or zero, a \u escape without
-/// four hex digits, a raw control character in a string, trailing
-/// content. A \u escape below 0x80 decodes to that byte (json_escape's
-/// \u00XX round-trips); any other code point decodes to '?'.
+/// anything else: a '+' sign, a leading '.' or zero, a number too large
+/// for a double (1e400), a \u escape without four hex digits, a raw
+/// control character in a string, trailing content. A \u escape below
+/// 0x80 decodes to that byte (json_escape's \u00XX round-trips); any
+/// other code point decodes to '?'.
 [[nodiscard]] bool parse_json(std::string_view text, JsonValue& out,
                               std::string& error);
 

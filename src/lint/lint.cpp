@@ -159,12 +159,16 @@ bool load_baseline(const std::string& file, Baseline& out,
     BaselineEntry entry;
     entry.rule = item.string_or("rule");
     entry.file = item.string_or("file");
-    entry.count = static_cast<std::uint64_t>(item.number_or("count", 1.0));
     entry.justification = item.string_or("justification");
-    if (entry.rule.empty() || entry.file.empty() || entry.count == 0) {
+    if (entry.rule.empty() || entry.file.empty()) {
       error = "baseline '" + file +
-              "': entries need nonempty 'rule', 'file' and a positive "
-              "'count'";
+              "': entries need nonempty 'rule' and 'file'";
+      return false;
+    }
+    if (!json_count(item.number_or("count", 1.0), entry.count) ||
+        entry.count == 0) {
+      error = "baseline '" + file + "': 'count' of " + entry.rule + " in " +
+              entry.file + " is not a whole number in [1, 2^53]";
       return false;
     }
     if (find_rule(entry.rule) == nullptr) {

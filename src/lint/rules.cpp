@@ -21,9 +21,9 @@ namespace {
 const std::vector<RuleInfo> kCatalog = {
     {"det.activity_oracle", "DET",
      "a header-declared tickable component (void tick(Cycle ...)) must "
-     "also advertise the activity-oracle pair did_work_this_cycle / "
-     "next_activity_cycle that the event-driven fast-forward engine and "
-     "the idle census consume (docs/PARALLELISM.md)"},
+     "also declare the wake oracle the event-driven engine calls "
+     "(next_event, or Node's next_activity_cycle) and the register_census "
+     "the idle census calls (docs/PARALLELISM.md)"},
     {"det.env_access", "DET",
      "environment reads outside the config layer make runs depend on "
      "ambient state; route configuration through SimConfig"},
@@ -281,19 +281,21 @@ void det_activity_oracle(const FileTokens& file, std::vector<Finding>& out) {
     return;
   }
   const auto& tokens = file.tokens;
-  bool has_did_work = false;
-  bool has_next_activity = false;
+  bool has_wake = false;
+  bool has_census = false;
   for (const Token& token : tokens) {
     if (token.kind != Tok::kIdent) continue;
-    if (token.text == "did_work_this_cycle") has_did_work = true;
-    if (token.text == "next_activity_cycle") has_next_activity = true;
+    if (token.text == "next_event" || token.text == "next_activity_cycle") {
+      has_wake = true;
+    }
+    if (token.text == "register_census") has_census = true;
   }
-  if (has_did_work && has_next_activity) return;
+  if (has_wake && has_census) return;
   std::string missing;
-  if (!has_did_work) missing = "did_work_this_cycle";
-  if (!has_next_activity) {
+  if (!has_wake) missing = "a wake oracle (next_event)";
+  if (!has_census) {
     if (!missing.empty()) missing += " and ";
-    missing += "next_activity_cycle";
+    missing += "register_census";
   }
   for (std::size_t i = 0; i + 3 < tokens.size(); ++i) {
     if (is_ident(tokens[i], "void") && is_ident(tokens[i + 1], "tick") &&
@@ -302,8 +304,8 @@ void det_activity_oracle(const FileTokens& file, std::vector<Finding>& out) {
                   tokens[i + 1].col,
                   "tickable component declares tick(Cycle) but not " +
                       missing +
-                      "; the event-driven engine and idle census need the "
-                      "activity-oracle pair (docs/PARALLELISM.md)");
+                      "; the event-driven engine wakes it and the idle "
+                      "census registers it (docs/PARALLELISM.md)");
     }
   }
 }

@@ -116,43 +116,19 @@ class MacCoalescer {
   /// outlive the coalescer; pass nullptr to detach.
   void attach_sink(EventSink* sink) noexcept { ledger_.attach_sink(sink); }
 
-  // ---- Activity oracle (idle-cycle census, docs/OBSERVABILITY.md) --------
-  /// Any MAC stage did useful work at `now`: intake accepted, an ARQ
-  /// entry popped, the builder produced output, or a packet dispatched.
-  [[nodiscard]] bool did_work_this_cycle(Cycle now) const noexcept {
-    return last_work_ == now;
-  }
-  /// Earliest future cycle the MAC could make progress (0 = drained) —
-  /// the oracle the planned event-driven engine consumes.
-  [[nodiscard]] Cycle next_activity_cycle(Cycle now) const noexcept {
-    return next_event(now);
-  }
-  /// Per-unit activity for the census's finer-grained rows.
-  [[nodiscard]] bool arq_did_work(Cycle now) const noexcept {
-    return arq_last_work_ == now;
-  }
-  [[nodiscard]] bool builder_did_work(Cycle now) const noexcept {
-    return builder_last_work_ == now;
-  }
-  [[nodiscard]] bool flit_table_did_work(Cycle now) const noexcept {
-    return flit_last_work_ == now;
-  }
-
   /// Register the MAC's idle-cycle census rows under `prefix` (e.g.
-  /// "node0."): `<prefix>mac`, `<prefix>arq`, `<prefix>builder` and
-  /// `<prefix>flit_table`. Templated on the census like
-  /// HmcDevice::register_census. The coalescer must outlive the census's
-  /// observed run; seal the census before tearing it down.
+  /// "node0."): `<prefix>mac` (any stage worked), `<prefix>arq`,
+  /// `<prefix>builder` and `<prefix>flit_table`, each a threshold row
+  /// over a slot the stage sets to `now + 1` when it works. Templated on
+  /// the census like HmcDevice::register_census. The coalescer must
+  /// outlive the census's observed run; seal the census before tearing it
+  /// down.
   template <typename Census>
   void register_census(Census& census, const std::string& prefix) const {
-    census.add_component(prefix + "mac", *this);
-    census.add_component(prefix + "arq",
-                         [this](Cycle now) { return arq_did_work(now); });
-    census.add_component(prefix + "builder",
-                         [this](Cycle now) { return builder_did_work(now); });
-    census.add_component(prefix + "flit_table", [this](Cycle now) {
-      return flit_table_did_work(now);
-    });
+    census.add_threshold(prefix + "mac", &work_until_);
+    census.add_threshold(prefix + "arq", &arq_until_);
+    census.add_threshold(prefix + "builder", &builder_until_);
+    census.add_threshold(prefix + "flit_table", &flit_table_until_);
   }
 
  private:
@@ -176,10 +152,10 @@ class MacCoalescer {
   Cycle next_pop_at_ = 0;
   Cycle merge_port_used_at_ = ~Cycle{0};  ///< dual-port intake bookkeeping
   Cycle alloc_port_used_at_ = ~Cycle{0};
-  Cycle last_work_ = ~Cycle{0};  ///< census slots
-  Cycle arq_last_work_ = ~Cycle{0};
-  Cycle builder_last_work_ = ~Cycle{0};
-  Cycle flit_last_work_ = ~Cycle{0};
+  Cycle work_until_ = 0;  ///< census slots (register_census)
+  Cycle arq_until_ = 0;
+  Cycle builder_until_ = 0;
+  Cycle flit_table_until_ = 0;
 };
 
 }  // namespace mac3d

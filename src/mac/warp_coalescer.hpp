@@ -98,12 +98,14 @@ class WarpCoalescer {
   /// must outlive the path; pass nullptr to detach.
   void attach_sink(EventSink* sink) noexcept { ledger_.attach_sink(sink); }
 
-  // ---- Activity oracle (idle-cycle census, docs/OBSERVABILITY.md) --------
-  [[nodiscard]] bool did_work_this_cycle(Cycle now) const noexcept {
-    return last_work_ == now;
-  }
-  [[nodiscard]] Cycle next_activity_cycle(Cycle now) const noexcept {
-    return next_event(now);
+  /// Register the idle-cycle census row `<prefix>warp`: a threshold row
+  /// over a slot set to `now + 1` whenever the coalescer accepts, forms
+  /// or serves a window, retires a fence or completes
+  /// (docs/OBSERVABILITY.md). Same contract as
+  /// MacCoalescer::register_census.
+  template <typename Census>
+  void register_census(Census& census, const std::string& prefix) const {
+    census.add_threshold(prefix + "warp", &work_until_);
   }
 
  private:
@@ -137,7 +139,7 @@ class WarpCoalescer {
   RingQueue<Lane> pending_;
   std::vector<Lane> window_;
   std::size_t window_served_ = 0;
-  Cycle last_work_ = ~Cycle{0};  ///< census slot
+  Cycle work_until_ = 0;  ///< census slot (register_census)
   WarpStats stats_;
   RequestLedger ledger_;
 };

@@ -120,19 +120,6 @@ class HmcDevice {
            links_[link].response_flits_sent();
   }
 
-  // ---- Activity oracle (idle-cycle census, docs/OBSERVABILITY.md) --------
-  /// Any bank is mid-access at `now` (the device's coarse activity bit;
-  /// the per-unit census rows below are the fine-grained view).
-  [[nodiscard]] bool did_work_this_cycle(Cycle now) const noexcept {
-    return now < banks_until_;
-  }
-  /// Earliest in-flight completion (0 = drained) — the event-driven
-  /// engine's wake-up oracle for the device.
-  [[nodiscard]] Cycle next_activity_cycle(Cycle now) const noexcept {
-    (void)now;
-    return next_completion();
-  }
-
   // ---- Busy-until thresholds (census threshold rows) ---------------------
   // Every device activity row has the form "active iff now < threshold".
   // A bank's free_at never decreases (an access starts at

@@ -14,10 +14,6 @@ namespace {
 
 constexpr std::string_view kStreamSchema = "mac3d-snapshot/1";
 
-[[nodiscard]] std::uint64_t to_u64(double value) {
-  return value <= 0.0 ? 0 : static_cast<std::uint64_t>(value + 0.5);
-}
-
 /// Report numbers are doubles; snapshot totals are integers. Integral
 /// report values round-trip exactly, so half-a-count slack is enough.
 [[nodiscard]] bool same_count(double report_value, std::uint64_t total) {
@@ -31,18 +27,23 @@ constexpr std::string_view kStreamSchema = "mac3d-snapshot/1";
 }
 
 /// Pull every `prefix.<rest>` numeric leaf of a flattened line into a
-/// name -> value map, stripping the prefix. Census component names keep
+/// name -> value map, stripping the prefix; false at the first leaf that
+/// `convert(path, number, value)` rejects. Census component names keep
 /// their internal dots ("census.node0.router" -> "node0.router").
 template <typename Value, typename Convert>
-void collect_prefixed(const FlatReport& line, const std::string& prefix,
+bool collect_prefixed(const FlatReport& line, const std::string& prefix,
                       std::map<std::string, Value>& out, Convert convert) {
   const std::string start = prefix + ".";
   for (auto it = line.numbers.lower_bound(start);
        it != line.numbers.end() && it->first.compare(0, start.size(),
                                                      start) == 0;
        ++it) {
-    out[it->first.substr(start.size())] = convert(it->second);
+    if (!convert(it->first, it->second,
+                 out[it->first.substr(start.size())])) {
+      return false;
+    }
   }
+  return true;
 }
 
 [[nodiscard]] const double* find_number(const FlatReport& report,
@@ -110,6 +111,13 @@ bool parse_snapshot_stream(const std::string& text, SnapshotStream& out,
     error = "snapshot line " + std::to_string(line_no) + ": " + what;
     return false;
   };
+  // Every count in the stream is a whole number a double holds exactly.
+  const auto count = [&](const std::string& field, double value,
+                         std::uint64_t& out_count) {
+    return json_count(value, out_count) ||
+           fail("\"" + field + "\" is not a whole number in [0, 2^53]: " +
+                format_double(value));
+  };
   while (std::getline(lines, line)) {
     ++line_no;
     if (line.empty()) continue;
@@ -123,10 +131,9 @@ bool parse_snapshot_stream(const std::string& text, SnapshotStream& out,
         return fail("unsupported stream schema \"" + schema->second + "\"");
       }
       const double* period = find_number(flat, "period");
-      if (period == nullptr || to_u64(*period) == 0) {
-        return fail("header has no positive \"period\"");
-      }
-      out.period = to_u64(*period);
+      if (period == nullptr) return fail("header has no positive \"period\"");
+      if (!count("period", *period, out.period)) return false;
+      if (out.period == 0) return fail("header has no positive \"period\"");
       header_seen = true;
       continue;
     }
@@ -143,15 +150,15 @@ bool parse_snapshot_stream(const std::string& text, SnapshotStream& out,
 
     if (flat.strings.count("watchdog") != 0) {
       run->watchdog_fired = true;
-      if (const double* cycle = find_number(flat, "cycle")) {
-        run->watchdog_cycle = to_u64(*cycle);
-      }
-      if (const double* stalled = find_number(flat, "stalled_windows")) {
-        run->watchdog_stalled = to_u64(*stalled);
-      }
-      if (const double* threshold =
-              find_number(flat, "threshold_windows")) {
-        run->watchdog_threshold = to_u64(*threshold);
+      const std::pair<const char*, std::uint64_t*> fields[] = {
+          {"cycle", &run->watchdog_cycle},
+          {"stalled_windows", &run->watchdog_stalled},
+          {"threshold_windows", &run->watchdog_threshold}};
+      for (const auto& [field, out_count] : fields) {
+        const double* value = find_number(flat, field);
+        if (value != nullptr && !count(field, *value, *out_count)) {
+          return false;
+        }
       }
       continue;
     }
@@ -166,11 +173,13 @@ bool parse_snapshot_stream(const std::string& text, SnapshotStream& out,
         return fail("footer missing a required field");
       }
       run->has_footer = true;
-      run->end_cycle = to_u64(*cycle);
-      run->footer_windows = to_u64(*windows);
-      run->injected = to_u64(*injected);
-      run->completions = to_u64(*completions);
-      run->in_flight_at_end = to_u64(*in_flight);
+      if (!count("cycle", *cycle, run->end_cycle) ||
+          !count("windows", *windows, run->footer_windows) ||
+          !count("injected", *injected, run->injected) ||
+          !count("completions", *completions, run->completions) ||
+          !count("in_flight_at_end", *in_flight, run->in_flight_at_end)) {
+        return false;
+      }
       run = nullptr;  // further windows need a fresh "run" marker
       continue;
     }
@@ -181,12 +190,17 @@ bool parse_snapshot_stream(const std::string& text, SnapshotStream& out,
       return fail("unrecognized line");
     }
     SnapshotWindowRow row;
-    row.cycle = to_u64(*cycle);
-    row.in_flight = to_u64(*in_flight);
-    collect_prefixed(flat, "counters", row.counters, to_u64);
-    collect_prefixed(flat, "census", row.census, to_u64);
+    if (!count("cycle", *cycle, row.cycle) ||
+        !count("in_flight", *in_flight, row.in_flight) ||
+        !collect_prefixed(flat, "counters", row.counters, count) ||
+        !collect_prefixed(flat, "census", row.census, count)) {
+      return false;
+    }
     collect_prefixed(flat, "gauges", row.gauges,
-                     [](double v) { return v; });
+                     [](const std::string&, double value, double& gauge) {
+                       gauge = value;
+                       return true;
+                     });
     run->windows.push_back(std::move(row));
   }
   if (!header_seen) {

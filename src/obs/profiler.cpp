@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <utility>
 
 #include "common/json.hpp"
 #include "common/stats.hpp"
@@ -56,12 +57,6 @@ std::size_t ActivityCensus::add_threshold(std::string name,
   return row;
 }
 
-std::size_t ActivityCensus::add_feeder(std::string name) {
-  if (feeder_index_ != kNoFeeder) add_idle_row(feeder_index_);
-  feeder_index_ = add_row(std::move(name));
-  return feeder_index_;
-}
-
 void ActivityCensus::observe(Cycle now) {
   if (observed_any_ && now <= last_observed_) return;
   // Cycles the engine skipped (or never visited) are idle for everyone:
@@ -76,9 +71,6 @@ void ActivityCensus::observe(Cycle now) {
   }
   for (const ProbeRow& entry : probes_) {
     book(rows[entry.row], entry.probe(now));
-  }
-  if (feeder_index_ != kNoFeeder) {
-    book(rows[feeder_index_], feeder_marked_at_ == now);
   }
   observed_cycles_ += gap + 1;
   last_observed_ = now;
@@ -112,7 +104,6 @@ void ActivityCensus::seal() {
   // reference into the probed components survives.
   thresholds_.clear();
   probes_.clear();
-  feeder_index_ = kNoFeeder;
   for (std::size_t row = 0; row < rows_.size(); ++row) add_idle_row(row);
 }
 

@@ -2,26 +2,22 @@
 // idle-cycle census over every tickable component and the host-side
 // wall-clock attribution for engine phases.
 //
-// The census is the measurement arm of the ROADMAP's event-driven
-// fast-forward engine: it forces each component to expose the Activity
-// oracle (`did_work_this_cycle` / `next_activity_cycle`) that engine will
-// consume, and turns "most cycles are dead time" into per-component
-// numbers. Census probes are evaluated only at serial points (the census
-// owner observes once per simulated cycle), so the serial and event
-// engines produce byte-identical census exports.
+// The census turns "most cycles are dead time" into per-component
+// numbers. Every simulated unit registers a busy-until threshold that its
+// own work raises, so a row costs one load and a compare at the serial
+// point (the census owner observes once per visited cycle), and the
+// serial and event engines produce byte-identical census exports.
 //
 // Host-time measurements (HostProfiler) are wall-clock and therefore
 // nondeterministic by nature; they are quarantined in the report's
 // `host` section, which report-diff skips by name.
 #pragma once
 
-#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -36,25 +32,18 @@ class StatSet;
 /// stays quarantined from simulated time.
 [[nodiscard]] double host_now_seconds();
 
-/// The Activity concept every tickable component grows in this PR and the
-/// event-driven engine will later consume: "did you do useful work at
-/// cycle `now`?" plus "when is your next possible activity?" (0 = idle
-/// forever, i.e. the component is drained).
-template <typename T>
-concept ActivityComponent = requires(const T& t, Cycle now) {
-  { t.did_work_this_cycle(now) } -> std::convertible_to<bool>;
-  { t.next_activity_cycle(now) } -> std::convertible_to<Cycle>;
-};
-
 /// Idle-cycle census: accumulates per-component active/idle cycle counts.
 ///
 /// Components register a row; the run owner calls observe(now) once per
 /// simulated cycle at a serial point. A row is one of two kinds:
-///  * a probe row (add_component) asks a callback "active at `now`?" —
-///    stamp-form units ("last worked at cycle c") and external callers;
 ///  * a threshold row (add_threshold) points at a busy-until cycle and is
-///    active iff now < *busy_until — device state like "bank busy until
-///    cycle c", evaluated with one load and a compare.
+///    active iff now < *busy_until, one load and a compare. Every
+///    simulated unit registers this kind: device state like "bank busy
+///    until cycle c", and units that do work in a cycle, which store
+///    `now + 1` into their slot (active exactly at the cycle they
+///    worked, never across a skipped span);
+///  * a probe row (add_component) asks a callback "active at `now`?" —
+///    for callers outside the model only (tests, perf's visit counter).
 /// Cycles the engine never visited (time skips) count as idle for probe
 /// rows — the driver only skips cycles where provably no component does
 /// work. Threshold state stays active during skipped spans even though
@@ -78,26 +67,11 @@ class ActivityCensus {
   /// skip_to(). Returns the component's census index.
   std::size_t add_component(std::string name, Probe probe);
 
-  /// Register any ActivityComponent; the probe delegates to its
-  /// did_work_this_cycle. The component must outlive the observed run
-  /// (call seal() before it dies).
-  template <ActivityComponent T>
-  std::size_t add_component(std::string name, const T& component) {
-    return add_component(std::move(name), [&component](Cycle now) {
-      return component.did_work_this_cycle(now);
-    });
-  }
-
   /// Register threshold-form state: active at `now` iff
   /// now < *busy_until. The threshold must never decrease while the run
-  /// is observed and must be frozen across skipped spans (no submits
-  /// happen mid-skip); the pointee must outlive the run (seal() first).
+  /// is observed and must be frozen across skipped spans (nothing ticks
+  /// mid-skip); the pointee must outlive the run (seal() first).
   std::size_t add_threshold(std::string name, const Cycle* busy_until);
-
-  /// Register a manually-marked component (the trace feeder has no tick
-  /// of its own): mark_feeder(now) flags the current cycle as active.
-  std::size_t add_feeder(std::string name);
-  void mark_feeder(Cycle now) noexcept { feeder_marked_at_ = now; }
 
   /// Account one simulated cycle. Idempotent per cycle; a forward jump
   /// from the last observed cycle books the skipped cycles as idle for
@@ -137,8 +111,6 @@ class ActivityCensus {
   [[nodiscard]] std::string to_json() const;
 
  private:
-  static constexpr std::size_t kNoFeeder = static_cast<std::size_t>(-1);
-
   struct ThresholdRow {
     std::size_t row;
     const Cycle* busy_until;
@@ -152,14 +124,12 @@ class ActivityCensus {
   /// Make row `row` permanently idle: a threshold row that is never busy.
   void add_idle_row(std::size_t row);
 
-  // Every row is exactly one of: a threshold row, a probe row, or the
-  // feeder. The kinds live in separate dense lists so observe() runs the
-  // threshold rows as a tight load-compare loop.
+  // Every row is exactly one of: a threshold row or a probe row. The
+  // kinds live in separate dense lists so observe() runs the threshold
+  // rows as a tight load-compare loop.
   std::vector<Row> rows_;
   std::vector<ThresholdRow> thresholds_;
   std::vector<ProbeRow> probes_;
-  std::size_t feeder_index_ = kNoFeeder;
-  Cycle feeder_marked_at_ = ~Cycle{0};
   bool observed_any_ = false;
   Cycle last_observed_ = 0;
   std::uint64_t observed_cycles_ = 0;

@@ -55,9 +55,6 @@ class SerialPoint {
   }
 
   void start_laps() const noexcept { mac3d::start_laps(profiler_); }
-  void mark_feeder(Cycle now) const noexcept {
-    if (census_ != nullptr) census_->mark_feeder(now);
-  }
 
   /// The cycle's work is done. True when the stall watchdog fired: the
   /// run is abandoned here, the only exit a livelocked pipeline has.

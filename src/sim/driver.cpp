@@ -43,11 +43,13 @@ constexpr Cycle kNever = SerialPoint::kNever;
 constexpr std::uint32_t kMaxLoadsPerThread = 2;
 constexpr std::uint32_t kMaxStoresPerThread = 4;
 
-/// What the loop learns from completions. It outlives the loop: the
-/// snapshot's completions counter still reads it when the run ends.
+/// What the loop learns from completions, and the feeder's census slot.
+/// It outlives the loop: the snapshot's completions counter still reads
+/// it when the run ends, and the census until it is sealed.
 struct LoopResult {
   Cycle makespan = 0;             ///< cycle of the last completion
   std::uint64_t completions = 0;  ///< data records + retired fences
+  Cycle feeder_until = 0;  ///< census slot: the feed's last intake + 1
 };
 
 /// What every feed shares: its view of the trace and the presentation of
@@ -58,10 +60,10 @@ class Feed {
  protected:
   Feed(const MemoryTrace& trace, const SimConfig& config,
        std::uint32_t threads, const DriveOptions& options,
-       const SerialPoint& serial)
+       Cycle& feeder_until)
       : trace_(trace),
         options_(options),
-        serial_(serial),
+        feeder_until_(feeder_until),
         cores_(config.cores),
         threads_(std::min(threads, trace.threads())) {
     for (std::uint32_t t = 0; t < threads_; ++t) {
@@ -107,14 +109,14 @@ class Feed {
       stamped = true;
     }
     if (!path.try_accept(request, now)) return false;
-    serial_.mark_feeder(now);
+    feeder_until_ = now + 1;
     stamped = false;
     return true;
   }
 
   const MemoryTrace& trace_;
   const DriveOptions& options_;
-  const SerialPoint& serial_;
+  Cycle& feeder_until_;
   std::uint32_t cores_;
   std::uint32_t threads_;
   std::uint64_t records_left_ = 0;
@@ -140,8 +142,8 @@ class StreamingFeed : public Feed {
  public:
   StreamingFeed(const MemoryTrace& trace, const SimConfig& config,
                 std::uint32_t threads, const DriveOptions& options,
-                const SerialPoint& serial)
-      : Feed(trace, config, threads, options, serial),
+                Cycle& feeder_until)
+      : Feed(trace, config, threads, options, feeder_until),
         cursors_(threads_),
         tags_(threads_, TagAllocator(options.tag_pool)) {
     for (std::uint32_t t = 0; t < threads_; ++t) {
@@ -221,8 +223,8 @@ class ClosedLoopFeed : public Feed {
  public:
   ClosedLoopFeed(const MemoryTrace& trace, const SimConfig& config,
                  std::uint32_t threads, const DriveOptions& options,
-                 const SerialPoint& serial)
-      : Feed(trace, config, threads, options, serial),
+                 Cycle& feeder_until)
+      : Feed(trace, config, threads, options, feeder_until),
         cursors_(threads_) {
     for (std::uint32_t t = 0; t < threads_; ++t) {
       cursors_[t].ready_at = first_arrival(t);
@@ -329,8 +331,8 @@ class LaneGroupFeed : public Feed {
  public:
   LaneGroupFeed(const MemoryTrace& trace, const SimConfig& config,
                 std::uint32_t threads, const DriveOptions& options,
-                const SerialPoint& serial)
-      : Feed(trace, config, threads, options, serial),
+                Cycle& feeder_until)
+      : Feed(trace, config, threads, options, feeder_until),
         lanes_(threads_),
         width_(std::max<std::uint32_t>(1, config.warp_lanes)) {
     for (std::uint32_t t = 0; t < threads_; ++t) {
@@ -556,7 +558,7 @@ void register_telemetry(Path& path, const HmcDevice& device,
                         const LoopResult& loop, ActivityCensus* census,
                         CycleSampler* sampler, SnapshotStreamer* snapshot) {
   if (census != nullptr) {
-    census->add_feeder("node0.feeder");
+    census->add_threshold("node0.feeder", &loop.feeder_until);
     path.register_census(*census, "node0.");
     device.register_census(*census, "node0.");
   }
@@ -632,17 +634,18 @@ DriverResult drive(const MemoryTrace& trace, const SimConfig& config,
                      options.profiler, path.name());
   register_telemetry(path, device, loop, options.census, options.sampler,
                      options.snapshot);
+  Cycle& fed = loop.feeder_until;
   switch (options.mode) {
     case FeedMode::kClosedLoop:
-      run_loop(path, ClosedLoopFeed(trace, config, threads, options, serial),
+      run_loop(path, ClosedLoopFeed(trace, config, threads, options, fed),
                options, serial, loop);
       break;
     case FeedMode::kLaneGroup:
-      run_loop(path, LaneGroupFeed(trace, config, threads, options, serial),
+      run_loop(path, LaneGroupFeed(trace, config, threads, options, fed),
                options, serial, loop);
       break;
     case FeedMode::kStreaming:
-      run_loop(path, StreamingFeed(trace, config, threads, options, serial),
+      run_loop(path, StreamingFeed(trace, config, threads, options, fed),
                options, serial, loop);
       break;
   }

@@ -60,12 +60,11 @@ enum class Engine {
   /// Strict cycle loop: ticks every component every cycle. The reference
   /// scheduler the differential suite compares the event engine against.
   kSerial,
-  /// Event-driven fast-forward (the default): the Activity oracle
-  /// (`next_activity_cycle`, src/obs/profiler.hpp) is the scheduling
-  /// contract — the driver jumps the clock to the minimum next-activity
-  /// cycle instead of ticking dead cycles, crediting the skipped span to
-  /// the census/sampler before the landing tick so every export stays
-  /// byte-identical to kSerial.
+  /// Event-driven fast-forward (the default): each unit's wake oracle
+  /// (`next_event`) is the scheduling contract — the driver jumps the
+  /// clock to the minimum wake cycle instead of ticking dead cycles,
+  /// crediting the skipped span to the census/sampler before the landing
+  /// tick so every export stays byte-identical to kSerial.
   kEvent,
   /// perf/ only: it still names the retired event-parallel engine, which
   /// now runs kEvent. ROADMAP item 1 deletes it with perf's speedup rows.

@@ -21,13 +21,11 @@ class ActivityCensus;
 class CheckContext;
 class EventSink;
 class HmcDevice;
-class MacCoalescer;
 
 class MemoryPath {
  public:
   virtual ~MemoryPath();
 
-  [[nodiscard]] virtual CoalescerPolicy policy() const noexcept = 0;
   /// The namespace leaf ("mac", "raw", "mshr", "warp") used for metric
   /// prefixes, census rows and check scopes.
   [[nodiscard]] virtual const char* name() const noexcept = 0;
@@ -40,26 +38,22 @@ class MemoryPath {
   /// stays valid until its next drain.
   virtual const std::vector<CompletedAccess>& drain(Cycle now) = 0;
   [[nodiscard]] virtual bool idle() const = 0;
+  /// Wake oracle (docs/PARALLELISM.md §event-driven engine): the earliest
+  /// cycle the path could make progress, 0 when drained.
   [[nodiscard]] virtual Cycle next_event(Cycle now) const = 0;
-
-  // ---- Activity oracle (docs/PARALLELISM.md §event-driven engine) --------
-  [[nodiscard]] virtual bool did_work_this_cycle(Cycle now) const = 0;
-  [[nodiscard]] virtual Cycle next_activity_cycle(Cycle now) const = 0;
 
   /// Attach invariant checking; `scope_prefix` is the owner's namespace
   /// ("node0."), to which the path appends its name().
   virtual void attach_checks(CheckContext* context,
                              const std::string& scope_prefix) = 0;
   virtual void attach_sink(EventSink* sink) = 0;
-  /// Register this path's census rows under `prefix` + its unit names
-  /// (the MAC contributes mac/arq/builder/flit_table, the others one row).
+  /// Register this path's census threshold rows under `prefix` + its
+  /// unit names (the MAC contributes mac/arq/builder/flit_table, the
+  /// others one row).
   virtual void register_census(ActivityCensus& census,
-                               const std::string& prefix) = 0;
+                               const std::string& prefix) const = 0;
   /// Emit the path's stats under `prefix` + "." + name() + ".*".
   virtual void collect(StatSet& out, const std::string& prefix) const = 0;
-
-  /// Non-null only for the MAC adapter (paper-specific accessors).
-  [[nodiscard]] virtual MacCoalescer* as_mac() noexcept { return nullptr; }
 };
 
 /// Build the path selected by config.policy over `device`.

@@ -1,6 +1,6 @@
 // The four MemoryPath adapters — mac, raw, mshr, warp (DESIGN.md
-// §policy). Each holds everything specific to its path: the metric,
-// census and check-scope namespaces, the sampler and snapshot gauges, the
+// §policy). Each holds everything specific to its path: the metric and
+// check-scope namespaces, the sampler and snapshot gauges, the
 // snapshot's injected count and the path's DriverResult fields, written
 // once for both simulators. make_memory_path builds them for the Node;
 // the streaming driver (src/sim/driver.cpp) instantiates its cycle loop
@@ -35,9 +35,6 @@ class PathAdapter : public MemoryPath {
   explicit PathAdapter(Args&&... args)
       : path_(std::forward<Args>(args)...) {}
 
-  [[nodiscard]] CoalescerPolicy policy() const noexcept final {
-    return kPolicy;
-  }
   [[nodiscard]] const char* name() const noexcept final {
     return to_string(kPolicy).data();  // enum names are NUL-terminated
   }
@@ -57,17 +54,15 @@ class PathAdapter : public MemoryPath {
   [[nodiscard]] Cycle next_event(Cycle now) const final {
     return path_.next_event(now);
   }
-  [[nodiscard]] bool did_work_this_cycle(Cycle now) const final {
-    return path_.did_work_this_cycle(now);
-  }
-  [[nodiscard]] Cycle next_activity_cycle(Cycle now) const final {
-    return path_.next_activity_cycle(now);
-  }
   void attach_checks(CheckContext* context,
                      const std::string& scope_prefix) final {
     path_.attach_checks(context, scope_prefix + name());
   }
   void attach_sink(EventSink* sink) final { path_.attach_sink(sink); }
+  void register_census(ActivityCensus& census,
+                       const std::string& prefix) const final {
+    path_.register_census(census, prefix);
+  }
 
  protected:
   Path path_;
@@ -83,14 +78,9 @@ class MacAdapter final
  public:
   using PathAdapter::PathAdapter;
 
-  void register_census(ActivityCensus& census,
-                       const std::string& prefix) override {
-    path_.register_census(census, prefix);
-  }
   void collect(StatSet& out, const std::string& prefix) const override {
     path_.stats().collect(out, prefix + ".mac");
   }
-  [[nodiscard]] MacCoalescer* as_mac() noexcept override { return &path_; }
 
   [[nodiscard]] std::size_t occupancy() const { return path_.arq().size(); }
   [[nodiscard]] std::size_t issue_backlog() const {
@@ -113,10 +103,6 @@ class RawAdapter final : public PathAdapter<RawPath, CoalescerPolicy::kRaw> {
  public:
   using PathAdapter::PathAdapter;
 
-  void register_census(ActivityCensus& census,
-                       const std::string& prefix) override {
-    census.add_component(prefix + "queue", path_);
-  }
   void collect(StatSet& out, const std::string& prefix) const override {
     const std::string base = prefix + ".raw";
     const AccessCounts& stats = path_.stats();
@@ -147,10 +133,6 @@ class MshrAdapter final
                     config.mshr_block_bytes),
         block_bytes_(config.mshr_block_bytes) {}
 
-  void register_census(ActivityCensus& census,
-                       const std::string& prefix) override {
-    census.add_component(prefix + "mshr", path_);
-  }
   void collect(StatSet& out, const std::string& prefix) const override {
     const std::string base = prefix + ".mshr";
     const MshrStats& stats = path_.stats();
@@ -185,10 +167,6 @@ class WarpAdapter final
  public:
   using PathAdapter::PathAdapter;
 
-  void register_census(ActivityCensus& census,
-                       const std::string& prefix) override {
-    census.add_component(prefix + "warp", path_);
-  }
   void collect(StatSet& out, const std::string& prefix) const override {
     path_.stats().collect(out, prefix + ".warp");
   }

@@ -41,7 +41,7 @@ class RawPath {
     }
     ++accepts_this_cycle_;
     queue_.push_back(request);
-    last_work_ = now;
+    work_until_ = now + 1;
     ledger_.accept(request, now);
     return true;
   }
@@ -60,7 +60,7 @@ class RawPath {
       if (ledger_.in_flight() == 0) {
         ledger_.retire_fence(Target{head.tid, head.tag, 0}, now);
         queue_.pop_front();
-        last_work_ = now;
+        work_until_ = now + 1;
       }
       return;
     }
@@ -77,14 +77,14 @@ class RawPath {
     if (!device_.can_accept(request, now)) return;
     ledger_.submit(std::move(request), now);
     queue_.pop_front();
-    last_work_ = now;
+    work_until_ = now + 1;
   }
 
   /// Completions at or before `now` (RequestLedger::drain); valid until
   /// the next drain.
   const std::vector<CompletedAccess>& drain(Cycle now) {
     const std::vector<CompletedAccess>& done = ledger_.drain(now);
-    if (!done.empty()) last_work_ = now;
+    if (!done.empty()) work_until_ = now + 1;
     return done;
   }
 
@@ -116,12 +116,13 @@ class RawPath {
   /// The sink must outlive the path; pass nullptr to detach.
   void attach_sink(EventSink* sink) noexcept { ledger_.attach_sink(sink); }
 
-  // ---- Activity oracle (idle-cycle census, docs/OBSERVABILITY.md) --------
-  [[nodiscard]] bool did_work_this_cycle(Cycle now) const noexcept {
-    return last_work_ == now;
-  }
-  [[nodiscard]] Cycle next_activity_cycle(Cycle now) const noexcept {
-    return next_event(now);
+  /// Register the path's idle-cycle census row, `<prefix>queue`: a
+  /// threshold row over a slot set to `now + 1` whenever the FIFO accepts,
+  /// dispatches, retires a fence or completes (docs/OBSERVABILITY.md).
+  /// Same contract as MacCoalescer::register_census.
+  template <typename Census>
+  void register_census(Census& census, const std::string& prefix) const {
+    census.add_threshold(prefix + "queue", &work_until_);
   }
 
  private:
@@ -132,7 +133,7 @@ class RawPath {
   RingQueue<RawRequest> queue_;
   AccessCounts stats_;
   RequestLedger ledger_;
-  Cycle last_work_ = ~Cycle{0};  ///< census slot
+  Cycle work_until_ = 0;  ///< census slot (register_census)
 };
 
 }  // namespace mac3d

@@ -1,5 +1,5 @@
 // Conforming counterpart to tickable_no_oracle.hpp: the tickable widget
-// advertises the full activity-oracle pair.
+// declares a wake oracle and registers its census row.
 #pragma once
 
 namespace mini {
@@ -8,12 +8,15 @@ using Cycle = unsigned long long;
 
 class Widget {
  public:
-  void tick(Cycle now) { last_ = now; }
-  bool did_work_this_cycle(Cycle now) const { return last_ == now; }
-  Cycle next_activity_cycle(Cycle) const { return 0; }
+  void tick(Cycle now) { work_until_ = now + 1; }
+  Cycle next_event(Cycle) const { return 0; }
+  template <typename Census>
+  void register_census(Census& census) const {
+    census.add_threshold("widget", &work_until_);
+  }
 
  private:
-  Cycle last_ = 0;
+  Cycle work_until_ = 0;
 };
 
 }  // namespace mini

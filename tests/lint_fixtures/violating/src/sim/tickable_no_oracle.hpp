@@ -1,6 +1,6 @@
-// det.activity_oracle: a tickable component that never advertises the
-// did_work_this_cycle / next_activity_cycle pair the event-driven engine
-// and the idle census consume.
+// det.activity_oracle: a tickable component that declares neither the
+// wake oracle the event-driven engine calls (next_event) nor the
+// register_census the idle census calls.
 #pragma once
 
 namespace mini {

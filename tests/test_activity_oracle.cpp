@@ -1,11 +1,12 @@
 // Oracle property suite for the event-driven fast-forward engine
 // (docs/PARALLELISM.md §event-driven engine). Every tickable unit
-// advertises `next_event` / `next_activity_cycle`; the engine's
-// correctness rests on two properties this file fuzzes directly:
+// advertises a wake oracle, `next_event`; the engine's correctness rests
+// on two properties this file fuzzes directly:
 //
 //  1. No early work: after tick(now), the unit does no observable work at
 //     any cycle strictly before the advertised next-activity cycle unless
-//     new input arrives first.
+//     new input arrives first. Work is what the idle census sees: any of
+//     the unit's census rows active at `now`, or a completion.
 //  2. Jump completeness: ticking ONLY at advertised cycles (plus input
 //     cycles) produces bit-identical completions and stats to ticking
 //     every cycle — skipped cycles were provably dead.
@@ -28,6 +29,7 @@
 #include "common/types.hpp"
 #include "mac/coalescer.hpp"
 #include "mem/hmc_device.hpp"
+#include "obs/profiler.hpp"
 #include "sim/raw_path.hpp"
 
 namespace mac3d {
@@ -86,6 +88,37 @@ void log_completions(const std::vector<CompletedAccess>& done, Cycle now,
   }
 }
 
+/// The unit's census rows (every one a threshold row), attached through
+/// its register_census, read as one bit per visited cycle: did any row
+/// count the cycle as active?
+class UnitCensus {
+ public:
+  template <typename Path>
+  explicit UnitCensus(const Path& path) {
+    path.register_census(census_, "");
+  }
+  UnitCensus(const UnitCensus&) = delete;
+  UnitCensus& operator=(const UnitCensus&) = delete;
+
+  /// Observe `now` (after its tick); true when any row was active.
+  bool worked(Cycle now) {
+    const std::uint64_t before = active_cycles();
+    census_.observe(now);
+    return active_cycles() != before;
+  }
+
+ private:
+  [[nodiscard]] std::uint64_t active_cycles() const {
+    std::uint64_t total = 0;
+    for (const ActivityCensus::Row& row : census_.rows()) {
+      total += row.active_cycles;
+    }
+    return total;
+  }
+
+  ActivityCensus census_;
+};
+
 /// Strict cycle-by-cycle run: feeds due requests (with router-style
 /// retry), ticks every cycle, and asserts the no-early-work property
 /// against the unit's advertised next-activity cycle. Writes the
@@ -94,6 +127,7 @@ template <typename Path>
 void run_strict(Path& path, const std::vector<FeedItem>& feed,
                 std::string* out, Cycle* drained_at) {
   std::ostringstream log;
+  UnitCensus census(path);
   std::size_t next_feed = 0;
   std::vector<RawRequest> retry;
   // Earliest cycle internal work is allowed; kNeverCycle after the unit
@@ -125,7 +159,7 @@ void run_strict(Path& path, const std::vector<FeedItem>& feed,
     path.tick(now);
     const std::vector<CompletedAccess> done = path.drain(now);
     log_completions(done, now, log);
-    const bool work = path.did_work_this_cycle(now) || !done.empty();
+    const bool work = census.worked(now) || !done.empty();
     if (work && !fed) {
       EXPECT_GE(now, promise)
           << "observable work at cycle " << now
@@ -190,11 +224,12 @@ std::string run_jumped(Path& path, const std::vector<FeedItem>& feed) {
 /// 0 and ticks at arbitrary future cycles observable no-ops.
 template <typename Path>
 void expect_silent(Path& path, Cycle from) {
+  UnitCensus census(path);
   for (const Cycle ahead : {1u, 2u, 17u, 1000u}) {
     const Cycle now = from + ahead;
     path.tick(now);
     EXPECT_TRUE(path.drain(now).empty());
-    EXPECT_FALSE(path.did_work_this_cycle(now));
+    EXPECT_FALSE(census.worked(now));
     EXPECT_EQ(path.next_event(now), 0u);
     EXPECT_TRUE(path.idle());
   }
@@ -330,9 +365,6 @@ void expect_thresholds_match_bank_scan(HmcDevice& device, std::uint64_t seed,
     }
     completed += static_cast<std::uint32_t>(device.drain(now).size());
 
-    EXPECT_EQ(device.did_work_this_cycle(now),
-              device.banks_busy_fraction(now) > 0.0)
-        << "cycle " << now;
     EXPECT_EQ(now < device.banks_busy_until(),
               device.banks_busy_fraction(now) > 0.0)
         << "cycle " << now;

@@ -77,11 +77,11 @@ TEST(RequestRouter, RemoteQueueAndRoundRobin) {
   b.tid = 2;
   ASSERT_TRUE(router.route_local(a));
   ASSERT_TRUE(router.route_remote(b));
-  EXPECT_TRUE(router.has_mac_request());
-  const ThreadId first = router.pop_mac_request().tid;
-  const ThreadId second = router.pop_mac_request().tid;
+  EXPECT_TRUE(router.has_path_request());
+  const ThreadId first = router.pop_path_request().tid;
+  const ThreadId second = router.pop_path_request().tid;
   EXPECT_NE(first, second);
-  EXPECT_FALSE(router.has_mac_request());
+  EXPECT_FALSE(router.has_path_request());
 }
 
 TEST(RequestRouter, BackPressureWhenFull) {
@@ -150,11 +150,11 @@ TEST(CoreModel, SpmAccessesCompleteLocally) {
   };
   core.add_thread(0, &records);
   core.try_issue(0, router);  // SPM access, nothing routed
-  EXPECT_FALSE(router.has_mac_request());
+  EXPECT_FALSE(router.has_path_request());
   EXPECT_EQ(core.spm_accesses(), 1u);
   // After the SPM latency the main-memory access goes out.
   core.try_issue(10, router);
-  EXPECT_TRUE(router.has_mac_request());
+  EXPECT_TRUE(router.has_path_request());
   EXPECT_EQ(core.issued(), 1u);
   EXPECT_FALSE(core.finished());
   core.on_complete(0, 500);

@@ -195,6 +195,17 @@ TEST_F(Cli, ExamplesRejectMalformedArgumentsWithExit2) {
   expect_rejected_by(spmv, "--csv 1000001");
   EXPECT_EQ(exec(spmv, "--csv 0.01").exit_code, 0);
 }
+
+// numa_multinode's table reads each node's path through the stats every
+// policy emits, so it runs under any policy, not only the MAC.
+TEST_F(Cli, NumaExampleRunsUnderEveryPolicy) {
+  const std::string numa = MAC3D_EXAMPLES_DIR "/numa_multinode";
+  for (const std::string policy : {"raw", "mshr", "warp", "mac"}) {
+    const Outcome outcome =
+        exec(numa, "2 200", "MAC3D_CONFIG=policy=" + policy);
+    EXPECT_EQ(outcome.exit_code, 0) << policy << "\n" << outcome.err;
+  }
+}
 #endif
 
 TEST_F(Cli, WellFormedRunsExit0) {

@@ -12,6 +12,7 @@
 //    rules rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <set>
@@ -152,6 +153,51 @@ TEST(LintBaseline, LoaderRejectsBadDocuments) {
            {"rule": "no.such_rule", "file": "a.cpp", "count": 1}]})");
   EXPECT_FALSE(load_baseline(bad_rule, baseline, error));
   EXPECT_NE(error.find("no.such_rule"), std::string::npos);
+  // A count of findings is a whole number in [1, 2^53], rejected by name
+  // otherwise (1e400 already fails the JSON reader), never cast.
+  for (const std::string count : {"0", "-1", "1.5", "1e30", "1e400"}) {
+    const std::string bad_count = write_temp(
+        "lint_bad_count.json",
+        R"({"schema": "mac3d-lint-baseline/1", "entries": [
+             {"rule": "det.rand_source", "file": "a.cpp", "count": )" +
+            count + "}]}");
+    EXPECT_FALSE(load_baseline(bad_count, baseline, error)) << count;
+    EXPECT_NE(error.find(count == "1e400" ? "out of range" : "'count'"),
+              std::string::npos)
+        << error;
+  }
+}
+
+/// The det.activity_oracle findings on one header, linted on its own.
+std::size_t oracle_findings(const std::string& source) {
+  const RepoModel model;
+  std::vector<Finding> findings;
+  run_file_rules(model, FileTokens{"src/sim/widget.hpp", lex_cpp(source)},
+                 findings);
+  return static_cast<std::size_t>(
+      std::count_if(findings.begin(), findings.end(), [](const Finding& f) {
+        return f.rule == "det.activity_oracle";
+      }));
+}
+
+// The contract is what the engines and the census call: a wake oracle
+// and register_census. Either one alone still fires.
+TEST(LintRules, ActivityOracleNeedsWakeOracleAndCensusRegistration) {
+  const std::string tick = "class W { public: void tick(Cycle now); ";
+  EXPECT_EQ(oracle_findings(tick + "Cycle next_event(Cycle) const; };"), 1u);
+  EXPECT_EQ(oracle_findings(tick + "void register_census(C&) const; };"),
+            1u);
+  EXPECT_EQ(oracle_findings(tick + "Cycle next_event(Cycle) const; "
+                                   "void register_census(C&) const; };"),
+            0u);
+  // Node's perf-pinned name counts as a wake oracle, but a wake oracle
+  // without census registration still fires.
+  EXPECT_EQ(oracle_findings(tick + "Cycle next_activity_cycle(Cycle) const; "
+                                   "void register_census(C&) const; };"),
+            0u);
+  EXPECT_EQ(oracle_findings(tick + "Cycle next_activity_cycle(Cycle) const; "
+                                   "};"),
+            1u);
 }
 
 TEST(LintSarif, DocumentIsWellFormedAndComplete) {

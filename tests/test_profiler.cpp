@@ -2,8 +2,9 @@
 //  * ActivityCensus accounting on hand-built activity patterns — gap
 //    cycles book as idle, observe() is idempotent per cycle, threshold
 //    rows credit skipped spans exactly, probe rows run once per visited
-//    cycle, the feeder row follows mark_feeder, seal() keeps counts, and
-//    the metrics export carries <name>.{active,idle}_cycles;
+//    cycle, a work slot (`now + 1`) row is active only at the cycles its
+//    unit worked, seal() keeps counts, and the metrics export carries
+//    <name>.{active,idle}_cycles;
 //  * HostProfiler laps: one clock read per phase boundary, none without a
 //    profiler, and a profiled run's phases fit inside its wall time;
 //  * LatencyDecomposer residency histograms against analytic values,
@@ -96,7 +97,8 @@ TEST(ActivityCensus, SkipToEdgeCases) {
   ActivityCensus census;
   Cycle busy_until = 3;
   census.add_threshold("unit", &busy_until);
-  census.add_feeder("feeder");
+  Cycle work_until = 1;  // a unit's work slot: it worked at cycle 0
+  census.add_threshold("feeder", &work_until);
 
   census.observe(0);
   census.skip_to(1);  // next == first unobserved cycle: a no-op
@@ -107,10 +109,10 @@ TEST(ActivityCensus, SkipToEdgeCases) {
   const auto& rows = census.rows();
   EXPECT_EQ(rows[0].active_cycles, 3u);  // 0, 1, 2
   EXPECT_EQ(rows[0].idle_cycles, 2u);
-  // The feeder row is never credited: skipped spans are idle (nothing
-  // was fed during a span nobody visited).
-  EXPECT_EQ(rows[1].active_cycles, 0u);
-  EXPECT_EQ(rows[1].idle_cycles, 5u);
+  // A work slot is never credited across a span: the span starts after
+  // the last visited cycle, the latest one a unit can have worked at.
+  EXPECT_EQ(rows[1].active_cycles, 1u);  // 0
+  EXPECT_EQ(rows[1].idle_cycles, 4u);
 
   // A threshold at or below the span's first cycle credits nothing.
   census.skip_to(8);  // span 5..7, busy_until 3
@@ -164,19 +166,26 @@ TEST(ActivityCensus, ProbeRowsRunOncePerVisitedCycle) {
   EXPECT_EQ(census.rows()[1].idle_cycles, 3u);
 }
 
-TEST(ActivityCensus, FeederRowFollowsMarkFeeder) {
+// Every simulated unit (feeder, router, path units, fabric) stores
+// `now + 1` into its slot when it works at `now`: a threshold row active
+// at exactly the cycles it worked.
+TEST(ActivityCensus, WorkSlotRowIsActiveOnlyWhereItsUnitWorked) {
   ActivityCensus census;
-  census.add_feeder("node0.feeder");
-  census.mark_feeder(0);
+  Cycle work_until = 0;  // never worked
+  census.add_threshold("node0.feeder", &work_until);
+  work_until = 0 + 1;  // works at 0
   census.observe(0);
-  census.observe(1);  // not marked: idle
-  census.mark_feeder(2);
+  census.observe(1);  // no work at 1: idle
+  work_until = 2 + 1;  // works at 2
   census.observe(2);
+  census.skip_to(6);  // span 3..5: the slot reads 3, nothing to credit
+  census.observe(6);
 
   const auto& rows = census.rows();
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].active_cycles, 2u);
-  EXPECT_EQ(rows[0].idle_cycles, 1u);
+  EXPECT_EQ(rows[0].active_cycles, 2u);  // 0 and 2
+  EXPECT_EQ(rows[0].idle_cycles, 5u);    // 1, 3, 4, 5, 6
+  EXPECT_EQ(census.observed_cycles(), 7u);
 }
 
 TEST(ActivityCensus, SealKeepsCountsAndExportsMetrics) {

@@ -321,6 +321,26 @@ TEST(ReportDiffCli, ExitCodesMatchTheContract) {
     std::remove(lenient_path.c_str());
   }
 
+  // A number no double holds (strtod's +-HUGE_VAL) is malformed input:
+  // one line and exit 2, never an infinite metric diffed to "-nan%". A
+  // finite number is a gauge however large, negative or fractional.
+  for (const std::string value : {"1e400", "-1e400", "-1", "1.5", "1e30"}) {
+    const std::string path = write_temp(
+        "rd_range.json", "{\"schema\": \"mac3d-run-report/4\", "
+                         "\"metrics\": {\"x\": " + value + "}}");
+    const bool overflows = value.find("e400") != std::string::npos;
+    ::testing::internal::CaptureStdout();
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(run_report_diff(path, path, DiffOptions{}), overflows ? 2 : 0)
+        << value;
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), overflows ? 1 : 0)
+        << err;
+    EXPECT_EQ(out.find("nan"), std::string::npos) << out;
+    std::remove(path.c_str());
+  }
+
   // Mismatched schema versions: silently diffing a /2 baseline against a
   // /3 run would hide every new section, so the CLI refuses (exit 2,
   // regenerate the baseline).

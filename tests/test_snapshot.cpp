@@ -8,8 +8,12 @@
 // streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/system.hpp"
@@ -377,6 +381,48 @@ TEST(Analyze, LittleMismatchIsInformationalOnly) {
   ASSERT_EQ(result.runs.size(), 1u);
   EXPECT_FALSE(result.runs[0].little_ok);  // 50% off...
   EXPECT_EQ(result.exit_code(), 0);        // ...but never gates the exit
+}
+
+// A count in a stream is a whole number a double holds exactly. Any
+// other value is a one-line error naming its field, never a cast, and a
+// number no double holds fails the JSON reader itself.
+TEST(Analyze, StreamCountsMustBeWholeNumbersInRange) {
+  const std::pair<std::string, std::string> fields[] = {
+      {"\"period\":100", "period"},
+      {"\"in_flight\":10", "in_flight"},
+      {"\"completions\":50", "completions"},
+      {"\"windows\":10", "windows"},
+  };
+  for (const std::string bad : {"-1", "1.5", "1e30", "1e400"}) {
+    for (const auto& [token, field] : fields) {
+      std::string text = analytic_stream();
+      const std::string::size_type at = text.find(token);
+      ASSERT_NE(at, std::string::npos) << token;
+      text.replace(at, token.size(), "\"" + field + "\":" + bad);
+      SnapshotStream stream;
+      std::string error;
+      EXPECT_FALSE(parse_snapshot_stream(text, stream, error))
+          << field << " = " << bad;
+      EXPECT_NE(error.find(bad == "1e400" ? "out of range" : field + "\""),
+                std::string::npos)
+          << error;
+      EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+    }
+  }
+  // The CLI path: `mac3d analyze` exits 2 on such a stream, where an
+  // unchecked cast once read it as "end cycle 0" and exited 1.
+  const std::string path = ::testing::TempDir() + "analyze_bad_count.jsonl";
+  std::ofstream(path) << "{\"schema\":\"mac3d-snapshot/1\",\"period\":100}\n"
+                         "{\"run\":\"unit\"}\n"
+                         "{\"cycle\":100,\"in_flight\":-5}\n";
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(run_analyze("", path, "", AnalysisOptions{}), 2);
+  ::testing::internal::GetCapturedStdout();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  EXPECT_NE(err.find("in_flight"), std::string::npos) << err;
+  std::remove(path.c_str());
 }
 
 TEST(Analyze, StreamAuditCatchesTamperedFooter) {
