@@ -744,9 +744,6 @@ int cmd_system(const CliOptions& options) {
   // reference.
   const SystemRunSummary summary =
       options.engine == "serial" ? system.run() : system.run_event();
-  if (ActivityCensus* census = session.census(0)) {
-    census->seal();  // probes reference nodes owned by `system`
-  }
   if (CheckContext* checks = session.checks()) checks->finalize();
 
   if (!session.write(config, trace, "closed_loop", trace.threads(),

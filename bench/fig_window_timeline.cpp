@@ -49,7 +49,6 @@ int bench_main(int argc, char** argv) {
   snapshot.attach_watchdog(&watchdog);
   system.attach_snapshot(&snapshot);
   const SystemRunSummary summary = system.run();
-  census.seal();
 
   if (!snapshot_out.empty() && !snapshot.write(snapshot_out)) {
     std::fprintf(stderr, "fig_window_timeline: cannot write %s\n",

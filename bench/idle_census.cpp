@@ -42,7 +42,6 @@ int bench_main(int argc, char** argv) {
   system.attach_census(&census);
   system.attach_profiler(&profiler);
   const SystemRunSummary summary = system.run();
-  census.seal();
 
   std::printf("%s", census.to_table().c_str());
   std::printf("\nhost wall-clock attribution\n%s",

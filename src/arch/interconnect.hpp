@@ -32,7 +32,7 @@ class Interconnect {
   /// node-tick order within a cycle.
   void send_request(const RawRequest& request, NodeId dest, Cycle now,
                     NodeId src = 0) {
-    work_until_ = now + 1;
+    work_until_.work(now);
     if (consume_drop_fault()) return;
     enqueue(request_lanes_, link_requests_, src, dest, now + hop_cycles_,
             request);
@@ -40,7 +40,7 @@ class Interconnect {
 
   void send_completion(const CompletedAccess& completion, NodeId dest,
                        Cycle now, NodeId src = 0) {
-    work_until_ = now + 1;
+    work_until_.work(now);
     if (consume_drop_fault()) return;
     enqueue(completion_lanes_, link_completions_, src, dest,
             now + hop_cycles_, completion);
@@ -54,8 +54,8 @@ class Interconnect {
     return deliver(completion_lanes_, dest, now);
   }
 
-  /// Register the census row `fabric`, a threshold row over a slot set
-  /// to `now + 1` at sends and non-empty deliveries (docs/OBSERVABILITY.md).
+  /// Register the census row `fabric`, a threshold row over a work slot
+  /// marked at sends and non-empty deliveries (docs/OBSERVABILITY.md).
   /// The fabric must outlive the census's observed run; seal the census
   /// before tearing it down.
   template <typename Census>
@@ -184,7 +184,7 @@ class Interconnect {
     }
     if (out.empty()) return out;
     deliveries_ += out.size();
-    work_until_ = now + 1;
+    work_until_.work(now);
     const auto& requests = request_lanes_[dest];
     const auto& completions = completion_lanes_[dest];
     const Cycle request = requests.empty() ? 0 : requests.front().due;
@@ -213,7 +213,7 @@ class Interconnect {
   /// both are empty) — next_delivery(dest).
   std::vector<Cycle> next_due_;
   bool drop_next_ = false;
-  Cycle work_until_ = 0;  ///< census slot (register_census)
+  BusyUntil work_until_;  ///< census slot (register_census)
   CheckContext* checks_ = nullptr;
   /// Per directed link, indexed src * nodes + dest (link_requests()).
   std::vector<std::uint64_t> link_requests_;

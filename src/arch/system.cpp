@@ -29,14 +29,11 @@ void System::attach_sink(EventSink* sink) {
   for (const auto& node : nodes_) node->attach_sink(sink);
 }
 
-void System::attach_census(ActivityCensus* census) {
-  census_ = census;
-  if (census == nullptr) return;
-  for (const auto& node : nodes_) node->register_census(*census);
-  if (nodes_.size() > 1) fabric_->register_census(*census);
-}
-
 void System::register_probes() {
+  if (census_ != nullptr) {
+    for (const auto& node : nodes_) node->register_census(*census_);
+    if (nodes_.size() > 1) fabric_->register_census(*census_);
+  }
   if (sampler_ != nullptr) {
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       Node* node = nodes_[i].get();

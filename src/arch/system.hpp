@@ -58,9 +58,10 @@ class System {
   /// Event-driven fast-forward run (docs/PARALLELISM.md §event-driven
   /// engine): after each visited cycle the clock jumps to the minimum of
   /// every node's cached wake cycle and the fabric's next delivery,
-  /// crediting the skipped span to the census/sampler before the landing
-  /// tick. At a visited cycle only the nodes that are due tick: those
-  /// whose wake has come or whose fabric lanes hold a message due by then.
+  /// landing on every sampler and snapshot boundary; the census slots
+  /// count the skipped cycles themselves. At a visited cycle only the
+  /// nodes that are due tick: those whose wake has come or whose fabric
+  /// lanes hold a message due by then (none, at a landing-only cycle).
   /// Bit-identical to run() — same cycles, stats, metrics, census —
   /// enforced by tests/test_parallel_equivalence.cpp.
   SystemRunSummary run_event(Cycle max_cycles = 2'000'000'000ULL);
@@ -91,19 +92,18 @@ class System {
 
   /// Attach a periodic sampler: both engines register per-node
   /// router-occupancy and fabric-backlog probes and advance it at the
-  /// serial point after every visited cycle, so the CSV is
-  /// engine-invariant. The sampler must outlive the system; pass nullptr
-  /// to detach.
+  /// serial point after every visited cycle, and the event engine lands
+  /// on every boundary, so the CSV is engine-invariant. The sampler must
+  /// outlive the system; pass nullptr to detach.
   void attach_sampler(CycleSampler* sampler) noexcept { sampler_ = sampler; }
 
-  /// Attach an idle-cycle census (docs/OBSERVABILITY.md §profiler):
-  /// registers every node's components plus the fabric, and both engines
-  /// observe it once per cycle at the same serial point, so census
-  /// exports are engine-invariant, and collect_metrics() exports its
-  /// counts. The census must outlive the system (its probes capture
-  /// components by reference — seal before teardown); pass nullptr to
-  /// detach future runs (registrations are not undone).
-  void attach_census(ActivityCensus* census);
+  /// Attach an idle-cycle census (docs/OBSERVABILITY.md §profiler): each
+  /// run registers every node's components plus the fabric, both engines
+  /// observe it once per visited cycle at the same serial point, so
+  /// census exports are engine-invariant, and the run seals it on exit;
+  /// collect_metrics() exports its counts. The census must outlive the
+  /// runs; pass nullptr to detach.
+  void attach_census(ActivityCensus* census) noexcept { census_ = census; }
 
   /// Attach a windowed snapshot streamer (docs/OBSERVABILITY.md
   /// §streaming snapshots): both engines open a "system" run, register
@@ -146,8 +146,8 @@ class System {
   SystemRunSummary summarize(Cycle cycles, bool completed) const;
   /// The fabric (when present) and every node hold no work.
   [[nodiscard]] bool drained(const Interconnect* fabric) const;
-  /// Per-node/fabric probe registration for the open run (no-op when
-  /// detached).
+  /// Per-node/fabric census rows and probe registration for the open run
+  /// (no-op when detached).
   void register_probes();
 
   SimConfig config_;

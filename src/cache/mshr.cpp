@@ -42,7 +42,7 @@ bool MshrCoalescer::try_accept(const RawRequest& request, Cycle now) {
     if (!alloc_free) return false;
     fences_.push_back(Target{request.tid, request.tag, 0});
     alloc_port_used_at_ = now;
-    work_until_ = now + 1;
+    work_until_.work(now);
     ledger_.accept(request, now);
     return true;
   }
@@ -65,7 +65,7 @@ bool MshrCoalescer::try_accept(const RawRequest& request, Cycle now) {
     dispatch_queue_.push_back(key);
     atomic_keys_.insert(key);
     alloc_port_used_at_ = now;
-    work_until_ = now + 1;
+    work_until_.work(now);
     ledger_.accept(request, now);
     return true;
   }
@@ -77,7 +77,7 @@ bool MshrCoalescer::try_accept(const RawRequest& request, Cycle now) {
     if (!merge_free) return false;
     it->second.targets.push_back(target);
     merge_port_used_at_ = now;
-    work_until_ = now + 1;
+    work_until_.work(now);
     ++stats_.merged;
     ledger_.accept(request, now);
     EventSink* const sink = ledger_.sink();
@@ -102,7 +102,7 @@ bool MshrCoalescer::try_accept(const RawRequest& request, Cycle now) {
   file_.emplace(key, std::move(entry));
   dispatch_queue_.push_back(key);
   alloc_port_used_at_ = now;
-  work_until_ = now + 1;
+  work_until_.work(now);
   MAC3D_CHECK(ledger_.checks(), inv::kMshrOccupancy,
               file_.size() <= entries_, now,
               "MSHR file occupancy " + std::to_string(file_.size()) +
@@ -124,7 +124,7 @@ void MshrCoalescer::tick(Cycle now) {
       ledger_.in_flight() == 0) {
     ledger_.retire_fence(fences_.front(), now);
     fences_.pop_front();
-    work_until_ = now + 1;
+    work_until_.work(now);
   }
 
   // Dispatch one transaction per cycle.
@@ -143,7 +143,7 @@ void MshrCoalescer::tick(Cycle now) {
   if (!device_.can_accept(request, now)) return;
   in_flight_.emplace(ledger_.submit(std::move(request), now), key);
   dispatch_queue_.pop_front();
-  work_until_ = now + 1;
+  work_until_.work(now);
 }
 
 const std::vector<CompletedAccess>& MshrCoalescer::drain(Cycle now) {
@@ -161,7 +161,7 @@ const std::vector<CompletedAccess>& MshrCoalescer::drain(Cycle now) {
         in_flight_.erase(flight);
         return retired_targets_;
       });
-  if (!done.empty()) work_until_ = now + 1;
+  if (!done.empty()) work_until_.work(now);
   return done;
 }
 

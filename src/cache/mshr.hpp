@@ -70,7 +70,7 @@ class MshrCoalescer {
   void attach_sink(EventSink* sink) noexcept { ledger_.attach_sink(sink); }
 
   /// Register the idle-cycle census row `<prefix>mshr`: a threshold row
-  /// over a slot set to `now + 1` whenever the file accepts, dispatches,
+  /// over a work slot marked whenever the file accepts, dispatches,
   /// retires a fence or completes (docs/OBSERVABILITY.md). Same contract
   /// as MacCoalescer::register_census.
   template <typename Census>
@@ -111,7 +111,7 @@ class MshrCoalescer {
   std::uint64_t next_unique_ = 0;
   Cycle merge_port_used_at_ = ~Cycle{0};
   Cycle alloc_port_used_at_ = ~Cycle{0};
-  Cycle work_until_ = 0;  ///< census slot (register_census)
+  BusyUntil work_until_;  ///< census slot (register_census)
   MshrStats stats_;
   RequestLedger ledger_;
   std::uint32_t inject_overrun_ = 0;

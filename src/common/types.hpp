@@ -13,6 +13,30 @@ using Address = std::uint64_t;
 /// Simulation time in CPU cycles (3.3 GHz by default, see SimConfig).
 using Cycle = std::uint64_t;
 
+/// A unit's busy-until slot (the idle-cycle census reads it,
+/// docs/OBSERVABILITY.md §Idle-cycle census): the unit is busy at cycle
+/// `c` iff some raise made at or before `c` reached past it. The slot
+/// counts those cycles itself as it is raised, so no one walks it per
+/// cycle. Raises must come at nondecreasing `now`, each `to` >= `now`.
+struct BusyUntil {
+  Cycle until = 0;              ///< the current busy span ends here
+  std::uint64_t credited = 0;   ///< busy cycles covered by every raise
+
+  /// Busy from `now` until `to`: counts the cycles this newly covers.
+  void raise(Cycle now, Cycle to) noexcept {
+    if (to <= until) return;
+    credited += to - (until > now ? until : now);
+    until = to;
+  }
+  /// The unit worked at `now`: busy at exactly that cycle.
+  void work(Cycle now) noexcept { raise(now, now + 1); }
+  /// Busy cycles before `end`, for any `end` at or after the last raise's
+  /// `now`.
+  [[nodiscard]] std::uint64_t active_before(Cycle end) const noexcept {
+    return credited - (until > end ? until - end : 0);
+  }
+};
+
 /// Hardware thread identifier (paper: 2 B => up to 64 K threads).
 using ThreadId = std::uint16_t;
 

@@ -165,7 +165,10 @@ bool load_baseline(const std::string& file, Baseline& out,
               "': entries need nonempty 'rule' and 'file'";
       return false;
     }
-    if (!json_count(item.number_or("count", 1.0), entry.count) ||
+    // An absent count means 1; a present one must be a number.
+    const JsonValue* count = item.find("count");
+    if ((count != nullptr && count->kind != JsonValue::Kind::kNumber) ||
+        !json_count(item.number_or("count", 1.0), entry.count) ||
         entry.count == 0) {
       error = "baseline '" + file + "': 'count' of " + entry.rule + " in " +
               entry.file + " is not a whole number in [1, 2^53]";
@@ -174,6 +177,11 @@ bool load_baseline(const std::string& file, Baseline& out,
     if (find_rule(entry.rule) == nullptr) {
       error = "baseline '" + file + "': unknown rule id '" + entry.rule +
               "'";
+      return false;
+    }
+    if (entry.justification.empty()) {
+      error = "baseline '" + file + "': 'justification' of " + entry.rule +
+              " in " + entry.file + " must be a nonempty string";
       return false;
     }
     out.entries.push_back(std::move(entry));

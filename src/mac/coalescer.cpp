@@ -50,8 +50,8 @@ bool MacCoalescer::try_accept(const RawRequest& request, Cycle now) {
   const Arq::InsertResult result =
       arq_.insert(request, now, merge_free, alloc_free, &merged_into);
   if (result == Arq::InsertResult::kRejected) return false;
-  arq_until_ = now + 1;
-  work_until_ = now + 1;
+  arq_until_.work(now);
+  work_until_.work(now);
   ledger_.accept(request, now);
   if (result == Arq::InsertResult::kAllocated) {
     alloc_port_used_at_ = now;
@@ -95,8 +95,8 @@ void MacCoalescer::pop_stage(Cycle now) {
     if (builder_.empty() && issue_queue_.empty() &&
         ledger_.in_flight() == 0) {
       ledger_.retire_fence(arq_.pop().targets.front(), now);
-      arq_until_ = now + 1;
-      work_until_ = now + 1;
+      arq_until_.work(now);
+      work_until_.work(now);
     }
     return;
   }
@@ -118,8 +118,8 @@ void MacCoalescer::pop_stage(Cycle now) {
     item.atomic = entry.is_atomic;
     item.bypass = !entry.is_atomic;
     issue_queue_.push_back(std::move(item));
-    arq_until_ = now + 1;
-    work_until_ = now + 1;
+    arq_until_.work(now);
+    work_until_.work(now);
     return;
   }
 
@@ -132,9 +132,9 @@ void MacCoalescer::pop_stage(Cycle now) {
     }
     builder_.accept(std::move(entry), now);
     next_pop_at_ = now + config_.arq_pop_interval;
-    arq_until_ = now + 1;
-    builder_until_ = now + 1;
-    work_until_ = now + 1;
+    arq_until_.work(now);
+    builder_until_.work(now);
+    work_until_.work(now);
   }
 }
 
@@ -150,9 +150,9 @@ void MacCoalescer::issue_stage(Cycle now) {
       }
     }
     issue_queue_.push_back(std::move(item));
-    builder_until_ = now + 1;
-    flit_table_until_ = now + 1;
-    work_until_ = now + 1;
+    builder_until_.work(now);
+    flit_table_until_.work(now);
+    work_until_.work(now);
   }
 
   // Dispatch at most one packet per cycle, subject to link back-pressure.
@@ -171,8 +171,8 @@ void MacCoalescer::issue_stage(Cycle now) {
     ++stats_.built_out;
   }
   issue_queue_.pop_front();
-  flit_table_until_ = now + 1;
-  work_until_ = now + 1;
+  flit_table_until_.work(now);
+  work_until_.work(now);
 }
 
 void MacCoalescer::tick(Cycle now) {
@@ -184,7 +184,7 @@ void MacCoalescer::tick(Cycle now) {
 const std::vector<CompletedAccess>& MacCoalescer::drain(Cycle now) {
   const std::vector<CompletedAccess>& done = ledger_.drain(now);
   stats_.completions += done.size();
-  if (!done.empty()) work_until_ = now + 1;
+  if (!done.empty()) work_until_.work(now);
   return done;
 }
 

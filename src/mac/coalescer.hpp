@@ -119,10 +119,10 @@ class MacCoalescer {
   /// Register the MAC's idle-cycle census rows under `prefix` (e.g.
   /// "node0."): `<prefix>mac` (any stage worked), `<prefix>arq`,
   /// `<prefix>builder` and `<prefix>flit_table`, each a threshold row
-  /// over a slot the stage sets to `now + 1` when it works. Templated on
-  /// the census like HmcDevice::register_census. The coalescer must
-  /// outlive the census's observed run; seal the census before tearing it
-  /// down.
+  /// over a work slot the stage marks (`work(now)`) when it works.
+  /// Templated on the census like HmcDevice::register_census. The
+  /// coalescer must outlive the census's observed run; seal the census
+  /// before tearing it down.
   template <typename Census>
   void register_census(Census& census, const std::string& prefix) const {
     census.add_threshold(prefix + "mac", &work_until_);
@@ -152,10 +152,10 @@ class MacCoalescer {
   Cycle next_pop_at_ = 0;
   Cycle merge_port_used_at_ = ~Cycle{0};  ///< dual-port intake bookkeeping
   Cycle alloc_port_used_at_ = ~Cycle{0};
-  Cycle work_until_ = 0;  ///< census slots (register_census)
-  Cycle arq_until_ = 0;
-  Cycle builder_until_ = 0;
-  Cycle flit_table_until_ = 0;
+  BusyUntil work_until_;  ///< census slots (register_census)
+  BusyUntil arq_until_;
+  BusyUntil builder_until_;
+  BusyUntil flit_table_until_;
 };
 
 }  // namespace mac3d

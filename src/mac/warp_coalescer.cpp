@@ -44,7 +44,7 @@ bool WarpCoalescer::try_accept(const RawRequest& request, Cycle now) {
   }
   ++accepts_this_cycle_;
   pending_.push_back(Lane{request, now, false});
-  work_until_ = now + 1;
+  work_until_.work(now);
   ledger_.accept(request, now);
   return true;
 }
@@ -87,7 +87,7 @@ void WarpCoalescer::form_window(Cycle now) {
               !window_.empty() && window_.size() <= lanes_, now,
               "formed a window of " + std::to_string(window_.size()) +
                   " lanes against a cap of " + std::to_string(lanes_));
-  work_until_ = now + 1;
+  work_until_.work(now);
 }
 
 bool WarpCoalescer::issue_iteration(Cycle now) {
@@ -166,7 +166,7 @@ bool WarpCoalescer::issue_iteration(Cycle now) {
     window_.clear();
     window_served_ = 0;
   }
-  work_until_ = now + 1;
+  work_until_.work(now);
   return true;
 }
 
@@ -179,7 +179,7 @@ void WarpCoalescer::tick(Cycle now) {
     const RawRequest& fence = pending_.front().request;
     ledger_.retire_fence(Target{fence.tid, fence.tag, 0}, now);
     pending_.pop_front();
-    work_until_ = now + 1;
+    work_until_.work(now);
   }
   // 2. Move the head run into a window when full, fence-bounded or timed
   //    out.
@@ -191,7 +191,7 @@ void WarpCoalescer::tick(Cycle now) {
 
 const std::vector<CompletedAccess>& WarpCoalescer::drain(Cycle now) {
   const std::vector<CompletedAccess>& done = ledger_.drain(now);
-  if (!done.empty()) work_until_ = now + 1;
+  if (!done.empty()) work_until_.work(now);
   return done;
 }
 

@@ -99,7 +99,7 @@ class WarpCoalescer {
   void attach_sink(EventSink* sink) noexcept { ledger_.attach_sink(sink); }
 
   /// Register the idle-cycle census row `<prefix>warp`: a threshold row
-  /// over a slot set to `now + 1` whenever the coalescer accepts, forms
+  /// over a work slot marked whenever the coalescer accepts, forms
   /// or serves a window, retires a fence or completes
   /// (docs/OBSERVABILITY.md). Same contract as
   /// MacCoalescer::register_census.
@@ -139,7 +139,7 @@ class WarpCoalescer {
   RingQueue<Lane> pending_;
   std::vector<Lane> window_;
   std::size_t window_served_ = 0;
-  Cycle work_until_ = 0;  ///< census slot (register_census)
+  BusyUntil work_until_;  ///< census slot (register_census)
   WarpStats stats_;
   RequestLedger ledger_;
 };

@@ -31,7 +31,7 @@ HmcDevice::HmcDevice(const SimConfig& config, NodeId node)
       vaults_per_link_(config.vaults / config.hmc_links),
       banks_(config.total_banks()),
       links_(config.hmc_links, Link(config.t_link_flit)),
-      vault_until_(config.vaults, 0) {
+      vault_until_(config.vaults) {
   config_.validate();
   if (config_.t_refi != 0) {
     // Stagger refresh windows evenly across the banks of each vault so a
@@ -112,9 +112,9 @@ Cycle HmcDevice::submit(HmcRequest request, Cycle now) {
           : bank.access(at_bank, config_.t_bank_access + data_cycles,
                         config_.t_bank_precharge);
   const Cycle bank_free_at = bank.free_at();
-  // Busy-until thresholds: their one update site.
-  vault_until_[vault] = std::max(vault_until_[vault], bank_free_at);
-  banks_until_ = std::max(banks_until_, bank_free_at);
+  // Busy-until slots: their one update site, busy from the submit cycle.
+  vault_until_[vault].raise(now, bank_free_at);
+  banks_until_.raise(now, bank_free_at);
 
   // Response path: vault controller -> link serialization -> SerDes.
   const std::uint32_t resp_flits =
@@ -217,8 +217,8 @@ std::pair<std::uint64_t, std::uint64_t> HmcDevice::link_flits() const {
 void HmcDevice::reset() {
   for (Bank& bank : banks_) bank.reset();
   for (Link& link : links_) link.reset();
-  std::fill(vault_until_.begin(), vault_until_.end(), Cycle{0});
-  banks_until_ = 0;
+  std::fill(vault_until_.begin(), vault_until_.end(), BusyUntil{});
+  banks_until_ = {};
   pending_.clear();
   drained_.clear();
   stats_ = {};

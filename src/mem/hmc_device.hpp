@@ -120,27 +120,29 @@ class HmcDevice {
            links_[link].response_flits_sent();
   }
 
-  // ---- Busy-until thresholds (census threshold rows) ---------------------
-  // Every device activity row has the form "active iff now < threshold".
+  // ---- Busy-until slots (census threshold rows) --------------------------
+  // Every device activity row has the form "active iff now < until".
   // A bank's free_at never decreases (an access starts at
   // max(arrival, free_at)), so the largest free_at ever scheduled in a
   // vault is exactly "any bank in the vault is busy before this cycle";
-  // submit() keeps these maxima as banks are scheduled. Thresholds
-  // are frozen while the event engine fast-forwards (no submits happen
-  // mid-span), so skipped spans credit exactly — that is what keeps the
-  // census byte-identical between the serial and event engines.
+  // submit() raises these slots from the submit cycle as banks are
+  // scheduled, and each slot counts the busy cycles it covers, skipped
+  // spans included — that is what keeps the census byte-identical
+  // between the serial and event engines.
   /// Cycle the last busy bank frees (0 = no access since construction or
   /// reset).
-  [[nodiscard]] Cycle banks_busy_until() const noexcept { return banks_until_; }
+  [[nodiscard]] Cycle banks_busy_until() const noexcept {
+    return banks_until_.until;
+  }
   /// Cycle one vault's last busy bank frees.
   [[nodiscard]] Cycle vault_busy_until(std::uint32_t vault) const noexcept {
-    return vault_until_[vault];
+    return vault_until_[vault].until;
   }
 
   /// Register this device's idle-cycle census rows under `prefix`
   /// (e.g. "node0."): `<prefix>banks`, `<prefix>vault<V>` and
   /// `<prefix>link<L>`, each a threshold row over the matching busy-until
-  /// cycle. Templated on the census (normally obs's ActivityCensus), so
+  /// slot. Templated on the census (normally obs's ActivityCensus), so
   /// mem need not link obs.
   /// The device must outlive the census's observed run; seal the census
   /// before tearing the device down.
@@ -153,7 +155,7 @@ class HmcDevice {
     }
     for (std::uint32_t l = 0; l < link_count(); ++l) {
       census.add_threshold(prefix + "link" + std::to_string(l),
-                           &links_[l].request_free_at());
+                           &links_[l].request_slot());
     }
   }
 
@@ -199,8 +201,8 @@ class HmcDevice {
   std::vector<Link> links_;
   /// Max bank free_at per vault and over all banks; sized once and reset
   /// in place, so census rows may hold their addresses.
-  std::vector<Cycle> vault_until_;
-  Cycle banks_until_ = 0;
+  std::vector<BusyUntil> vault_until_;
+  BusyUntil banks_until_;
   std::vector<HmcResponse> pending_;  ///< heap under PendingGreater
   std::vector<HmcResponse> drained_;  ///< the last drain's responses
   HmcStats stats_;

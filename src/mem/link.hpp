@@ -16,10 +16,10 @@ class Link {
   /// Serialize a request packet arriving at `now`; returns the cycle the
   /// last FLIT has left the link (downstream arrival time).
   Cycle send_request(Cycle now, std::uint32_t flits) noexcept {
-    const Cycle start = now > req_free_ ? now : req_free_;
-    req_free_ = start + static_cast<Cycle>(flits) * t_flit_;
+    const Cycle start = now > request_.until ? now : request_.until;
+    request_.raise(now, start + static_cast<Cycle>(flits) * t_flit_);
     req_flits_ += flits;
-    return req_free_;
+    return request_.until;
   }
 
   /// Serialize a response packet that is ready at `ready`.
@@ -32,14 +32,14 @@ class Link {
 
   /// Cycles of request-direction backlog beyond `now` (for back-pressure).
   [[nodiscard]] Cycle request_backlog(Cycle now) const noexcept {
-    return req_free_ > now ? req_free_ - now : 0;
+    return request_.until > now ? request_.until - now : 0;
   }
 
-  /// Cycle the request direction drains: the backlog probe is "busy iff
-  /// now < request_free_at()", so the idle-cycle census holds a reference
-  /// to it as a threshold row and credits skipped spans without probing.
-  [[nodiscard]] const Cycle& request_free_at() const noexcept {
-    return req_free_;
+  /// The request direction's busy-until slot: busy from a send's cycle
+  /// until its last FLIT has left. The idle-cycle census reads it as a
+  /// threshold row; the slot counts its busy cycles itself.
+  [[nodiscard]] const BusyUntil& request_slot() const noexcept {
+    return request_;
   }
 
   [[nodiscard]] std::uint64_t request_flits_sent() const noexcept {
@@ -50,13 +50,14 @@ class Link {
   }
 
   void reset() noexcept {
-    req_free_ = resp_free_ = 0;
+    request_ = {};
+    resp_free_ = 0;
     req_flits_ = resp_flits_ = 0;
   }
 
  private:
   std::uint32_t t_flit_;
-  Cycle req_free_ = 0;
+  BusyUntil request_;
   Cycle resp_free_ = 0;
   std::uint64_t req_flits_ = 0;
   std::uint64_t resp_flits_ = 0;

@@ -18,107 +18,81 @@ double host_now_seconds() {
   return std::chrono::duration<double>(now).count();
 }
 
-namespace {
-
-/// The threshold of a row that is never busy (sealed or probe-less rows).
-constexpr Cycle kNeverBusy = 0;
-
-void book(ActivityCensus::Row& row, bool active) noexcept {
-  const std::uint64_t hit = active ? 1 : 0;
-  row.active_cycles += hit;
-  row.idle_cycles += 1 - hit;
-}
-
-}  // namespace
-
-std::size_t ActivityCensus::add_row(std::string name) {
-  rows_.push_back({std::move(name), 0, 0});
+std::size_t ActivityCensus::add_row(std::string name, const BusyUntil* slot) {
+  rows_.push_back({std::move(name), slot, 0, 0, observed_cycles_});
   return rows_.size() - 1;
 }
 
-void ActivityCensus::add_idle_row(std::size_t row) {
-  thresholds_.push_back({row, &kNeverBusy});
-}
-
 std::size_t ActivityCensus::add_component(std::string name, Probe probe) {
-  const std::size_t row = add_row(std::move(name));
-  if (probe) {
-    probes_.push_back({row, std::move(probe)});
-  } else {
-    add_idle_row(row);
-  }
+  const std::size_t row = add_row(std::move(name), nullptr);
+  if (probe) probes_.emplace_back(row, std::move(probe));
   return row;
 }
 
 std::size_t ActivityCensus::add_threshold(std::string name,
-                                          const Cycle* busy_until) {
-  const std::size_t row = add_row(std::move(name));
-  thresholds_.push_back({row, busy_until});
-  return row;
+                                          const BusyUntil* slot) {
+  return add_row(std::move(name), slot);
+}
+
+void ActivityCensus::base_rows(std::size_t from, Cycle first) noexcept {
+  for (std::size_t row = from; row < rows_.size(); ++row) {
+    Entry& entry = rows_[row];
+    if (entry.slot != nullptr) entry.base = entry.slot->active_before(first);
+  }
+}
+
+std::uint64_t ActivityCensus::active(std::size_t row) const noexcept {
+  const Entry& entry = rows_[row];
+  if (entry.slot == nullptr || row >= unsettled_) return entry.active;
+  return entry.slot->active_before(observed_cycles_) - entry.base;
 }
 
 void ActivityCensus::observe(Cycle now) {
-  if (observed_any_ && now <= last_observed_) return;
-  // Cycles the engine skipped (or never visited) are idle for everyone:
-  // the driver only jumps over cycles where provably nothing happens.
-  const std::uint64_t gap = observed_any_ ? now - last_observed_ - 1 : now;
-  if (gap != 0) {
-    for (Row& row : rows_) row.idle_cycles += gap;
+  if (now < observed_cycles_) {
+    // A run replaying cycles an earlier run of a shared census observed:
+    // its rows count from the first cycle past them, net of what their
+    // slots were raised to below it.
+    base_rows(unsettled_, observed_cycles_);
+    unseen_ = rows_.size();
+    return;
   }
-  Row* const rows = rows_.data();
-  for (const ThresholdRow& entry : thresholds_) {
-    book(rows[entry.row], now < *entry.busy_until);
-  }
-  for (const ProbeRow& entry : probes_) {
-    book(rows[entry.row], entry.probe(now));
-  }
-  observed_cycles_ += gap + 1;
-  last_observed_ = now;
-  observed_any_ = true;
-}
-
-void ActivityCensus::skip_to(Cycle next) {
-  // Span of cycles the engine is about to jump over, strictly before the
-  // landing cycle `next` (which observe(next) will account after its
-  // tick). Called before that tick, so thresholds read exactly as they
-  // stood throughout the span: a threshold row is active on
-  // [first, threshold) and every other row is idle.
-  const Cycle first = observed_any_ ? last_observed_ + 1 : 0;
-  if (next <= first) return;
-  const std::uint64_t span = next - first;
-  for (Row& row : rows_) row.idle_cycles += span;
-  for (const ThresholdRow& entry : thresholds_) {
-    const Cycle busy_until = *entry.busy_until;
-    if (busy_until <= first) continue;
-    const std::uint64_t active = std::min(busy_until, next) - first;
-    rows_[entry.row].active_cycles += active;
-    rows_[entry.row].idle_cycles -= active;
-  }
-  observed_cycles_ += span;
-  last_observed_ = next - 1;
-  observed_any_ = true;
+  base_rows(unseen_, now);
+  unsettled_ = unseen_ = rows_.size();
+  observed_cycles_ = now + 1;
+  for (auto& [row, probe] : probes_) rows_[row].active += probe(now) ? 1 : 0;
 }
 
 void ActivityCensus::seal() {
-  // Every row becomes a never-busy threshold row: counts stay, and no
-  // reference into the probed components survives.
-  thresholds_.clear();
+  for (std::size_t row = 0; row < rows_.size(); ++row) {
+    rows_[row].active = active(row);
+    rows_[row].slot = nullptr;
+  }
   probes_.clear();
-  for (std::size_t row = 0; row < rows_.size(); ++row) add_idle_row(row);
+}
+
+std::vector<ActivityCensus::Row> ActivityCensus::rows() const {
+  std::vector<Row> out;
+  out.reserve(rows_.size());
+  for (std::size_t row = 0; row < rows_.size(); ++row) {
+    const std::uint64_t busy = active(row);
+    out.push_back({rows_[row].name, busy,
+                   observed_cycles_ - rows_[row].since - busy});
+  }
+  return out;
 }
 
 void ActivityCensus::export_metrics(StatSet& out) const {
-  for (const Row& row : rows_) {
+  for (const Row& row : rows()) {
     out.set(row.name + ".active_cycles",
             static_cast<double>(row.active_cycles));
     out.set(row.name + ".idle_cycles", static_cast<double>(row.idle_cycles));
   }
 }
 
-double ActivityCensus::dead_time_fraction() const noexcept {
+double ActivityCensus::dead_time_fraction() const {
   std::uint64_t active = 0;
   std::uint64_t idle = 0;
-  for (const Row& row : rows_) {
+  for (const Row& row : rows()) {
     active += row.active_cycles;
     idle += row.idle_cycles;
   }
@@ -129,14 +103,15 @@ double ActivityCensus::dead_time_fraction() const noexcept {
 
 std::string ActivityCensus::to_table() const {
   std::size_t width = 9;  // "component"
-  for (const Row& row : rows_) width = std::max(width, row.name.size());
+  const std::vector<Row> rows = this->rows();
+  for (const Row& row : rows) width = std::max(width, row.name.size());
   std::string out;
   char line[160];
   std::snprintf(line, sizeof(line), "%-*s %12s %12s %10s\n",
                 static_cast<int>(width), "component", "active", "idle",
                 "dead-time");
   out += line;
-  for (const Row& row : rows_) {
+  for (const Row& row : rows) {
     const std::uint64_t total = row.active_cycles + row.idle_cycles;
     const double dead =
         total == 0 ? 0.0
@@ -164,7 +139,7 @@ std::string ActivityCensus::to_json() const {
   out += ", \"dead_time_fraction\": " + json_number(dead_time_fraction());
   out += ", \"components\": {";
   bool first = true;
-  for (const Row& row : rows_) {
+  for (const Row& row : rows()) {
     if (!first) out += ", ";
     first = false;
     out += json_quote(row.name) + ": {\"active_cycles\": " +

@@ -3,10 +3,10 @@
 // wall-clock attribution for engine phases.
 //
 // The census turns "most cycles are dead time" into per-component
-// numbers. Every simulated unit registers a busy-until threshold that its
-// own work raises, so a row costs one load and a compare at the serial
-// point (the census owner observes once per visited cycle), and the
-// serial and event engines produce byte-identical census exports.
+// numbers. Every simulated unit keeps a BusyUntil slot that counts its
+// own busy cycles as the unit raises it, so the census reads slots when
+// asked instead of walking them per cycle, and the serial and event
+// engines produce byte-identical census exports.
 //
 // Host-time measurements (HostProfiler) are wall-clock and therefore
 // nondeterministic by nature; they are quarantined in the report's
@@ -18,6 +18,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -32,26 +33,21 @@ class StatSet;
 /// stays quarantined from simulated time.
 [[nodiscard]] double host_now_seconds();
 
-/// Idle-cycle census: accumulates per-component active/idle cycle counts.
+/// Idle-cycle census: per-component active/idle cycle counts.
 ///
 /// Components register a row; the run owner calls observe(now) once per
-/// simulated cycle at a serial point. A row is one of two kinds:
-///  * a threshold row (add_threshold) points at a busy-until cycle and is
-///    active iff now < *busy_until, one load and a compare. Every
-///    simulated unit registers this kind: device state like "bank busy
-///    until cycle c", and units that do work in a cycle, which store
-///    `now + 1` into their slot (active exactly at the cycle they
-///    worked, never across a skipped span);
-///  * a probe row (add_component) asks a callback "active at `now`?" —
-///    for callers outside the model only (tests, perf's visit counter).
-/// Cycles the engine never visited (time skips) count as idle for probe
-/// rows — the driver only skips cycles where provably no component does
-/// work. Threshold state stays active during skipped spans even though
-/// nothing ticks, and skip_to() credits those cycles exactly, so the
-/// event engine's census stays byte-identical to the cycle engine's. The
-/// engine must call skip_to(next) BEFORE ticking the landing cycle: the
-/// landing tick can raise busy thresholds, which would falsely mark the
-/// skipped span active.
+/// visited cycle at a serial point. A row is one of two kinds:
+///  * a threshold row (add_threshold) reads a unit's BusyUntil slot.
+///    Every simulated unit registers this kind: device state like "bank
+///    busy until cycle c", and units that do work in a cycle, which call
+///    `work(now)` (active exactly at the cycles they worked). The slot
+///    counts its own busy cycles, including those in spans the event
+///    engine jumps over, so observe() never touches these rows;
+///  * a probe row (add_component) asks a callback "active at `now`?" once
+///    per visited cycle — for callers outside the model only (tests,
+///    perf's visit counter). Cycles never visited count as idle.
+/// A row counts from its first observed cycle; its idle count is the
+/// cycles observed since it registered, less its active ones.
 class ActivityCensus {
  public:
   using Probe = std::function<bool(Cycle)>;
@@ -63,46 +59,38 @@ class ActivityCensus {
   };
 
   /// Register a component under `name` with an explicit activity probe,
-  /// called exactly once per visited cycle by observe() and never by
-  /// skip_to(). Returns the component's census index.
+  /// called exactly once per visited cycle by observe(). Returns the
+  /// component's census index.
   std::size_t add_component(std::string name, Probe probe);
 
-  /// Register threshold-form state: active at `now` iff
-  /// now < *busy_until. The threshold must never decrease while the run
-  /// is observed and must be frozen across skipped spans (nothing ticks
-  /// mid-skip); the pointee must outlive the run (seal() first).
-  std::size_t add_threshold(std::string name, const Cycle* busy_until);
+  /// Register a unit's busy-until slot. Its raises must come at the
+  /// cycles the run ticks; the slot must outlive the run (seal() first).
+  std::size_t add_threshold(std::string name, const BusyUntil* slot);
 
-  /// Account one simulated cycle. Idempotent per cycle; a forward jump
-  /// from the last observed cycle books the skipped cycles as idle for
-  /// every component. Call only from serial points.
+  /// Account one visited cycle: advance the clock and run the probe rows.
+  /// Idempotent per cycle; a forward jump needs nothing else. A cycle at
+  /// or before the last observed one changes no count: a census shared
+  /// across runs counts each later run only past the cycles already
+  /// observed. Call only from serial points, after the cycle's tick.
   void observe(Cycle now);
 
-  /// Account the skipped span strictly before `next` (the event engine's
-  /// landing cycle): every cycle after the last observed one and before
-  /// `next` is active for a threshold row up to its threshold and idle
-  /// for every other row. Must run before the landing cycle is ticked —
-  /// thresholds are read as frozen during the skip. The landing cycle
-  /// itself is then accounted by the usual observe(next).
-  void skip_to(Cycle next);
-
-  /// Drop every probe and threshold pointer, keeping the accumulated
-  /// counts. Call before the probed components are destroyed (mirrors
-  /// the sampler's probe hazard: rows reference components).
+  /// Freeze every row's counts and drop every probe and slot pointer.
+  /// Call before the registered components are destroyed (rows reference
+  /// them). Idempotent; later observes count as idle for these rows.
   void seal();
 
   /// Export `<name>.active_cycles` / `<name>.idle_cycles` into `out`.
   void export_metrics(StatSet& out) const;
 
-  [[nodiscard]] const std::vector<Row>& rows() const noexcept {
-    return rows_;
-  }
+  /// Every row's counts through the last observed cycle, in registration
+  /// order.
+  [[nodiscard]] std::vector<Row> rows() const;
   [[nodiscard]] std::uint64_t observed_cycles() const noexcept {
     return observed_cycles_;
   }
   /// Idle fraction across all components (1.0 = everything always idle;
   /// 0 observed cycles reports 0.0).
-  [[nodiscard]] double dead_time_fraction() const noexcept;
+  [[nodiscard]] double dead_time_fraction() const;
 
   /// Aligned text table: component, active, idle, dead-time fraction.
   [[nodiscard]] std::string to_table() const;
@@ -111,35 +99,34 @@ class ActivityCensus {
   [[nodiscard]] std::string to_json() const;
 
  private:
-  struct ThresholdRow {
-    std::size_t row;
-    const Cycle* busy_until;
-  };
-  struct ProbeRow {
-    std::size_t row;
-    Probe probe;
+  struct Entry {
+    std::string name;
+    const BusyUntil* slot = nullptr;  ///< threshold rows, until sealed
+    std::uint64_t base = 0;    ///< the slot's count before the first cycle
+    std::uint64_t active = 0;  ///< a probe row's count, a sealed row's total
+    std::uint64_t since = 0;   ///< observed cycles when the row registered
   };
 
-  std::size_t add_row(std::string name);
-  /// Make row `row` permanently idle: a threshold row that is never busy.
-  void add_idle_row(std::size_t row);
+  std::size_t add_row(std::string name, const BusyUntil* slot);
+  [[nodiscard]] std::uint64_t active(std::size_t row) const noexcept;
+  /// Set the base of the threshold rows from `from` on: their count
+  /// starts at cycle `first`.
+  void base_rows(std::size_t from, Cycle first) noexcept;
 
-  // Every row is exactly one of: a threshold row or a probe row. The
-  // kinds live in separate dense lists so observe() runs the threshold
-  // rows as a tight load-compare loop.
-  std::vector<Row> rows_;
-  std::vector<ThresholdRow> thresholds_;
-  std::vector<ProbeRow> probes_;
-  bool observed_any_ = false;
-  Cycle last_observed_ = 0;
-  std::uint64_t observed_cycles_ = 0;
+  std::vector<Entry> rows_;
+  std::vector<std::pair<std::size_t, Probe>> probes_;
+  /// Rows from here on have seen no observe that advanced the clock, and
+  /// rows from `unseen_` on no observe at all.
+  std::size_t unsettled_ = 0;
+  std::size_t unseen_ = 0;
+  std::uint64_t observed_cycles_ = 0;  ///< the last observed cycle + 1
 };
 
 /// Engine phases the host profiler attributes wall-clock to.
 enum class HostPhase : std::uint8_t {
   kTick = 0,    ///< feed intake, component tick, completion drain,
                 ///< drain check and wake-up oracle
-  kTelemetry,   ///< census observe / skip credit
+  kTelemetry,   ///< census observe
   kSampler,     ///< cycle-sampler and snapshot probe evaluation
 };
 

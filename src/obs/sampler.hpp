@@ -2,7 +2,9 @@
 // (ARQ occupancy, queue depths, bank busy fraction, link utilization) at
 // the start of a run; the sampler evaluates them once per period boundary
 // and accumulates a CSV time series, one row per elapsed window:
-// rows == ceil(makespan / period).
+// rows == ceil(makespan / period). Boundaries are mandatory landing
+// cycles for the event engine (next_boundary), as snapshot boundaries
+// are, so both engines sample every boundary at the cycle itself.
 #pragma once
 
 #include <cstddef>
@@ -34,8 +36,15 @@ class CycleSampler {
   /// register the same columns (drivers register a uniform set per path).
   void add_probe(std::string name, Probe probe);
 
-  /// Evaluate all window boundaries <= now (call once per driver loop
-  /// iteration; boundaries are sampled lazily, at most once each).
+  /// First unsampled boundary strictly after `now` — the event engine's
+  /// mandatory landing cycle (clamp the fast-forward target to this so a
+  /// boundary never falls inside a skipped span).
+  [[nodiscard]] Cycle next_boundary(Cycle now) const noexcept {
+    return next_boundary_ > now ? next_boundary_ : now + 1;
+  }
+
+  /// Evaluate all window boundaries <= now (call once per serial point;
+  /// boundaries are sampled at most once each).
   void advance_to(Cycle now);
 
   /// Flush the windows the run's tail spans (the last row is sampled at

@@ -3,10 +3,11 @@
 // advances the cycle sampler and the snapshot streamer, and polls the
 // stall watchdog.
 // On the event clock it then jumps to the next wake, landing on every
-// snapshot boundary and crediting the skipped span before the landing
-// tick. The streaming driver (src/sim/driver.cpp) and the multi-node
-// System (src/arch/system.cpp) both run through it, so both engines
-// evaluate every probe at the same simulated cycles with the same state.
+// sampler and snapshot boundary. The census needs no landing: its slots
+// count skipped cycles themselves. The streaming driver
+// (src/sim/driver.cpp) and the multi-node System (src/arch/system.cpp)
+// both run through it, so both engines evaluate every probe at the same
+// simulated cycles with the same state.
 #pragma once
 
 #include <algorithm>
@@ -23,7 +24,8 @@ namespace mac3d {
 /// may be null. Construction begins the sampler and snapshot runs under
 /// `label` and finish() flushes them at the run's end cycle. A run left
 /// unfinished — an exception unwinding out of its loop — aborts both
-/// instead, dropping probes that capture the dying pipeline.
+/// instead. Either exit seals the census, so no probe or slot pointer
+/// into the dying pipeline survives the run.
 class SerialPoint {
  public:
   /// A wake that never comes: nothing pending.
@@ -42,9 +44,11 @@ class SerialPoint {
   SerialPoint(const SerialPoint&) = delete;
   SerialPoint& operator=(const SerialPoint&) = delete;
   ~SerialPoint() {
-    if (finished_) return;
-    if (sampler_ != nullptr) sampler_->abort_run();
-    if (snapshot_ != nullptr) snapshot_->abort_run();
+    if (!finished_) {
+      if (sampler_ != nullptr) sampler_->abort_run();
+      if (snapshot_ != nullptr) snapshot_->abort_run();
+    }
+    if (census_ != nullptr) census_->seal();
   }
 
   /// Normal exit: flush the tail windows through `end`.
@@ -73,29 +77,18 @@ class SerialPoint {
 
   /// Event clock: the cycle to visit after `now`, given the loop's
   /// earliest `wake` (kNever, or a cycle not after `now`, steps one
-  /// cycle) and capped at `limit`. Snapshot boundaries are mandatory
-  /// landing cycles, so every engine samples every window at identical
-  /// state. The skipped span is credited to the census and sampler BEFORE
-  /// the landing tick, which can raise device busy thresholds and would
-  /// falsely mark the span active.
+  /// cycle) and capped at `limit`. Sampler and snapshot boundaries are
+  /// mandatory landing cycles, so every engine samples every window at
+  /// identical state; a cycle visited only to land is a no-op tick.
   Cycle advance(Cycle now, Cycle wake, Cycle limit = kNever) const {
     Cycle next = wake == kNever || wake <= now ? now + 1 : wake;
+    if (sampler_ != nullptr) {
+      next = std::min(next, sampler_->next_boundary(now));
+    }
     if (snapshot_ != nullptr) {
       next = std::min(next, snapshot_->next_boundary(now));
     }
-    next = std::min(next, limit);
-    if (next > now + 1 && (census_ != nullptr || sampler_ != nullptr)) {
-      lap(HostPhase::kTick);  // the drain check and the wake-up oracle
-      if (census_ != nullptr) {
-        census_->skip_to(next);
-        lap(HostPhase::kTelemetry);
-      }
-      if (sampler_ != nullptr) {
-        sampler_->advance_to(next - 1);
-        lap(HostPhase::kSampler);
-      }
-    }
-    return next;
+    return std::min(next, limit);
   }
 
  private:

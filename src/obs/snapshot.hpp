@@ -7,8 +7,8 @@
 // Determinism contract: snapshot boundaries are mandatory landing cycles
 // for the event engine. It clamps its fast-forward target with
 // next_boundary(now) so no boundary ever falls inside a skipped span,
-// then credit the skip to the census/samplers as usual; the streamer is
-// advanced at the same serial point as the CycleSampler. Because both
+// and the streamer is advanced at the same serial point as the
+// CycleSampler, after the census observes the cycle. Because both
 // engines therefore evaluate every probe at exactly the same cycles with
 // exactly the same component state, the JSONL stream is byte-identical
 // under serial and event — tests/test_snapshot.cpp enforces it.

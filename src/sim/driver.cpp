@@ -49,7 +49,7 @@ constexpr std::uint32_t kMaxStoresPerThread = 4;
 struct LoopResult {
   Cycle makespan = 0;             ///< cycle of the last completion
   std::uint64_t completions = 0;  ///< data records + retired fences
-  Cycle feeder_until = 0;  ///< census slot: the feed's last intake + 1
+  BusyUntil feeder_until;  ///< census slot: marked at every intake
 };
 
 /// What every feed shares: its view of the trace and the presentation of
@@ -60,7 +60,7 @@ class Feed {
  protected:
   Feed(const MemoryTrace& trace, const SimConfig& config,
        std::uint32_t threads, const DriveOptions& options,
-       Cycle& feeder_until)
+       BusyUntil& feeder_until)
       : trace_(trace),
         options_(options),
         feeder_until_(feeder_until),
@@ -109,14 +109,14 @@ class Feed {
       stamped = true;
     }
     if (!path.try_accept(request, now)) return false;
-    feeder_until_ = now + 1;
+    feeder_until_.work(now);
     stamped = false;
     return true;
   }
 
   const MemoryTrace& trace_;
   const DriveOptions& options_;
-  Cycle& feeder_until_;
+  BusyUntil& feeder_until_;
   std::uint32_t cores_;
   std::uint32_t threads_;
   std::uint64_t records_left_ = 0;
@@ -142,7 +142,7 @@ class StreamingFeed : public Feed {
  public:
   StreamingFeed(const MemoryTrace& trace, const SimConfig& config,
                 std::uint32_t threads, const DriveOptions& options,
-                Cycle& feeder_until)
+                BusyUntil& feeder_until)
       : Feed(trace, config, threads, options, feeder_until),
         cursors_(threads_),
         tags_(threads_, TagAllocator(options.tag_pool)) {
@@ -223,7 +223,7 @@ class ClosedLoopFeed : public Feed {
  public:
   ClosedLoopFeed(const MemoryTrace& trace, const SimConfig& config,
                  std::uint32_t threads, const DriveOptions& options,
-                 Cycle& feeder_until)
+                 BusyUntil& feeder_until)
       : Feed(trace, config, threads, options, feeder_until),
         cursors_(threads_) {
     for (std::uint32_t t = 0; t < threads_; ++t) {
@@ -331,7 +331,7 @@ class LaneGroupFeed : public Feed {
  public:
   LaneGroupFeed(const MemoryTrace& trace, const SimConfig& config,
                 std::uint32_t threads, const DriveOptions& options,
-                Cycle& feeder_until)
+                BusyUntil& feeder_until)
       : Feed(trace, config, threads, options, feeder_until),
         lanes_(threads_),
         width_(std::max<std::uint32_t>(1, config.warp_lanes)) {
@@ -533,22 +533,6 @@ class CheckWindow {
   bool closed_ = false;
 };
 
-/// Seals a (possibly shared) census when the run ends, on either exit: its
-/// rows capture the run's path and device by reference. Counts survive
-/// the seal; a shared census accumulates across runs.
-class CensusSeal {
- public:
-  explicit CensusSeal(ActivityCensus* census) : census_(census) {}
-  CensusSeal(const CensusSeal&) = delete;
-  CensusSeal& operator=(const CensusSeal&) = delete;
-  ~CensusSeal() {
-    if (census_ != nullptr) census_->seal();
-  }
-
- private:
-  ActivityCensus* census_;
-};
-
 /// The run's census rows (the feeder, the path's units, the device's
 /// banks/vaults/links), sampler probes and snapshot counters and gauges.
 /// Every path registers the same column set: queue_occupancy,
@@ -629,12 +613,11 @@ DriverResult drive(const MemoryTrace& trace, const SimConfig& config,
     device.attach_sink(options.sink);
   }
   LoopResult loop;
-  const CensusSeal seal(options.census);
   SerialPoint serial(options.census, options.sampler, options.snapshot,
                      options.profiler, path.name());
   register_telemetry(path, device, loop, options.census, options.sampler,
                      options.snapshot);
-  Cycle& fed = loop.feeder_until;
+  BusyUntil& fed = loop.feeder_until;
   switch (options.mode) {
     case FeedMode::kClosedLoop:
       run_loop(path, ClosedLoopFeed(trace, config, threads, options, fed),

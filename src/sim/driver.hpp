@@ -63,8 +63,9 @@ enum class Engine {
   /// Event-driven fast-forward (the default): each unit's wake oracle
   /// (`next_event`) is the scheduling contract — the driver jumps the
   /// clock to the minimum wake cycle instead of ticking dead cycles,
-  /// crediting the skipped span to the census/sampler before the landing
-  /// tick so every export stays byte-identical to kSerial.
+  /// landing on every sampler and snapshot boundary so every export stays
+  /// byte-identical to kSerial. The jump credits nothing: census slots
+  /// count skipped cycles themselves.
   kEvent,
   /// perf/ only: it still names the retired event-parallel engine, which
   /// now runs kEvent. ROADMAP item 1 deletes it with perf's speedup rows.
@@ -100,15 +101,17 @@ struct DriveOptions {
   EventSink* sink = nullptr;
   /// Periodic occupancy/utilization sampling: when non-null, the driver
   /// registers the path's probe set, samples every window boundary during
-  /// the run and flushes the tail at the makespan. The sampler may be
-  /// shared across runs (rows are labeled with the path name).
+  /// the run (a mandatory landing cycle for the event engine) and flushes
+  /// the tail at the makespan. The sampler may be shared across runs
+  /// (rows are labeled with the path name).
   CycleSampler* sampler = nullptr;
   /// Idle-cycle census (docs/OBSERVABILITY.md §profiler): when non-null,
   /// the driver registers the run's components (node0.feeder, the path's
   /// units, the device's banks/vaults/links), marks the feeder on every
-  /// accepted request and observes the census once per simulated cycle at
-  /// a serial point. The census may be shared across runs (counts
-  /// accumulate); its probes are sealed before the pipeline dies.
+  /// accepted request and observes the census once per visited cycle at
+  /// a serial point; the units' slots count their own busy cycles. The
+  /// census may be shared across runs (counts accumulate); the serial
+  /// point seals it before the pipeline dies.
   ActivityCensus* census = nullptr;
   /// Host wall-clock attribution: when non-null, the driver laps its
   /// tick / telemetry / sampler phases, which partition the feed loop's

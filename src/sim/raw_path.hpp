@@ -41,7 +41,7 @@ class RawPath {
     }
     ++accepts_this_cycle_;
     queue_.push_back(request);
-    work_until_ = now + 1;
+    work_until_.work(now);
     ledger_.accept(request, now);
     return true;
   }
@@ -60,7 +60,7 @@ class RawPath {
       if (ledger_.in_flight() == 0) {
         ledger_.retire_fence(Target{head.tid, head.tag, 0}, now);
         queue_.pop_front();
-        work_until_ = now + 1;
+        work_until_.work(now);
       }
       return;
     }
@@ -77,14 +77,14 @@ class RawPath {
     if (!device_.can_accept(request, now)) return;
     ledger_.submit(std::move(request), now);
     queue_.pop_front();
-    work_until_ = now + 1;
+    work_until_.work(now);
   }
 
   /// Completions at or before `now` (RequestLedger::drain); valid until
   /// the next drain.
   const std::vector<CompletedAccess>& drain(Cycle now) {
     const std::vector<CompletedAccess>& done = ledger_.drain(now);
-    if (!done.empty()) work_until_ = now + 1;
+    if (!done.empty()) work_until_.work(now);
     return done;
   }
 
@@ -117,7 +117,7 @@ class RawPath {
   void attach_sink(EventSink* sink) noexcept { ledger_.attach_sink(sink); }
 
   /// Register the path's idle-cycle census row, `<prefix>queue`: a
-  /// threshold row over a slot set to `now + 1` whenever the FIFO accepts,
+  /// threshold row over a work slot marked whenever the FIFO accepts,
   /// dispatches, retires a fence or completes (docs/OBSERVABILITY.md).
   /// Same contract as MacCoalescer::register_census.
   template <typename Census>
@@ -133,7 +133,7 @@ class RawPath {
   RingQueue<RawRequest> queue_;
   AccessCounts stats_;
   RequestLedger ledger_;
-  Cycle work_until_ = 0;  ///< census slot (register_census)
+  BusyUntil work_until_;  ///< census slot (register_census)
 };
 
 }  // namespace mac3d

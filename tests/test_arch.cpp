@@ -2,11 +2,17 @@
 // interconnect, node and multi-node system.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "arch/core_model.hpp"
 #include "arch/interconnect.hpp"
 #include "arch/request_router.hpp"
 #include "arch/spm.hpp"
 #include "arch/system.hpp"
+#include "common/stats.hpp"
+#include "obs/profiler.hpp"
 
 namespace mac3d {
 namespace {
@@ -229,6 +235,71 @@ TEST(System, SpmTrafficNeverReachesTheCube) {
   const SystemRunSummary summary = system.run(100'000);
   EXPECT_TRUE(summary.completed);
   EXPECT_EQ(system.node(0).device().stats().requests, 0u);
+}
+
+/// Two nodes' threads each load a few lines after long compute gaps, half
+/// of them from the other node: the event engine's wakes lie far apart.
+MemoryTrace sparse_two_node_trace() {
+  MemoryTrace trace(4);
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    for (std::uint32_t t = 0; t < 4; ++t) {
+      trace.instr(static_cast<ThreadId>(t), 700);
+      trace.load(static_cast<ThreadId>(t), (t % 2 == 0 ? 0 : 8ull << 30) +
+                                               (i * 4 + t) * Address{4096});
+    }
+  }
+  return trace;
+}
+
+TEST(System, EventEngineLandsOnEverySamplerBoundary) {
+  SimConfig config;
+  config.nodes = 2;
+  config.cores = 2;
+  const MemoryTrace trace = sparse_two_node_trace();
+  // A probe row records every cycle the engine visits.
+  ActivityCensus census;
+  std::set<Cycle> visited;
+  census.add_component("visits", [&visited](Cycle now) {
+    visited.insert(now);
+    return false;
+  });
+  CycleSampler sampler(64);
+  System system(config);
+  system.attach_trace(trace);
+  system.attach_census(&census);
+  system.attach_sampler(&sampler);
+  const SystemRunSummary summary = system.run_event();
+  ASSERT_TRUE(summary.completed);
+  EXPECT_EQ(summary.visited_cycles, visited.size());
+  EXPECT_LT(summary.visited_cycles, summary.cycles / 2);
+  for (Cycle boundary = 64; boundary < summary.cycles; boundary += 64) {
+    EXPECT_EQ(visited.count(boundary), 1u) << "boundary " << boundary;
+  }
+}
+
+// A run seals its census on exit: no row points into the System once it
+// is gone, with no seal() from the caller.
+TEST(System, RunSealsItsCensusBeforeTheSystemDies) {
+  SimConfig config;
+  config.nodes = 2;
+  config.cores = 2;
+  const MemoryTrace trace = sparse_two_node_trace();
+  ActivityCensus census;
+  {
+    System system(config);
+    system.attach_trace(trace);
+    system.attach_census(&census);
+    ASSERT_TRUE(system.run_event().completed);
+  }
+  const std::uint64_t observed = census.observed_cycles();
+  census.observe(observed + 100);
+  StatSet metrics;
+  census.export_metrics(metrics);
+  EXPECT_GT(metrics.get("node0.banks.active_cycles"), 0.0);
+  EXPECT_EQ(metrics.get("fabric.active_cycles") +
+                metrics.get("fabric.idle_cycles"),
+            static_cast<double>(observed + 101));
+  EXPECT_NE(census.to_json().find("\"node1.router\""), std::string::npos);
 }
 
 TEST(System, HitsCycleCapGracefully) {

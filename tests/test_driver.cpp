@@ -5,6 +5,8 @@
 #include <set>
 
 #include "common/rng.hpp"
+#include "obs/profiler.hpp"
+#include "obs/sampler.hpp"
 #include "sim/driver.hpp"
 #include "sim/metrics.hpp"
 #include "sim/tag_allocator.hpp"
@@ -243,6 +245,39 @@ TEST(Driver, DeterministicAcrossRuns) {
   EXPECT_EQ(a.packets, b.packets);
   EXPECT_EQ(a.bank_conflicts, b.bank_conflicts);
   EXPECT_EQ(a.link_bytes, b.link_bytes);
+}
+
+TEST(Driver, EventEngineLandsOnEverySamplerBoundary) {
+  // Each record arrives after a long compute gap: the event engine's
+  // wakes lie far apart.
+  MemoryTrace trace(2);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    for (std::uint32_t t = 0; t < 2; ++t) {
+      trace.instr(static_cast<ThreadId>(t), 900);
+      trace.load(static_cast<ThreadId>(t), (i * 2 + t) * Address{4096});
+    }
+  }
+  // A probe row records every cycle the engine visits.
+  ActivityCensus census;
+  std::set<Cycle> visited;
+  census.add_component("visits", [&visited](Cycle now) {
+    visited.insert(now);
+    return false;
+  });
+  CycleSampler sampler(64);
+  DriveOptions options;
+  options.engine = Engine::kEvent;
+  options.census = &census;
+  options.sampler = &sampler;
+  const DriverResult result =
+      run_policy(CoalescerPolicy::kMac, trace, SimConfig{}, 2, options);
+  ASSERT_EQ(result.completions, trace.size());
+  ASSERT_FALSE(visited.empty());
+  const Cycle last = *visited.rbegin();
+  EXPECT_LT(visited.size(), last / 2);
+  for (Cycle boundary = 64; boundary <= last; boundary += 64) {
+    EXPECT_EQ(visited.count(boundary), 1u) << "boundary " << boundary;
+  }
 }
 
 TEST(Metrics, GeomeanAndMean) {

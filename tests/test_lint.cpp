@@ -18,6 +18,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/json.hpp"
 #include "lint/lexer.hpp"
@@ -165,6 +166,23 @@ TEST(LintBaseline, LoaderRejectsBadDocuments) {
     EXPECT_NE(error.find(count == "1e400" ? "out of range" : "'count'"),
               std::string::npos)
         << error;
+  }
+  // A count of another JSON type is not taken as 1, and every entry
+  // carries a nonempty string justification.
+  const std::string entry_head =
+      R"({"schema": "mac3d-lint-baseline/1", "entries": [
+           {"rule": "det.env_access", "file": "src/sim/experiment.cpp")";
+  const std::pair<std::string, std::string> bad_fields[] = {
+      {R"(, "count": "7", "justification": "reads MAC3D_*")", "'count'"},
+      {R"(, "count": 1, "justification": 5)", "'justification'"},
+      {R"(, "count": 1, "justification": "")", "'justification'"},
+      {R"(, "count": 1)", "'justification'"},
+  };
+  for (const auto& [fields, field] : bad_fields) {
+    const std::string bad_entry = write_temp(
+        "lint_bad_entry.json", entry_head + fields + "}]}");
+    EXPECT_FALSE(load_baseline(bad_entry, baseline, error)) << fields;
+    EXPECT_NE(error.find(field), std::string::npos) << error;
   }
 }
 

@@ -90,7 +90,6 @@ std::string run_fingerprint(const std::string& path, const MemoryTrace& trace,
   result.collect(stats, path);
   stats.set("checks.run", static_cast<double>(result.checks_run));
   stats.set("checks.violations", static_cast<double>(result.check_violations));
-  census.seal();
   return stats.to_json() + "\n" + census.to_json();
 }
 
@@ -238,7 +237,6 @@ TEST(SystemEquivalence, CensusAndMetricsMatchUnderBothSystemEngines) {
     system.attach_trace(trace);
     const SystemRunSummary summary = event ? system.run_event() : system.run();
     EXPECT_TRUE(summary.completed);
-    census.seal();
     StatSet metrics;
     system.collect_metrics(summary, metrics);
     return census.to_json() + "\n" + metrics.to_json();
@@ -382,7 +380,6 @@ ObservedSystemRun observed_system_run(const SimConfig& config,
   ObservedSystemRun out;
   out.summary = engine == Engine::kSerial ? system.run(max_cycles)
                                           : system.run_event(max_cycles);
-  census.seal();
   checks.finalize();
   StatSet metrics;
   system.collect_metrics(out.summary, metrics);
@@ -577,7 +574,6 @@ TEST(EngineUnwind, SystemAbortsItsTelemetryRunsUnderEveryEngine) {
     snapshot.advance_to(1'000'000);
     EXPECT_EQ(sampler.row_count(), rows) << event;
     EXPECT_EQ(snapshot.str(), stream) << event;
-    census.seal();
   }
 }
 

@@ -1,10 +1,12 @@
 // Self-profiling subsystem (docs/OBSERVABILITY.md §profiler):
-//  * ActivityCensus accounting on hand-built activity patterns — gap
-//    cycles book as idle, observe() is idempotent per cycle, threshold
-//    rows credit skipped spans exactly, probe rows run once per visited
-//    cycle, a work slot (`now + 1`) row is active only at the cycles its
-//    unit worked, seal() keeps counts, and the metrics export carries
-//    <name>.{active,idle}_cycles;
+//  * ActivityCensus accounting on hand-built activity patterns — jumped
+//    cycles book as idle for probe rows, observe() is idempotent per
+//    cycle, threshold rows count jumped spans through their slots, a
+//    shared census counts a later run only past the observed cycles,
+//    probe rows run once per visited cycle, a work slot row is active
+//    only at the cycles its unit worked, seal() keeps counts, and the
+//    metrics export carries <name>.{active,idle}_cycles;
+//  * BusyUntil against a brute-force reference;
 //  * HostProfiler laps: one clock read per phase boundary, none without a
 //    profiler, and a profiled run's phases fit inside its wall time;
 //  * LatencyDecomposer residency histograms against analytic values,
@@ -17,11 +19,14 @@
 //    results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "arch/system.hpp"
 #include "common/config.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "obs/latency.hpp"
 #include "obs/profiler.hpp"
@@ -53,10 +58,10 @@ TEST(ActivityCensus, CountsActiveAndIdleWithGapCycles) {
   census.add_component("never", [](Cycle) { return false; });
   for (Cycle now = 0; now < 4; ++now) census.observe(now);
   census.observe(3);  // idempotent: the cycle is already accounted
-  census.observe(9);  // forward jump: 4..8 book as idle for everyone
+  census.observe(9);  // forward jump: 4..8 book as idle for probe rows
 
   EXPECT_EQ(census.observed_cycles(), 10u);
-  const auto& rows = census.rows();
+  const std::vector<ActivityCensus::Row> rows = census.rows();
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].name, "even");
   EXPECT_EQ(rows[0].active_cycles, 2u);  // probed active at 0 and 2 only
@@ -66,79 +71,124 @@ TEST(ActivityCensus, CountsActiveAndIdleWithGapCycles) {
   EXPECT_DOUBLE_EQ(census.dead_time_fraction(), 18.0 / 20.0);
 }
 
-TEST(ActivityCensus, SkipToCreditsThresholdRowsExactly) {
+TEST(ActivityCensus, ThresholdRowsCountJumpedSpansExactly) {
   ActivityCensus census;
-  // Threshold row, like a bank busy-until: active while now < busy_until.
-  Cycle busy_until = 7;
-  census.add_threshold("bank", &busy_until);
-  // Probe row: skipped spans book as idle.
+  // Threshold row, like a bank busy-until: busy from the raise's cycle.
+  BusyUntil bank;
+  census.add_threshold("bank", &bank);
+  // Probe row: jumped-over cycles book as idle.
   census.add_component("idle_unit", [](Cycle) { return false; });
 
-  census.observe(0);   // both evaluated at 0: bank active, idle_unit idle
-  census.skip_to(10);  // span 1..9: bank active 1..6 (6), idle 7..9 (3)
-  busy_until = 12;     // the landing tick raises the threshold
-  census.observe(10);  // landing cycle evaluated normally: active again
+  bank.raise(0, 7);    // the tick at 0 keeps the bank busy through 6
+  census.observe(0);   // bank active, idle_unit idle
+  bank.raise(10, 12);  // the landing tick raises the slot again
+  census.observe(10);  // jumps over 1..9: bank busy 1..6, idle 7..9
 
   EXPECT_EQ(census.observed_cycles(), 11u);
-  const auto& rows = census.rows();
+  std::vector<ActivityCensus::Row> rows = census.rows();
   ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].active_cycles, 8u);  // 0, span cycles 1..6, and 10
+  EXPECT_EQ(rows[0].active_cycles, 8u);  // 0, jumped cycles 1..6, and 10
   EXPECT_EQ(rows[0].idle_cycles, 3u);    // 7..9
   EXPECT_EQ(rows[1].active_cycles, 0u);
   EXPECT_EQ(rows[1].idle_cycles, 11u);
 
-  // A span that ends before the threshold is active throughout.
-  census.skip_to(12);  // span 11 only: 11 < 12
+  // A cycle before the slot's end is busy, visited or not.
+  census.observe(11);  // 11 < 12
+  rows = census.rows();
   EXPECT_EQ(rows[0].active_cycles, 9u);
   EXPECT_EQ(census.observed_cycles(), 12u);
 }
 
-TEST(ActivityCensus, SkipToEdgeCases) {
+TEST(ActivityCensus, ThresholdRowEdgeCases) {
   ActivityCensus census;
-  Cycle busy_until = 3;
-  census.add_threshold("unit", &busy_until);
-  Cycle work_until = 1;  // a unit's work slot: it worked at cycle 0
-  census.add_threshold("feeder", &work_until);
+  BusyUntil unit;
+  census.add_threshold("unit", &unit);
+  BusyUntil feeder;  // a unit's work slot
+  census.add_threshold("feeder", &feeder);
 
+  unit.raise(0, 3);
+  feeder.work(0);
   census.observe(0);
-  census.skip_to(1);  // next == first unobserved cycle: a no-op
+  census.observe(0);  // already observed: nothing changes
   EXPECT_EQ(census.observed_cycles(), 1u);
 
-  census.skip_to(5);  // span 1..4: active 1..2, idle 3..4
+  census.observe(4);  // jumps over 1..3: unit busy 1..2, idle 3..4
   EXPECT_EQ(census.observed_cycles(), 5u);
-  const auto& rows = census.rows();
+  std::vector<ActivityCensus::Row> rows = census.rows();
   EXPECT_EQ(rows[0].active_cycles, 3u);  // 0, 1, 2
   EXPECT_EQ(rows[0].idle_cycles, 2u);
-  // A work slot is never credited across a span: the span starts after
-  // the last visited cycle, the latest one a unit can have worked at.
+  // A work slot never counts across a jump: a unit works only at the
+  // cycles it is ticked.
   EXPECT_EQ(rows[1].active_cycles, 1u);  // 0
   EXPECT_EQ(rows[1].idle_cycles, 4u);
 
-  // A threshold at or below the span's first cycle credits nothing.
-  census.skip_to(8);  // span 5..7, busy_until 3
+  // A raise at or below the slot's end, or one ending where it starts,
+  // counts nothing.
+  unit.raise(7, 2);
+  unit.raise(7, 7);
+  census.observe(7);
+  rows = census.rows();
   EXPECT_EQ(rows[0].active_cycles, 3u);
   EXPECT_EQ(rows[0].idle_cycles, 5u);
 
-  // skip_to on a fresh census starts the clock at cycle 0.
+  // A row counts from its first observed cycle: a unit busy since cycle 0
+  // that a fresh census first observes at 3 counts nothing before 3.
   ActivityCensus fresh;
   fresh.add_component("unit", [](Cycle) { return true; });
-  Cycle fresh_until = 2;
-  fresh.add_threshold("bank", &fresh_until);
-  fresh.skip_to(3);  // books 0..2
-  EXPECT_EQ(fresh.observed_cycles(), 3u);
-  EXPECT_EQ(fresh.rows()[0].idle_cycles, 3u);    // probe rows: idle
-  EXPECT_EQ(fresh.rows()[1].active_cycles, 2u);  // 0 and 1
+  BusyUntil bank;
+  bank.raise(0, 5);
+  fresh.add_threshold("bank", &bank);
+  fresh.observe(3);  // 0..2 idle for every row
+  EXPECT_EQ(fresh.observed_cycles(), 4u);
+  rows = fresh.rows();
+  EXPECT_EQ(rows[0].active_cycles, 1u);  // probed at 3 only
+  EXPECT_EQ(rows[0].idle_cycles, 3u);
+  EXPECT_EQ(rows[1].active_cycles, 1u);  // 3
+  EXPECT_EQ(rows[1].idle_cycles, 3u);
 
-  // seal() drops the threshold pointer along with the probes.
+  // seal() freezes the counts and drops the slot pointer with the probes;
+  // a second seal changes nothing.
   fresh.seal();
-  fresh.observe(3);
-  EXPECT_EQ(fresh.rows()[1].active_cycles, 2u);
-  EXPECT_EQ(fresh.rows()[1].idle_cycles, 2u);
+  bank.raise(4, 9);
+  fresh.observe(4);
+  fresh.seal();
+  rows = fresh.rows();
+  EXPECT_EQ(rows[1].active_cycles, 1u);
+  EXPECT_EQ(rows[1].idle_cycles, 4u);
+}
+
+// A census shared across runs counts a later run only past the cycles an
+// earlier run observed: the replayed cycles count nothing, and the slot's
+// busy span across the first new cycle counts from there, jumped or not.
+TEST(ActivityCensus, SharedCensusCountsALaterRunPastObservedCycles) {
+  ActivityCensus census;
+  {
+    BusyUntil first;
+    census.add_threshold("run1", &first);
+    first.work(0);
+    for (Cycle now = 0; now < 5; ++now) census.observe(now);
+    census.seal();
+  }
+  BusyUntil second;
+  census.add_threshold("run2", &second);
+  second.raise(0, 2);
+  census.observe(0);  // replays an observed cycle: counts nothing
+  second.raise(3, 7);
+  census.observe(3);
+  census.observe(6);  // jumps over 5: busy, like 6
+
+  const std::vector<ActivityCensus::Row> rows = census.rows();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].active_cycles, 1u);
+  EXPECT_EQ(rows[0].idle_cycles, 6u);
+  EXPECT_EQ(rows[1].active_cycles, 2u);  // 5 and 6
+  EXPECT_EQ(rows[1].idle_cycles, 0u);
+  EXPECT_EQ(census.observed_cycles(), 7u);
 }
 
 // perf/src/workloads.cpp counts the engine's visited cycles with a probe
 // that only counts its calls, so a probe row must run exactly once per
-// visited cycle under observe() and never under skip_to().
+// cycle observe() advances the clock to, and never for a jumped cycle.
 TEST(ActivityCensus, ProbeRowsRunOncePerVisitedCycle) {
   ActivityCensus census;
   std::uint64_t calls = 0;
@@ -146,46 +196,88 @@ TEST(ActivityCensus, ProbeRowsRunOncePerVisitedCycle) {
     ++calls;
     return false;
   });
-  Cycle busy_until = 100;
-  census.add_threshold("bank", &busy_until);
+  BusyUntil bank;
+  census.add_threshold("bank", &bank);
 
+  bank.raise(0, 100);
   census.observe(0);
   census.observe(0);   // already accounted: no call
-  census.skip_to(5);   // span 1..4: no call
-  census.observe(5);
-  census.observe(9);   // forward jump books 6..8 idle, one call for 9
-  census.skip_to(20);  // span 10..19: no call
-  census.observe(20);
+  census.observe(5);   // jumps over 1..4: no call
+  census.observe(9);   // jumps over 6..8, one call for 9
+  census.observe(20);  // jumps over 10..19
   census.observe(21);
 
   EXPECT_EQ(calls, 5u);  // cycles 0, 5, 9, 20, 21
   EXPECT_EQ(census.observed_cycles(), 22u);
-  // The gap 6..8 books idle even for the threshold row (observe's jump
-  // is "nothing happened"); the skip_to spans credit it up to 100.
-  EXPECT_EQ(census.rows()[1].active_cycles, 19u);
-  EXPECT_EQ(census.rows()[1].idle_cycles, 3u);
+  // The slot counts every cycle below 100, visited or jumped over.
+  const std::vector<ActivityCensus::Row> rows = census.rows();
+  EXPECT_EQ(rows[1].active_cycles, 22u);
+  EXPECT_EQ(rows[1].idle_cycles, 0u);
 }
 
-// Every simulated unit (feeder, router, path units, fabric) stores
-// `now + 1` into its slot when it works at `now`: a threshold row active
-// at exactly the cycles it worked.
+// Every simulated unit (feeder, router, path units, fabric) marks its
+// work slot when it works at `now`: a threshold row active at exactly the
+// cycles it worked.
 TEST(ActivityCensus, WorkSlotRowIsActiveOnlyWhereItsUnitWorked) {
   ActivityCensus census;
-  Cycle work_until = 0;  // never worked
-  census.add_threshold("node0.feeder", &work_until);
-  work_until = 0 + 1;  // works at 0
+  BusyUntil feeder;  // never worked
+  census.add_threshold("node0.feeder", &feeder);
+  feeder.work(0);
   census.observe(0);
   census.observe(1);  // no work at 1: idle
-  work_until = 2 + 1;  // works at 2
+  feeder.work(2);
   census.observe(2);
-  census.skip_to(6);  // span 3..5: the slot reads 3, nothing to credit
-  census.observe(6);
+  census.observe(6);  // jumps over 3..5: the slot ended at 3
 
-  const auto& rows = census.rows();
+  const std::vector<ActivityCensus::Row> rows = census.rows();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].active_cycles, 2u);  // 0 and 2
   EXPECT_EQ(rows[0].idle_cycles, 5u);    // 1, 3, 4, 5, 6
   EXPECT_EQ(census.observed_cycles(), 7u);
+}
+
+// BusyUntil against a brute-force reference that applies each cycle's
+// raises and books every cycle `c < until`: work slots, arbitrary
+// thresholds, raises at or below the slot's end and several raises per
+// cycle, read at every end from the last raise's cycle on.
+TEST(BusyUntil, CountsMatchABruteForceReference) {
+  constexpr Cycle kHorizon = 160;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Xoshiro256 rng(seed);
+    BusyUntil slot;
+    Cycle until = 0;
+    std::uint64_t busy_before_now = 0;  // reference count over [0, now)
+    for (Cycle now = 0; now < kHorizon; ++now) {
+      const std::uint64_t raises = rng.below(3) == 0 ? rng.below(4) : 0;
+      for (std::uint64_t i = 0; i < raises; ++i) {
+        Cycle to = 0;
+        switch (rng.below(3)) {
+          case 0:
+            to = now + 1;
+            slot.work(now);
+            break;
+          case 1:
+            to = now + rng.below(24);
+            slot.raise(now, to);
+            break;
+          default:
+            to = rng.below(until + 1);  // at or below the slot's end
+            slot.raise(now, to);
+            break;
+        }
+        until = std::max(until, to);
+      }
+      ASSERT_EQ(slot.until, until) << "seed " << seed << " cycle " << now;
+      // Cycles from `now` on stay as this cycle's raises left them.
+      std::uint64_t expected = busy_before_now;
+      for (Cycle end = now; end <= kHorizon + 32; ++end) {
+        ASSERT_EQ(slot.active_before(end), expected)
+            << "seed " << seed << " cycle " << now << " end " << end;
+        expected += end < until ? 1 : 0;
+      }
+      busy_before_now += now < until ? 1 : 0;
+    }
+  }
 }
 
 TEST(ActivityCensus, SealKeepsCountsAndExportsMetrics) {
@@ -346,7 +438,6 @@ TEST(HostProfiler, ProfiledSystemRunPhasesPartitionItsWallTime) {
   const double start = host_now_seconds();
   const SystemRunSummary summary = system.run();
   const double wall = host_now_seconds() - start;
-  census.seal();
   EXPECT_TRUE(summary.completed);
 
   double total = 0.0;
@@ -376,7 +467,6 @@ TEST(ProfilerEquivalence, CensusExportsAreByteIdenticalAcrossEngines) {
     system.attach_census(&census);
     const SystemRunSummary summary = event ? system.run_event() : system.run();
     EXPECT_TRUE(summary.completed);
-    census.seal();
     return census.to_json();
   };
   EXPECT_EQ(census_json(false), census_json(true));

@@ -194,7 +194,6 @@ std::string driver_stream(CoalescerPolicy policy, Engine engine,
   // raw_requests excludes fences but completions includes them, so the
   // drained count can only be >= (equality when the trace has no fences).
   EXPECT_GE(result.completions, result.raw_requests);
-  census.seal();
   return snapshot.str();
 }
 
