@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <functional>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -31,7 +30,6 @@
 #include "common/parse_number.hpp"
 #include "lint/lint.hpp"
 #include "obs/analysis.hpp"
-#include "obs/latency.hpp"
 #include "obs/lifecycle.hpp"
 #include "obs/profiler.hpp"
 #include "obs/report_diff.hpp"
@@ -376,7 +374,7 @@ class Session {
         paths_(std::move(paths)),
         system_(system),
         want_tracer_(!options.trace_events.empty() ||
-                     !options.report_path.empty()),
+                     !options.report_path.empty() || options.profile),
         want_sampler_(options.sample_every > 0 || !options.sample_out.empty()),
         want_snapshot_(options.snapshot_every > 0 ||
                        !options.snapshot_out.empty() || options.watchdog),
@@ -385,20 +383,12 @@ class Session {
         snapshot_(options.snapshot_every == 0 ? 1024 : options.snapshot_every),
         watchdog_(options.watchdog_windows) {
     if (options.watchdog) snapshot_.attach_watchdog(&watchdog_);
-    if (!options.profile) return;
-    // One census and one latency decomposer per run, one host profiler for
-    // the invocation. The decomposer tees every event into the tracer, so
-    // --profile and --trace-events/--report compose.
-    censuses_.resize(paths_.size());
-    for (std::size_t i = 0; i < paths_.size(); ++i) {
-      decomposers_.push_back(std::make_unique<LatencyDecomposer>(
-          want_tracer_ ? &tracer_ : nullptr));
-      if (!options.trace_events.empty()) {
-        decomposers_.back()->attach_trace(&tracer_);
-      }
-    }
+    // One census per run, one host profiler for the invocation; the
+    // tracer's windows hold the per-run residency.
+    if (options.profile) censuses_.resize(paths_.size());
+    tracer_.track_residency(options.profile);
   }
-  // The snapshot stream and the decomposers hold addresses of members.
+  // The snapshot stream holds the address of a member.
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
@@ -434,12 +424,11 @@ class Session {
   }
 
   /// Opens run `run`'s trace window and returns its event sink: the
-  /// decomposer under --profile (it tees into the tracer), the tracer, or
-  /// nullptr.
+  /// tracer, or nullptr.
   [[nodiscard]] EventSink* begin_run(std::size_t run) {
-    if (want_tracer_) tracer_.begin_path(paths_[run]);
-    if (options_.profile) return decomposers_[run].get();
-    return want_tracer_ ? &tracer_ : nullptr;
+    if (!want_tracer_) return nullptr;
+    tracer_.begin_path(paths_[run]);
+    return &tracer_;
   }
 
   /// After the runs: --sample-out, --snapshot-out and --report. `stats`
@@ -523,7 +512,7 @@ class Session {
       std::string latency_json = "{";
       for (std::size_t i = 0; i < paths_.size(); ++i) {
         if (i != 0) latency_json += ",";
-        latency_json += "\"" + paths_[i] + "\":" + decomposers_[i]->to_json();
+        latency_json += "\"" + paths_[i] + "\":" + window(i).latency_json();
       }
       report.set_latency(latency_json + "}");
       report.set_host(profiler_.to_json());
@@ -559,7 +548,7 @@ class Session {
                     label.c_str(), 100.0 * censuses_[i].dead_time_fraction(),
                     censuses_[i].to_table().c_str());
         std::printf("\n%sper-stage residency\n%s", label.c_str(),
-                    decomposers_[i]->to_table().c_str());
+                    window(i).residency_table().c_str());
       }
       std::printf("\nhost wall-clock attribution\n%s",
                   profiler_.to_table().c_str());
@@ -574,6 +563,13 @@ class Session {
   static bool cannot_write(const std::string& file) {
     std::fprintf(stderr, "mac3d: cannot write %s\n", file.c_str());
     return false;
+  }
+
+  /// Run `run`'s tracer window: begin_run opens one per run, in order, so
+  /// a path named twice keeps one window per run.
+  [[nodiscard]] const LifecycleTracer::PathTelemetry& window(
+      std::size_t run) const {
+    return tracer_.paths()[run];
   }
 
   const CliOptions& options_;
@@ -591,7 +587,6 @@ class Session {
   StallWatchdog watchdog_;
   HostProfiler profiler_;
   std::vector<ActivityCensus> censuses_;
-  std::vector<std::unique_ptr<LatencyDecomposer>> decomposers_;
 };
 
 int cmd_run(const CliOptions& cli) {

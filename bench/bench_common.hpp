@@ -7,13 +7,17 @@
 //
 // Each binary defines bench_main(); the main() at the end of this header
 // runs it, so malformed input (MAC3D_CONFIG, MAC3D_SCALE, MAC3D_THREADS,
-// MAC3D_JOBS or a --tolerance value) prints one line and exits 2.
+// MAC3D_JOBS, an unknown argument, a flag without its value or a
+// --tolerance value) prints one line and exits 2.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -33,8 +37,9 @@
 namespace mac3d::bench {
 
 /// Per-binary run-report session (docs/OBSERVABILITY.md §run report).
-/// Parses `--report FILE`, `--baseline FILE` and `--tolerance PCT` from
-/// the binary's argv. With --report, finish() (or the destructor as a
+/// Walks the binary's argv once: `--report FILE`, `--baseline FILE`,
+/// `--tolerance PCT` and the value flags the binary declares in `extra`
+/// (read back with flag()). With --report, finish() (or the destructor as a
 /// safety net) writes a RunReport carrying the benchmark's name, whatever
 /// headline numbers the binary recorded via set_number()/set_path_stats(),
 /// the effective config (MAC3D_CONFIG applied) and the wall clock. With
@@ -43,29 +48,38 @@ namespace mac3d::bench {
 /// moved past the tolerance — `return session.finish();` from main() makes
 /// every figure binary a regression gate. Without the flags every call is
 /// a cheap no-op, so instrumenting a figure binary costs one declaration.
-/// The constructor throws ConfigError on a malformed --tolerance or
-/// MAC3D_CONFIG.
+/// The constructor throws ConfigError on an unknown argument, a flag
+/// without its value, a malformed --tolerance or MAC3D_CONFIG.
 class Session {
  public:
-  Session(int argc, char** argv, std::string name)
+  Session(int argc, char** argv, std::string name,
+          std::initializer_list<std::string_view> extra = {})
       : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {
+    flags_ = {{"--report", {}}, {"--baseline", {}}, {"--tolerance", {}}};
+    for (const std::string_view own : extra) flags_.emplace_back(own, "");
     for (int i = 1; i < argc; ++i) {
       const std::string_view arg = argv[i];
-      if (arg == "--report" && i + 1 < argc) {
-        report_path_ = argv[++i];
-      } else if (arg == "--baseline" && i + 1 < argc) {
-        baseline_path_ = argv[++i];
-      } else if (arg == "--tolerance" && i + 1 < argc) {
-        const std::string_view value = argv[++i];
-        const std::optional<double> tolerance =
-            parse_number(value, kNonNegative<double>);
-        if (!tolerance) {
-          throw ConfigError("--tolerance " + std::string(value) + ": want " +
-                            kNonNegative<double>.describe());
-        }
-        tolerance_pct_ = *tolerance;
+      const auto found = std::find_if(
+          flags_.begin(), flags_.end(),
+          [&](const auto& candidate) { return candidate.first == arg; });
+      if (found == flags_.end()) {
+        throw ConfigError("unknown argument " + std::string(arg));
       }
+      if (i + 1 >= argc) {
+        throw ConfigError("missing value for " + std::string(arg));
+      }
+      found->second = argv[++i];
+      if (arg != "--tolerance") continue;
+      const std::optional<double> tolerance =
+          parse_number(found->second, kNonNegative<double>);
+      if (!tolerance) {
+        throw ConfigError("--tolerance " + found->second + ": want " +
+                          kNonNegative<double>.describe());
+      }
+      tolerance_pct_ = *tolerance;
     }
+    report_path_ = flag("--report");
+    baseline_path_ = flag("--baseline");
     config_.apply_env();
     report_.set_string("bench", name_);
   }
@@ -106,6 +120,15 @@ class Session {
 
   [[nodiscard]] bool enabled() const noexcept { return !report_path_.empty(); }
 
+  /// The value given for a declared flag, empty when it was not given.
+  [[nodiscard]] const std::string& flag(std::string_view name) const {
+    const auto found = std::find_if(
+        flags_.begin(), flags_.end(),
+        [&](const auto& candidate) { return candidate.first == name; });
+    assert(found != flags_.end() && "flag() of an undeclared flag");
+    return found->second;
+  }
+
   /// Record a headline number (figure averages, speedups, ...).
   void set_number(const std::string& key, double value) {
     report_.set_number(key, value);
@@ -135,6 +158,8 @@ class Session {
   }
 
   std::string name_;
+  /// Every flag this binary takes, with the value given (empty if absent).
+  std::vector<std::pair<std::string_view, std::string>> flags_;
   std::string report_path_;
   std::string baseline_path_;
   double tolerance_pct_ = 0.0;

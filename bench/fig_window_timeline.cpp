@@ -21,12 +21,8 @@
 
 int bench_main(int argc, char** argv) {
   using namespace mac3d;
-  bench::Session session(argc, argv, "fig_window_timeline");
-  std::string snapshot_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--snapshot-out" && i + 1 < argc) snapshot_out = argv[++i];
-  }
+  bench::Session session(argc, argv, "fig_window_timeline", {"--snapshot-out"});
+  const std::string& snapshot_out = session.flag("--snapshot-out");
   print_banner("Window timeline: streamed snapshots + analysis, 4-node system");
 
   const SuiteOptions base = default_suite_options();

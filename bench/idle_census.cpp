@@ -16,12 +16,8 @@
 
 int bench_main(int argc, char** argv) {
   using namespace mac3d;
-  bench::Session session(argc, argv, "idle_census");
-  std::string census_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--census-out" && i + 1 < argc) census_out = argv[++i];
-  }
+  bench::Session session(argc, argv, "idle_census", {"--census-out"});
+  const std::string& census_out = session.flag("--census-out");
   print_banner("Idle-cycle census: per-component dead time, 4-node system");
 
   const SuiteOptions base = default_suite_options();

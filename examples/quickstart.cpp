@@ -38,7 +38,8 @@ void figure2_example() {
     request.op = MemOp::kLoad;
     request.tid = static_cast<ThreadId>(t);
     request.tag = 1;
-    mac.accept(request, now);
+    // A rejected request retries next cycle (one per cycle always fits).
+    while (!mac.try_accept(request, now)) mac.tick(now++);
     mac.tick(now);
     ++now;
   }

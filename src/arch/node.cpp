@@ -95,7 +95,9 @@ void Node::tick(Cycle now, Interconnect* fabric) {
 
   // 4. Memory-path intake: one raw request per cycle.
   if (router_->has_path_request() && path_->can_accept()) {
-    path_->accept(router_->pop_path_request(), now);
+    const bool accepted = path_->try_accept(router_->pop_path_request(), now);
+    assert(accepted && "Node::tick: the path rejected an admitted request");
+    (void)accepted;
     router_->note_work(now);  // census: pop_path_request has no cycle param
   }
 

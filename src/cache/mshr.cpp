@@ -111,12 +111,6 @@ bool MshrCoalescer::try_accept(const RawRequest& request, Cycle now) {
   return true;
 }
 
-void MshrCoalescer::accept(const RawRequest& request, Cycle now) {
-  const bool accepted = try_accept(request, now);
-  assert(accepted && "MshrCoalescer::accept rejected");
-  (void)accepted;
-}
-
 void MshrCoalescer::tick(Cycle now) {
   ledger_.on_tick(now);
   // Retire a pending barrier once everything older has drained.

@@ -44,7 +44,6 @@ class MshrCoalescer {
   /// Dual-ported intake symmetric with MacCoalescer: one merge and one
   /// allocation per cycle. Returns false when rejected (retry next cycle).
   [[nodiscard]] bool try_accept(const RawRequest& request, Cycle now);
-  void accept(const RawRequest& request, Cycle now);
   void tick(Cycle now);
   /// Completions at or before `now` (RequestLedger::drain); valid until
   /// the next drain.

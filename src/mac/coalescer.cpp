@@ -1,7 +1,6 @@
 #include "mac/coalescer.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "obs/obs.hpp"
 
@@ -66,12 +65,6 @@ bool MacCoalescer::try_accept(const RawRequest& request, Cycle now) {
     sink->on_merge(request.tid, request.tag, leader.tid, leader.tag, now);
   }
   return true;
-}
-
-void MacCoalescer::accept(const RawRequest& request, Cycle now) {
-  const bool accepted = try_accept(request, now);
-  assert(accepted && "MacCoalescer::accept: intake rejected the request");
-  (void)accepted;
 }
 
 void MacCoalescer::pop_stage(Cycle now) {

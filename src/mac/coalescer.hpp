@@ -61,9 +61,6 @@ class MacCoalescer {
   /// The caller keeps (tid, tag) unique among in-flight requests.
   [[nodiscard]] bool try_accept(const RawRequest& request, Cycle now);
 
-  /// try_accept that must succeed (tests, simple feeders).
-  void accept(const RawRequest& request, Cycle now);
-
   /// Advance all MAC stages for cycle `now`. Must be called with
   /// non-decreasing `now`; cycles may be skipped when nothing is pending.
   void tick(Cycle now);

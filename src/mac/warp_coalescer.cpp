@@ -1,6 +1,7 @@
 #include "mac/warp_coalescer.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "check/invariants.hpp"
 #include "common/bitutil.hpp"

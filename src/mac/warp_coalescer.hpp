@@ -9,7 +9,6 @@
 // Mirrors the MacCoalescer cycle interface so drivers are path-generic.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -56,12 +55,6 @@ class WarpCoalescer {
   /// FIFO intake, capped at two accepts per cycle (the same dual-ported
   /// intake budget as the MAC and the raw path).
   [[nodiscard]] bool try_accept(const RawRequest& request, Cycle now);
-
-  void accept(const RawRequest& request, Cycle now) {
-    const bool accepted = try_accept(request, now);
-    assert(accepted);
-    (void)accepted;
-  }
 
   /// One cycle: retire a head fence once the pipeline drained, form a
   /// window when one is ready, then run one coalescing iteration.

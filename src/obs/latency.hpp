@@ -1,89 +1,13 @@
-// LatencyDecomposer: per-stage latency decomposition over the lifecycle
-// event stream (docs/OBSERVABILITY.md §latency decomposition).
-//
-// Sits in front of any EventSink (usually the LifecycleTracer) as a
-// transparent tee: it records per-request stage stamps, and on completion
-// attributes the delta between consecutive stamped stages to the earlier
-// stage's *residency* histogram — i.e. time spent *in* a stage, the dual
-// of LifecycleTracer's "time spent reaching" view — plus a per-request
-// critical-stage attribution (the stage the request spent longest in;
-// earliest stage wins ties). With a tracer attached it also streams
-// per-stage resident-request counts as Perfetto counter tracks.
+// LifecycleTracer computes the per-stage residency decomposition itself
+// (PathTelemetry::residency, ::critical). The alias below exists only for
+// the repo benchmark, which attaches the tracer under this name
+// (perf/src/workloads.cpp); nothing else uses it.
 #pragma once
 
-#include <array>
-#include <cstdint>
-#include <string>
-#include <unordered_map>
-
-#include "common/stats.hpp"
-#include "obs/obs.hpp"
+#include "obs/lifecycle.hpp"
 
 namespace mac3d {
 
-class LifecycleTracer;
-
-class LatencyDecomposer final : public EventSink {
- public:
-  /// Every event is recorded, then forwarded verbatim to `downstream`
-  /// (nullable): chain the decomposer in front of the tracer.
-  explicit LatencyDecomposer(EventSink* downstream = nullptr)
-      : downstream_(downstream) {}
-
-  /// Stream per-stage resident-request counts into `tracer`'s trace file
-  /// as Chrome counter events. Attach before the run; pass nullptr to
-  /// detach.
-  void attach_trace(LifecycleTracer* tracer) noexcept { tracer_ = tracer; }
-
-  // EventSink
-  void on_stage(Stage stage, ThreadId tid, Tag tag, Cycle cycle) override;
-  void on_merge(ThreadId tid, Tag tag, ThreadId leader_tid, Tag leader_tag,
-                Cycle cycle) override;
-  void on_hop(Hop hop, ThreadId tid, Tag tag, NodeId src, NodeId dest,
-              Cycle cycle) override;
-
-  [[nodiscard]] std::uint64_t completed_requests() const noexcept {
-    return completed_;
-  }
-  [[nodiscard]] std::uint64_t open_requests() const noexcept {
-    return open_.size();
-  }
-  /// Residency distribution for `stage`: cycles between this stage's
-  /// stamp and the next stamped stage, over completed requests.
-  [[nodiscard]] const Histogram& stage_residency(Stage stage) const noexcept {
-    return residency_[static_cast<std::size_t>(stage)];
-  }
-  /// Completed requests whose longest residency was in `stage`.
-  [[nodiscard]] std::uint64_t critical_count(Stage stage) const noexcept {
-    return critical_[static_cast<std::size_t>(stage)];
-  }
-
-  /// Deterministic JSON object for the report's `latency` section:
-  /// {"requests":N,"in_flight":M,"stages":{"<stage>":{"count","min",
-  /// "max","p50","p95","p99","critical"},...}} in enum (pipeline) order,
-  /// stages with no samples elided.
-  [[nodiscard]] std::string to_json() const;
-  /// Aligned text table: stage, count, p50/p95/p99, critical share.
-  [[nodiscard]] std::string to_table() const;
-
- private:
-  struct OpenRequest {
-    std::array<Cycle, kStageCount> stamp{};
-    std::array<bool, kStageCount> seen{};
-    std::uint8_t latest = 0;
-    bool any = false;
-  };
-
-  void finalize(const OpenRequest& request);
-  void emit_residency(std::size_t stage_index, Cycle cycle);
-
-  EventSink* downstream_ = nullptr;
-  LifecycleTracer* tracer_ = nullptr;
-  std::unordered_map<RequestGid, OpenRequest> open_;  // find/erase only
-  std::array<Histogram, kStageCount> residency_;
-  std::array<std::uint64_t, kStageCount> critical_{};
-  std::array<std::uint64_t, kStageCount> resident_now_{};
-  std::uint64_t completed_ = 0;
-};
+using LatencyDecomposer = LifecycleTracer;
 
 }  // namespace mac3d

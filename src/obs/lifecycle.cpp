@@ -32,6 +32,7 @@ void LifecycleTracer::ensure_path() {
 }
 
 void LifecycleTracer::close_window() {
+  if (current_ != nullptr) current_->open_at_close = open_.size();
   // Requests still open when a window closes fall into two buckets: a
   // healthy monotone prefix that simply had not completed by the drain
   // cutoff (normal for truncated runs — in_flight_at_end), versus a
@@ -57,6 +58,7 @@ void LifecycleTracer::close_window() {
   lanes_.clear();
   pending_hops_.clear();
   node_tracks_named_.clear();  // track-name metadata is per-window pid
+  resident_now_.fill(0);
 }
 
 void LifecycleTracer::begin_path(std::string name) {
@@ -92,10 +94,14 @@ void LifecycleTracer::on_stage(Stage stage, ThreadId tid, Tag tag,
   ensure_path();
   const RequestGid key = request_gid(tid, tag);
   auto it = open_.find(key);
+  if (track_residency_ && trace_open_) {
+    count_resident(it == open_.end() ? nullptr : &it->second, stage, cycle);
+  }
   if (it == open_.end()) {
     Record record;
     record.tid = tid;
     record.tag = tag;
+    record.stamps.reserve(kStageCount);
     record.stamps.push_back({stage, cycle});
     assign_lane(record);
     it = open_.emplace(key, std::move(record)).first;
@@ -207,6 +213,34 @@ void LifecycleTracer::finalize_record(Record&& record) {
   if (stamps.back().cycle >= stamps.front().cycle) {
     path.request_latency.add(stamps.back().cycle - stamps.front().cycle);
   }
+
+  // Residency: the first stamp of each stage, in pipeline order; the
+  // cycles to the next stamped stage are spent in the earlier one.
+  std::array<const Stamp*, kStageCount> first{};
+  for (const Stamp& stamp : stamps) {
+    const Stamp*& slot = first[static_cast<std::size_t>(stamp.stage)];
+    if (slot == nullptr) slot = &stamp;
+  }
+  const Stamp* prev = nullptr;
+  std::size_t critical = kStageCount;
+  Cycle critical_cycles = 0;
+  for (const Stamp* stamp : first) {
+    if (stamp == nullptr) continue;
+    if (prev != nullptr) {
+      // A non-monotone pair books a 0-cycle segment rather than wrapping;
+      // audit() flags it separately.
+      const Cycle cycles =
+          stamp->cycle >= prev->cycle ? stamp->cycle - prev->cycle : 0;
+      const auto index = static_cast<std::size_t>(prev->stage);
+      path.residency[index].add(cycles);
+      if (critical == kStageCount || cycles > critical_cycles) {
+        critical = index;
+        critical_cycles = cycles;
+      }
+    }
+    prev = stamp;
+  }
+  if (critical != kStageCount) ++path.critical[critical];
   ++path.completed;
   ++completed_total_;
 
@@ -331,18 +365,33 @@ void LifecycleTracer::emit_record(const Record& record) {
   emit_event(buf);
 }
 
-void LifecycleTracer::emit_counter(std::string_view name,
-                                   std::string_view series, Cycle ts,
-                                   std::uint64_t value) {
-  if (!trace_open_) return;
-  ensure_path();
+void LifecycleTracer::count_resident(const Record* record, Stage stage,
+                                     Cycle cycle) {
+  // A request is resident in the stage of its latest stamp until the next
+  // one; core_complete ends its residency.
+  if (record != nullptr) {
+    const auto latest = static_cast<std::size_t>(record->stamps.back().stage);
+    if (resident_now_[latest] > 0) {
+      --resident_now_[latest];
+      emit_resident(latest, cycle);
+    }
+  }
+  if (stage != Stage::kCoreComplete) {
+    const auto index = static_cast<std::size_t>(stage);
+    ++resident_now_[index];
+    emit_resident(index, cycle);
+  }
+}
+
+void LifecycleTracer::emit_resident(std::size_t stage_index, Cycle cycle) {
+  const std::string_view series = to_string(static_cast<Stage>(stage_index));
   char buf[224];
   std::snprintf(buf, sizeof(buf),
-                "{\"ph\":\"C\",\"cat\":\"latency\",\"name\":\"%.*s\","
-                "\"pid\":%zu,\"ts\":%" PRIu64 ",\"args\":{\"%.*s\":%" PRIu64
-                "}}",
-                static_cast<int>(name.size()), name.data(), paths_.size(), ts,
-                static_cast<int>(series.size()), series.data(), value);
+                "{\"ph\":\"C\",\"cat\":\"latency\",\"name\":"
+                "\"stage_residency\",\"pid\":%zu,\"ts\":%" PRIu64
+                ",\"args\":{\"%.*s\":%" PRIu64 "}}",
+                paths_.size(), cycle, static_cast<int>(series.size()),
+                series.data(), resident_now_[stage_index]);
   emit_event(buf);
 }
 
@@ -350,6 +399,60 @@ void LifecycleTracer::emit_event(const std::string& json) {
   if (events_written_ != 0) trace_out_ << ",\n";
   trace_out_ << json;
   ++events_written_;
+}
+
+std::string LifecycleTracer::PathTelemetry::latency_json() const {
+  std::string out = "{";
+  out += "\"requests\": " + json_number(completed);
+  out += ", \"in_flight\": " + json_number(open_at_close);
+  out += ", \"stages\": {";
+  bool first = true;
+  for (std::size_t i = 0; i < kStageCount; ++i) {
+    const Histogram& hist = residency[i];
+    if (hist.count() == 0 && critical[i] == 0) continue;
+    if (!first) out += ", ";
+    first = false;
+    out += json_quote(to_string(static_cast<Stage>(i))) + ": {";
+    out += "\"count\": " + json_number(hist.count());
+    out += ", \"min\": " + json_number(hist.min_value());
+    out += ", \"max\": " + json_number(hist.max_value());
+    out += ", \"p50\": " + json_number(hist.quantile(0.50));
+    out += ", \"p95\": " + json_number(hist.quantile(0.95));
+    out += ", \"p99\": " + json_number(hist.quantile(0.99));
+    out += ", \"critical\": " + json_number(critical[i]);
+    out += "}";
+  }
+  out += "}}";
+  return out;
+}
+
+std::string LifecycleTracer::PathTelemetry::residency_table() const {
+  std::string out;
+  char line[160];
+  std::snprintf(line, sizeof(line), "%-16s %10s %8s %8s %8s %10s\n", "stage",
+                "count", "p50", "p95", "p99", "critical");
+  out += line;
+  for (std::size_t i = 0; i < kStageCount; ++i) {
+    const Histogram& hist = residency[i];
+    if (hist.count() == 0 && critical[i] == 0) continue;
+    const double share =
+        completed == 0 ? 0.0
+                       : 100.0 * static_cast<double>(critical[i]) /
+                             static_cast<double>(completed);
+    const std::string stage{to_string(static_cast<Stage>(i))};
+    std::snprintf(line, sizeof(line),
+                  "%-16s %10llu %8llu %8llu %8llu %9.1f%%\n", stage.c_str(),
+                  static_cast<unsigned long long>(hist.count()),
+                  static_cast<unsigned long long>(hist.quantile(0.50)),
+                  static_cast<unsigned long long>(hist.quantile(0.95)),
+                  static_cast<unsigned long long>(hist.quantile(0.99)),
+                  share);
+    out += line;
+  }
+  std::snprintf(line, sizeof(line), "%-16s %10llu completed requests\n",
+                "total", static_cast<unsigned long long>(completed));
+  out += line;
+  return out;
 }
 
 const LifecycleTracer::PathTelemetry* LifecycleTracer::path(

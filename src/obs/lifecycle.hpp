@@ -1,7 +1,9 @@
-// LifecycleTracer: the standard EventSink. Collects per-request stage
-// stamps, audits them (monotonic, complete), folds them into per-path
-// per-stage latency Histograms, and optionally streams the full timeline
-// as Chrome/Perfetto trace-event JSON.
+// LifecycleTracer: the standard EventSink and the one per-request record.
+// Collects per-request stage stamps, audits them (monotonic, complete),
+// folds them into per-path per-stage latency Histograms (time to reach a
+// stage) and residency Histograms (time spent in it, plus the critical
+// stage; docs/OBSERVABILITY.md §latency decomposition), and optionally
+// streams the full timeline as Chrome/Perfetto trace-event JSON.
 #pragma once
 
 #include <array>
@@ -40,12 +42,29 @@ class LifecycleTracer final : public EventSink {
     /// stage_latency[s] = distribution of (cycle at stage s) − (cycle at
     /// the previous stamped stage) — i.e. time *spent reaching* stage s.
     std::array<Histogram, kStageCount> stage_latency;
+    /// residency[s] = distribution of (first stamp of the next stamped
+    /// stage) − (first stamp of s), stages in pipeline order — i.e. time
+    /// *spent in* stage s. A pair that runs backwards books 0 cycles.
+    std::array<Histogram, kStageCount> residency;
+    /// critical[s] = completed requests whose longest residency was in s
+    /// (the earliest stage wins a tie).
+    std::array<std::uint64_t, kStageCount> critical{};
     /// End-to-end core_issue -> core_complete distribution.
     Histogram request_latency{40};
     std::uint64_t completed = 0;
     std::uint64_t merges = 0;
+    /// Requests still open when the window closed.
+    std::uint64_t open_at_close = 0;
     /// Full records, retained only under keep_records(true) (tests).
     std::vector<Record> records;
+
+    /// Deterministic JSON object for the report's `latency` section:
+    /// {"requests":N,"in_flight":M,"stages":{"<stage>":{"count","min",
+    /// "max","p50","p95","p99","critical"},...}} in enum (pipeline) order,
+    /// stages with no samples elided.
+    [[nodiscard]] std::string latency_json() const;
+    /// Aligned text table: stage, count, p50/p95/p99, critical share.
+    [[nodiscard]] std::string residency_table() const;
   };
 
   LifecycleTracer() = default;
@@ -58,6 +77,10 @@ class LifecycleTracer final : public EventSink {
 
   /// Retain completed Records in PathTelemetry::records (test hook).
   void keep_records(bool keep) noexcept { keep_records_ = keep; }
+
+  /// Stream per-stage resident-request counts into the trace file as
+  /// Chrome counter events (`stage_residency`). Set before the run.
+  void track_residency(bool track) noexcept { track_residency_ = track; }
 
   /// Open a telemetry window for the named path; requests still open from
   /// the previous window are audited as in_flight_at_end (healthy partial
@@ -74,12 +97,6 @@ class LifecycleTracer final : public EventSink {
                 Cycle cycle) override;
   void on_hop(Hop hop, ThreadId tid, Tag tag, NodeId src, NodeId dest,
               Cycle cycle) override;
-
-  /// Emit one Chrome counter-track sample (`"ph":"C"`): counter `name`,
-  /// series `series`, value at simulated time `ts`. No-op unless a trace
-  /// file is open. LatencyDecomposer renders per-stage residency with it.
-  void emit_counter(std::string_view name, std::string_view series, Cycle ts,
-                    std::uint64_t value);
 
   [[nodiscard]] const std::deque<PathTelemetry>& paths() const noexcept {
     return paths_;
@@ -133,6 +150,8 @@ class LifecycleTracer final : public EventSink {
   void ensure_path();
   void close_window();
   void finalize_record(Record&& record);
+  void count_resident(const Record* record, Stage stage, Cycle cycle);
+  void emit_resident(std::size_t stage_index, Cycle cycle);
   void audit(const Record& record);
   void emit_record(const Record& record);
   void emit_event(const std::string& json);
@@ -154,11 +173,14 @@ class LifecycleTracer final : public EventSink {
   };
   std::unordered_map<std::uint64_t, std::vector<PendingHop>> pending_hops_;
   std::vector<bool> node_tracks_named_;
+  /// Requests whose latest stamp is each stage (track_residency only).
+  std::array<std::uint64_t, kStageCount> resident_now_{};
 
   std::ofstream trace_out_;
   bool trace_open_ = false;
   bool finished_ = false;
   bool keep_records_ = false;
+  bool track_residency_ = false;
   std::uint64_t events_written_ = 0;
   std::uint64_t flow_ids_ = 0;
 

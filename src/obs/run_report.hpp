@@ -45,7 +45,8 @@ class RunReport {
   void set_metrics(const StatSet& metrics);
 
   /// Pre-rendered JSON object for the "latency" section (the /3 addition:
-  /// LatencyDecomposer::to_json, or a {"<path>": {...}} wrapper of them).
+  /// a {"<path>": {...}} object of LifecycleTracer::PathTelemetry::
+  /// latency_json, one per run).
   void set_latency(std::string json) { latency_json_ = std::move(json); }
 
   /// Pre-rendered JSON object for the "host" section (the /3 addition:

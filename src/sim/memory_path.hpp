@@ -32,7 +32,6 @@ class MemoryPath {
 
   [[nodiscard]] virtual bool can_accept() const = 0;
   virtual bool try_accept(const RawRequest& request, Cycle now) = 0;
-  virtual void accept(const RawRequest& request, Cycle now) = 0;
   virtual void tick(Cycle now) = 0;
   /// Completions at or before `now`; the buffer belongs to the path and
   /// stays valid until its next drain.

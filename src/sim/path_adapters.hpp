@@ -43,9 +43,6 @@ class PathAdapter : public MemoryPath {
   bool try_accept(const RawRequest& request, Cycle now) final {
     return path_.try_accept(request, now);
   }
-  void accept(const RawRequest& request, Cycle now) final {
-    path_.accept(request, now);
-  }
   void tick(Cycle now) final { path_.tick(now); }
   const std::vector<CompletedAccess>& drain(Cycle now) final {
     return path_.drain(now);

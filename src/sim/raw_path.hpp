@@ -4,7 +4,6 @@
 // Mirrors the MacCoalescer cycle interface so drivers are path-generic.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -44,12 +43,6 @@ class RawPath {
     work_until_.work(now);
     ledger_.accept(request, now);
     return true;
-  }
-
-  void accept(const RawRequest& request, Cycle now) {
-    const bool accepted = try_accept(request, now);
-    assert(accepted);
-    (void)accepted;
   }
 
   void tick(Cycle now) {

@@ -1,6 +1,7 @@
 // CLI contract: the built `mac3d` binary stops malformed input at the
 // boundary with one stderr line and exit 2, and still runs well-formed
-// command lines; so do the examples that read numbers from argv. Caps are
+// command lines; so do the examples that read numbers from argv and the
+// bench binaries. Caps are
 // probed through `mac3d config`, which validates without building a
 // System, or through the argv walk, and only with the first value past
 // each cap, so a missed check can never start thousands of threads or
@@ -11,12 +12,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
+#include "common/json.hpp"
+#include "obs/report_diff.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_io.hpp"
 
@@ -207,6 +212,78 @@ TEST_F(Cli, NumaExampleRunsUnderEveryPolicy) {
   }
 }
 #endif
+
+#ifdef MAC3D_BENCH_DIR
+// A typo in a bench flag must not turn its baseline gate off silently.
+TEST_F(Cli, BenchBinariesRejectUnknownArgumentsAndMissingValues) {
+  const std::string dir = MAC3D_BENCH_DIR "/";
+  const std::string small = "MAC3D_SCALE=0.01";
+  expect_rejected_by(dir + "table1_config", "--bogus", small);
+  expect_rejected_by(dir + "fig03_bw_model", "--report", small);
+  expect_rejected_by(dir + "fig03_bw_model", "--basline F", small);
+  expect_rejected_by(dir + "idle_census", "--census-out", small);
+}
+#endif
+
+/// Per trace-event pid (one per run, in --paths order), the last value of
+/// each `stage_residency` counter series.
+std::map<std::size_t, std::map<std::string, std::uint64_t>>
+last_resident_counts(const fs::path& file) {
+  std::ifstream in(file);
+  std::stringstream text;
+  text << in.rdbuf();
+  JsonValue trace;
+  std::string error;
+  EXPECT_TRUE(parse_json(text.str(), trace, error)) << file << ": " << error;
+  std::map<std::size_t, std::map<std::string, std::uint64_t>> last;
+  const JsonValue* events = trace.find("traceEvents");
+  if (events == nullptr) return last;
+  for (const JsonValue& event : events->items) {
+    const JsonValue* args = event.find("args");
+    if (args == nullptr || event.string_or("ph") != "C" ||
+        event.string_or("name") != "stage_residency") {
+      continue;
+    }
+    for (const auto& [stage, count] : args->members) {
+      last[static_cast<std::size_t>(event.number_or("pid"))][stage] =
+          static_cast<std::uint64_t>(count.number);
+    }
+  }
+  return last;
+}
+
+// Under --profile the trace carries the tracer's resident-request counter
+// tracks; a run's series end at its requests still in flight, which the
+// injected livelock leaves behind. --trace-events alone writes none.
+TEST_F(Cli, ProfiledTraceResidentCountsEndAtTheReportsInFlight) {
+  const std::string run = std::string("run ") + kSmall +
+                          " --workload sg --paths raw,mac --watchdog "
+                          "--inject-livelock 500 ";
+  ASSERT_EQ(mac3d(run + "--profile --trace-events t.json --report r.json")
+                .exit_code,
+            1);
+  FlatReport report;
+  std::string error;
+  ASSERT_TRUE(load_report((dir_ / "r.json").string(), report, error))
+      << error;
+  const auto last = last_resident_counts(dir_ / "t.json");
+  ASSERT_EQ(last.size(), 2u);
+  std::size_t pid = 1;
+  for (const std::string path : {"raw", "mac"}) {
+    const double in_flight = report.numbers["latency." + path + ".in_flight"];
+    EXPECT_GT(in_flight, 0.0) << path;
+    double resident = 0.0;
+    for (const auto& [stage, count] : last.at(pid)) {
+      resident += static_cast<double>(count);
+    }
+    EXPECT_EQ(resident, in_flight) << path;
+    ++pid;
+  }
+
+  ASSERT_EQ(mac3d(run + "--trace-events u.json").exit_code, 1);
+  EXPECT_TRUE(fs::exists(dir_ / "u.json"));
+  EXPECT_TRUE(last_resident_counts(dir_ / "u.json").empty());
+}
 
 TEST_F(Cli, WellFormedRunsExit0) {
   EXPECT_EQ(mac3d(std::string("run ") + kSmall +

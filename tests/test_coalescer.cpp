@@ -88,7 +88,7 @@ TEST_F(CoalescerTest, DualPortAcceptsOneMergeOneAllocPerCycle) {
 
 TEST_F(CoalescerTest, SingleRequestBypassesAs16B) {
   Cycle now = 0;
-  mac_.accept(make(0xABC0, MemOp::kLoad, 0, 7), now);
+  ASSERT_TRUE(mac_.try_accept(make(0xABC0, MemOp::kLoad, 0, 7), now));
   const auto done = settle(now);
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(mac_.stats().bypass_out, 1u);
@@ -130,11 +130,11 @@ TEST_F(CoalescerTest, EveryRawRequestGetsExactlyOneCompletion) {
 
 TEST_F(CoalescerTest, FenceWaitsForAllPriorRequests) {
   Cycle now = 0;
-  mac_.accept(make(0xA00, MemOp::kLoad, 0, 1), now);
+  ASSERT_TRUE(mac_.try_accept(make(0xA00, MemOp::kLoad, 0, 1), now));
   ++now;
-  mac_.accept(make(0, MemOp::kFence, 0, 2), now);
+  ASSERT_TRUE(mac_.try_accept(make(0, MemOp::kFence, 0, 2), now));
   ++now;
-  mac_.accept(make(0xB00, MemOp::kLoad, 0, 3), now);
+  ASSERT_TRUE(mac_.try_accept(make(0xB00, MemOp::kLoad, 0, 3), now));
 
   Cycle load_done = 0;
   Cycle fence_done = 0;
@@ -156,9 +156,9 @@ TEST_F(CoalescerTest, FenceWaitsForAllPriorRequests) {
 
 TEST_F(CoalescerTest, AtomicGoesStraightThroughUncoalesced) {
   Cycle now = 0;
-  mac_.accept(make(0xC40, MemOp::kAtomic, 0, 1), now);
+  ASSERT_TRUE(mac_.try_accept(make(0xC40, MemOp::kAtomic, 0, 1), now));
   ++now;
-  mac_.accept(make(0xC50, MemOp::kAtomic, 1, 1), now);
+  ASSERT_TRUE(mac_.try_accept(make(0xC50, MemOp::kAtomic, 1, 1), now));
   settle(now);
   EXPECT_EQ(mac_.stats().atomic_out, 2u);
   EXPECT_EQ(device_.stats().atomics, 2u);
@@ -168,11 +168,11 @@ TEST_F(CoalescerTest, AtomicGoesStraightThroughUncoalesced) {
 TEST_F(CoalescerTest, BuilderPopCadenceIsTwoCycles) {
   // Two coalesced entries in the queue leave >= 2 cycles apart.
   Cycle now = 0;
-  mac_.accept(make(0xA00, MemOp::kLoad, 0, 1), now);
-  mac_.accept(make(0xA10, MemOp::kLoad, 1, 1), now);
+  ASSERT_TRUE(mac_.try_accept(make(0xA00, MemOp::kLoad, 0, 1), now));
+  ASSERT_TRUE(mac_.try_accept(make(0xA10, MemOp::kLoad, 1, 1), now));
   ++now;
-  mac_.accept(make(0xB00, MemOp::kLoad, 2, 1), now);
-  mac_.accept(make(0xB10, MemOp::kLoad, 3, 1), now);
+  ASSERT_TRUE(mac_.try_accept(make(0xB00, MemOp::kLoad, 2, 1), now));
+  ASSERT_TRUE(mac_.try_accept(make(0xB10, MemOp::kLoad, 3, 1), now));
   std::map<Cycle, int> by_completion;
   for (const auto& done : settle(now)) ++by_completion[done.completed];
   ASSERT_EQ(by_completion.size(), 2u);  // two packets
@@ -183,7 +183,7 @@ TEST_F(CoalescerTest, BuilderPopCadenceIsTwoCycles) {
 
 TEST_F(CoalescerTest, LatencyIsMeasuredPerRawRequest) {
   Cycle now = 0;
-  mac_.accept(make(0xA00, MemOp::kLoad, 0, 1), now);
+  ASSERT_TRUE(mac_.try_accept(make(0xA00, MemOp::kLoad, 0, 1), now));
   settle(now);
   const double latency = mac_.stats().raw_latency_cycles.mean();
   // Bypass path: ~93 ns device latency plus a few MAC cycles.
@@ -200,7 +200,7 @@ TEST_F(CoalescerTest, IdleAndNextEventBehave) {
   EXPECT_TRUE(mac_.idle());
   EXPECT_EQ(mac_.next_event(5), 0u);
   Cycle now = 0;
-  mac_.accept(make(0xA00), now);
+  ASSERT_TRUE(mac_.try_accept(make(0xA00), now));
   EXPECT_FALSE(mac_.idle());
   EXPECT_GT(mac_.next_event(now), now);
   settle(now);

@@ -9,26 +9,31 @@
 //  * BusyUntil against a brute-force reference;
 //  * HostProfiler laps: one clock read per phase boundary, none without a
 //    profiler, and a profiled run's phases fit inside its wall time;
-//  * LatencyDecomposer residency histograms against analytic values,
-//    the critical-stage attribution (argmax residency, earliest stage
-//    wins ties) and the transparent downstream tee;
+//  * LifecycleTracer residency histograms against analytic values, the
+//    critical-stage attribution (argmax residency, earliest stage wins
+//    ties), and per-window residency, critical counts, open_at_close and
+//    resident-count counter tracks;
 //  * empty-stream / zero-request edge cases;
 //  * census exports are byte-identical between System::run and
 //    System::run_event;
-//  * attaching census/decomposer/profiler never perturbs simulated
-//    results.
+//  * attaching census/tracer/profiler never perturbs simulated results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "arch/system.hpp"
 #include "common/config.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "obs/latency.hpp"
+#include "obs/lifecycle.hpp"
 #include "obs/profiler.hpp"
 #include "obs/sampler.hpp"
 #include "sim/driver.hpp"
@@ -303,88 +308,186 @@ TEST(ActivityCensus, SealKeepsCountsAndExportsMetrics) {
   EXPECT_NE(census.to_json().find("\"active_cycles\": 2"), std::string::npos);
 }
 
-// -------------------------------------------------------- LatencyDecomposer
+// ------------------------------------------------ LifecycleTracer residency
 
-TEST(LatencyDecomposer, ResidencyMatchesAnalyticDeltas) {
-  LatencyDecomposer decomposer;
+constexpr std::size_t at(Stage stage) noexcept {
+  return static_cast<std::size_t>(stage);
+}
+
+TEST(Residency, MatchesAnalyticDeltas) {
+  LifecycleTracer tracer;
   // Three requests: queue_insert -> bank_access after d cycles ->
   // core_complete 5 cycles later. Residency[queue_insert] must hold
   // exactly {10, 20, 40}; residency[bank_access] exactly {5, 5, 5}.
   Tag tag = 0;
   for (const Cycle d : {10u, 20u, 40u}) {
-    decomposer.on_stage(Stage::kQueueInsert, 0, tag, 100);
-    decomposer.on_stage(Stage::kBankAccess, 0, tag, 100 + d);
-    decomposer.on_stage(Stage::kCoreComplete, 0, tag, 100 + d + 5);
+    tracer.on_stage(Stage::kQueueInsert, 0, tag, 100);
+    tracer.on_stage(Stage::kBankAccess, 0, tag, 100 + d);
+    tracer.on_stage(Stage::kCoreComplete, 0, tag, 100 + d + 5);
     ++tag;
   }
 
-  EXPECT_EQ(decomposer.completed_requests(), 3u);
-  EXPECT_EQ(decomposer.open_requests(), 0u);
-  const Histogram& queue = decomposer.stage_residency(Stage::kQueueInsert);
+  const LifecycleTracer::PathTelemetry& window = tracer.paths().back();
+  EXPECT_EQ(window.completed, 3u);
+  EXPECT_EQ(tracer.open_records(), 0u);
+  const Histogram& queue = window.residency[at(Stage::kQueueInsert)];
   ASSERT_EQ(queue.count(), 3u);
   EXPECT_EQ(queue.quantile(0.0), 10u);  // exact min
   EXPECT_EQ(queue.quantile(1.0), 40u);  // exact max
   EXPECT_GE(queue.quantile(0.5), 10u);
   EXPECT_LE(queue.quantile(0.5), 40u);
-  const Histogram& bank = decomposer.stage_residency(Stage::kBankAccess);
+  const Histogram& bank = window.residency[at(Stage::kBankAccess)];
   ASSERT_EQ(bank.count(), 3u);
   EXPECT_EQ(bank.quantile(0.0), 5u);
   EXPECT_EQ(bank.quantile(1.0), 5u);
   // The terminal stage accrues no residency.
-  EXPECT_EQ(decomposer.stage_residency(Stage::kCoreComplete).count(), 0u);
+  EXPECT_EQ(window.residency[at(Stage::kCoreComplete)].count(), 0u);
 
   // Critical attribution: queue_insert (>= 10 cycles) dominates every
   // request over bank_access (5 cycles).
-  EXPECT_EQ(decomposer.critical_count(Stage::kQueueInsert), 3u);
-  EXPECT_EQ(decomposer.critical_count(Stage::kBankAccess), 0u);
+  EXPECT_EQ(window.critical[at(Stage::kQueueInsert)], 3u);
+  EXPECT_EQ(window.critical[at(Stage::kBankAccess)], 0u);
 }
 
-TEST(LatencyDecomposer, CriticalTieGoesToTheEarliestStage) {
-  LatencyDecomposer decomposer;
-  decomposer.on_stage(Stage::kQueueInsert, 1, 7, 0);
-  decomposer.on_stage(Stage::kBankAccess, 1, 7, 8);    // residency 8
-  decomposer.on_stage(Stage::kCoreComplete, 1, 7, 16);  // residency 8
-  EXPECT_EQ(decomposer.critical_count(Stage::kQueueInsert), 1u);
-  EXPECT_EQ(decomposer.critical_count(Stage::kBankAccess), 0u);
+TEST(Residency, CriticalTieGoesToTheEarliestStage) {
+  LifecycleTracer tracer;
+  tracer.on_stage(Stage::kQueueInsert, 1, 7, 0);
+  tracer.on_stage(Stage::kBankAccess, 1, 7, 8);    // residency 8
+  tracer.on_stage(Stage::kCoreComplete, 1, 7, 16);  // residency 8
+  const LifecycleTracer::PathTelemetry& window = tracer.paths().back();
+  EXPECT_EQ(window.critical[at(Stage::kQueueInsert)], 1u);
+  EXPECT_EQ(window.critical[at(Stage::kBankAccess)], 0u);
 }
 
-TEST(LatencyDecomposer, ForwardsEveryEventDownstream) {
-  struct CountingSink final : EventSink {
-    void on_stage(Stage, ThreadId, Tag, Cycle) override { ++stages; }
-    void on_merge(ThreadId, Tag, ThreadId, Tag, Cycle) override { ++merges; }
-    void on_hop(Hop, ThreadId, Tag, NodeId, NodeId, Cycle) override {
-      ++hops;
-    }
-    int stages = 0;
-    int merges = 0;
-    int hops = 0;
-  } downstream;
-  LatencyDecomposer decomposer(&downstream);
-  decomposer.on_stage(Stage::kCoreIssue, 0, 1, 10);
-  decomposer.on_merge(0, 1, 0, 2, 11);
-  decomposer.on_hop(Hop::kRequestSend, 0, 1, 0, 1, 12);
-  EXPECT_EQ(downstream.stages, 1);
-  EXPECT_EQ(downstream.merges, 1);
-  EXPECT_EQ(downstream.hops, 1);
+TEST(Residency, FirstStampOfEachStageAndBackwardPairsBookZero) {
+  LifecycleTracer tracer;
+  tracer.on_stage(Stage::kCoreIssue, 2, 3, 10);
+  tracer.on_stage(Stage::kQueueInsert, 2, 3, 14);
+  tracer.on_stage(Stage::kQueueInsert, 2, 3, 30);  // repeat: ignored
+  tracer.on_stage(Stage::kBankAccess, 2, 3, 12);   // runs backwards
+  tracer.on_stage(Stage::kCoreComplete, 2, 3, 40);
+  const LifecycleTracer::PathTelemetry& window = tracer.paths().back();
+  EXPECT_EQ(window.residency[at(Stage::kCoreIssue)].max_value(), 4u);
+  EXPECT_EQ(window.residency[at(Stage::kQueueInsert)].max_value(), 0u);
+  EXPECT_EQ(window.residency[at(Stage::kBankAccess)].max_value(), 28u);
+  EXPECT_EQ(window.critical[at(Stage::kBankAccess)], 1u);
+  EXPECT_GT(tracer.monotonicity_errors(), 0u);  // the audit still flags it
 }
 
-TEST(LatencyDecomposer, EmptyStreamAndZeroRequestEdgeCases) {
-  LatencyDecomposer decomposer;
-  EXPECT_EQ(decomposer.completed_requests(), 0u);
-  EXPECT_EQ(decomposer.open_requests(), 0u);
-  EXPECT_NE(decomposer.to_json().find("\"requests\""), std::string::npos);
-  EXPECT_FALSE(decomposer.to_table().empty());
+TEST(Residency, EmptyStreamAndZeroRequestEdgeCases) {
+  LifecycleTracer tracer;
+  tracer.begin_path("empty");
+  const LifecycleTracer::PathTelemetry& window = tracer.paths().back();
+  EXPECT_EQ(window.completed, 0u);
+  EXPECT_EQ(tracer.open_records(), 0u);
+  EXPECT_NE(window.latency_json().find("\"requests\""), std::string::npos);
+  EXPECT_FALSE(window.residency_table().empty());
 
   // A request that never completes stays open and books no residency.
-  decomposer.on_stage(Stage::kQueueInsert, 3, 9, 50);
-  EXPECT_EQ(decomposer.open_requests(), 1u);
-  EXPECT_EQ(decomposer.completed_requests(), 0u);
-  EXPECT_EQ(decomposer.stage_residency(Stage::kQueueInsert).count(), 0u);
+  tracer.on_stage(Stage::kQueueInsert, 3, 9, 50);
+  EXPECT_EQ(tracer.open_records(), 1u);
+  EXPECT_EQ(window.completed, 0u);
+  EXPECT_EQ(window.residency[at(Stage::kQueueInsert)].count(), 0u);
+  tracer.finish();
+  EXPECT_EQ(window.open_at_close, 1u);
+  EXPECT_NE(window.latency_json().find("\"in_flight\": 1"),
+            std::string::npos);
 
   ActivityCensus census;
   EXPECT_EQ(census.observed_cycles(), 0u);
   EXPECT_DOUBLE_EQ(census.dead_time_fraction(), 0.0);
   EXPECT_FALSE(census.to_table().empty());
+}
+
+/// One `stage_residency` counter sample of a trace-event file.
+struct ResidentSample {
+  std::size_t pid = 0;
+  std::string stage;
+  std::uint64_t count = 0;
+};
+
+std::vector<ResidentSample> resident_samples(const std::string& file) {
+  std::ifstream in(file);
+  std::stringstream text;
+  text << in.rdbuf();
+  JsonValue trace;
+  std::string error;
+  EXPECT_TRUE(parse_json(text.str(), trace, error)) << error;
+  std::vector<ResidentSample> samples;
+  const JsonValue* events = trace.find("traceEvents");
+  if (events == nullptr) return samples;
+  for (const JsonValue& event : events->items) {
+    const JsonValue* args = event.find("args");
+    if (args == nullptr || event.string_or("ph") != "C" ||
+        event.string_or("name") != "stage_residency") {
+      continue;
+    }
+    for (const auto& [stage, count] : args->members) {
+      samples.push_back({static_cast<std::size_t>(event.number_or("pid")),
+                         stage, static_cast<std::uint64_t>(count.number)});
+    }
+  }
+  return samples;
+}
+
+TEST(Residency, WindowsKeepSeparateRecordsAndRestartResidentCounts) {
+  const std::string file = ::testing::TempDir() + "mac3d_residency.json";
+  LifecycleTracer tracer;
+  ASSERT_TRUE(tracer.open_trace(file));
+  tracer.track_residency(true);
+
+  tracer.begin_path("a");
+  tracer.on_stage(Stage::kCoreIssue, 0, 1, 0);
+  tracer.on_stage(Stage::kCoreIssue, 0, 2, 1);  // still open at the close
+  tracer.on_stage(Stage::kQueueInsert, 0, 1, 2);
+  tracer.on_stage(Stage::kQueueInsert, 0, 2, 3);
+  tracer.on_stage(Stage::kCoreComplete, 0, 1, 10);
+
+  tracer.begin_path("b");
+  tracer.on_stage(Stage::kCoreIssue, 1, 1, 100);
+  tracer.on_stage(Stage::kQueueInsert, 1, 1, 120);
+  tracer.on_stage(Stage::kCoreComplete, 1, 1, 121);
+  tracer.finish();
+
+  const LifecycleTracer::PathTelemetry& a = tracer.paths()[0];
+  const LifecycleTracer::PathTelemetry& b = tracer.paths()[1];
+  EXPECT_EQ(a.completed, 1u);
+  EXPECT_EQ(a.open_at_close, 1u);
+  EXPECT_EQ(a.residency[at(Stage::kCoreIssue)].max_value(), 2u);
+  EXPECT_EQ(a.residency[at(Stage::kQueueInsert)].max_value(), 8u);
+  EXPECT_EQ(a.critical[at(Stage::kQueueInsert)], 1u);
+  EXPECT_EQ(a.critical[at(Stage::kCoreIssue)], 0u);
+  EXPECT_EQ(b.completed, 1u);
+  EXPECT_EQ(b.open_at_close, 0u);
+  EXPECT_EQ(b.residency[at(Stage::kCoreIssue)].max_value(), 20u);
+  EXPECT_EQ(b.residency[at(Stage::kQueueInsert)].max_value(), 1u);
+  EXPECT_EQ(b.critical[at(Stage::kCoreIssue)], 1u);
+  EXPECT_EQ(b.critical[at(Stage::kQueueInsert)], 0u);
+
+  // Per window (pid), each series' last value is its resident count at
+  // the close; their sum is the window's open requests.
+  const std::vector<ResidentSample> samples = resident_samples(file);
+  std::map<std::size_t, std::map<std::string, std::uint64_t>> last;
+  for (const ResidentSample& sample : samples) {
+    last[sample.pid][sample.stage] = sample.count;
+  }
+  ASSERT_EQ(last.size(), 2u);
+  const auto sum = [](const std::map<std::string, std::uint64_t>& series) {
+    std::uint64_t total = 0;
+    for (const auto& [stage, count] : series) total += count;
+    return total;
+  };
+  EXPECT_EQ(sum(last[1]), a.open_at_close);
+  EXPECT_EQ(sum(last[2]), b.open_at_close);
+  // Window b starts from zero although a request of window a was still
+  // resident in queue_insert when it closed.
+  const auto first_b = std::find_if(
+      samples.begin(), samples.end(), [](const ResidentSample& sample) {
+        return sample.pid == 2 && sample.stage == "queue_insert";
+      });
+  ASSERT_NE(first_b, samples.end());
+  EXPECT_EQ(first_b->count, 1u);
+  std::remove(file.c_str());
 }
 
 // ------------------------------------------------------------- HostProfiler
@@ -481,9 +584,9 @@ TEST(ProfilerPerturbation, ProfiledRunsMatchUnprofiledRuns) {
 
   ActivityCensus census;
   HostProfiler profiler;
-  LatencyDecomposer decomposer;
+  LifecycleTracer tracer;
   DriveOptions profiled;
-  profiled.sink = &decomposer;
+  profiled.sink = &tracer;
   profiled.census = &census;
   profiled.profiler = &profiler;
   const DriverResult result = run_policy(CoalescerPolicy::kMac, trace, config,
@@ -495,7 +598,7 @@ TEST(ProfilerPerturbation, ProfiledRunsMatchUnprofiledRuns) {
   result.collect(actual, "mac");
   EXPECT_EQ(expected.to_json(), actual.to_json());
   EXPECT_GT(census.observed_cycles(), 0u);
-  EXPECT_GT(decomposer.completed_requests(), 0u);
+  EXPECT_GT(tracer.completed_records(), 0u);
 }
 
 }  // namespace
